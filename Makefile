@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-faults test-telemetry test-resources test-workers test-batch test-optimizer test-events test-server bench bench-check perf-gate lint-docs examples slow-examples shell clean serve
+.PHONY: install test test-faults test-telemetry test-resources test-workers test-batch test-optimizer test-events test-server bench bench-check perf-gate perf perf-quick lint-docs examples slow-examples shell clean serve
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -48,6 +48,12 @@ test-batch:       ## vectorized batch execution: row-parity, kernels, perf gate
 
 perf-gate:        ## row-vs-batch units baseline (CI-required)
 	$(PYTHON) benchmarks/bench_fig9_performance.py --check-baseline
+
+perf-quick:       ## wall-clock benchmark smoke: tiny inputs, < 30 s (perf/README.md)
+	$(PYTHON) perf/run.py --quick
+
+perf:             ## wall-clock benchmark, all four workloads, ~3.5 min
+	$(PYTHON) perf/run.py
 
 bench:            ## full run: timings + shape assertions + results/*.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

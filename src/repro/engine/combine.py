@@ -1,0 +1,369 @@
+"""The COMBINE kernels — one copy, run against a *site*.
+
+COMBINE is where the user's ``match`` / ``verify`` / ``dedup`` run.  A
+kernel is the body of one per-partition task: it takes the two routed
+entry lists (``(bucket_id, external_key, record)`` triples) and returns
+the joined rows.  Everything a task does to shared state — charging the
+stage, recording a callback, attributing trace units, quarantining a
+record, reserving memory — goes through the site it is handed:
+
+- :class:`LocalSite` applies each effect to the real
+  :class:`~repro.engine.context.ExecutionContext` as it happens (the
+  serial loop in :class:`~repro.engine.operators.fudj_join.FudjJoin`);
+- ``workers._WorkerSite`` only *logs* them, in order, inside a worker
+  process; the coordinator replays that ledger against the real objects.
+
+Both sites run the same kernel text, so rows, charges and the
+float-summation order of every charge are identical on either backend by
+construction.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import defaultdict
+
+from repro.core.flexible_join import JoinSide
+from repro.engine.resources import EntrySpillCodec
+
+__all__ = ["KERNELS", "CombineSite", "LocalSite"]
+
+
+class CombineSite:
+    """What a kernel sees of the query it runs in.
+
+    Subclasses supply the effects — ``charge(units)``,
+    ``attribute(name, units, calls=0)``, ``note_call(name, wall, ok=True)``,
+    ``add_comparisons(n)``, ``admit(items, side, price=True)`` and
+    ``guard_record(join_name, phase, fn, *args, detail=None)`` (the
+    signature of :meth:`ExecutionContext.guard_record`).
+    """
+
+    def __init__(self, op, ctx, pplan, out_schema, v_cost: float,
+                 worker: int) -> None:
+        self.join = op.join
+        self.dedup = op.dedup
+        self.pplan = pplan
+        self.out_schema = out_schema
+        #: Work units per ``verify`` call.
+        self.v_cost = v_cost
+        #: Emit ``(pair_id, row)`` for the duplicate-elimination shuffle.
+        self.tag = op.dedup.requires_shuffle
+        self.traced = ctx.tracer.enabled
+        self.num = ctx.num_partitions
+        self.enforce = ctx.resources.enforce
+        self.model = ctx.cost_model
+        self.worker = worker
+
+    def safe_verify(self, key1, key2) -> bool:
+        """``verify`` under the error policy: a raising pair is treated
+        as a non-match (and quarantined) instead of aborting."""
+        # Fetched, then called (here and in ``safe_match``): on the local
+        # site ``guard_record`` is an instance attribute, which CPython's
+        # cached method-call path misses on every call — 2 % of a theta
+        # query, measured.
+        guard = self.guard_record
+        ok, matched = guard(
+            self.join.name, "verify", self.join.verify, key1, key2,
+            self.pplan, detail=(key1, key2),
+        )
+        return bool(matched) if ok else False
+
+    def safe_match(self, bucket1, bucket2) -> bool:
+        guard = self.guard_record
+        ok, matched = guard(
+            self.join.name, "match", self.join.match, bucket1, bucket2,
+            detail=(bucket1, bucket2),
+        )
+        return bool(matched) if ok else False
+
+    def local_join_pairs(self, keys1, keys2):
+        """Enumerate the developer's ``local_join`` candidates; with
+        tracing on the hook is materialized under a timer so its wall
+        time lands in the ``local_join`` callback span."""
+        if not self.traced:
+            return self.join.local_join(keys1, keys2, self.pplan)
+        started = time.perf_counter()
+        pairs = list(self.join.local_join(keys1, keys2, self.pplan))
+        self.note_call("local_join", time.perf_counter() - started)
+        return pairs
+
+
+class LocalSite(CombineSite):
+    """The in-process site: every effect lands on the real context."""
+
+    def __init__(self, op, ctx, stage, worker: int, pplan, out_schema,
+                 v_cost: float) -> None:
+        super().__init__(op, ctx, pplan, out_schema, v_cost, worker)
+        self._op = op
+        self._ctx = ctx
+        self._stage = stage
+        # Bound methods, not wrappers: a theta combine makes one guarded
+        # ``match`` call per record pair, so an extra frame per call is a
+        # measurable slowdown of the whole query.
+        self.guard_record = ctx.guard_record
+        self.attribute = ctx.tracer.attribute
+        self.note_call = ctx.tracer.record_call
+
+    def charge(self, units: float) -> None:
+        self._stage.charge(self.worker, units)
+
+    def add_comparisons(self, count: int) -> None:
+        self._ctx.metrics.comparisons += count
+
+    def admit(self, items: list, side: JoinSide, price: bool = True) -> list:
+        # Resident COMBINE state goes through the accountant: it prices
+        # the spill and, under a memory budget, spills/replays the
+        # overflow for real — recomputing each replayed entry's key.
+        op, ctx = self._op, self._ctx
+        key_fn = op.left_key if side is JoinSide.LEFT else op.right_key
+        return ctx.admit(
+            self._stage, self.worker, items,
+            EntrySpillCodec(lambda r: op._external_key(r, key_fn, ctx)),
+            price=price,
+        )
+
+
+def _pair_identity(record) -> int:
+    """Identity of one join-input record for pair dedup.
+
+    Records that went through a spill round-trip or were shipped to a
+    worker carry a ``rid`` (a process-unique negative integer, shared by
+    the original and every replayed clone); in-memory records fall back
+    to ``id()``, which is always non-negative — the two namespaces cannot
+    collide.
+    """
+    rid = record.rid
+    return rid if rid is not None else id(record)
+
+
+def _verify_pair(site: CombineSite, rows: list, bucket1, key1, record1,
+                 bucket2, key2, record2) -> float:
+    """Take one candidate pair through dedup, ``verify`` and emit;
+    returns the verify units to charge for it.
+
+    Both verify and dedup are pure predicates, so the cheap duplicate
+    check runs first and the expensive verification is paid only for
+    pairs this worker owns.  With a duplicate-elimination shuffle to
+    follow, the row is tagged with its pair identity: elimination must
+    distinguish *the same input pair emitted from two buckets* (a
+    duplicate) from *two different pairs with equal field values* (two
+    legitimate results) — the original set-similarity study dedups on
+    record ids for the same reason.  Exchanges move references and spills
+    replay clones that keep their ``rid``, so :func:`_pair_identity` is
+    stable within one query either way.
+    """
+    if not site.dedup.keep_local(
+        site.join, bucket1, key1, bucket2, key2, site.pplan
+    ):
+        return 0.0
+    matched = site.safe_verify(key1, key2)
+    if matched:
+        joined = record1.concat(record2, site.out_schema)
+        if site.tag:
+            joined = (
+                (_pair_identity(record1), _pair_identity(record2)), joined
+            )
+        rows.append(joined)
+    return site.model.predicate_units(site.v_cost, matched)
+
+
+def _close(site: CombineSite, probe_units: float, verify_units: float,
+           dedup_checks: int, probe_name: str = None) -> None:
+    """A kernel's closing charge: the probe side (hash probes, or the
+    ``match`` calls when ``probe_name`` says so), verification, and the
+    duplicate checks."""
+    dedup_units = dedup_checks * site.model.comparison
+    site.charge(probe_units + verify_units + dedup_units)
+    site.add_comparisons(dedup_checks)
+    if site.traced:
+        if probe_name is not None:
+            site.attribute(probe_name, probe_units)
+        site.attribute("verify", verify_units)
+        site.attribute("dedup", dedup_units, calls=dedup_checks)
+
+
+def single_task(site: CombineSite, left_entries: list,
+                right_entries: list) -> list:
+    """Single-join (default ``match``): both sides arrive hash-partitioned
+    on bucket id; build a table on the left, probe with the right."""
+    model = site.model
+    build = site.admit(left_entries, JoinSide.LEFT)
+    table = defaultdict(list)
+    for bucket_id, key, record in build:
+        table[bucket_id].append((key, record))
+    site.charge(len(build) * model.hash_op)
+    rows = []
+    verify_units = 0.0
+    dedup_checks = 0
+    if site.join.has_local_join():
+        dedup_checks, verify_units = _probe_with_local_join(
+            site, rows, table, right_entries
+        )
+    else:
+        for bucket_id, key2, record2 in right_entries:
+            for key1, record1 in table.get(bucket_id, ()):
+                dedup_checks += 1
+                verify_units += _verify_pair(
+                    site, rows, bucket_id, key1, record1,
+                    bucket_id, key2, record2,
+                )
+    _close(site, len(right_entries) * model.hash_op, verify_units,
+           dedup_checks)
+    return rows
+
+
+def _probe_with_local_join(site: CombineSite, rows: list, left_table,
+                           right_entries: list):
+    """Single-join combine through the developer's ``local_join`` hook.
+
+    Buckets are paired as usual (equal bucket ids); within each bucket
+    pair the hook enumerates candidate index pairs, replacing the
+    all-pairs loop.  The hook's own work is charged per input key
+    (sort/setup) plus per emitted candidate.
+    """
+    model = site.model
+    right_table = defaultdict(list)
+    for bucket_id, key, record in right_entries:
+        right_table[bucket_id].append((key, record))
+    candidates = 0
+    verify_units = 0.0
+    setup_keys = 0
+    for bucket_id, right_bucket in right_table.items():
+        left_bucket = left_table.get(bucket_id)
+        if not left_bucket:
+            continue
+        keys1 = [key for key, _ in left_bucket]
+        keys2 = [key for key, _ in right_bucket]
+        setup_keys += len(keys1) + len(keys2)
+        for i, j in site.local_join_pairs(keys1, keys2):
+            candidates += 1
+            key1, record1 = left_bucket[i]
+            key2, record2 = right_bucket[j]
+            verify_units += _verify_pair(
+                site, rows, bucket_id, key1, record1,
+                bucket_id, key2, record2,
+            )
+    verify_units += setup_keys * model.comparison
+    return candidates, verify_units
+
+
+def theta_task(site: CombineSite, left_entries: list,
+               broadcast: list) -> list:
+    """Theta bucket matching: spread left, broadcast right, test
+    ``match`` per record pair (the paper's §VII-C fallback).
+
+    The engine has no partitioned theta-join operator (AsterixDB does
+    not either — the paper lists one as future work), so the bucket
+    matching degenerates to a nested loop over ``(bucket_id, record)``
+    tuples: every worker receives the whole broadcast side, tables it,
+    and evaluates ``match`` once per record pair.  The per-node
+    broadcast processing does not shrink as the cluster grows (and
+    spills when it exceeds the worker's memory budget), which is exactly
+    why Fig 10b's interval join scales poorly.
+    """
+    model = site.model
+    broadcast = site.admit(broadcast, JoinSide.RIGHT)
+    site.charge((len(left_entries) + len(broadcast)) * model.hash_op)
+    rows = []
+    match_checks = 0
+    verify_units = 0.0
+    dedup_checks = 0
+    # Kept as an explicit nested loop: this is the hottest loop in the
+    # engine (one guarded ``match`` per record pair), and feeding it from
+    # a candidate generator shared with ``partitioned_task`` measured
+    # 8-11 % slower end to end.
+    for b1, key1, record1 in left_entries:
+        for b2, key2, record2 in broadcast:
+            match_checks += 1
+            if not site.safe_match(b1, b2):
+                continue
+            dedup_checks += 1
+            verify_units += _verify_pair(
+                site, rows, b1, key1, record1, b2, key2, record2
+            )
+    _close(site, match_checks * model.match_op, verify_units, dedup_checks,
+           "match")
+    return rows
+
+
+def partitioned_task(site: CombineSite, local_left: list,
+                     local_right: list) -> list:
+    """The partitioned theta join the paper lists as future work.
+
+    ``partition_buckets`` maps every bucket onto match partitions such
+    that matching buckets share one, so both sides co-partition and join
+    locally — no broadcast, and the per-node work shrinks with the
+    cluster.  A pair may meet in several partitions; the engine keeps it
+    only in the smallest shared one.
+    """
+    model = site.model
+    join = site.join
+    worker = site.worker
+    num = site.num
+    pplan = site.pplan
+    if site.enforce:
+        # Both routed sides are resident; this plan never priced spills
+        # (it co-partitions instead of broadcasting), so admission is
+        # enforcement-only.
+        local_left = site.admit(local_left, JoinSide.LEFT, price=False)
+        local_right = site.admit(local_right, JoinSide.RIGHT, price=False)
+    site.charge((len(local_left) + len(local_right)) * model.hash_op)
+    rows = []
+    match_checks = 0
+    verify_units = 0.0
+    dedup_checks = 0
+    part_cache = {}
+
+    def parts_of(bucket_id):
+        found = part_cache.get(bucket_id)
+        if found is None:
+            found = set(join.partition_buckets(bucket_id, num, pplan))
+            part_cache[bucket_id] = found
+        return found
+
+    if join.has_local_join():
+        # A custom local algorithm (e.g. a sort-merge forward scan)
+        # enumerates candidates instead of the NLJ; the ownership check
+        # and verify still run per candidate.
+        keys1 = [entry[1] for entry in local_left]
+        keys2 = [entry[1] for entry in local_right]
+        match_checks = len(keys1) + len(keys2)  # sort/setup charge
+        for i, j in site.local_join_pairs(keys1, keys2):
+            b1, key1, record1 = local_left[i]
+            b2, key2, record2 = local_right[j]
+            if not site.safe_match(b1, b2):
+                continue
+            shared = parts_of(b1) & parts_of(b2)
+            if min(shared) != worker:
+                continue
+            dedup_checks += 1
+            verify_units += _verify_pair(
+                site, rows, b1, key1, record1, b2, key2, record2
+            )
+    else:
+        for b1, key1, record1 in local_left:
+            for b2, key2, record2 in local_right:
+                match_checks += 1
+                if not site.safe_match(b1, b2):
+                    continue
+                shared = parts_of(b1) & parts_of(b2)
+                if min(shared) != worker:
+                    continue  # another partition owns this pair
+                dedup_checks += 1
+                verify_units += _verify_pair(
+                    site, rows, b1, key1, record1, b2, key2, record2
+                )
+    _close(site, match_checks * model.match_op, verify_units, dedup_checks,
+           "match")
+    return rows
+
+
+#: Kernel per combine plan: ``single`` for default-``match`` joins,
+#: ``partitioned`` for custom ``match`` with ``partition_buckets``,
+#: ``theta`` (broadcast) for every other custom ``match``.
+KERNELS = {
+    "single": single_task,
+    "theta": theta_task,
+    "partitioned": partitioned_task,
+}

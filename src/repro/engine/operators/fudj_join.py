@@ -14,7 +14,9 @@ on top of the engine primitives:
    theta plan (spread left, broadcast right, ``match`` per bucket pair).
    ``verify`` then checks each candidate pair, and the dedup strategy
    suppresses duplicates (locally for avoidance, with one more exchange
-   for elimination).
+   for elimination).  This operator picks the plan and runs the
+   exchanges; the per-partition join is a kernel in
+   :mod:`repro.engine.combine`.
 
 Every FUDJ callback goes through the translation layer (Figure 7) so
 engine values are unboxed to plain Python values first; built-in operator
@@ -35,16 +37,17 @@ Phases with no single culprit record (``global_aggregate``, ``divide``,
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from functools import partial
 
 from repro.core.dedup import DedupStrategy, strategy_for
 from repro.core.flexible_join import FlexibleJoin, JoinSide
+from repro.engine.combine import KERNELS, LocalSite
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import hash_exchange
 from repro.engine.faults import apply_exchange_faults, charge_checkpoint
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
-from repro.engine.resources import EntrySpillCodec
 from repro.errors import ExecutionError, FudjCallbackError
+from repro.serde.values import unbox
 
 __all__ = ["FudjCallbackError", "FudjJoin"]
 
@@ -81,16 +84,18 @@ def _guard(ctx, join, phase: str, fn, *args):
     return result
 
 
-def _pair_identity(record) -> int:
-    """Identity of one join-input record for pair dedup.
+class _DedupEntry:
+    """Adapter so the generic exchange can size a ``(pair_id, record)``
+    entry of the duplicate-elimination shuffle."""
 
-    Records that went through a spill round-trip carry a ``rid`` (a
-    process-unique negative integer, shared by the original and every
-    replayed clone); in-memory records fall back to ``id()``, which is
-    always non-negative — the two namespaces cannot collide.
-    """
-    rid = record.rid
-    return rid if rid is not None else id(record)
+    __slots__ = ("pair_id", "record")
+
+    def __init__(self, pair_id, record):
+        self.pair_id = pair_id
+        self.record = record
+
+    def serialized_size(self):
+        return 16 + self.record.serialized_size()
 
 
 class FudjJoin(PhysicalOperator):
@@ -156,30 +161,10 @@ class FudjJoin(PhysicalOperator):
         boxed = key_fn(record)
         if self.translate:
             return ctx.translator.to_external(boxed)
-        from repro.serde.values import unbox
-
         return unbox(boxed)
 
     def _key_cost(self, ctx: ExecutionContext) -> float:
         return ctx.cost_model.translation if self.translate else 0.0
-
-    # -- degraded-mode callback wrappers -----------------------------------------
-
-    def _safe_verify(self, ctx: ExecutionContext, key1, key2, pplan) -> bool:
-        """``verify`` under the error policy: a raising pair is treated
-        as a non-match (and quarantined) instead of aborting."""
-        ok, matched = ctx.guard_record(
-            self.join.name, "verify", self.join.verify, key1, key2, pplan,
-            detail=(key1, key2),
-        )
-        return bool(matched) if ok else False
-
-    def _safe_match(self, ctx: ExecutionContext, bucket1, bucket2) -> bool:
-        ok, matched = ctx.guard_record(
-            self.join.name, "match", self.join.match, bucket1, bucket2,
-            detail=(bucket1, bucket2),
-        )
-        return bool(matched) if ok else False
 
     # -- phase 1: SUMMARIZE ------------------------------------------------------
 
@@ -342,20 +327,36 @@ class FudjJoin(PhysicalOperator):
             )
 
         out_schema = left.schema.concat(right.schema)
+        name = self.stage_name
         with tracer.span("COMBINE", kind="phase"):
+            # The plan decides how the two sides meet; the kernel of the
+            # same name (repro.engine.combine) joins what arrives.
             if join.uses_default_match():
-                partitions = self._combine_single_join(
-                    left_assigned, right_assigned, pplan, out_schema, ctx
-                )
+                # Hash-partition both sides on bucket id; join equal buckets.
+                kind = "single"
+                left_parts = _exchange_assigned(left_assigned, ctx,
+                                                f"{name}/xleft")
+                right_parts = _exchange_assigned(right_assigned, ctx,
+                                                 f"{name}/xright")
             elif join.supports_partitioned_matching():
-                partitions = self._combine_partitioned_theta(
-                    left_assigned, right_assigned, pplan, out_schema, ctx
-                )
+                # Co-partition on the match partitions of each bucket.
+                kind = "partitioned"
+                num = ctx.num_partitions
+                left_parts = _route_partitioned(
+                    left_assigned, join, num, pplan, ctx, f"{name}/route-left")
+                right_parts = _route_partitioned(
+                    right_assigned, join, num, pplan, ctx,
+                    f"{name}/route-right")
             else:
-                partitions = self._combine_multi_join(
-                    left_assigned, right_assigned, pplan, out_schema, ctx
-                )
-
+                # Theta fallback: spread left, broadcast right.
+                kind = "theta"
+                left_parts = _spread_assigned(left_assigned, ctx,
+                                              f"{name}/spread")
+                right_parts = _broadcast_assigned(right_assigned, ctx,
+                                                  f"{name}/broadcast")
+            partitions = self._combine(
+                kind, left_parts, right_parts, pplan, out_schema, ctx
+            )
             if self.dedup.requires_shuffle:
                 partitions = self._eliminate_duplicates(partitions, ctx)
 
@@ -370,217 +371,41 @@ class FudjJoin(PhysicalOperator):
             return 0.0
         return float(sum(_entry_bytes(entries, ctx) for entries in entry_lists))
 
-    def _pooled_combine(self, ctx: ExecutionContext, stage, kind: str,
-                        left_parts, right_parts, pplan, out_schema, v_cost):
-        """Ship this combine stage to the process pool, if one is attached.
+    def _combine(self, kind: str, left_parts: list, right_parts: list,
+                 pplan, out_schema, ctx: ExecutionContext) -> list:
+        """Run the ``kind`` kernel over every partition pair.
 
-        Returns the per-worker row lists, or None — no pool, an unhealthy
-        pool, or a stage the pool cannot ship (unpicklable join state,
-        an exhausted restart budget, a non-callback worker failure) — in
-        which case the caller falls through to the serial loop, which
-        reproduces any genuine error deterministically.
+        With a healthy process pool attached the stage ships to it;
+        :func:`~repro.engine.workers.run_combine` returns None for a
+        stage the pool cannot ship (unpicklable join state, an exhausted
+        restart budget, a non-callback worker failure), and the serial
+        loop below then reproduces any genuine error deterministically.
         """
-        pool = ctx.active_pool()
-        if pool is None:
-            return None
-        from repro.engine import workers as _workers
-        return _workers.run_combine(
-            pool, self, ctx, stage, kind, left_parts, right_parts,
-            pplan, out_schema, v_cost,
-        )
-
-    def _combine_single_join(self, left_assigned, right_assigned, pplan,
-                             out_schema, ctx: ExecutionContext) -> list:
-        """Hash-partition both sides on bucket id; join equal buckets."""
-        left_parts = _exchange_assigned(
-            left_assigned, ctx, f"{self.stage_name}/xleft"
-        )
-        right_parts = _exchange_assigned(
-            right_assigned, ctx, f"{self.stage_name}/xright"
-        )
         stage = ctx.metrics.stage(f"{self.stage_name}/combine")
-        model = ctx.cost_model
         v_cost = (
             self.verify_cost if self.verify_cost is not None
-            else model.expensive_predicate
+            else ctx.cost_model.expensive_predicate
         )
-        out = []
         with ctx.tracer.span("combine", kind="stage", stage=stage):
-            pooled = self._pooled_combine(
-                ctx, stage, "single", left_parts, right_parts, pplan,
-                out_schema, v_cost,
-            )
-            if pooled is not None:
-                for rows in pooled:
-                    stage.records_out += len(rows)
-                    out.append(rows)
-                return out
-            for worker in range(ctx.num_partitions):
-                left_entries = left_parts[worker]
-                right_entries = right_parts[worker]
-
-                def task(worker=worker, left_entries=left_entries,
-                         right_entries=right_entries):
-                    # COMBINE build state goes through the accountant: it
-                    # prices the spill exactly as before and, under a
-                    # memory budget, spills/replays the overflow for real.
-                    build = ctx.admit(
-                        stage, worker, left_entries,
-                        EntrySpillCodec(
-                            lambda r: self._external_key(r, self.left_key, ctx)
-                        ),
-                    )
-                    table = defaultdict(list)
-                    for bucket_id, key, record in build:
-                        table[bucket_id].append((key, record))
-                    stage.charge(worker, len(build) * model.hash_op)
-                    rows = []
-                    verify_units = 0.0
-                    dedup_checks = 0
-                    tag = self._tag_pair if self.dedup.requires_shuffle else None
-                    if self.join.has_local_join():
-                        rows, dedup_checks, verify_units = self._join_buckets_local(
-                            table, right_entries, pplan, out_schema, ctx, tag
-                        )
-                    else:
-                        # Both verify and dedup are pure predicates, so the
-                        # engine runs the cheap duplicate check first and pays
-                        # the expensive verification only for pairs this
-                        # worker owns.
-                        for bucket_id, key2, record2 in right_entries:
-                            for key1, record1 in table.get(bucket_id, ()):
-                                dedup_checks += 1
-                                if not self.dedup.keep_local(
-                                    self.join, bucket_id, key1, bucket_id, key2,
-                                    pplan
-                                ):
-                                    continue
-                                matched = self._safe_verify(ctx, key1, key2, pplan)
-                                verify_units += model.predicate_units(v_cost, matched)
-                                if not matched:
-                                    continue
-                                joined = record1.concat(record2, out_schema)
-                                rows.append(
-                                    tag(record1, record2, joined) if tag else joined
-                                )
-                    stage.charge(
-                        worker,
-                        len(right_entries) * model.hash_op
-                        + verify_units
-                        + dedup_checks * model.comparison,
-                    )
-                    ctx.metrics.comparisons += dedup_checks
-                    if ctx.tracer.enabled:
-                        ctx.tracer.attribute("verify", verify_units)
-                        ctx.tracer.attribute(
-                            "dedup", dedup_checks * model.comparison,
-                            calls=dedup_checks,
-                        )
-                    return rows
-
-                rows = ctx.run_task(
-                    stage, worker, task,
-                    self._restore_bytes(ctx, left_entries, right_entries),
+            pool = ctx.active_pool()
+            if pool is not None:
+                from repro.engine import workers as _workers
+                pooled = _workers.run_combine(
+                    pool, self, ctx, stage, kind, left_parts, right_parts,
+                    pplan, out_schema, v_cost,
                 )
-                stage.records_out += len(rows)
-                out.append(rows)
-        return out
-
-    def _combine_multi_join(self, left_assigned, right_assigned, pplan,
-                            out_schema, ctx: ExecutionContext) -> list:
-        """Theta bucket matching: spread left, broadcast right, test
-        ``match`` per record pair (the paper's §VII-C fallback).
-
-        The engine has no partitioned theta-join operator (AsterixDB does
-        not either — the paper lists one as future work), so the bucket
-        matching degenerates to a nested loop over ``(bucket_id, record)``
-        tuples: every worker receives the whole broadcast side, tables it,
-        and evaluates ``match`` once per record pair.  The per-node
-        broadcast processing does not shrink as the cluster grows, which
-        is exactly why Fig 10b's interval join scales poorly.
-        """
-        left_parts = _spread_assigned(left_assigned, ctx, f"{self.stage_name}/spread")
-        right_parts = _broadcast_assigned(
-            right_assigned, ctx, f"{self.stage_name}/broadcast"
-        )
-        stage = ctx.metrics.stage(f"{self.stage_name}/combine")
-        model = ctx.cost_model
-        v_cost = (
-            self.verify_cost if self.verify_cost is not None
-            else model.expensive_predicate
-        )
-        out = []
-        with ctx.tracer.span("combine", kind="stage", stage=stage):
-            pooled = self._pooled_combine(
-                ctx, stage, "theta", left_parts, right_parts, pplan,
-                out_schema, v_cost,
-            )
-            if pooled is not None:
-                for rows in pooled:
-                    stage.records_out += len(rows)
-                    out.append(rows)
-                return out
+                if pooled is not None:
+                    return pooled
+            kernel = KERNELS[kind]
+            out = []
             for worker in range(ctx.num_partitions):
-                left_entries = left_parts[worker]
-                broadcast = right_parts[worker]
-
-                def task(worker=worker, left_entries=left_entries,
-                         broadcast=broadcast):
-                    # Every worker materializes the whole broadcast side —
-                    # per-node work that does not shrink as the cluster grows
-                    # (and spills when it exceeds the worker's memory budget).
-                    broadcast = ctx.admit(
-                        stage, worker, broadcast,
-                        EntrySpillCodec(
-                            lambda r: self._external_key(r, self.right_key, ctx)
-                        ),
-                    )
-                    stage.charge(
-                        worker,
-                        (len(left_entries) + len(broadcast)) * model.hash_op,
-                    )
-                    rows = []
-                    match_checks = 0
-                    verify_units = 0.0
-                    dedup_checks = 0
-                    for b1, key1, record1 in left_entries:
-                        for b2, key2, record2 in broadcast:
-                            match_checks += 1
-                            if not self._safe_match(ctx, b1, b2):
-                                continue
-                            dedup_checks += 1
-                            if not self.dedup.keep_local(
-                                self.join, b1, key1, b2, key2, pplan
-                            ):
-                                continue
-                            matched = self._safe_verify(ctx, key1, key2, pplan)
-                            verify_units += model.predicate_units(v_cost, matched)
-                            if not matched:
-                                continue
-                            joined = record1.concat(record2, out_schema)
-                            rows.append(
-                                self._tag_pair(record1, record2, joined)
-                                if self.dedup.requires_shuffle else joined
-                            )
-                    stage.charge(
-                        worker,
-                        match_checks * model.match_op
-                        + verify_units
-                        + dedup_checks * model.comparison,
-                    )
-                    ctx.metrics.comparisons += dedup_checks
-                    if ctx.tracer.enabled:
-                        ctx.tracer.attribute("match", match_checks * model.match_op)
-                        ctx.tracer.attribute("verify", verify_units)
-                        ctx.tracer.attribute(
-                            "dedup", dedup_checks * model.comparison,
-                            calls=dedup_checks,
-                        )
-                    return rows
-
+                left = left_parts[worker]
+                right = right_parts[worker]
+                site = LocalSite(self, ctx, stage, worker, pplan, out_schema,
+                                 v_cost)
                 rows = ctx.run_task(
-                    stage, worker, task,
-                    self._restore_bytes(ctx, left_entries, broadcast),
+                    stage, worker, partial(kernel, site, left, right),
+                    self._restore_bytes(ctx, left, right),
                 )
                 stage.records_out += len(rows)
                 out.append(rows)
@@ -590,21 +415,8 @@ class FudjJoin(PhysicalOperator):
         """Post-join distinct: shuffle (pair_id, record) entries by pair
         identity, then drop repeated pairs on each worker (the Duplicate
         Elimination stage)."""
-
-        class _Entry:
-            """Adapter so the generic exchange can size the payload."""
-
-            __slots__ = ("pair_id", "record")
-
-            def __init__(self, pair_id, record):
-                self.pair_id = pair_id
-                self.record = record
-
-            def serialized_size(self):
-                return 16 + self.record.serialized_size()
-
         wrapped = [
-            [_Entry(pair_id, record) for pair_id, record in partition]
+            [_DedupEntry(pair_id, record) for pair_id, record in partition]
             for partition in partitions
         ]
         shuffled = hash_exchange(
@@ -630,231 +442,6 @@ class FudjJoin(PhysicalOperator):
 
                 rows = ctx.run_task(stage, worker, task)
                 stage.records_in += len(partition)
-                stage.records_out += len(rows)
-                out.append(rows)
-        return out
-
-
-    def _local_join_pairs(self, ctx: ExecutionContext, keys1, keys2, pplan):
-        """Enumerate the developer's ``local_join`` candidates; with
-        tracing on the hook is materialized under a timer so its wall
-        time lands in the ``local_join`` callback span."""
-        tracer = ctx.tracer
-        if not tracer.enabled:
-            return self.join.local_join(keys1, keys2, pplan)
-        started = time.perf_counter()
-        pairs = list(self.join.local_join(keys1, keys2, pplan))
-        tracer.record_call("local_join", time.perf_counter() - started)
-        return pairs
-
-    @staticmethod
-    def _tag_pair(record1, record2, joined):
-        """Attach the pair identity for duplicate elimination.
-
-        Elimination must distinguish *the same input pair emitted from two
-        buckets* (a duplicate) from *two different pairs with equal field
-        values* (two legitimate results) — the original set-similarity
-        study dedups on record ids for the same reason.  Exchanges move
-        references and spills replay clones that keep their ``rid``, so
-        :func:`_pair_identity` is stable within one query either way.
-        """
-        return ((_pair_identity(record1), _pair_identity(record2)), joined)
-
-    def _join_buckets_local(self, left_table, right_entries, pplan,
-                            out_schema, ctx: ExecutionContext, tag=None):
-        """Single-join combine through the developer's ``local_join`` hook.
-
-        Buckets are paired as usual (equal bucket ids); within each bucket
-        pair the hook enumerates candidate index pairs, replacing the
-        all-pairs loop.  The hook's own work is charged per input key
-        (sort/setup) plus per emitted candidate.
-        """
-        model = ctx.cost_model
-        v_cost = (
-            self.verify_cost if self.verify_cost is not None
-            else model.expensive_predicate
-        )
-        right_table = defaultdict(list)
-        for bucket_id, key, record in right_entries:
-            right_table[bucket_id].append((key, record))
-        rows = []
-        candidates = 0
-        verify_units = 0.0
-        setup_keys = 0
-        for bucket_id, right_bucket in right_table.items():
-            left_bucket = left_table.get(bucket_id)
-            if not left_bucket:
-                continue
-            keys1 = [key for key, _ in left_bucket]
-            keys2 = [key for key, _ in right_bucket]
-            setup_keys += len(keys1) + len(keys2)
-            for i, j in self._local_join_pairs(ctx, keys1, keys2, pplan):
-                candidates += 1
-                key1, record1 = left_bucket[i]
-                key2, record2 = right_bucket[j]
-                if not self.dedup.keep_local(
-                    self.join, bucket_id, key1, bucket_id, key2, pplan
-                ):
-                    continue
-                matched = self._safe_verify(ctx, key1, key2, pplan)
-                verify_units += model.predicate_units(v_cost, matched)
-                if not matched:
-                    continue
-                joined = record1.concat(record2, out_schema)
-                rows.append(tag(record1, record2, joined) if tag else joined)
-        verify_units += setup_keys * model.comparison
-        return rows, candidates, verify_units
-
-    def _combine_partitioned_theta(self, left_assigned, right_assigned,
-                                   pplan, out_schema,
-                                   ctx: ExecutionContext) -> list:
-        """The partitioned theta join the paper lists as future work.
-
-        ``partition_buckets`` maps every bucket onto match partitions such
-        that matching buckets share one, so both sides co-partition and
-        join locally — no broadcast, and the per-node work shrinks with
-        the cluster.  A pair may meet in several partitions; the engine
-        keeps it only in the smallest shared one.
-        """
-        num = ctx.num_partitions
-        left_parts = _route_partitioned(
-            left_assigned, self.join, num, pplan, ctx,
-            f"{self.stage_name}/route-left",
-        )
-        right_parts = _route_partitioned(
-            right_assigned, self.join, num, pplan, ctx,
-            f"{self.stage_name}/route-right",
-        )
-        stage = ctx.metrics.stage(f"{self.stage_name}/combine")
-        model = ctx.cost_model
-        v_cost = (
-            self.verify_cost if self.verify_cost is not None
-            else model.expensive_predicate
-        )
-        join = self.join
-        out = []
-        with ctx.tracer.span("combine", kind="stage", stage=stage):
-            pooled = self._pooled_combine(
-                ctx, stage, "partitioned", left_parts, right_parts, pplan,
-                out_schema, v_cost,
-            )
-            if pooled is not None:
-                for rows in pooled:
-                    stage.records_out += len(rows)
-                    out.append(rows)
-                return out
-            for worker in range(num):
-                local_left = left_parts[worker]
-                local_right = right_parts[worker]
-
-                def task(worker=worker, local_left=local_left,
-                         local_right=local_right):
-                    if ctx.resources.enforce:
-                        # Both routed sides are resident; this plan never
-                        # priced spills (it co-partitions instead of
-                        # broadcasting), so admission is enforcement-only.
-                        local_left = ctx.admit(
-                            stage, worker, local_left,
-                            EntrySpillCodec(lambda r: self._external_key(
-                                r, self.left_key, ctx)),
-                            price=False,
-                        )
-                        local_right = ctx.admit(
-                            stage, worker, local_right,
-                            EntrySpillCodec(lambda r: self._external_key(
-                                r, self.right_key, ctx)),
-                            price=False,
-                        )
-                    stage.charge(
-                        worker,
-                        (len(local_left) + len(local_right)) * model.hash_op,
-                    )
-                    rows = []
-                    match_checks = 0
-                    verify_units = 0.0
-                    dedup_checks = 0
-                    part_cache = {}
-
-                    def parts_of(bucket_id):
-                        found = part_cache.get(bucket_id)
-                        if found is None:
-                            found = set(join.partition_buckets(bucket_id, num, pplan))
-                            part_cache[bucket_id] = found
-                        return found
-
-                    if join.has_local_join():
-                        # A custom local algorithm (e.g. a sort-merge forward
-                        # scan) enumerates candidates instead of the NLJ; the
-                        # ownership check and verify still run per candidate.
-                        keys1 = [entry[1] for entry in local_left]
-                        keys2 = [entry[1] for entry in local_right]
-                        match_checks = len(keys1) + len(keys2)  # sort/setup charge
-                        for i, j in self._local_join_pairs(ctx, keys1, keys2,
-                                                           pplan):
-                            b1, key1, record1 = local_left[i]
-                            b2, key2, record2 = local_right[j]
-                            if not self._safe_match(ctx, b1, b2):
-                                continue
-                            shared = parts_of(b1) & parts_of(b2)
-                            if min(shared) != worker:
-                                continue
-                            dedup_checks += 1
-                            if not self.dedup.keep_local(
-                                join, b1, key1, b2, key2, pplan
-                            ):
-                                continue
-                            matched = self._safe_verify(ctx, key1, key2, pplan)
-                            verify_units += model.predicate_units(v_cost, matched)
-                            if not matched:
-                                continue
-                            joined = record1.concat(record2, out_schema)
-                            rows.append(
-                                self._tag_pair(record1, record2, joined)
-                                if self.dedup.requires_shuffle else joined
-                            )
-                    else:
-                        for b1, key1, record1 in local_left:
-                            for b2, key2, record2 in local_right:
-                                match_checks += 1
-                                if not self._safe_match(ctx, b1, b2):
-                                    continue
-                                shared = parts_of(b1) & parts_of(b2)
-                                if min(shared) != worker:
-                                    continue  # another partition owns this pair
-                                dedup_checks += 1
-                                if not self.dedup.keep_local(
-                                    join, b1, key1, b2, key2, pplan
-                                ):
-                                    continue
-                                matched = self._safe_verify(ctx, key1, key2, pplan)
-                                verify_units += model.predicate_units(v_cost, matched)
-                                if not matched:
-                                    continue
-                                joined = record1.concat(record2, out_schema)
-                                rows.append(
-                                    self._tag_pair(record1, record2, joined)
-                                    if self.dedup.requires_shuffle else joined
-                                )
-                    stage.charge(
-                        worker,
-                        match_checks * model.match_op
-                        + verify_units
-                        + dedup_checks * model.comparison,
-                    )
-                    ctx.metrics.comparisons += dedup_checks
-                    if ctx.tracer.enabled:
-                        ctx.tracer.attribute("match", match_checks * model.match_op)
-                        ctx.tracer.attribute("verify", verify_units)
-                        ctx.tracer.attribute(
-                            "dedup", dedup_checks * model.comparison,
-                            calls=dedup_checks,
-                        )
-                    return rows
-
-                rows = ctx.run_task(
-                    stage, worker, task,
-                    self._restore_bytes(ctx, local_left, local_right),
-                )
                 stage.records_out += len(rows)
                 out.append(rows)
         return out

@@ -24,11 +24,13 @@ to a pool of real worker processes, supervised by the coordinator:
 
 Determinism contract: result rows are byte-identical to the serial
 backend and, under a :class:`~repro.engine.faults.FaultPlan`, so is the
-cost accounting.  Workers execute the task *kernels* (mirrors of the
-serial combine task bodies) and export an ordered ledger of everything a
-serial task would have done to shared state — charges, callback calls,
-trace attributions, quarantines, breaker events, memory reservations.
-The coordinator replays that ledger through the real metrics/tracer/
+cost accounting.  There is one set of COMBINE kernels, in
+:mod:`repro.engine.combine`, written against a *site*.  The serial loop
+hands a kernel the local site, which applies every effect — charges,
+callback calls, trace attributions, quarantines, breaker events, memory
+reservations — to the real context as it happens.  A worker hands the
+same kernel a :class:`_WorkerSite`, which logs those effects in order;
+the coordinator replays that ledger through the real metrics/tracer/
 breaker/accountant, re-running the serial retry loop per planned fault
 roll, so every float lands in the same order as the serial backend.
 
@@ -36,11 +38,12 @@ Only COMBINE tasks ship (they dominate FUDJ cost and close over nothing
 but picklable state); SUMMARIZE/PARTITION and the exchanges stay on the
 coordinator.  Anything unshippable — an unpicklable join, a serde
 failure, a non-callback worker error — makes :func:`run_combine` return
-None and the caller falls through to the (unchanged) serial loop.
+None and the caller runs the kernels on the local site instead.
 """
 
 from __future__ import annotations
 
+import builtins
 import multiprocessing
 import os
 import pickle
@@ -49,10 +52,11 @@ import signal
 import tempfile
 import threading
 import time
-from collections import defaultdict, deque
+from collections import deque
 from itertools import count
 from multiprocessing import connection as mp_connection
 
+from repro.engine.combine import KERNELS, CombineSite
 from repro.engine.faults import FaultPlan, stage_key
 from repro.engine.metrics import QueryMetrics
 from repro.engine.record import Record
@@ -193,16 +197,20 @@ def _unpack_rows(packed: dict, out_schema, tagged: bool) -> list:
 # FudjCallbackError's 3-arg __init__ breaks default exception pickling, and
 # shipping arbitrary user exceptions across the pipe is a liability anyway.
 # Errors travel as plain descriptors; callback errors are rebuilt on the
-# coordinator with a byte-identical message to the serial backend's.
+# coordinator with a byte-identical message to the serial backend's, and
+# with ``original`` of the same class when that class is a builtin (user
+# exception objects are never unpickled).
 
 
 def _describe_error(exc: BaseException) -> dict:
     if isinstance(exc, FudjCallbackError):
+        original = type(exc.original)
         return {
             "kind": "callback",
             "join": exc.join_name,
             "phase": exc.phase,
-            "type": type(exc.original).__name__,
+            "type": original.__name__,
+            "builtin": original.__module__ == "builtins",
             "msg": str(exc.original),
         }
     return {"kind": "generic", "type": type(exc).__name__, "msg": str(exc)}
@@ -218,6 +226,12 @@ def _rebuild_error(desc: dict) -> FudjCallbackError:
     err.join_name = desc["join"]
     err.phase = desc["phase"]
     err.original = RuntimeError(desc["msg"])
+    cls = getattr(builtins, desc["type"], None) if desc["builtin"] else None
+    if isinstance(cls, type) and issubclass(cls, Exception):
+        try:
+            err.original = cls(desc["msg"])
+        except TypeError:
+            pass  # a builtin whose constructor needs more than a message
     return err
 
 
@@ -293,32 +307,23 @@ class _StageShim:
         self._site.charge(units)
 
 
-class _WorkerSite:
+class _WorkerSite(CombineSite):
     """One task's stand-in for the execution context inside a worker.
 
-    Where a serial task charges the stage, records a callback, attributes
-    trace units, quarantines a record, or touches the breaker, the kernel
-    does the same thing against this site — which only *logs* the event,
-    in order.  The export ships back to the coordinator, which replays it
-    against the real objects (see :func:`_apply_task`), so the arithmetic
-    and its float-summation order match the serial backend exactly.
+    Where :class:`~repro.engine.combine.LocalSite` charges the stage,
+    records a callback, attributes trace units, quarantines a record, or
+    touches the breaker, this site only *logs* the event, in order.  The
+    coordinator builds it and pickles it into the task body; the export
+    ships back to the coordinator, which replays it against the real
+    objects (see :func:`_apply_task`), so the arithmetic and its
+    float-summation order match the serial backend exactly.
     """
 
-    def __init__(self, spec: dict, spill_dir: str) -> None:
-        self.join = spec["join"]
-        self.join_name = spec["join_name"]
-        self.dedup = spec["dedup"]
-        self.pplan = spec["pplan"]
-        self.out_schema = spec["out_schema"]
-        self.v_cost = spec["v_cost"]
-        self.tag = spec["tag"]
-        self.policy = spec["policy"]
-        self.traced = spec["traced"]
-        self.num = spec["num"]
-        self.enforce = spec["enforce"]
-        self.model = spec["model"]
-        self.translate = spec["translate"]
-        self.worker = spec["worker"]
+    def __init__(self, op, ctx, pplan, out_schema, v_cost: float,
+                 worker: int) -> None:
+        super().__init__(op, ctx, pplan, out_schema, v_cost, worker)
+        self.policy = ctx.on_error
+        self.translate = op.translate
         self.charges = []
         self.comparisons = 0
         self.attrs = []
@@ -330,7 +335,8 @@ class _WorkerSite:
         self.key_conversions = 0
         self.breaker_failures = 0
         self.breaker_ok = False
-        self.resources = _WorkerResources(self.model, self.enforce, spill_dir)
+        #: The worker opens its accountant on arrival (it owns the spill dir).
+        self.resources = None
         self.tracer = _TracerShim(self, self.traced)
         self.events = _SiteEvents()
         self._stage = _StageShim(self, "worker")
@@ -339,6 +345,9 @@ class _WorkerSite:
 
     def charge(self, units: float) -> None:
         self.charges.append(units)
+
+    def add_comparisons(self, count: int) -> None:
+        self.comparisons += count
 
     def _touch_child(self, name: str) -> None:
         # First-touch order of callback spans, so the coordinator creates
@@ -364,7 +373,9 @@ class _WorkerSite:
 
     # -- context mirrors -----------------------------------------------------
 
-    def admit(self, items: list, price: bool = True) -> list:
+    def admit(self, items: list, side, price: bool = True) -> list:
+        # ``side`` picks the key function on the local site; a worker
+        # cannot re-run key extraction, so keys are cached by record id.
         codec = KeyedEntrySpillCodec(items)
         if self.translate:
             # The serial codec recomputes each restored entry's key
@@ -381,7 +392,8 @@ class _WorkerSite:
             self, self._stage, self.worker, items, codec, price=price,
         )
 
-    def guard_record(self, phase: str, fn, *args, detail=None):
+    def guard_record(self, join_name: str, phase: str, fn, *args,
+                     detail=None):
         started = time.perf_counter() if self.traced else 0.0
         try:
             result = fn(*args)
@@ -392,44 +404,20 @@ class _WorkerSite:
             if self.policy == "fail":
                 if isinstance(exc, FudjCallbackError):
                     raise
-                raise FudjCallbackError(self.join_name, phase, exc) from exc
-            if self.policy == "quarantine":
-                self.quarantined += 1
-                if len(self.quarantine_log) < QueryMetrics.MAX_QUARANTINE_REPORT:
-                    self.quarantine_log.append((
-                        phase,
-                        f"{type(exc).__name__}: {exc}",
-                        None if detail is None else repr(detail),
-                    ))
-            else:  # skip
-                self.quarantined += 1
+                raise FudjCallbackError(join_name, phase, exc) from exc
+            self.quarantined += 1  # skip counts the drop, keeps no report
+            if (self.policy == "quarantine" and len(self.quarantine_log)
+                    < QueryMetrics.MAX_QUARANTINE_REPORT):
+                self.quarantine_log.append((
+                    phase,
+                    f"{type(exc).__name__}: {exc}",
+                    None if detail is None else repr(detail),
+                ))
             return False, None
         if self.traced:
             self.note_call(phase, time.perf_counter() - started)
         self.breaker_ok = True
         return True, result
-
-    def safe_verify(self, key1, key2) -> bool:
-        ok, matched = self.guard_record(
-            "verify", self.join.verify, key1, key2, self.pplan,
-            detail=(key1, key2),
-        )
-        return bool(matched) if ok else False
-
-    def safe_match(self, bucket1, bucket2) -> bool:
-        ok, matched = self.guard_record(
-            "match", self.join.match, bucket1, bucket2,
-            detail=(bucket1, bucket2),
-        )
-        return bool(matched) if ok else False
-
-    def local_join_pairs(self, keys1, keys2):
-        if not self.traced:
-            return self.join.local_join(keys1, keys2, self.pplan)
-        started = time.perf_counter()
-        pairs = list(self.join.local_join(keys1, keys2, self.pplan))
-        self.note_call("local_join", time.perf_counter() - started)
-        return pairs
 
     def export(self) -> dict:
         return {
@@ -449,248 +437,18 @@ class _WorkerSite:
         }
 
 
-def _tag_pair(record1, record2, joined):
-    """Worker-side pair tagging: every shipped record carries a rid (the
-    coordinator assigns them before packing), so the pair identity is the
-    rid pair — stable across workers and spill round-trips."""
-    return ((record1.rid, record2.rid), joined)
-
-
-# -- worker-side task kernels -------------------------------------------------
-#
-# Deliberate duplication: each kernel mirrors the corresponding serial
-# task closure in operators/fudj_join.py line for line — same loops, same
-# charge expressions, same charge *order* — with the site standing in for
-# (ctx, stage).  Duplicating instead of refactoring the serial closures
-# onto a shared site keeps the serial path byte-for-byte untouched; the
-# property tests in tests/test_workers.py enforce that the two copies
-# never drift.
-
-
-def _single_task(site: _WorkerSite, left_entries: list,
-                 right_entries: list) -> list:
-    model = site.model
-    build = site.admit(left_entries)
-    table = defaultdict(list)
-    for bucket_id, key, record in build:
-        table[bucket_id].append((key, record))
-    site.charge(len(build) * model.hash_op)
-    rows = []
-    verify_units = 0.0
-    dedup_checks = 0
-    tag = _tag_pair if site.tag else None
-    if site.join.has_local_join():
-        rows, dedup_checks, verify_units = _local_buckets(
-            site, table, right_entries
-        )
-    else:
-        for bucket_id, key2, record2 in right_entries:
-            for key1, record1 in table.get(bucket_id, ()):
-                dedup_checks += 1
-                if not site.dedup.keep_local(
-                    site.join, bucket_id, key1, bucket_id, key2, site.pplan
-                ):
-                    continue
-                matched = site.safe_verify(key1, key2)
-                verify_units += model.predicate_units(site.v_cost, matched)
-                if not matched:
-                    continue
-                joined = record1.concat(record2, site.out_schema)
-                rows.append(tag(record1, record2, joined) if tag else joined)
-    site.charge(
-        len(right_entries) * model.hash_op
-        + verify_units
-        + dedup_checks * model.comparison
-    )
-    site.comparisons += dedup_checks
-    if site.traced:
-        site.attribute("verify", verify_units)
-        site.attribute(
-            "dedup", dedup_checks * model.comparison, calls=dedup_checks
-        )
-    return rows
-
-
-def _local_buckets(site: _WorkerSite, left_table, right_entries):
-    """Mirror of ``FudjJoin._join_buckets_local``."""
-    model = site.model
-    right_table = defaultdict(list)
-    for bucket_id, key, record in right_entries:
-        right_table[bucket_id].append((key, record))
-    rows = []
-    candidates = 0
-    verify_units = 0.0
-    setup_keys = 0
-    for bucket_id, right_bucket in right_table.items():
-        left_bucket = left_table.get(bucket_id)
-        if not left_bucket:
-            continue
-        keys1 = [key for key, _ in left_bucket]
-        keys2 = [key for key, _ in right_bucket]
-        setup_keys += len(keys1) + len(keys2)
-        for i, j in site.local_join_pairs(keys1, keys2):
-            candidates += 1
-            key1, record1 = left_bucket[i]
-            key2, record2 = right_bucket[j]
-            if not site.dedup.keep_local(
-                site.join, bucket_id, key1, bucket_id, key2, site.pplan
-            ):
-                continue
-            matched = site.safe_verify(key1, key2)
-            verify_units += model.predicate_units(site.v_cost, matched)
-            if not matched:
-                continue
-            joined = record1.concat(record2, site.out_schema)
-            rows.append(
-                _tag_pair(record1, record2, joined) if site.tag else joined
-            )
-    verify_units += setup_keys * model.comparison
-    return rows, candidates, verify_units
-
-
-def _theta_task(site: _WorkerSite, left_entries: list,
-                broadcast: list) -> list:
-    model = site.model
-    broadcast = site.admit(broadcast)
-    site.charge((len(left_entries) + len(broadcast)) * model.hash_op)
-    rows = []
-    match_checks = 0
-    verify_units = 0.0
-    dedup_checks = 0
-    for b1, key1, record1 in left_entries:
-        for b2, key2, record2 in broadcast:
-            match_checks += 1
-            if not site.safe_match(b1, b2):
-                continue
-            dedup_checks += 1
-            if not site.dedup.keep_local(
-                site.join, b1, key1, b2, key2, site.pplan
-            ):
-                continue
-            matched = site.safe_verify(key1, key2)
-            verify_units += model.predicate_units(site.v_cost, matched)
-            if not matched:
-                continue
-            joined = record1.concat(record2, site.out_schema)
-            rows.append(
-                _tag_pair(record1, record2, joined) if site.tag else joined
-            )
-    site.charge(
-        match_checks * model.match_op
-        + verify_units
-        + dedup_checks * model.comparison
-    )
-    site.comparisons += dedup_checks
-    if site.traced:
-        site.attribute("match", match_checks * model.match_op)
-        site.attribute("verify", verify_units)
-        site.attribute(
-            "dedup", dedup_checks * model.comparison, calls=dedup_checks
-        )
-    return rows
-
-
-def _partitioned_task(site: _WorkerSite, local_left: list,
-                      local_right: list) -> list:
-    model = site.model
-    join = site.join
-    worker = site.worker
-    num = site.num
-    pplan = site.pplan
-    if site.enforce:
-        local_left = site.admit(local_left, price=False)
-        local_right = site.admit(local_right, price=False)
-    site.charge((len(local_left) + len(local_right)) * model.hash_op)
-    rows = []
-    match_checks = 0
-    verify_units = 0.0
-    dedup_checks = 0
-    part_cache = {}
-
-    def parts_of(bucket_id):
-        found = part_cache.get(bucket_id)
-        if found is None:
-            found = set(join.partition_buckets(bucket_id, num, pplan))
-            part_cache[bucket_id] = found
-        return found
-
-    if join.has_local_join():
-        keys1 = [entry[1] for entry in local_left]
-        keys2 = [entry[1] for entry in local_right]
-        match_checks = len(keys1) + len(keys2)  # sort/setup charge
-        for i, j in site.local_join_pairs(keys1, keys2):
-            b1, key1, record1 = local_left[i]
-            b2, key2, record2 = local_right[j]
-            if not site.safe_match(b1, b2):
-                continue
-            shared = parts_of(b1) & parts_of(b2)
-            if min(shared) != worker:
-                continue
-            dedup_checks += 1
-            if not site.dedup.keep_local(join, b1, key1, b2, key2, pplan):
-                continue
-            matched = site.safe_verify(key1, key2)
-            verify_units += model.predicate_units(site.v_cost, matched)
-            if not matched:
-                continue
-            joined = record1.concat(record2, site.out_schema)
-            rows.append(
-                _tag_pair(record1, record2, joined) if site.tag else joined
-            )
-    else:
-        for b1, key1, record1 in local_left:
-            for b2, key2, record2 in local_right:
-                match_checks += 1
-                if not site.safe_match(b1, b2):
-                    continue
-                shared = parts_of(b1) & parts_of(b2)
-                if min(shared) != worker:
-                    continue  # another partition owns this pair
-                dedup_checks += 1
-                if not site.dedup.keep_local(join, b1, key1, b2, key2, pplan):
-                    continue
-                matched = site.safe_verify(key1, key2)
-                verify_units += model.predicate_units(site.v_cost, matched)
-                if not matched:
-                    continue
-                joined = record1.concat(record2, site.out_schema)
-                rows.append(
-                    _tag_pair(record1, record2, joined) if site.tag else joined
-                )
-    site.charge(
-        match_checks * model.match_op
-        + verify_units
-        + dedup_checks * model.comparison
-    )
-    site.comparisons += dedup_checks
-    if site.traced:
-        site.attribute("match", match_checks * model.match_op)
-        site.attribute("verify", verify_units)
-        site.attribute(
-            "dedup", dedup_checks * model.comparison, calls=dedup_checks
-        )
-    return rows
-
-
-_KERNELS = {
-    "single": _single_task,
-    "theta": _theta_task,
-    "partitioned": _partitioned_task,
-}
-
-
 def _run_body(body_bytes: bytes, spill_dir: str):
     """Unpack and execute one task body inside a worker process."""
     try:
         body = pickle.loads(body_bytes)
-        spec = body["spec"]
-        site = _WorkerSite(spec, spill_dir)
+        site = body["site"]
+        site.resources = _WorkerResources(site.model, site.enforce, spill_dir)
     except Exception as exc:
         return "err", {"error": _describe_error(exc), "partial": None}
     try:
         left = _unpack_entries(body["left"])
         right = _unpack_entries(body["right"])
-        rows = _KERNELS[spec["kind"]](site, left, right)
+        rows = KERNELS[body["kind"]](site, left, right)
         payload = {"rows": _pack_rows(rows, site.tag), "site": site.export()}
         return "ok", payload
     except Exception as exc:
@@ -1363,22 +1121,6 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
     join_name = op.join.name
 
     try:
-        spec = {
-            "kind": kind,
-            "join": op.join,
-            "join_name": join_name,
-            "dedup": op.dedup,
-            "pplan": pplan,
-            "out_schema": out_schema,
-            "v_cost": v_cost,
-            "tag": op.dedup.requires_shuffle,
-            "policy": ctx.on_error,
-            "traced": ctx.tracer.enabled,
-            "num": num,
-            "enforce": ctx.resources.enforce,
-            "translate": op.translate,
-            "model": model,
-        }
         # Every shipped record needs its spill-stable identity *before*
         # packing: pair dedup and the worker spill codec both key on rid.
         for parts in (left_parts, right_parts):
@@ -1400,7 +1142,9 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
             )
             body = pickle.dumps(
                 {
-                    "spec": dict(spec, worker=worker),
+                    "kind": kind,
+                    "site": _WorkerSite(op, ctx, pplan, out_schema, v_cost,
+                                        worker),
                     "left": _pack_entries(left_entries),
                     "right": packed_right,
                 },
@@ -1439,7 +1183,7 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
     # Decode everything first: nothing is applied to shared state until
     # the whole batch is known to be representable, so a late transport
     # failure cannot leave half-applied charges behind.
-    tagged = spec["tag"]
+    tagged = op.dedup.requires_shuffle
     decoded = []
     for outcome in outcomes:
         payload = outcome["payload"]
@@ -1456,13 +1200,6 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
             decoded.append(("err", desc, payload["partial"]))
 
     applied = []
-
-    def flush_records_out():
-        # On an abort mid-batch the serial loop has already credited
-        # records_out for the workers it finished; mirror that.
-        for finished_rows in applied:
-            stage.records_out += len(finished_rows)
-
     for worker, item in enumerate(decoded):
         outcome = outcomes[worker]
         if outcome["deaths"]:
@@ -1485,7 +1222,6 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
                 "speculated": outcome["speculated"],
             })
         if item[0] == "err":
-            flush_records_out()
             ctx.check_timeout()
             # The failing attempt charged partial work before raising;
             # replay it once (the serial loop aborts without retrying on
@@ -1494,14 +1230,10 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
             _apply_counters(ctx, item[2], join_name)
             raise _rebuild_error(item[1])
         rows = item[1]
-        try:
-            _apply_task(
-                ctx, stage, worker, item[2], join_name,
-                plan if plan_active else None, key, input_bytes_list[worker],
-            )
-        except BaseException:
-            flush_records_out()
-            raise
+        _apply_task(
+            ctx, stage, worker, item[2], join_name,
+            plan if plan_active else None, key, input_bytes_list[worker],
+        )
         # Physical recovery accounting: deaths beyond the planned kills
         # (a genuine SIGKILL, an OOM kill) are charged like injected
         # crashes — backoff plus a checkpoint restore of the task input.
@@ -1520,5 +1252,8 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
                 metrics.recovery_seconds += model.cpu_seconds(penalty)
         metrics.worker_restarts += deaths
         metrics.heartbeat_misses += outcome["hb_misses"]
+        # Credited per finished worker, as the serial loop does, so an
+        # abort further down the batch leaves the same count behind.
+        stage.records_out += len(rows)
         applied.append(rows)
     return applied

@@ -22,10 +22,16 @@ from hypothesis import strategies as st
 
 from repro import FaultPlan
 from repro.bench import workloads
-from repro.errors import TaskFailedError
+from repro.errors import FudjCallbackError, TaskFailedError
 from repro.cli import Shell
 from repro.database import Database
 from repro.engine.workers import WorkerPool, default_pool_size
+from repro.joins import (
+    LengthFilteredTextJoin,
+    PartitionedIntervalJoin,
+    PlaneSweepSpatialJoin,
+    SortMergeIntervalJoin,
+)
 from repro.query.printer import render_timing_line
 
 #: ``QueryMetrics.to_dict`` keys that must match serial byte-for-byte
@@ -55,8 +61,12 @@ DETERMINISTIC_KEYS = (
 )
 
 
-def run_query(build, sql, backend, budget=None, fault_seed=None):
-    """Rows (order-stable, hashable) plus the metrics dict for one run."""
+def run_query(build, sql, backend, budget=None, fault_seed=None,
+              on_error=None, trace=False):
+    """Rows (order-stable, hashable) plus the metrics dict for one run.
+
+    The dict also carries the quarantine report and, with ``trace``, the
+    trace's unit total, so :func:`check_parity` compares them too."""
     db = build()
     try:
         if budget is not None:
@@ -67,7 +77,13 @@ def run_query(build, sql, backend, budget=None, fault_seed=None):
                 FaultPlan(seed=fault_seed, crash_rate=0.2,
                           straggler_rate=0.05, real=True))
         try:
-            result = db.execute(sql, fault_plan=plan)
+            result = db.execute(sql, fault_plan=plan, on_error=on_error,
+                                trace=trace)
+        except FudjCallbackError as exc:
+            # ``on_error="fail"``: parity means the same message and the
+            # same class of original error on either backend.
+            return ("callback-failed", str(exc),
+                    type(exc.original).__name__), None
         except TaskFailedError as exc:
             # A doomed roll schedule (more consecutive crashes than the
             # retry cap) aborts the query on either backend; parity then
@@ -77,23 +93,56 @@ def run_query(build, sql, backend, budget=None, fault_seed=None):
             # masked before comparing.
             return ("task-failed", re.sub(r"#\d+", "#N", str(exc))), None
         rows = [tuple(sorted(row.items())) for row in result.rows]
-        return rows, result.metrics.to_dict(db.cluster.cores)
+        metrics = result.metrics.to_dict(db.cluster.cores)
+        metrics["quarantine_log"] = result.metrics.quarantine_log
+        if trace:
+            metrics["trace_units"] = result.trace.total_units()
+        if backend == "process":
+            # The stage really shipped: a join the pool cannot pickle
+            # would fall back to the serial loop and pass vacuously.
+            assert db.worker_pool.tasks_ok_total > 0
+        return rows, metrics
     finally:
         db.close()
 
 
-def check_parity(build, sql, budget, fault_seed):
+def check_parity(build, sql, budget, fault_seed, **execute_options):
     serial_rows, serial_metrics = run_query(
-        build, sql, "serial", budget, fault_seed)
+        build, sql, "serial", budget, fault_seed, **execute_options)
     pool_rows, pool_metrics = run_query(
-        build, sql, "process", budget, fault_seed)
+        build, sql, "process", budget, fault_seed, **execute_options)
     assert pool_rows == serial_rows
     if serial_metrics is None:
         assert pool_metrics is None
         return None
-    for key in DETERMINISTIC_KEYS:
-        assert pool_metrics[key] == serial_metrics[key], key
+    for key in DETERMINISTIC_KEYS + ("quarantine_log", "trace_units"):
+        assert pool_metrics.get(key) == serial_metrics.get(key), key
     return pool_metrics
+
+
+def with_join(build, name, join_class, *defaults):
+    """``build`` with the ``name`` FUDJ library swapped for ``join_class``."""
+    def swapped():
+        db = build()
+        db.drop_join(name)
+        db.create_join(name, join_class, defaults=defaults)
+        return db
+    return swapped
+
+
+class PoisonVerifyIntervalJoin(PartitionedIntervalJoin):
+    """``verify`` raises on a handful of pairs.  Module level so the
+    pool can pickle it (a local class would never reach a worker)."""
+
+    def verify(self, interval1, interval2, pplan) -> bool:
+        if int(interval1.start) % 5 == 0:
+            raise ValueError("poison pair")
+        return super().verify(interval1, interval2, pplan)
+
+
+def interval_with(join_class):
+    return with_join(lambda: workloads.interval_database(120),
+                     "overlapping_interval", join_class, 100)
 
 
 BUDGETS = st.one_of(st.none(), st.sampled_from([512, 1024, 4096]))
@@ -123,6 +172,60 @@ class TestBackendParity:
         check_parity(lambda: workloads.text_database(80),
                      workloads.TEXT_SQL.format(threshold=0.9),
                      budget, fault_seed)
+
+    # The three above reach the ``single`` (spatial, text) and ``theta``
+    # (interval) kernels; these cover ``partitioned`` and both
+    # ``local_join`` branches.
+
+    @settings(max_examples=4, deadline=None)
+    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
+    def test_partitioned_interval_join(self, budget, fault_seed):
+        check_parity(interval_with(PartitionedIntervalJoin),
+                     workloads.INTERVAL_SQL, budget, fault_seed)
+
+    @settings(max_examples=4, deadline=None)
+    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
+    def test_sort_merge_interval_join(self, budget, fault_seed):
+        check_parity(interval_with(SortMergeIntervalJoin),
+                     workloads.INTERVAL_SQL, budget, fault_seed)
+
+    @settings(max_examples=4, deadline=None)
+    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
+    def test_plane_sweep_spatial_join(self, budget, fault_seed):
+        check_parity(with_join(lambda: workloads.spatial_database(25, 120),
+                               "st_contains", PlaneSweepSpatialJoin, 48),
+                     workloads.SPATIAL_SQL, budget, fault_seed)
+
+    @settings(max_examples=4, deadline=None)
+    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
+    def test_length_filtered_text_join(self, budget, fault_seed):
+        check_parity(with_join(lambda: workloads.text_database(80),
+                               "similarity_jaccard", LengthFilteredTextJoin),
+                     workloads.TEXT_SQL.format(threshold=0.9),
+                     budget, fault_seed)
+
+    def test_poison_verify_quarantined(self):
+        metrics = check_parity(
+            interval_with(PoisonVerifyIntervalJoin),
+            workloads.INTERVAL_SQL, None, None, on_error="quarantine")
+        assert metrics["records_quarantined"] > 0
+        assert metrics["quarantine_log"]
+
+    def test_poison_verify_fails_with_the_same_error(self):
+        # check_parity compares what run_query returns for a failed
+        # callback: the message and the class of the original error.
+        build = interval_with(PoisonVerifyIntervalJoin)
+        check_parity(build, workloads.INTERVAL_SQL, None, None,
+                     on_error="fail")
+        failure, _ = run_query(build, workloads.INTERVAL_SQL, "process",
+                               on_error="fail")
+        assert failure[0] == "callback-failed" and failure[2] == "ValueError"
+
+    def test_traced_units_add_up_on_both_backends(self):
+        metrics = check_parity(
+            interval_with(SortMergeIntervalJoin),
+            workloads.INTERVAL_SQL, None, None, trace=True)
+        assert metrics["trace_units"] == pytest.approx(metrics["cpu_units"])
 
     def test_planned_kills_actually_restart_workers(self):
         # Anchor for the property above: under this seed the schedule
