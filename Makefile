@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-faults test-telemetry test-resources test-workers test-batch test-optimizer test-events test-server bench bench-check perf-gate perf perf-quick lint-docs examples slow-examples shell clean serve
+.PHONY: install test test-faults test-telemetry test-resources test-workers test-batch test-optimizer test-events test-server bench bench-check perf-gate perf perf-quick perf-ab lint-docs examples slow-examples shell clean serve
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -54,6 +54,9 @@ perf-quick:       ## wall-clock benchmark smoke: tiny inputs, < 30 s (perf/READM
 
 perf:             ## wall-clock benchmark, all four workloads, ~3.5 min
 	$(PYTHON) perf/run.py
+
+perf-ab:          ## parent-vs-change pairs: make perf-ab BASE=<ref> [PAIRS=10] [WORKLOADS=a,b]
+	$(PYTHON) tools/perf_ab.py $(BASE) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(WORKLOADS),--workloads $(WORKLOADS))
 
 bench:            ## full run: timings + shape assertions + results/*.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -2,10 +2,11 @@
 
 COMBINE is where the user's ``match`` / ``verify`` / ``dedup`` run.  A
 kernel is the body of one per-partition task: it takes the two routed
-entry lists (``(bucket_id, external_key, record)`` triples) and returns
-the joined rows.  Everything a task does to shared state — charging the
-stage, recording a callback, attributing trace units, quarantining a
-record, reserving memory — goes through the site it is handed:
+entry lists (``(bucket_id, external_key, record, assignment)`` tuples, as
+PARTITION made them) and returns the joined rows.  Everything a task
+does to shared state — charging the stage, recording a callback,
+attributing trace units, quarantining a record, reserving memory — goes
+through the site it is handed:
 
 - :class:`LocalSite` applies each effect to the real
   :class:`~repro.engine.context.ExecutionContext` as it happens (the
@@ -23,7 +24,8 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 
-from repro.core.flexible_join import JoinSide
+from repro.core.dedup import DuplicateAvoidance
+from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.engine.resources import EntrySpillCodec
 
 __all__ = ["KERNELS", "CombineSite", "LocalSite"]
@@ -34,7 +36,7 @@ class CombineSite:
 
     Subclasses supply the effects — ``charge(units)``,
     ``attribute(name, units, calls=0)``, ``note_call(name, wall, ok=True)``,
-    ``add_comparisons(n)``, ``admit(items, side, price=True)`` and
+    ``add_comparisons(n)``, ``_admit(items, side, price)`` and
     ``guard_record(join_name, phase, fn, *args, detail=None)`` (the
     signature of :meth:`ExecutionContext.guard_record`).
     """
@@ -43,6 +45,15 @@ class CombineSite:
                  worker: int) -> None:
         self.join = op.join
         self.dedup = op.dedup
+        #: Duplicate avoidance is the framework's own — the strategy is
+        #: :class:`DuplicateAvoidance` and the library overrides none of
+        #: the methods its default goes through — so :meth:`keeps` can
+        #: answer it from the assignments PARTITION carried.
+        self.carried = type(op.dedup) is DuplicateAvoidance and all(
+            getattr(getattr(op.join, name), "__func__", None)
+            is getattr(FlexibleJoin, name)
+            for name in ("dedup", "first_matching_buckets", "assign_list")
+        )
         self.pplan = pplan
         self.out_schema = out_schema
         #: Work units per ``verify`` call.
@@ -54,6 +65,32 @@ class CombineSite:
         self.enforce = ctx.resources.enforce
         self.model = ctx.cost_model
         self.worker = worker
+
+    def admit(self, items: list, side: JoinSide, price: bool = True) -> list:
+        """Route one side's resident entries through the memory
+        accountant.  A spilled entry comes back as the codec's
+        ``(bucket_id, key, record)`` in its original's position and takes
+        its original's carried assignment back."""
+        admitted = self._admit(items, side, price)
+        if admitted is items:
+            return items
+        return [new if new is old else new + old[3:]
+                for old, new in zip(items, admitted)]
+
+    def keeps(self, bucket1: int, assignment1, bucket2: int,
+              assignment2) -> bool:
+        """Default duplicate avoidance, from the carried assignments:
+        emit the pair only from the first ``(b1, b2)``, in sorted order,
+        with ``match(b1, b2)`` — what
+        :meth:`FlexibleJoin.first_matching_buckets` finds by calling
+        ``assign`` on both keys again."""
+        match = self.join.match
+        buckets2 = assignment2 or (bucket2,)
+        for b1 in assignment1 or (bucket1,):
+            for b2 in buckets2:
+                if match(b1, b2):
+                    return b1 == bucket1 and b2 == bucket2
+        return False
 
     def safe_verify(self, key1, key2) -> bool:
         """``verify`` under the error policy: a raising pair is treated
@@ -111,7 +148,7 @@ class LocalSite(CombineSite):
     def add_comparisons(self, count: int) -> None:
         self._ctx.metrics.comparisons += count
 
-    def admit(self, items: list, side: JoinSide, price: bool = True) -> list:
+    def _admit(self, items: list, side: JoinSide, price: bool) -> list:
         # Resident COMBINE state goes through the accountant: it prices
         # the spill and, under a memory budget, spills/replays the
         # overflow for real — recomputing each replayed entry's key.
@@ -137,10 +174,9 @@ def _pair_identity(record) -> int:
     return rid if rid is not None else id(record)
 
 
-def _verify_pair(site: CombineSite, rows: list, bucket1, key1, record1,
-                 bucket2, key2, record2) -> float:
-    """Take one candidate pair through dedup, ``verify`` and emit;
-    returns the verify units to charge for it.
+def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
+    """Take one candidate pair of entries through dedup, ``verify`` and
+    emit; returns the verify units to charge for it.
 
     Both verify and dedup are pure predicates, so the cheap duplicate
     check runs first and the expensive verification is paid only for
@@ -153,9 +189,15 @@ def _verify_pair(site: CombineSite, rows: list, bucket1, key1, record1,
     replay clones that keep their ``rid``, so :func:`_pair_identity` is
     stable within one query either way.
     """
-    if not site.dedup.keep_local(
-        site.join, bucket1, key1, bucket2, key2, site.pplan
-    ):
+    bucket1, key1, record1, assignment1 = entry1
+    bucket2, key2, record2, assignment2 = entry2
+    if site.carried:
+        keep = site.keeps(bucket1, assignment1, bucket2, assignment2)
+    else:
+        keep = site.dedup.keep_local(
+            site.join, bucket1, key1, bucket2, key2, site.pplan
+        )
+    if not keep:
         return 0.0
     matched = site.safe_verify(key1, key2)
     if matched:
@@ -190,8 +232,8 @@ def single_task(site: CombineSite, left_entries: list,
     model = site.model
     build = site.admit(left_entries, JoinSide.LEFT)
     table = defaultdict(list)
-    for bucket_id, key, record in build:
-        table[bucket_id].append((key, record))
+    for entry in build:
+        table[entry[0]].append(entry)
     site.charge(len(build) * model.hash_op)
     rows = []
     verify_units = 0.0
@@ -201,13 +243,10 @@ def single_task(site: CombineSite, left_entries: list,
             site, rows, table, right_entries
         )
     else:
-        for bucket_id, key2, record2 in right_entries:
-            for key1, record1 in table.get(bucket_id, ()):
+        for entry2 in right_entries:
+            for entry1 in table.get(entry2[0], ()):
                 dedup_checks += 1
-                verify_units += _verify_pair(
-                    site, rows, bucket_id, key1, record1,
-                    bucket_id, key2, record2,
-                )
+                verify_units += _verify_pair(site, rows, entry1, entry2)
     _close(site, len(right_entries) * model.hash_op, verify_units,
            dedup_checks)
     return rows
@@ -224,8 +263,8 @@ def _probe_with_local_join(site: CombineSite, rows: list, left_table,
     """
     model = site.model
     right_table = defaultdict(list)
-    for bucket_id, key, record in right_entries:
-        right_table[bucket_id].append((key, record))
+    for entry in right_entries:
+        right_table[entry[0]].append(entry)
     candidates = 0
     verify_units = 0.0
     setup_keys = 0
@@ -233,16 +272,13 @@ def _probe_with_local_join(site: CombineSite, rows: list, left_table,
         left_bucket = left_table.get(bucket_id)
         if not left_bucket:
             continue
-        keys1 = [key for key, _ in left_bucket]
-        keys2 = [key for key, _ in right_bucket]
+        keys1 = [entry[1] for entry in left_bucket]
+        keys2 = [entry[1] for entry in right_bucket]
         setup_keys += len(keys1) + len(keys2)
         for i, j in site.local_join_pairs(keys1, keys2):
             candidates += 1
-            key1, record1 = left_bucket[i]
-            key2, record2 = right_bucket[j]
             verify_units += _verify_pair(
-                site, rows, bucket_id, key1, record1,
-                bucket_id, key2, record2,
+                site, rows, left_bucket[i], right_bucket[j]
             )
     verify_units += setup_keys * model.comparison
     return candidates, verify_units
@@ -273,15 +309,14 @@ def theta_task(site: CombineSite, left_entries: list,
     # engine (one guarded ``match`` per record pair), and feeding it from
     # a candidate generator shared with ``partitioned_task`` measured
     # 8-11 % slower end to end.
-    for b1, key1, record1 in left_entries:
-        for b2, key2, record2 in broadcast:
+    for entry1 in left_entries:
+        b1 = entry1[0]
+        for entry2 in broadcast:
             match_checks += 1
-            if not site.safe_match(b1, b2):
+            if not site.safe_match(b1, entry2[0]):
                 continue
             dedup_checks += 1
-            verify_units += _verify_pair(
-                site, rows, b1, key1, record1, b2, key2, record2
-            )
+            verify_units += _verify_pair(site, rows, entry1, entry2)
     _close(site, match_checks * model.match_op, verify_units, dedup_checks,
            "match")
     return rows
@@ -330,20 +365,22 @@ def partitioned_task(site: CombineSite, local_left: list,
         keys2 = [entry[1] for entry in local_right]
         match_checks = len(keys1) + len(keys2)  # sort/setup charge
         for i, j in site.local_join_pairs(keys1, keys2):
-            b1, key1, record1 = local_left[i]
-            b2, key2, record2 = local_right[j]
+            entry1 = local_left[i]
+            entry2 = local_right[j]
+            b1 = entry1[0]
+            b2 = entry2[0]
             if not site.safe_match(b1, b2):
                 continue
             shared = parts_of(b1) & parts_of(b2)
             if min(shared) != worker:
                 continue
             dedup_checks += 1
-            verify_units += _verify_pair(
-                site, rows, b1, key1, record1, b2, key2, record2
-            )
+            verify_units += _verify_pair(site, rows, entry1, entry2)
     else:
-        for b1, key1, record1 in local_left:
-            for b2, key2, record2 in local_right:
+        for entry1 in local_left:
+            b1 = entry1[0]
+            for entry2 in local_right:
+                b2 = entry2[0]
                 match_checks += 1
                 if not site.safe_match(b1, b2):
                     continue
@@ -351,9 +388,7 @@ def partitioned_task(site: CombineSite, local_left: list,
                 if min(shared) != worker:
                     continue  # another partition owns this pair
                 dedup_checks += 1
-                verify_units += _verify_pair(
-                    site, rows, b1, key1, record1, b2, key2, record2
-                )
+                verify_units += _verify_pair(site, rows, entry1, entry2)
     _close(site, match_checks * model.match_op, verify_units, dedup_checks,
            "match")
     return rows

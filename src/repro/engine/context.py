@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import time
 
+from repro.engine.batch import DEFAULT_BATCH_ROWS, EXECUTION_MODES
 from repro.engine.cluster import Cluster
 from repro.engine.events import NULL_EVENTS
 from repro.engine.faults import FaultPlan, stage_key
 from repro.engine.metrics import QueryMetrics
+from repro.engine.resources import QueryResources
 from repro.engine.tracing import Tracer
-from repro.errors import ExecutionError, QueryTimeoutError, TaskFailedError
+from repro.errors import (
+    ExecutionError,
+    FudjCallbackError,
+    QueryTimeoutError,
+    TaskFailedError,
+)
 from repro.serde.translator import Translator
 
 #: Degraded-mode policies for per-record FUDJ callbacks.
@@ -79,8 +86,6 @@ class ExecutionContext:
                  batch_rows: int = None,
                  events=None,
                  cancel=None) -> None:
-        from repro.engine.batch import DEFAULT_BATCH_ROWS, EXECUTION_MODES
-
         if on_error not in ERROR_POLICIES:
             raise ExecutionError(
                 f"unknown error policy {on_error!r}; use fail/skip/quarantine"
@@ -101,8 +106,6 @@ class ExecutionContext:
         self.on_error = on_error
         self.timeout_seconds = timeout_seconds
         if resources is None:
-            from repro.engine.resources import QueryResources
-
             resources = QueryResources(cluster.cost_model)
         self.resources = resources
         self.events = NULL_EVENTS if events is None else events
@@ -281,8 +284,6 @@ class ExecutionContext:
         folded into the aggregated callback span named ``phase`` under
         the currently open span.
         """
-        from repro.errors import FudjCallbackError
-
         # Checked before the try so a cancel can never be swallowed by a
         # skip/quarantine policy: slow user callbacks abort record by
         # record, not phase by phase.

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
-from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 
@@ -136,8 +136,9 @@ class EventLogError(ReproError):
 
 def normalize_stage(stage: str) -> str:
     """A stage name with its process-global operator-instance id
-    stripped — the session-stable form events carry."""
-    return _INSTANCE_ID.sub("", stage)
+    stripped — the session-stable form events carry.  Interned: the
+    log retains thousands of events over a few dozen distinct names."""
+    return sys.intern(_INSTANCE_ID.sub("", stage))
 
 
 def _phase_for(stage: str) -> str:
@@ -149,7 +150,6 @@ def _phase_for(stage: str) -> str:
     return phase_of(stage_op(stage))
 
 
-@dataclass(frozen=True)
 class Event:
     """One engine decision.
 
@@ -158,17 +158,29 @@ class Event:
     deterministic timeline stays contiguous whatever the pool does.
     ``detail`` holds the kind-specific payload (deterministic fields
     only: units, counts, names — never wall clocks or PIDs).
+
+    The log retains thousands of these, so the class is slotted; nothing
+    writes to an event after :meth:`EventLog.emit` has built it.
     """
 
-    seq: int
-    kind: str
-    level: str
-    query_id: int
-    phase: str
-    stage: str
-    worker: int
-    runtime: bool
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("seq", "kind", "level", "query_id", "phase", "stage",
+                 "worker", "runtime", "detail")
+
+    def __init__(self, seq: int, kind: str, level: str, query_id: int,
+                 phase: str, stage: str, worker: int, runtime: bool,
+                 detail: dict) -> None:
+        self.seq = seq
+        self.kind = kind
+        self.level = level
+        self.query_id = query_id
+        self.phase = phase
+        self.stage = stage
+        self.worker = worker
+        self.runtime = runtime
+        self.detail = detail
+
+    def __repr__(self) -> str:
+        return f"Event({self.to_line()})"
 
     def to_dict(self) -> dict:
         return {

@@ -14,8 +14,14 @@ downstream task that crashes replays one stage, not the whole plan.
 
 from __future__ import annotations
 
+from repro.engine.batch import batches_from_rows
 from repro.engine.context import ExecutionContext
-from repro.engine.faults import apply_exchange_faults, charge_checkpoint
+from repro.engine.faults import (
+    apply_exchange_faults,
+    charge_checkpoint,
+    checkpoint_outputs,
+)
+from repro.engine.kernels import scatter_batch
 from repro.engine.record import serialized_values_size
 from repro.engine.resources import RecordSpillCodec, RowSpillCodec
 
@@ -78,9 +84,7 @@ def hash_exchange(partitions, key_fn, ctx: ExecutionContext,
             stage.charge(worker, moved_bytes * model.serde_byte)
             apply_exchange_faults(ctx, stage, worker, moved_bytes)
             stage.records_in += len(partition)
-        for worker, partition in enumerate(out):
-            charge_checkpoint(ctx, stage, worker,
-                              _partition_bytes(partition, ctx))
+        checkpoint_outputs(ctx, stage, out, _partition_bytes)
         stage.records_out = sum(len(p) for p in out)
         return _admit_received(out, ctx, stage)
 
@@ -123,9 +127,6 @@ def hash_exchange_batches(worker_batches, key_fn, ctx: ExecutionContext,
     identical to the row exchange; only the dispatch granularity — one
     kernel call per batch — differs.  Returns per-worker batch lists.
     """
-    from repro.engine.batch import batches_from_rows
-    from repro.engine.kernels import scatter_batch
-
     ctx.check_cancel()  # exchanges are cancellation checkpoints
     ctx.pool_tick()  # recycle idle-dead workers between stages
     stage = ctx.metrics.stage(stage_name)
@@ -147,8 +148,7 @@ def hash_exchange_batches(worker_batches, key_fn, ctx: ExecutionContext,
             stage.charge(worker, moved_bytes * model.serde_byte)
             apply_exchange_faults(ctx, stage, worker, moved_bytes)
             stage.records_in += sent
-        for worker, rows in enumerate(out_rows):
-            charge_checkpoint(ctx, stage, worker, _row_bytes(rows, ctx))
+        checkpoint_outputs(ctx, stage, out_rows, _row_bytes)
         stage.records_out = sum(len(rows) for rows in out_rows)
         received = _admit_received_rows(out_rows, ctx, stage)
         return [batches_from_rows(ctx, schema, rows) for rows in received]
@@ -218,8 +218,6 @@ def random_exchange(partitions, ctx: ExecutionContext,
             stage.charge(worker, moved_bytes * model.serde_byte)
             apply_exchange_faults(ctx, stage, worker, moved_bytes)
             stage.records_in += len(partition)
-        for worker, partition in enumerate(out):
-            charge_checkpoint(ctx, stage, worker,
-                              _partition_bytes(partition, ctx))
+        checkpoint_outputs(ctx, stage, out, _partition_bytes)
         stage.records_out = sum(len(p) for p in out)
         return _admit_received(out, ctx, stage)

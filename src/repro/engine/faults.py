@@ -245,3 +245,15 @@ def charge_checkpoint(ctx, stage, worker: int, num_bytes: float) -> None:
         return
     stage.charge(worker, ctx.cost_model.checkpoint_write_units(num_bytes))
     ctx.metrics.checkpoint_bytes += num_bytes
+
+
+def checkpoint_outputs(ctx, stage, outputs, size_of) -> None:
+    """Spool every worker's received partition of an exchange
+    (:func:`charge_checkpoint` each).  ``size_of(partition, ctx)`` is
+    asked only while checkpointing is on: sizing a partition is the
+    expensive part, and without a checkpointing plan the charge is
+    dropped anyway."""
+    if not ctx.checkpointing:
+        return
+    for worker, partition in enumerate(outputs):
+        charge_checkpoint(ctx, stage, worker, size_of(partition, ctx))

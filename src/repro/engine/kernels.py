@@ -23,14 +23,25 @@ group-key extractors, aggregate folds):
 from __future__ import annotations
 
 from repro.engine.batch import RecordBatch
-from repro.engine.record import Record, Schema
+from repro.engine.record import Record, Schema, serialized_values_size
 from repro.serde.values import NULL, box
+
+
+class _RowCursor(Record):
+    """The one mutable record: its ``values`` are swapped for every row,
+    so it keeps nothing derived from them (a plain record sizes itself
+    once)."""
+
+    __slots__ = ()
+
+    def serialized_size(self) -> int:
+        return serialized_values_size(self.values)
 
 
 def make_cursor(schema: Schema) -> Record:
     """A reusable row cursor for running row-level callbacks over a
     batch without allocating one record per row."""
-    return Record(schema, (NULL,) * len(schema))
+    return _RowCursor(schema, (NULL,) * len(schema))
 
 
 def filter_batch(batch: RecordBatch, predicate, cursor: Record) -> RecordBatch:

@@ -6,8 +6,10 @@ from __future__ import annotations
 from repro.engine import kernels
 from repro.engine.batch import BatchResult, as_worker_batches
 from repro.engine.context import ExecutionContext
+from repro.engine.exchange import hash_exchange, hash_exchange_batches
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
 from repro.engine.record import Record, Schema
+from repro.serde.values import box
 
 
 class Filter(PhysicalOperator):
@@ -154,8 +156,6 @@ class MapColumns(PhysicalOperator):
         return [self.child]
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
-        from repro.serde.values import box
-
         source = self.child.execute(ctx)
         schema = Schema(name for name, _, _ in self.columns)
         stage = ctx.metrics.stage(self.stage_name)
@@ -287,8 +287,6 @@ class Distinct(PhysicalOperator):
         return [self.child]
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
-        from repro.engine.exchange import hash_exchange
-
         source = self.child.execute(ctx)
         shuffled = hash_exchange(
             source.partitions, lambda record: record.values, ctx,
@@ -313,8 +311,6 @@ class Distinct(PhysicalOperator):
         return OperatorResult(out, source.schema)
 
     def run_batches(self, ctx: ExecutionContext) -> BatchResult:
-        from repro.engine.exchange import hash_exchange_batches
-
         source = self.child.execute(ctx)
         # Row mode keys the shuffle on ``record.values`` — the same value
         # tuple a batch row *is* — so routing matches bit-for-bit.

@@ -44,7 +44,11 @@ from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.engine.combine import KERNELS, LocalSite
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import hash_exchange
-from repro.engine.faults import apply_exchange_faults, charge_checkpoint
+from repro.engine.faults import (
+    apply_exchange_faults,
+    charge_checkpoint,
+    checkpoint_outputs,
+)
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
 from repro.errors import ExecutionError, FudjCallbackError
 from repro.serde.values import unbox
@@ -221,7 +225,14 @@ class FudjJoin(PhysicalOperator):
 
     def _assign_side(self, result: OperatorResult, key_fn, side: JoinSide,
                      pplan, ctx: ExecutionContext) -> list:
-        """Unnest each record into ``(bucket_id, external_key, record)``.
+        """Unnest each record into ``(bucket_id, external_key, record,
+        assignment)`` entries, one per bucket.
+
+        ``assignment`` is the record's whole bucket list, sorted, as one
+        tuple shared by its entries — ``None`` when the record has a
+        single bucket.  COMBINE answers default duplicate avoidance from
+        it (:meth:`~repro.engine.combine.CombineSite.keeps`) instead of
+        calling ``assign`` again for every candidate pair.
 
         With tracing on, the per-bucket record histogram is collected
         here — the raw material for the skew diagnostics (replication
@@ -235,8 +246,8 @@ class FudjJoin(PhysicalOperator):
         if ctx.tracer.enabled:
             histogram = {}
             for rows in out:
-                for bucket_id, _, _ in rows:
-                    histogram[bucket_id] = histogram.get(bucket_id, 0) + 1
+                for entry in rows:
+                    histogram[entry[0]] = histogram.get(entry[0], 0) + 1
             ctx.tracer.note_skew(
                 f"{self.stage_name}/assign-{side.value}",
                 stage.records_in, histogram,
@@ -274,8 +285,10 @@ class FudjJoin(PhysicalOperator):
                     if not ok:
                         continue
                     assignments += len(bucket_ids)
+                    assignment = (tuple(sorted(bucket_ids))
+                                  if len(bucket_ids) > 1 else None)
                     for bucket_id in bucket_ids:
-                        rows.append((bucket_id, key, record))
+                        rows.append((bucket_id, key, record, assignment))
                 stage.charge(
                     worker,
                     len(partition) * (model.record_touch + key_cost)
@@ -449,8 +462,8 @@ class FudjJoin(PhysicalOperator):
 
 # -- assigned-entry exchanges -----------------------------------------------------
 #
-# Assigned entries are (bucket_id, key, record) triples.  They reuse the
-# record's wire size plus a small constant for the bucket id.
+# Assigned entries are (bucket_id, key, record, assignment) tuples.  They
+# reuse the record's wire size plus a small constant for the bucket id.
 
 
 def _entry_bytes(entries, ctx) -> int:
@@ -483,8 +496,7 @@ def _exchange_assigned(assigned: list, ctx: ExecutionContext, stage_name: str) -
             stage.charge(worker, moved_bytes * model.serde_byte)
             apply_exchange_faults(ctx, stage, worker, moved_bytes)
             stage.records_in += len(entries)
-        for worker, entries in enumerate(out):
-            charge_checkpoint(ctx, stage, worker, _entry_bytes(entries, ctx))
+        checkpoint_outputs(ctx, stage, out, _entry_bytes)
         stage.records_out = sum(len(p) for p in out)
         return out
 
@@ -511,8 +523,7 @@ def _spread_assigned(assigned: list, ctx: ExecutionContext, stage_name: str) -> 
             stage.charge(worker, moved_bytes * model.serde_byte)
             apply_exchange_faults(ctx, stage, worker, moved_bytes)
             stage.records_in += len(entries)
-        for worker, entries in enumerate(out):
-            charge_checkpoint(ctx, stage, worker, _entry_bytes(entries, ctx))
+        checkpoint_outputs(ctx, stage, out, _entry_bytes)
         stage.records_out = sum(len(p) for p in out)
         return out
 
@@ -539,8 +550,7 @@ def _route_partitioned(assigned: list, join, num: int, pplan,
             stage.charge(worker, moved_bytes * model.serde_byte)
             apply_exchange_faults(ctx, stage, worker, moved_bytes)
             stage.records_in += len(entries)
-        for worker, entries in enumerate(out):
-            charge_checkpoint(ctx, stage, worker, _entry_bytes(entries, ctx))
+        checkpoint_outputs(ctx, stage, out, _entry_bytes)
         stage.records_out = sum(len(p) for p in out)
         return out
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.serde.values import unbox
 
 
 class Sort(PhysicalOperator):
@@ -29,8 +32,6 @@ class Sort(PhysicalOperator):
     def _sort(self, records: list) -> list:
         # Stable multi-key sort: apply keys right-to-left.
         out = list(records)
-        import math
-
         for key_fn, descending in reversed(self.keys):
             out.sort(key=lambda r: _orderable(key_fn(r)), reverse=descending)
         return out
@@ -39,8 +40,6 @@ class Sort(PhysicalOperator):
         source = self.child.execute(ctx)
         stage = ctx.metrics.stage(self.stage_name)
         model = ctx.cost_model
-        import math
-
         merged = []
         total_bytes = 0
         for worker, partition in enumerate(source.partitions):
@@ -61,8 +60,6 @@ class Sort(PhysicalOperator):
 
 def _orderable(value):
     """Make a value sortable: unbox engine values, map None lowest."""
-    from repro.serde.values import unbox
-
     plain = unbox(value)
     if plain is None:
         return (0, 0)

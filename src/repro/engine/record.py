@@ -8,9 +8,9 @@ so expressions can reference either side unambiguously.
 
 from __future__ import annotations
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SerdeError
 from repro.serde.serializer import serialize_value
-from repro.serde.values import AValue, box
+from repro.serde.values import AValue, box, unbox
 
 
 class Schema:
@@ -60,10 +60,11 @@ class Schema:
 class Record:
     """An immutable row of boxed values conforming to a schema."""
 
-    __slots__ = ("schema", "values", "rid")
+    __slots__ = ("schema", "values", "rid", "_size")
 
     def __init__(self, schema: Schema, values) -> None:
         self.schema = schema
+        self._size = None
         # Stable identity carried across spill round-trips: operators that
         # need object identity (pair dedup) use ``rid`` when set, so a
         # record replayed from a spill file still counts as "the same row".
@@ -106,8 +107,6 @@ class Record:
 
     def to_dict(self) -> dict:
         """Plain-Python dict view (unboxes every field)."""
-        from repro.serde.values import unbox
-
         return {
             name: unbox(value)
             for name, value in zip(self.schema.fields, self.values)
@@ -122,8 +121,13 @@ class Record:
 
     def serialized_size(self) -> int:
         """Wire size of this record in bytes (see
-        :func:`serialized_values_size`)."""
-        return serialized_values_size(self.values)
+        :func:`serialized_values_size`), computed on the first call: a
+        record is immutable, and every exchange, checkpoint and spill
+        decision it passes asks again."""
+        size = self._size
+        if size is None:
+            size = self._size = serialized_values_size(self.values)
+        return size
 
 
 def serialized_values_size(values) -> int:
@@ -136,8 +140,6 @@ def serialized_values_size(values) -> int:
     they are counted as a fixed 16-byte blob, which only affects the
     simulated network charge of the (small) partial-state shuffles.
     """
-    from repro.errors import SerdeError
-
     buf = bytearray()
     opaque = 0
     for value in values:

@@ -42,6 +42,7 @@ import itertools
 import os
 import tempfile
 import threading
+import time
 
 from repro.engine.costs import CostModel
 from repro.engine.record import Record, Schema, serialized_values_size
@@ -184,7 +185,10 @@ class RowSpillCodec:
 
 
 class EntrySpillCodec:
-    """(De)serializes FUDJ COMBINE entries ``(bucket_id, key, record)``.
+    """(De)serializes FUDJ COMBINE entries ``(bucket_id, key, record,
+    ...)``; only the first three items are read, and a decoded entry is
+    those three (:meth:`CombineSite.admit
+    <repro.engine.combine.CombineSite.admit>` puts the rest back).
 
     Keys are *not* serialized: boxing a key would change its Python type
     on replay (a ``set`` key round-trips as a list), which user callbacks
@@ -203,7 +207,7 @@ class EntrySpillCodec:
         return 9 + item[2].serialized_size()
 
     def encode(self, item):
-        bucket, _key, record = item
+        bucket, record = item[0], item[2]
         if not isinstance(bucket, int) or not isinstance(record, Record):
             return None
         if self.schema is None:
@@ -461,9 +465,7 @@ class AdmissionController:
 
     def acquire(self, estimate_bytes: float, clock=None) -> AdmissionTicket:
         """Block until the reservation fits; shed on queue-full/timeout."""
-        import time as _time
-
-        clock = clock or _time.monotonic
+        clock = clock or time.monotonic
         reserved = min(float(estimate_bytes), self.capacity_bytes)
         started = clock()
         with self._cond:

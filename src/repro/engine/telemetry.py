@@ -35,6 +35,7 @@ query and pays the ordinary scan cost like any other dataset.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -366,11 +367,12 @@ def stage_op(stage_name: str) -> str:
 
     ``scan#1`` → ``scan``; ``fudj-join#5/assign-left`` → ``assign-left``.
     Instance ids are stripped so the label is identical across sessions
-    (operator ids come from a process-global counter).
+    (operator ids come from a process-global counter), and interned: the
+    history retains one per stage row over a few dozen distinct labels.
     """
     if "/" in stage_name:
-        return stage_name.rsplit("/", 1)[1]
-    return stage_name.split("#", 1)[0]
+        return sys.intern(stage_name.rsplit("/", 1)[1])
+    return sys.intern(stage_name.split("#", 1)[0])
 
 
 #: FUDJ phase of a stage op (paper Fig 8/9 grouping).
@@ -412,6 +414,32 @@ SYS_STAGES_FIELDS = (
     ("net_bytes", "double"), ("records_in", "int"),
     ("records_out", "int"), ("workers", "int"), ("imbalance", "double"),
 )
+
+
+class StageRow:
+    """One ``sys.stages`` row of a retained statement.
+
+    The history keeps one per stage of every statement (30-odd for a
+    FUDJ query, times 256 statements), so it is a slotted record, not a
+    dict: ``row["cpu_units"]`` reads work as they do on a dict, and
+    :meth:`to_dict` builds the dict when ``sys.stages`` is read.
+    """
+
+    __slots__ = tuple(name for name, _ in SYS_STAGES_FIELDS)
+
+    def __init__(self, **fields) -> None:
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
+
+    def __getitem__(self, name: str):
+        try:
+            return getattr(self, name)
+        except AttributeError:
+            raise KeyError(name) from None
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
 
 SYS_CALLBACKS_FIELDS = (
     ("query_id", "int"), ("callback", "string"), ("parent", "string"),
@@ -856,19 +884,19 @@ class Telemetry:
                 imbalance = (max(workers.values()) / mean
                              if len(workers) > 1 and mean > 0 else 1.0)
                 phase = phase_of(op)
-                entry["stages"].append({
-                    "query_id": entry["id"],
-                    "seq": seq,
-                    "stage": stage.name,
-                    "op": op,
-                    "phase": phase,
-                    "cpu_units": units,
-                    "net_bytes": stage.network_bytes + stage.fabric_bytes,
-                    "records_in": stage.records_in,
-                    "records_out": stage.records_out,
-                    "workers": len(workers),
-                    "imbalance": imbalance,
-                })
+                entry["stages"].append(StageRow(
+                    query_id=entry["id"],
+                    seq=seq,
+                    stage=stage.name,
+                    op=op,
+                    phase=phase,
+                    cpu_units=units,
+                    net_bytes=stage.network_bytes + stage.fabric_bytes,
+                    records_in=stage.records_in,
+                    records_out=stage.records_out,
+                    workers=len(workers),
+                    imbalance=imbalance,
+                ))
                 entry[f"{phase}_units"] += units
         if plan_rows:
             actuals = {}
@@ -1002,7 +1030,7 @@ class Telemetry:
     def stages_rows(self) -> list:
         rows = []
         for entry in self.history.entries():
-            rows.extend(entry["stages"])
+            rows.extend(row.to_dict() for row in entry["stages"])
         return rows
 
     def callbacks_rows(self) -> list:

@@ -105,20 +105,23 @@ def default_pool_size(cluster) -> int:
 
 # -- entry/row transport through the serde layer ------------------------------
 #
-# COMBINE inputs are (bucket_id, external_key, record) triples.  Records
-# ship as serde frames (the same wire format the spill codecs use):
-# _I64(rid) _I64(bucket) + boxed values.  Keys ride alongside through the
-# body pickle — they are plain external Python values that callbacks must
-# see unchanged, so re-boxing them is not an option.  Anything the serde
-# layer cannot express falls back to pickling the entries wholesale, and
-# if even that fails the caller degrades to the serial path.
+# COMBINE inputs are (bucket_id, external_key, record, assignment) tuples.
+# Records ship as serde frames (the same wire format the spill codecs
+# use): _I64(rid) _I64(bucket) + boxed values.  Keys ride alongside
+# through the body pickle — they are plain external Python values that
+# callbacks must see unchanged, so re-boxing them is not an option — and
+# so do the carried assignments (shared tuples of ints, or None).
+# Anything the serde layer cannot express falls back to pickling the
+# entries wholesale, and if even that fails the caller degrades to the
+# serial path.
 
 
 def _pack_entries(entries: list) -> dict:
     schema = None
     frames = []
     keys = []
-    for bucket, key, record in entries:
+    carried = []
+    for bucket, key, record, assignment in entries:
         if not isinstance(bucket, int) or not isinstance(record, Record):
             return {"codec": "pickle", "entries": entries}
         if schema is None:
@@ -134,7 +137,9 @@ def _pack_entries(entries: list) -> dict:
             return {"codec": "pickle", "entries": entries}
         frames.append(bytes(buf))
         keys.append(key)
-    return {"codec": "serde", "schema": schema, "frames": frames, "keys": keys}
+        carried.append(assignment)
+    return {"codec": "serde", "schema": schema, "frames": frames,
+            "keys": keys, "carried": carried}
 
 
 def _unpack_entries(packed: dict) -> list:
@@ -142,7 +147,8 @@ def _unpack_entries(packed: dict) -> list:
         return packed["entries"]
     schema = packed["schema"]
     entries = []
-    for frame, key in zip(packed["frames"], packed["keys"]):
+    for frame, key, assignment in zip(packed["frames"], packed["keys"],
+                                      packed["carried"]):
         rid = _I64.unpack_from(frame, 0)[0]
         bucket = _I64.unpack_from(frame, _I64.size)[0]
         offset = 2 * _I64.size
@@ -152,7 +158,7 @@ def _unpack_entries(packed: dict) -> list:
             values.append(value)
         record = Record(schema, values)
         record.rid = rid
-        entries.append((bucket, key, record))
+        entries.append((bucket, key, record, assignment))
     return entries
 
 
@@ -373,7 +379,7 @@ class _WorkerSite(CombineSite):
 
     # -- context mirrors -----------------------------------------------------
 
-    def admit(self, items: list, side, price: bool = True) -> list:
+    def _admit(self, items: list, side, price: bool) -> list:
         # ``side`` picks the key function on the local site; a worker
         # cannot re-run key extraction, so keys are cached by record id.
         codec = KeyedEntrySpillCodec(items)

@@ -28,44 +28,49 @@ class UniformGrid:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"grid size must be >= 1, got {self.n}")
+        # Tile sizes never change (the grid is frozen) and ``assign``
+        # reads them four times per record, so they are plain attributes
+        # (not dataclass fields: equality, hash and repr stay extent + n).
+        extent = self.extent
+        object.__setattr__(
+            self, "tile_width",
+            extent.width / self.n if extent.width else 0.0)
+        object.__setattr__(
+            self, "tile_height",
+            extent.height / self.n if extent.height else 0.0)
 
     @property
     def tile_count(self) -> int:
         return self.n * self.n
 
-    @property
-    def tile_width(self) -> float:
-        return self.extent.width / self.n if self.extent.width else 0.0
-
-    @property
-    def tile_height(self) -> float:
-        return self.extent.height / self.n if self.extent.height else 0.0
-
-    def _clamp(self, index: int) -> int:
-        return max(0, min(self.n - 1, index))
-
     def _index_of(self, offset: float, tile_size: float) -> int:
         # A subnormal extent makes tile_size tiny enough that the
-        # division overflows to inf (or nan for pathological inputs);
-        # clamping must happen before int() can choke on it.
+        # division overflows to inf (or nan for pathological inputs), so
+        # the clamps come before int() can choke on it.  int() truncates
+        # toward zero, which the two comparisons reproduce at the edges.
         quotient = offset / tile_size
         if quotient != quotient:  # nan
             return 0
-        if quotient in (float("inf"), float("-inf")):
-            return 0 if quotient < 0 else self.n - 1
-        return self._clamp(int(quotient))
+        last = self.n - 1
+        if quotient >= last:  # +inf included
+            return last
+        if quotient <= 0.0:  # -inf included
+            return 0
+        return int(quotient)
 
     def column_of(self, x: float) -> int:
         """Grid column containing ``x`` (clamped to the extent)."""
-        if self.tile_width == 0.0:
+        tile_width = self.tile_width
+        if tile_width == 0.0:
             return 0
-        return self._index_of(x - self.extent.x1, self.tile_width)
+        return self._index_of(x - self.extent.x1, tile_width)
 
     def row_of(self, y: float) -> int:
         """Grid row containing ``y`` (clamped to the extent)."""
-        if self.tile_height == 0.0:
+        tile_height = self.tile_height
+        if tile_height == 0.0:
             return 0
-        return self._index_of(y - self.extent.y1, self.tile_height)
+        return self._index_of(y - self.extent.y1, tile_height)
 
     def tile_id(self, col: int, row: int) -> int:
         """Row-major id of tile ``(col, row)``."""
@@ -84,9 +89,11 @@ class UniformGrid:
         """Ids of all tiles whose extent overlaps ``mbr`` (paper's
         ``getOverlappingTileIds``)."""
         c1 = self.column_of(mbr.x1)
-        c2 = self.column_of(mbr.x2)
+        c2 = c1 if mbr.x2 == mbr.x1 else self.column_of(mbr.x2)
         r1 = self.row_of(mbr.y1)
-        r2 = self.row_of(mbr.y2)
+        r2 = r1 if mbr.y2 == mbr.y1 else self.row_of(mbr.y2)
+        if c1 == c2 and r1 == r2:  # a point, or a box inside one tile
+            return [r1 * self.n + c1]
         return [
             row * self.n + col
             for row in range(r1, r2 + 1)

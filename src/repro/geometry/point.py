@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: ``rectangle.py`` imports this module, so :meth:`Point.mbr` binds the
+#: class here on its first call instead of importing it on every one.
+_Rectangle = None
+
 
 @dataclass(frozen=True, order=True)
 class Point:
@@ -19,9 +23,10 @@ class Point:
 
     def mbr(self) -> "Rectangle":
         """Return the degenerate minimum bounding rectangle of this point."""
-        from repro.geometry.rectangle import Rectangle
-
-        return Rectangle(self.x, self.y, self.x, self.y)
+        global _Rectangle
+        if _Rectangle is None:
+            from repro.geometry.rectangle import Rectangle as _Rectangle
+        return _Rectangle(self.x, self.y, self.x, self.y)
 
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other``."""

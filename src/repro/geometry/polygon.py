@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
 
@@ -80,8 +82,6 @@ class Polygon:
     @staticmethod
     def regular(center: Point, radius: float, sides: int = 6) -> "Polygon":
         """Build a regular polygon, handy for synthetic park boundaries."""
-        import math
-
         if sides < 3:
             raise ValueError("a polygon needs at least three sides")
         step = 2.0 * math.pi / sides

@@ -8,8 +8,10 @@ any mix of :class:`Point`, :class:`Rectangle`, and :class:`Polygon`.
 
 from __future__ import annotations
 
+import math
+
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
+from repro.geometry.polygon import Polygon, _segments_intersect
 from repro.geometry.rectangle import Rectangle
 
 Geometry = object  # Point | Rectangle | Polygon
@@ -73,8 +75,6 @@ def contains(outer, inner) -> bool:
             inner_poly = (
                 Polygon(_rect_vertices(inner)) if isinstance(inner, Rectangle) else inner
             )
-            from repro.geometry.polygon import _segments_intersect
-
             for a1, a2 in outer.edges():
                 for b1, b2 in inner_poly.edges():
                     if _segments_intersect(a1, a2, b1, b2):
@@ -97,8 +97,6 @@ def distance(a, b) -> float:
     ra, rb = mbr_of(a), mbr_of(b)
     dx = max(ra.x1 - rb.x2, rb.x1 - ra.x2, 0.0)
     dy = max(ra.y1 - rb.y2, rb.y1 - ra.y2, 0.0)
-    import math
-
     return math.hypot(dx, dy)
 
 

@@ -14,7 +14,7 @@ point-pair distance.
 from __future__ import annotations
 
 from repro.core.flexible_join import FlexibleJoin, JoinSide
-from repro.geometry import UniformGrid, mbr_of
+from repro.geometry import UniformGrid, distance, mbr_of
 from repro.joins.spatial import SpatialPPlan
 from repro.trajectory import min_distance
 
@@ -65,8 +65,6 @@ class TrajectoryProximityJoin(FlexibleJoin):
 
     def verify(self, trajectory1, trajectory2, pplan) -> bool:
         # MBR-gap short circuit before the exact all-pairs minimum.
-        from repro.geometry import distance
-
         if distance(trajectory1, trajectory2) > self.eps:
             return False
         return min_distance(trajectory1, trajectory2) <= self.eps

@@ -15,6 +15,7 @@ approximation in the trajectory-join literature.
 from __future__ import annotations
 
 from repro.geometry import Point, Rectangle
+from repro.geometry.polygon import _segments_intersect
 
 
 class Trajectory:
@@ -72,15 +73,9 @@ def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
     return p.distance_to(Point(a.x + t * dx, a.y + t * dy))
 
 
-def _segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
-    from repro.geometry.polygon import _segments_intersect
-
-    return _segments_intersect(a1, a2, b1, b2)
-
-
 def segment_distance(a1: Point, a2: Point, b1: Point, b2: Point) -> float:
     """Distance between two closed segments (0.0 when they cross)."""
-    if _segments_cross(a1, a2, b1, b2):
+    if _segments_intersect(a1, a2, b1, b2):
         return 0.0
     return min(
         _point_segment_distance(a1, b1, b2),

@@ -1,5 +1,6 @@
 """Unit tests for the exchange (shuffle) primitives."""
 
+from repro import FaultPlan
 from repro.engine import Cluster, Record, Schema
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import broadcast_exchange, hash_exchange, random_exchange
@@ -87,3 +88,45 @@ class TestRandomExchange:
         out = random_exchange(partitions, self.ctx)
         moved = sorted(unbox(r["k"]) for p in out for r in p)
         assert moved == list(range(17))
+
+
+class TestCheckpointCharge:
+    """The checkpoint copy of an exchange is charged — and sized — only
+    under a checkpointing plan, and then for every received record."""
+
+    def contexts(self):
+        cluster = Cluster(num_partitions=4)
+        return (ExecutionContext(cluster),
+                ExecutionContext(cluster, fault_plan=FaultPlan(seed=1)))
+
+    def test_hash_and_random_spool_every_received_record(self):
+        for exchange in (lambda p, ctx: hash_exchange(p, lambda r: r["k"],
+                                                      ctx, "x"),
+                         lambda p, ctx: random_exchange(p, ctx, "x")):
+            plain, checkpointing = self.contexts()
+            exchange(make_partitions(plain, 40), plain)
+            out = exchange(make_partitions(checkpointing, 40), checkpointing)
+            received = sum(r.serialized_size() for p in out for r in p)
+            assert plain.metrics.checkpoint_bytes == 0.0
+            assert checkpointing.metrics.checkpoint_bytes == received
+            extra = (checkpointing.metrics.stage("x").total_units()
+                     - plain.metrics.stage("x").total_units())
+            model = plain.cost_model
+            assert 0.0 < extra <= model.checkpoint_write_units(received) * 1.01
+
+    def test_broadcast_spools_one_copy(self):
+        plain, checkpointing = self.contexts()
+        broadcast_exchange(make_partitions(plain, 9), plain)
+        partitions = make_partitions(checkpointing, 9)
+        broadcast_exchange(partitions, checkpointing)
+        assert plain.metrics.checkpoint_bytes == 0.0
+        assert checkpointing.metrics.checkpoint_bytes == sum(
+            r.serialized_size() for p in partitions for r in p)
+
+    def test_records_that_stay_put_are_not_sized_without_a_plan(self):
+        ctx = ExecutionContext(Cluster(num_partitions=1))
+        partitions = make_partitions(ctx, 5)
+        hash_exchange(partitions, lambda r: r["k"], ctx)
+        # One worker: nothing moves, nothing is checkpointed, so nothing
+        # had a reason to serialize a record just to count its bytes.
+        assert all(r._size is None for r in partitions[0])

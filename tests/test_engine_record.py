@@ -1,9 +1,15 @@
 """Unit tests for records and schemas."""
 
+import pickle
+
 import pytest
 
-from repro.engine import Record, Schema
+from repro.engine import Record, Schema, kernels
+from repro.engine.operators.aggregate import RawState
+from repro.engine.record import serialized_values_size
+from repro.engine.resources import EntrySpillCodec, RecordSpillCodec
 from repro.errors import ExecutionError
+from repro.geometry import Point
 from repro.serde import box
 
 
@@ -87,3 +93,70 @@ class TestRecord:
 
         r = Record(Schema(["x"]), (Opaque(),))
         assert r.serialized_size() == 16
+
+
+class TestSizedOnce:
+    """``serialized_size`` is computed on the first call and kept; it
+    must stay equal to sizing the values, wherever a record came from."""
+
+    SCHEMA = Schema(["id", "name", "at"])
+
+    def record(self, i=1, name="x"):
+        return Record.from_dict(
+            self.SCHEMA, {"id": i, "name": name, "at": Point(i, 2.5)})
+
+    def check(self, record):
+        assert record.serialized_size() == serialized_values_size(
+            record.values)
+        assert record.serialized_size() == serialized_values_size(
+            record.values)  # second call: the kept value
+
+    def test_fresh_and_repeated(self):
+        self.check(self.record())
+
+    def test_concat_is_sized_on_its_own_values(self):
+        left, right = self.record(1, "left"), self.record(2, "rightmost")
+        left.serialized_size()  # kept sizes of the inputs must not leak
+        joined = left.concat(
+            right, self.SCHEMA.qualify("l").concat(self.SCHEMA.qualify("r")))
+        self.check(joined)
+        assert joined.serialized_size() == (
+            left.serialized_size() + right.serialized_size())
+
+    def test_opaque_values_count_as_blobs(self):
+        partial = Record(Schema(["k", "state"]), (box(1), RawState([2])))
+        self.check(partial)
+
+    def test_spill_round_trip(self):
+        record = self.record(3, "spilled")
+        record.serialized_size()
+        codec = RecordSpillCodec()
+        clone = codec.decode(codec.encode(record))
+        assert clone is not record
+        self.check(clone)
+        assert clone.serialized_size() == record.serialized_size()
+        entries = EntrySpillCodec(lambda r: "key")
+        _, _, replayed = entries.decode(entries.encode((4, "key", record)))
+        self.check(replayed)
+
+    def test_pickle_round_trip(self):
+        for sized_first in (False, True):
+            record = self.record(5, "shipped")
+            if sized_first:
+                record.serialized_size()
+            clone = pickle.loads(pickle.dumps(record))
+            assert clone == record
+            self.check(clone)
+
+    def test_cursor_is_sized_per_row(self):
+        # The batch kernels' cursor is the one record whose values are
+        # swapped; a kept size would be the first row's for ever.
+        cursor = kernels.make_cursor(self.SCHEMA)
+        rows = [self.record(1, "a").values, self.record(2, "a" * 40).values,
+                self.record(3, "").values]
+        sizes = []
+        for row in rows:
+            cursor.values = row
+            self.check(cursor)
+            sizes.append(cursor.serialized_size())
+        assert len(set(sizes)) == 3

@@ -196,6 +196,22 @@ class TestRecoveryCorrectness:
         overhead = ckpt.simulated_seconds(12) / clean - 1.0
         assert 0.0 <= overhead <= 0.05
 
+    def test_checkpoint_totals_pinned(self):
+        # Exchanges size their checkpoint copy only while a plan is
+        # checkpointing; what they charge when one is must not move.
+        # Totals of this plan as first recorded (simulated, so exact).
+        for plan, checkpoint_bytes, cpu_units in (
+                (None, 0.0, 7900.7),
+                (FaultPlan(seed=1), 2214.0, 7933.91),
+                (FaultPlan(seed=1, checkpoint=False), 0.0, 7900.7),
+                (self.PLAN, 2214.0, 3012025.035)):
+            metrics = run(fault_plan=plan).metrics
+            assert metrics.checkpoint_bytes == checkpoint_bytes
+            assert metrics.total_cpu_units() == pytest.approx(
+                cpu_units, rel=1e-12)
+            assert metrics.total_network_bytes() == (
+                2658.0 if plan is self.PLAN else 2361.0)
+
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32),

@@ -61,12 +61,18 @@ DETERMINISTIC_KEYS = (
 )
 
 
+#: Everything :func:`run_query` returns that two runs must agree on.
+COMPARED_KEYS = DETERMINISTIC_KEYS + ("quarantine_log", "events",
+                                      "trace_units")
+
+
 def run_query(build, sql, backend, budget=None, fault_seed=None,
-              on_error=None, trace=False):
+              on_error=None, trace=False, dedup=None):
     """Rows (order-stable, hashable) plus the metrics dict for one run.
 
-    The dict also carries the quarantine report and, with ``trace``, the
-    trace's unit total, so :func:`check_parity` compares them too."""
+    The dict also carries the quarantine report, the canonical event
+    JSONL and, with ``trace``, the trace's unit total, so
+    :func:`check_parity` compares them too."""
     db = build()
     try:
         if budget is not None:
@@ -78,7 +84,7 @@ def run_query(build, sql, backend, budget=None, fault_seed=None,
                           straggler_rate=0.05, real=True))
         try:
             result = db.execute(sql, fault_plan=plan, on_error=on_error,
-                                trace=trace)
+                                trace=trace, dedup=dedup)
         except FudjCallbackError as exc:
             # ``on_error="fail"``: parity means the same message and the
             # same class of original error on either backend.
@@ -95,6 +101,7 @@ def run_query(build, sql, backend, budget=None, fault_seed=None,
         rows = [tuple(sorted(row.items())) for row in result.rows]
         metrics = result.metrics.to_dict(db.cluster.cores)
         metrics["quarantine_log"] = result.metrics.quarantine_log
+        metrics["events"] = db.telemetry.events.to_jsonl()
         if trace:
             metrics["trace_units"] = result.trace.total_units()
         if backend == "process":
@@ -115,7 +122,7 @@ def check_parity(build, sql, budget, fault_seed, **execute_options):
     if serial_metrics is None:
         assert pool_metrics is None
         return None
-    for key in DETERMINISTIC_KEYS + ("quarantine_log", "trace_units"):
+    for key in COMPARED_KEYS:
         assert pool_metrics.get(key) == serial_metrics.get(key), key
     return pool_metrics
 
