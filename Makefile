@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-faults test-telemetry test-resources test-workers test-batch test-optimizer test-events test-server bench bench-check perf-gate perf perf-quick perf-ab lint-docs examples slow-examples shell clean serve
+.PHONY: install test test-faults test-telemetry test-resources test-workers test-batch test-optimizer test-events test-server bench bench-check perf-gate perf perf-quick perf-ab golden-accept lint-docs examples slow-examples shell clean serve
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -36,7 +36,6 @@ test-events:      ## structured event log + live monitor: determinism, parity, e
 
 test-server:      ## concurrent session server: chaos harness, cancellation, drain
 	$(PYTHON) -m pytest tests/test_server.py -q
-	$(PYTHON) benchmarks/bench_serving.py --smoke --no-trajectory
 
 serve:            ## run the session server on an ephemeral port
 	$(PYTHON) -m repro serve --port 0
@@ -63,6 +62,9 @@ bench:            ## full run: timings + shape assertions + results/*.txt
 
 bench-check:      ## fast run: shape assertions only
 	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
+
+golden-accept:    ## rewrite tests/golden/engine.json from this tree; review the diff like code
+	$(PYTHON) -m tests.test_golden --accept
 
 lint-docs:        ## links resolve; dot-commands, Database kwargs, CLI flags documented
 	$(PYTHON) tools/lint_docs.py

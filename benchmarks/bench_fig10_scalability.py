@@ -264,23 +264,6 @@ def main(argv=None) -> int:
             top = max(w for w in args.workers)
             speedup = report["measured"][str(top)]["speedup_vs_serial"]
             report["gate"]["passed"] = speedup >= report["gate"]["threshold"]
-    from repro.bench import trajectory
-
-    trajectory.record(
-        f"fig10_scalability_{args.backend}",
-        wall_seconds=min(
-            [m["wall_seconds"] for m in report["measured"].values()]
-            or [serial_wall]),
-        rows=serial_rows,
-        detail={
-            "serial_wall_seconds": round(serial_wall, 6),
-            "speedup_vs_serial": {
-                w: round(m["speedup_vs_serial"], 3)
-                for w, m in report["measured"].items()},
-            "simulated_speedup_12_to_144": round(
-                report["simulated_speedup_12_to_144"], 3),
-        },
-    )
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

@@ -26,7 +26,6 @@ baseline after an intentional cost-model change.
 import json
 import os
 import sys
-import time
 
 import pytest
 
@@ -296,27 +295,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the measured JSON here")
     args = parser.parse_args(argv)
 
-    started = time.perf_counter()
     measured = measure_gate()
-    gate_wall = time.perf_counter() - started
-    from repro.bench import trajectory
-
-    trajectory.record(
-        "fig9_performance",
-        units=sum(w[e]["cpu_units"] for w in measured["workloads"]
-                  for e in ("row", "batch")),
-        wall_seconds=gate_wall,
-        rows=sum(w[e]["result_rows"] for w in measured["workloads"]
-                 for e in ("row", "batch")),
-        detail={
-            "row_units": sum(w["row"]["cpu_units"]
-                             for w in measured["workloads"]),
-            "batch_units": sum(w["batch"]["cpu_units"]
-                               for w in measured["workloads"]),
-            "amortization": {w["name"]: round(w["amortization"], 3)
-                             for w in measured["workloads"]},
-        },
-    )
     for workload in measured["workloads"]:
         print(
             f"{workload['name']}: row {workload['row']['cpu_units']:.1f} "

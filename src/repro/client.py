@@ -4,7 +4,7 @@ A small, dependency-free client over one TCP connection.  A background
 reader thread pulls response lines and routes each to the mailbox of
 the request id it answers, so requests can overlap: submit a query,
 submit a cancel against it, and collect both responses in any order —
-exactly the interleaving the chaos tests and ``bench_serving`` drive.
+exactly the interleaving the chaos tests drive.
 
 Typical use::
 

@@ -161,19 +161,6 @@ class LocalSite(CombineSite):
         )
 
 
-def _pair_identity(record) -> int:
-    """Identity of one join-input record for pair dedup.
-
-    Records that went through a spill round-trip or were shipped to a
-    worker carry a ``rid`` (a process-unique negative integer, shared by
-    the original and every replayed clone); in-memory records fall back
-    to ``id()``, which is always non-negative — the two namespaces cannot
-    collide.
-    """
-    rid = record.rid
-    return rid if rid is not None else id(record)
-
-
 def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
     """Take one candidate pair of entries through dedup, ``verify`` and
     emit; returns the verify units to charge for it.
@@ -185,9 +172,10 @@ def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
     distinguish *the same input pair emitted from two buckets* (a
     duplicate) from *two different pairs with equal field values* (two
     legitimate results) — the original set-similarity study dedups on
-    record ids for the same reason.  Exchanges move references and spills
-    replay clones that keep their ``rid``, so :func:`_pair_identity` is
-    stable within one query either way.
+    record ids for the same reason.  PARTITION numbered both sides'
+    records for this (``fudj_join._number_records``); exchanges move
+    references, and spills and worker transport replay clones that keep
+    their ``rid``.
     """
     bucket1, key1, record1, assignment1 = entry1
     bucket2, key2, record2, assignment2 = entry2
@@ -203,9 +191,7 @@ def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
     if matched:
         joined = record1.concat(record2, site.out_schema)
         if site.tag:
-            joined = (
-                (_pair_identity(record1), _pair_identity(record2)), joined
-            )
+            joined = ((record1.rid, record2.rid), joined)
         rows.append(joined)
     return site.model.predicate_units(site.v_cost, matched)
 

@@ -1,9 +1,24 @@
 """Exchange (shuffle) primitives: hash, broadcast, and random repartition.
 
-Exchanges are the only operators that move records between workers, so
-they are the only place network bytes are charged.  Records are serialized
-for real (unless the context's ``measure_bytes`` speed knob is off, in
-which case sizes are extrapolated from a per-partition sample).
+Exchanges are the only operators that move items between workers, so
+this module is the only place that routes an item, charges a send,
+counts network bytes, applies link faults and spools the checkpoint
+copy.  There is one routing routine, :func:`route_exchange`, and one
+replication, :func:`replicate_exchange`; an exchange is a choice of
+
+- *where an item goes* — ``targets_of(item)``: the hash of a key, a
+  round-robin cursor, or (the one multi-target route) the match
+  partitions of a FUDJ bucket;
+- *what a delivery costs the sender* — ``hash_op + record_touch``,
+  ``record_touch`` or ``hash_op``;
+- *how an item is sized* — a record (or anything with
+  ``serialized_size()``), a raw value row, or a FUDJ entry.
+
+:func:`hash_exchange`, :func:`random_exchange` and
+:func:`broadcast_exchange` are those choices for records; the FUDJ
+operator makes its own for PARTITION's entries.  Items are serialized for
+real (unless the context's ``measure_bytes`` speed knob is off, in which
+case sizes are extrapolated from a per-partition sample).
 
 Exchanges are also the engine's recovery boundary: with a fault plan
 active, each worker's send is retried through injected transient link
@@ -13,6 +28,11 @@ downstream task that crashes replays one stage, not the whole plan.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from functools import partial
+from itertools import count
+from operator import methodcaller
 
 from repro.engine.batch import batches_from_rows
 from repro.engine.context import ExecutionContext
@@ -28,153 +48,119 @@ from repro.engine.resources import RecordSpillCodec, RowSpillCodec
 _SIZE_SAMPLE = 32
 
 
-def _admit_received(out, ctx: ExecutionContext, stage) -> list:
+#: Wire size of a record — or of anything that sizes itself, which is how
+#: the duplicate-elimination shuffle's tagged rows ride
+#: :func:`hash_exchange`.
+record_size = methodcaller("serialized_size")
+
+
+def entry_size(entry) -> int:
+    """Wire size of a FUDJ entry ``(bucket_id, key, record, ...)``: the
+    record plus 9 bytes for the bucket id (a boxed int64)."""
+    return 9 + entry[2].serialized_size()
+
+
+def wire_bytes(items, ctx: ExecutionContext, size_of=record_size) -> int:
+    """Wire size of a list of items, exact or sampled."""
+    if not items:
+        return 0
+    if ctx.measure_bytes or len(items) <= _SIZE_SAMPLE:
+        return sum(map(size_of, items))
+    sample = items[:: max(1, len(items) // _SIZE_SAMPLE)][:_SIZE_SAMPLE]
+    return int(sum(map(size_of, sample)) / len(sample) * len(items))
+
+
+@contextmanager
+def _exchange_stage(ctx: ExecutionContext, stage_name: str):
+    """Open the stage and the trace span of one exchange."""
+    ctx.check_cancel()  # exchanges are cancellation checkpoints
+    ctx.pool_tick()  # recycle idle-dead workers between stages
+    stage = ctx.metrics.stage(stage_name)
+    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
+                         stage=stage):
+        yield stage
+
+
+def _send(ctx: ExecutionContext, stage, worker: int, moved: list, size_of,
+          sent: int) -> None:
+    """Account one worker's finished send: the bytes that left it, their
+    serialization, and any re-sends over a flaky link."""
+    moved_bytes = wire_bytes(moved, ctx, size_of)
+    stage.network_bytes += moved_bytes
+    stage.charge(worker, moved_bytes * ctx.cost_model.serde_byte)
+    apply_exchange_faults(ctx, stage, worker, moved_bytes)
+    stage.records_in += sent
+
+
+def _receive(ctx: ExecutionContext, stage, out: list, size_of,
+             codec) -> list:
+    """Account the received partitions: the checkpoint copy, the record
+    count and — with a ``codec`` — the receive buffers."""
+    checkpoint_outputs(ctx, stage, out, partial(wire_bytes, size_of=size_of))
+    stage.records_out = sum(len(partition) for partition in out)
+    return _admit_received(ctx, stage, out, codec)
+
+
+def _admit_received(ctx: ExecutionContext, stage, out: list, codec) -> list:
     """Account receive buffers against the memory budget.
 
     Active only under enforcement (``Database(memory_budget=...)``):
     exchange buffers were never priced by the cost model, so un-governed
     runs skip this entirely and charge exactly what they always did.
-    Spilled records are replayed in place, keeping partition order.
+    Spilled items are replayed in place, keeping partition order.
+    ``codec`` is None for an exchange whose receiver admits its own state
+    (FUDJ COMBINE).
     """
-    if not ctx.resources.enforce:
+    if codec is None or not ctx.resources.enforce:
         return out
-    codec = RecordSpillCodec()
+    codec = codec()
     return [
         ctx.admit(stage, worker, partition, codec, price=False)
         for worker, partition in enumerate(out)
     ]
 
 
-def _partition_bytes(partition, ctx: ExecutionContext) -> int:
-    """Wire size of a partition, exact or sampled."""
-    if not partition:
-        return 0
-    if ctx.measure_bytes or len(partition) <= _SIZE_SAMPLE:
-        return sum(r.serialized_size() for r in partition)
-    sample = partition[:: max(1, len(partition) // _SIZE_SAMPLE)][:_SIZE_SAMPLE]
-    avg = sum(r.serialized_size() for r in sample) / len(sample)
-    return int(avg * len(partition))
+def route_exchange(inputs, ctx: ExecutionContext, stage_name: str,
+                   targets_of, delivery_units: float, size_of=record_size,
+                   codec=None) -> list:
+    """Send every item of every worker's input to the workers
+    ``targets_of(item)`` names, charging the sender ``delivery_units``
+    per delivery.
 
-
-def hash_exchange(partitions, key_fn, ctx: ExecutionContext,
-                  stage_name: str = "hash-exchange") -> list:
-    """Repartition by ``hash(key_fn(record))``.
-
-    Records whose key hashes to their current worker do not cross the
-    network (locality is modelled: roughly ``1/P`` of records stay put).
+    An item delivered to its own worker does not cross the network
+    (locality is modelled: under a hash route roughly ``1/P`` of the
+    items stay put).  One charge per delivery, in delivery order: the
+    float a worker's units add up to depends on it.
     """
-    ctx.check_cancel()  # exchanges are cancellation checkpoints
-    ctx.pool_tick()  # recycle idle-dead workers between stages
-    stage = ctx.metrics.stage(stage_name)
-    model = ctx.cost_model
-    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
-                         stage=stage):
+    with _exchange_stage(ctx, stage_name) as stage:
+        charge = stage.charge
         out = [[] for _ in range(ctx.num_partitions)]
-        for worker, partition in enumerate(partitions):
+        for worker, items in enumerate(inputs):
             moved = []
-            ctx.metrics.operator_invocations += len(partition)
-            for record in partition:
-                target = hash(key_fn(record)) % ctx.num_partitions
-                out[target].append(record)
-                if target != worker:
-                    moved.append(record)
-                stage.charge(worker, model.hash_op + model.record_touch)
-            moved_bytes = _partition_bytes(moved, ctx)
-            stage.network_bytes += moved_bytes
-            stage.charge(worker, moved_bytes * model.serde_byte)
-            apply_exchange_faults(ctx, stage, worker, moved_bytes)
-            stage.records_in += len(partition)
-        checkpoint_outputs(ctx, stage, out, _partition_bytes)
-        stage.records_out = sum(len(p) for p in out)
-        return _admit_received(out, ctx, stage)
+            for item in items:
+                for target in targets_of(item):
+                    out[target].append(item)
+                    if target != worker:
+                        moved.append(item)
+                    charge(worker, delivery_units)
+            _send(ctx, stage, worker, moved, size_of, len(items))
+        return _receive(ctx, stage, out, size_of, codec)
 
 
-def _row_bytes(rows, ctx: ExecutionContext) -> int:
-    """Wire size of a row list, exact or sampled — the value-tuple twin
-    of :func:`_partition_bytes` (same sampling stride, same sizes)."""
-    if not rows:
-        return 0
-    if ctx.measure_bytes or len(rows) <= _SIZE_SAMPLE:
-        return sum(serialized_values_size(row) for row in rows)
-    sample = rows[:: max(1, len(rows) // _SIZE_SAMPLE)][:_SIZE_SAMPLE]
-    avg = sum(serialized_values_size(row) for row in sample) / len(sample)
-    return int(avg * len(rows))
-
-
-def _admit_received_rows(out_rows, ctx: ExecutionContext, stage) -> list:
-    """Batched twin of :func:`_admit_received`: account receive buffers
-    (as raw rows) against the memory budget, enforcement-only."""
-    if not ctx.resources.enforce:
-        return out_rows
-    codec = RowSpillCodec()
-    return [
-        ctx.admit(stage, worker, rows, codec, price=False)
-        for worker, rows in enumerate(out_rows)
-    ]
-
-
-def hash_exchange_batches(worker_batches, key_fn, ctx: ExecutionContext,
-                          stage_name: str, schema) -> list:
-    """Batch-at-a-time hash repartition — the vectorized twin of
-    :func:`hash_exchange`.
-
-    ``worker_batches`` is one list of
-    :class:`~repro.engine.batch.RecordBatch` per worker; ``key_fn``
-    takes a raw value tuple (row mode keys on ``record.values``, so the
-    hashes agree).  Stage name, per-row charges (issued once per worker
-    as ``rows * (hash_op + record_touch)``), network bytes, fault
-    injection, checkpoint spooling, and receive-buffer admission are all
-    identical to the row exchange; only the dispatch granularity — one
-    kernel call per batch — differs.  Returns per-worker batch lists.
-    """
-    ctx.check_cancel()  # exchanges are cancellation checkpoints
-    ctx.pool_tick()  # recycle idle-dead workers between stages
-    stage = ctx.metrics.stage(stage_name)
-    model = ctx.cost_model
-    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
-                         stage=stage):
-        out_rows = [[] for _ in range(ctx.num_partitions)]
-        for worker, batches in enumerate(worker_batches):
-            moved = []
-            sent = 0
-            for batch in batches:
-                ctx.metrics.operator_invocations += 1
-                scatter_batch(batch, key_fn, ctx.num_partitions, worker,
-                              out_rows, moved)
-                sent += batch.num_rows
-            stage.charge(worker, sent * (model.hash_op + model.record_touch))
-            moved_bytes = _row_bytes(moved, ctx)
-            stage.network_bytes += moved_bytes
-            stage.charge(worker, moved_bytes * model.serde_byte)
-            apply_exchange_faults(ctx, stage, worker, moved_bytes)
-            stage.records_in += sent
-        checkpoint_outputs(ctx, stage, out_rows, _row_bytes)
-        stage.records_out = sum(len(rows) for rows in out_rows)
-        received = _admit_received_rows(out_rows, ctx, stage)
-        return [batches_from_rows(ctx, schema, rows) for rows in received]
-
-
-def broadcast_exchange(partitions, ctx: ExecutionContext,
-                       stage_name: str = "broadcast-exchange") -> list:
+def replicate_exchange(inputs, ctx: ExecutionContext, stage_name: str,
+                       size_of=record_size, codec=None) -> list:
     """Replicate the full input to every worker.
 
     Network cost is ``(P - 1) * |input bytes|`` — every worker needs a copy
     and one copy is already local somewhere.
     """
-    ctx.check_cancel()  # exchanges are cancellation checkpoints
-    ctx.pool_tick()  # recycle idle-dead workers between stages
-    stage = ctx.metrics.stage(stage_name)
+    num = ctx.num_partitions
     model = ctx.cost_model
-    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
-                         stage=stage):
-        everything = [
-            record for partition in partitions for record in partition
-        ]
-        ctx.metrics.operator_invocations += len(everything)
-        total_bytes = _partition_bytes(everything, ctx)
-        replicas = max(0, ctx.num_partitions - 1)
-        stage.fabric_bytes += total_bytes * replicas
-        for worker in range(ctx.num_partitions):
+    with _exchange_stage(ctx, stage_name) as stage:
+        everything = [item for items in inputs for item in items]
+        total_bytes = wire_bytes(everything, ctx, size_of)
+        stage.fabric_bytes += total_bytes * max(0, num - 1)
+        for worker in range(num):
             stage.charge(
                 worker,
                 len(everything) * model.record_touch
@@ -186,38 +172,86 @@ def broadcast_exchange(partitions, ctx: ExecutionContext,
         # charged to the worker that holds the canonical copy.
         charge_checkpoint(ctx, stage, 0, total_bytes)
         stage.records_in = len(everything)
-        stage.records_out = len(everything) * ctx.num_partitions
-        replicas = [list(everything) for _ in range(ctx.num_partitions)]
-        return _admit_received(replicas, ctx, stage)
+        stage.records_out = len(everything) * num
+        replicas = [list(everything) for _ in range(num)]
+        return _admit_received(ctx, stage, replicas, codec)
+
+
+# -- the record exchanges --------------------------------------------------------
+#
+# Every record pushed through one counts as an operator invocation, and
+# the receive buffers are admitted here: nothing downstream knows them.
+
+
+def _count_records(partitions, ctx: ExecutionContext) -> None:
+    ctx.metrics.operator_invocations += sum(len(p) for p in partitions)
+
+
+def hash_exchange(partitions, key_fn, ctx: ExecutionContext,
+                  stage_name: str = "hash-exchange") -> list:
+    """Repartition by ``hash(key_fn(record))``."""
+    _count_records(partitions, ctx)
+    num = ctx.num_partitions
+    model = ctx.cost_model
+    return route_exchange(
+        partitions, ctx, stage_name,
+        lambda record: (hash(key_fn(record)) % num,),
+        model.hash_op + model.record_touch, codec=RecordSpillCodec,
+    )
+
+
+def round_robin(num: int):
+    """A ``targets_of`` that deals items out in turn; the cursor runs on
+    from one worker's input to the next."""
+    cursor = count()
+    return lambda item: (next(cursor) % num,)
 
 
 def random_exchange(partitions, ctx: ExecutionContext,
                     stage_name: str = "random-exchange") -> list:
     """Round-robin repartition (the theta-join fallback of paper §VII-C:
     with no partitioning key available, one side is spread randomly)."""
-    ctx.check_cancel()  # exchanges are cancellation checkpoints
-    ctx.pool_tick()  # recycle idle-dead workers between stages
-    stage = ctx.metrics.stage(stage_name)
+    _count_records(partitions, ctx)
+    return route_exchange(
+        partitions, ctx, stage_name, round_robin(ctx.num_partitions),
+        ctx.cost_model.record_touch, codec=RecordSpillCodec,
+    )
+
+
+def broadcast_exchange(partitions, ctx: ExecutionContext,
+                       stage_name: str = "broadcast-exchange") -> list:
+    """Replicate every record to every worker."""
+    _count_records(partitions, ctx)
+    return replicate_exchange(partitions, ctx, stage_name,
+                              codec=RecordSpillCodec)
+
+
+def hash_exchange_batches(worker_batches, key_fn, ctx: ExecutionContext,
+                          stage_name: str, schema) -> list:
+    """Batch-at-a-time hash repartition — the vectorized twin of
+    :func:`hash_exchange`.
+
+    ``worker_batches`` is one list of
+    :class:`~repro.engine.batch.RecordBatch` per worker; ``key_fn``
+    takes a raw value tuple (row mode keys on ``record.values``, so the
+    hashes agree).  Stage name, per-row charges (issued once per worker
+    as ``rows * (hash_op + record_touch)``), and the send / receive
+    accounting are the row exchange's; only the dispatch granularity — one
+    kernel call per batch — differs.  Returns per-worker batch lists.
+    """
     model = ctx.cost_model
-    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
-                         stage=stage):
-        out = [[] for _ in range(ctx.num_partitions)]
-        cursor = 0
-        for worker, partition in enumerate(partitions):
+    with _exchange_stage(ctx, stage_name) as stage:
+        out_rows = [[] for _ in range(ctx.num_partitions)]
+        for worker, batches in enumerate(worker_batches):
             moved = []
-            ctx.metrics.operator_invocations += len(partition)
-            for record in partition:
-                target = cursor % ctx.num_partitions
-                cursor += 1
-                out[target].append(record)
-                if target != worker:
-                    moved.append(record)
-                stage.charge(worker, model.record_touch)
-            moved_bytes = _partition_bytes(moved, ctx)
-            stage.network_bytes += moved_bytes
-            stage.charge(worker, moved_bytes * model.serde_byte)
-            apply_exchange_faults(ctx, stage, worker, moved_bytes)
-            stage.records_in += len(partition)
-        checkpoint_outputs(ctx, stage, out, _partition_bytes)
-        stage.records_out = sum(len(p) for p in out)
-        return _admit_received(out, ctx, stage)
+            sent = 0
+            for batch in batches:
+                ctx.metrics.operator_invocations += 1
+                scatter_batch(batch, key_fn, ctx.num_partitions, worker,
+                              out_rows, moved)
+                sent += batch.num_rows
+            stage.charge(worker, sent * (model.hash_op + model.record_touch))
+            _send(ctx, stage, worker, moved, serialized_values_size, sent)
+        received = _receive(ctx, stage, out_rows, serialized_values_size,
+                            RowSpillCodec)
+        return [batches_from_rows(ctx, schema, rows) for rows in received]

@@ -36,18 +36,20 @@ Phases with no single culprit record (``global_aggregate``, ``divide``,
 
 from __future__ import annotations
 
-import time
 from functools import partial
+from itertools import count
 
 from repro.core.dedup import DedupStrategy, strategy_for
 from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.engine.combine import KERNELS, LocalSite
 from repro.engine.context import ExecutionContext
-from repro.engine.exchange import hash_exchange
-from repro.engine.faults import (
-    apply_exchange_faults,
-    charge_checkpoint,
-    checkpoint_outputs,
+from repro.engine.exchange import (
+    entry_size,
+    hash_exchange,
+    replicate_exchange,
+    round_robin,
+    route_exchange,
+    wire_bytes,
 )
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
 from repro.errors import ExecutionError, FudjCallbackError
@@ -56,41 +58,29 @@ from repro.serde.values import unbox
 __all__ = ["FudjCallbackError", "FudjJoin"]
 
 
-def _guard(ctx, join, phase: str, fn, *args):
-    """Invoke a user callback, wrapping any failure with phase context.
+def _number_records(*sides) -> None:
+    """Give every input record of a duplicate-eliminating join its
+    ``rid``: minus its ordinal, counting through the sides in (worker,
+    position) order.
 
-    Used for the phases that must fail hard regardless of the error
-    policy — a broken ``divide`` or ``global_aggregate`` leaves no plan
-    to continue with.  With tracing on, the call lands in the aggregated
-    callback span of the currently open span.  A shared circuit breaker
-    counts every failure (hard-fail phases included); successes only
-    reset the streak when the whole query completes.
+    The elimination shuffle hash-routes a joined row on the pair of its
+    inputs' ``rid``s, so they have to be a function of the query's input
+    alone — a memory address or a process-wide counter sends the rows,
+    and with them every per-worker figure, somewhere else on every run.
+    One count through both sides keeps the numbers distinct even when a
+    ``Values`` source feeds the same record object to both.
     """
-    tracer = ctx.tracer
-    started = time.perf_counter() if tracer.enabled else 0.0
-    try:
-        result = fn(*args)
-    except FudjCallbackError:
-        if tracer.enabled:
-            tracer.record_call(phase, time.perf_counter() - started, ok=False)
-        if ctx.breaker is not None:
-            ctx.breaker.record_failure(join.name)
-        raise
-    except Exception as exc:
-        if tracer.enabled:
-            tracer.record_call(phase, time.perf_counter() - started, ok=False)
-        if ctx.breaker is not None:
-            ctx.breaker.record_failure(join.name)
-        raise FudjCallbackError(join.name, phase, exc) from exc
-    if tracer.enabled:
-        tracer.record_call(phase, time.perf_counter() - started)
-    ctx.note_breaker_success(join.name)
-    return result
+    ordinals = count(1)
+    for partitions in sides:
+        for partition in partitions:
+            for record in partition:
+                record.rid = -next(ordinals)
 
 
 class _DedupEntry:
-    """Adapter so the generic exchange can size a ``(pair_id, record)``
-    entry of the duplicate-elimination shuffle."""
+    """The elimination shuffle's item, ``(pair_id, record)``; it sizes
+    itself, which is all :func:`~repro.engine.exchange.hash_exchange`
+    asks of an item."""
 
     __slots__ = ("pair_id", "record")
 
@@ -215,8 +205,9 @@ class FudjJoin(PhysicalOperator):
             if merged is None:
                 merged = partial
             else:
-                merged = _guard(ctx, join, "global_aggregate",
-                                join.global_aggregate, merged, partial, side)
+                merged = ctx.guard_record(
+                    join.name, "global_aggregate", join.global_aggregate,
+                    merged, partial, side)[1]
             stage.charge(0, model.record_touch)
         stage.records_in = len(result)
         return merged
@@ -324,7 +315,8 @@ class FudjJoin(PhysicalOperator):
                 summary2 = self._summarize_side(
                     right, self.right_key, JoinSide.RIGHT, ctx
                 )
-            pplan = _guard(ctx, join, "divide", join.divide, summary1, summary2)
+            pplan = ctx.guard_record(join.name, "divide", join.divide,
+                                     summary1, summary2)[1]
             # PPlan broadcast: one small object to every worker.
             ctx.metrics.stage(
                 f"{self.stage_name}/pplan-broadcast"
@@ -332,6 +324,8 @@ class FudjJoin(PhysicalOperator):
 
         # PARTITION.
         with tracer.span("PARTITION", kind="phase"):
+            if self.dedup.requires_shuffle:
+                _number_records(left.partitions, right.partitions)
             left_assigned = self._assign_side(
                 left, self.left_key, JoinSide.LEFT, pplan, ctx
             )
@@ -341,32 +335,44 @@ class FudjJoin(PhysicalOperator):
 
         out_schema = left.schema.concat(right.schema)
         name = self.stage_name
+        num = ctx.num_partitions
+        model = ctx.cost_model
+
+        def send(assigned, stage, targets_of, delivery_units=model.hash_op):
+            # An entry exchange: COMBINE admits what arrives itself.
+            return route_exchange(assigned, ctx, f"{name}/{stage}",
+                                  targets_of, delivery_units, entry_size)
+
         with tracer.span("COMBINE", kind="phase"):
             # The plan decides how the two sides meet; the kernel of the
             # same name (repro.engine.combine) joins what arrives.
             if join.uses_default_match():
                 # Hash-partition both sides on bucket id; join equal buckets.
                 kind = "single"
-                left_parts = _exchange_assigned(left_assigned, ctx,
-                                                f"{name}/xleft")
-                right_parts = _exchange_assigned(right_assigned, ctx,
-                                                 f"{name}/xright")
+
+                def by_bucket(entry):
+                    return (hash(entry[0]) % num,)
+
+                left_parts = send(left_assigned, "xleft", by_bucket)
+                right_parts = send(right_assigned, "xright", by_bucket)
             elif join.supports_partitioned_matching():
                 # Co-partition on the match partitions of each bucket.
                 kind = "partitioned"
-                num = ctx.num_partitions
-                left_parts = _route_partitioned(
-                    left_assigned, join, num, pplan, ctx, f"{name}/route-left")
-                right_parts = _route_partitioned(
-                    right_assigned, join, num, pplan, ctx,
-                    f"{name}/route-right")
+
+                def by_match_partitions(entry):
+                    return join.partition_buckets(entry[0], num, pplan)
+
+                left_parts = send(left_assigned, "route-left",
+                                  by_match_partitions)
+                right_parts = send(right_assigned, "route-right",
+                                   by_match_partitions)
             else:
                 # Theta fallback: spread left, broadcast right.
                 kind = "theta"
-                left_parts = _spread_assigned(left_assigned, ctx,
-                                              f"{name}/spread")
-                right_parts = _broadcast_assigned(right_assigned, ctx,
-                                                  f"{name}/broadcast")
+                left_parts = send(left_assigned, "spread", round_robin(num),
+                                  model.record_touch)
+                right_parts = replicate_exchange(
+                    right_assigned, ctx, f"{name}/broadcast", entry_size)
             partitions = self._combine(
                 kind, left_parts, right_parts, pplan, out_schema, ctx
             )
@@ -382,7 +388,8 @@ class FudjJoin(PhysicalOperator):
         computed when a fault plan could actually charge it."""
         if ctx.fault_plan is None or not ctx.fault_plan.any_faults():
             return 0.0
-        return float(sum(_entry_bytes(entries, ctx) for entries in entry_lists))
+        return float(sum(wire_bytes(entries, ctx, entry_size)
+                         for entries in entry_lists))
 
     def _combine(self, kind: str, left_parts: list, right_parts: list,
                  pplan, out_schema, ctx: ExecutionContext) -> list:
@@ -458,122 +465,3 @@ class FudjJoin(PhysicalOperator):
                 stage.records_out += len(rows)
                 out.append(rows)
         return out
-
-
-# -- assigned-entry exchanges -----------------------------------------------------
-#
-# Assigned entries are (bucket_id, key, record, assignment) tuples.  They
-# reuse the record's wire size plus a small constant for the bucket id.
-
-
-def _entry_bytes(entries, ctx) -> int:
-    if not entries:
-        return 0
-    if ctx.measure_bytes or len(entries) <= 32:
-        return sum(9 + e[2].serialized_size() for e in entries)
-    sample = entries[:: max(1, len(entries) // 32)][:32]
-    avg = sum(9 + e[2].serialized_size() for e in sample) / len(sample)
-    return int(avg * len(entries))
-
-
-def _exchange_assigned(assigned: list, ctx: ExecutionContext, stage_name: str) -> list:
-    """Hash-exchange assigned entries on bucket id."""
-    stage = ctx.metrics.stage(stage_name)
-    model = ctx.cost_model
-    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
-                         stage=stage):
-        out = [[] for _ in range(ctx.num_partitions)]
-        for worker, entries in enumerate(assigned):
-            moved = []
-            for entry in entries:
-                target = hash(entry[0]) % ctx.num_partitions
-                out[target].append(entry)
-                if target != worker:
-                    moved.append(entry)
-                stage.charge(worker, model.hash_op)
-            moved_bytes = _entry_bytes(moved, ctx)
-            stage.network_bytes += moved_bytes
-            stage.charge(worker, moved_bytes * model.serde_byte)
-            apply_exchange_faults(ctx, stage, worker, moved_bytes)
-            stage.records_in += len(entries)
-        checkpoint_outputs(ctx, stage, out, _entry_bytes)
-        stage.records_out = sum(len(p) for p in out)
-        return out
-
-
-def _spread_assigned(assigned: list, ctx: ExecutionContext, stage_name: str) -> list:
-    """Round-robin assigned entries (theta-join left side)."""
-    stage = ctx.metrics.stage(stage_name)
-    model = ctx.cost_model
-    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
-                         stage=stage):
-        out = [[] for _ in range(ctx.num_partitions)]
-        cursor = 0
-        for worker, entries in enumerate(assigned):
-            moved = []
-            for entry in entries:
-                target = cursor % ctx.num_partitions
-                cursor += 1
-                out[target].append(entry)
-                if target != worker:
-                    moved.append(entry)
-                stage.charge(worker, model.record_touch)
-            moved_bytes = _entry_bytes(moved, ctx)
-            stage.network_bytes += moved_bytes
-            stage.charge(worker, moved_bytes * model.serde_byte)
-            apply_exchange_faults(ctx, stage, worker, moved_bytes)
-            stage.records_in += len(entries)
-        checkpoint_outputs(ctx, stage, out, _entry_bytes)
-        stage.records_out = sum(len(p) for p in out)
-        return out
-
-
-def _route_partitioned(assigned: list, join, num: int, pplan,
-                       ctx: ExecutionContext, stage_name: str) -> list:
-    """Send each assigned entry to the match partitions of its bucket."""
-    stage = ctx.metrics.stage(stage_name)
-    model = ctx.cost_model
-    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
-                         stage=stage):
-        out = [[] for _ in range(num)]
-        for worker, entries in enumerate(assigned):
-            moved = []
-            for entry in entries:
-                targets = join.partition_buckets(entry[0], num, pplan)
-                for target in targets:
-                    out[target].append(entry)
-                    if target != worker:
-                        moved.append(entry)
-                    stage.charge(worker, model.hash_op)
-            moved_bytes = _entry_bytes(moved, ctx)
-            stage.network_bytes += moved_bytes
-            stage.charge(worker, moved_bytes * model.serde_byte)
-            apply_exchange_faults(ctx, stage, worker, moved_bytes)
-            stage.records_in += len(entries)
-        checkpoint_outputs(ctx, stage, out, _entry_bytes)
-        stage.records_out = sum(len(p) for p in out)
-        return out
-
-
-def _broadcast_assigned(assigned: list, ctx: ExecutionContext, stage_name: str) -> list:
-    """Broadcast assigned entries to every worker (theta-join right side)."""
-    stage = ctx.metrics.stage(stage_name)
-    model = ctx.cost_model
-    with ctx.tracer.span(stage_name.rsplit("/", 1)[-1], kind="exchange",
-                         stage=stage):
-        everything = [entry for entries in assigned for entry in entries]
-        total_bytes = _entry_bytes(everything, ctx)
-        stage.fabric_bytes += total_bytes * max(0, ctx.num_partitions - 1)
-        for worker in range(ctx.num_partitions):
-            stage.charge(
-                worker,
-                len(everything) * model.record_touch
-                + total_bytes * model.serde_byte,
-            )
-            # A flaky link to one receiver forces a re-send of its whole copy.
-            apply_exchange_faults(ctx, stage, worker, total_bytes)
-        # One checkpoint copy covers every replica (the data is identical).
-        charge_checkpoint(ctx, stage, 0, total_bytes)
-        stage.records_in = len(everything)
-        stage.records_out = len(everything) * ctx.num_partitions
-        return [list(everything) for _ in range(ctx.num_partitions)]

@@ -54,12 +54,29 @@ class HashJoin(PhysicalOperator):
         right_parts = hash_exchange(
             right.partitions, self.right_key, ctx, f"{self.stage_name}/xright"
         )
+        return self._build_and_probe(ctx, left, right, left_parts,
+                                     right_parts, build_left=True)
+
+    def _build_and_probe(self, ctx: ExecutionContext, left: OperatorResult,
+                         right: OperatorResult, left_parts: list,
+                         right_parts: list,
+                         build_left: bool) -> OperatorResult:
+        """One task per worker: table the build side's fragment, probe it
+        with the other side's, emit ``left ++ right`` rows."""
+        sides = [(left_parts, self.left_key, left.schema),
+                 (right_parts, self.right_key, right.schema)]
+        if not build_left:
+            sides.reverse()
+        (build_parts, build_key, build_schema), probe = sides
+        probe_parts, probe_key, _ = probe
         schema = left.schema.concat(right.schema)
         stage = ctx.metrics.stage(self.stage_name)
         model = ctx.cost_model
-        res_cost = (
-            self.residual_cost if self.residual_cost is not None else model.comparison
-        )
+        residual = self.residual
+        pair_cost = model.record_touch
+        if residual is not None:
+            pair_cost += (self.residual_cost if self.residual_cost is not None
+                          else model.comparison)
         out = []
         for worker in range(ctx.num_partitions):
 
@@ -67,31 +84,26 @@ class HashJoin(PhysicalOperator):
                 # The build side is resident state: the accountant prices
                 # its spill (and, under a memory budget, actually spills
                 # and replays the overflow) before the table is built.
-                build = ctx.admit(
-                    stage, worker, left_parts[worker],
-                    RecordSpillCodec(left.schema),
-                )
+                build = ctx.admit(stage, worker, build_parts[worker],
+                                  RecordSpillCodec(build_schema))
                 table = defaultdict(list)
                 for record in build:
-                    table[self.left_key(record)].append(record)
+                    table[build_key(record)].append(record)
                 stage.charge(worker, len(build) * model.hash_op)
                 rows = []
                 probes = 0
                 pairs = 0
-                for r_record in right_parts[worker]:
+                for probe in probe_parts[worker]:
                     probes += 1
-                    for l_record in table.get(self.right_key(r_record), ()):
+                    for built in table.get(probe_key(probe), ()):
                         pairs += 1
-                        joined = l_record.concat(r_record, schema)
-                        if self.residual is not None and not self.residual(joined):
+                        joined = (built.concat(probe, schema) if build_left
+                                  else probe.concat(built, schema))
+                        if residual is not None and not residual(joined):
                             continue
                         rows.append(joined)
-                stage.charge(
-                    worker,
-                    probes * model.hash_op
-                    + pairs * (model.record_touch
-                               + (res_cost if self.residual else 0)),
-                )
+                stage.charge(worker,
+                             probes * model.hash_op + pairs * pair_cost)
                 ctx.metrics.comparisons += pairs
                 return rows
 
@@ -101,7 +113,7 @@ class HashJoin(PhysicalOperator):
         return OperatorResult(out, schema)
 
 
-class BroadcastHashJoin(PhysicalOperator):
+class BroadcastHashJoin(HashJoin):
     """Hash equi-join with the right (build) side broadcast.
 
     The left input stays where it is; the right input is broadcast to
@@ -117,23 +129,9 @@ class BroadcastHashJoin(PhysicalOperator):
 
     label = "broadcast-hash-join"
 
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
-                 left_key, right_key, residual=None,
-                 residual_cost: float = None) -> None:
-        super().__init__()
-        self.left = left
-        self.right = right
-        self.left_key = left_key
-        self.right_key = right_key
-        self.residual = residual
-        self.residual_cost = residual_cost
-
     def describe(self) -> str:
         return ("BROADCAST HASH JOIN (broadcast right)"
                 + (" (+residual)" if self.residual else ""))
-
-    def children(self) -> list:
-        return [self.left, self.right]
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
         left = self.left.execute(ctx)
@@ -141,50 +139,8 @@ class BroadcastHashJoin(PhysicalOperator):
         right_parts = broadcast_exchange(
             right.partitions, ctx, f"{self.stage_name}/broadcast"
         )
-        schema = left.schema.concat(right.schema)
-        stage = ctx.metrics.stage(self.stage_name)
-        model = ctx.cost_model
-        res_cost = (
-            self.residual_cost if self.residual_cost is not None else model.comparison
-        )
-        out = []
-        for worker in range(ctx.num_partitions):
-
-            def task(worker=worker):
-                # The broadcast copy is this worker's resident build state;
-                # admit it through the accountant like any hash build.
-                build = ctx.admit(
-                    stage, worker, right_parts[worker],
-                    RecordSpillCodec(right.schema),
-                )
-                table = defaultdict(list)
-                for record in build:
-                    table[self.right_key(record)].append(record)
-                stage.charge(worker, len(build) * model.hash_op)
-                rows = []
-                probes = 0
-                pairs = 0
-                for l_record in left.partitions[worker]:
-                    probes += 1
-                    for r_record in table.get(self.left_key(l_record), ()):
-                        pairs += 1
-                        joined = l_record.concat(r_record, schema)
-                        if self.residual is not None and not self.residual(joined):
-                            continue
-                        rows.append(joined)
-                stage.charge(
-                    worker,
-                    probes * model.hash_op
-                    + pairs * (model.record_touch
-                               + (res_cost if self.residual else 0)),
-                )
-                ctx.metrics.comparisons += pairs
-                return rows
-
-            out.append(ctx.run_task(stage, worker, task))
-        stage.records_in = len(left) + len(right)
-        stage.records_out = sum(len(p) for p in out)
-        return OperatorResult(out, schema)
+        return self._build_and_probe(ctx, left, right, left.partitions,
+                                     right_parts, build_left=False)
 
 
 class BlockNestedLoopJoin(PhysicalOperator):

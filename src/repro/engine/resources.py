@@ -54,9 +54,10 @@ from repro.serde.serializer import (
     serialize_value,
 )
 
-#: Process-global source of spill-stable record identities.  Negative so
-#: they can never collide with CPython ``id()`` values (always >= 0),
-#: which pair-dedup uses for records that were never spilled.
+#: Process-global source of spill-stable record identities: what a
+#: spilled or shipped clone is matched to its original by.  (A join that
+#: eliminates duplicates numbers its inputs itself, by input order — see
+#: ``fudj_join._number_records`` — because these differ run to run.)
 _RID_COUNTER = itertools.count(-1, -1)
 
 
@@ -101,7 +102,56 @@ def format_bytes(amount) -> str:
     return f"{amount:.0f}b"
 
 
-# -- spill codecs --------------------------------------------------------------
+# -- the record frame and the spill codecs ----------------------------------------
+
+
+def encode_frame(values, *header_ints):
+    """One row on disk or on a pipe: an ``_I64`` per header int, then each
+    boxed value through the serde layer.  None when a value is not
+    wire-serializable (an opaque partial-aggregate state)."""
+    buf = bytearray()
+    for number in header_ints:
+        buf += _I64.pack(number)
+    try:
+        for value in values:
+            serialize_value(value, buf)
+    except SerdeError:
+        return None
+    return bytes(buf)
+
+
+def decode_frame(payload: bytes, header_count: int):
+    """``(header ints, values)`` of a frame :func:`encode_frame` made."""
+    header = [_I64.unpack_from(payload, index * _I64.size)[0]
+              for index in range(header_count)]
+    offset = header_count * _I64.size
+    values = []
+    while offset < len(payload):
+        value, offset = deserialize_value(payload, offset)
+        values.append(value)
+    return header, values
+
+
+def _frame_record(codec, record, *header_ints):
+    """``record`` as a frame behind ``_I64(rid)`` and ``header_ints`` —
+    or None, and the item is *pinned*, unless it is a :class:`Record` of
+    the codec's schema (the first one seen fixes it) whose values all
+    serialize."""
+    if not isinstance(record, Record):
+        return None
+    if codec.schema is None:
+        codec.schema = record.schema
+    elif record.schema != codec.schema:
+        return None
+    return encode_frame(record.values, _rid_of(record), *header_ints)
+
+
+def _framed_record(codec, payload: bytes, header_count: int = 1):
+    """``(rest of the header, record)`` of a :func:`_frame_record` frame."""
+    (rid, *header), values = decode_frame(payload, header_count)
+    record = Record(codec.schema, values)
+    record.rid = rid
+    return header, record
 
 
 class RecordSpillCodec:
@@ -121,30 +171,10 @@ class RecordSpillCodec:
         return item.serialized_size()
 
     def encode(self, item):
-        if not isinstance(item, Record):
-            return None
-        if self.schema is None:
-            self.schema = item.schema
-        elif item.schema != self.schema:
-            return None
-        buf = bytearray(_I64.pack(_rid_of(item)))
-        try:
-            for value in item.values:
-                serialize_value(value, buf)
-        except SerdeError:
-            return None
-        return bytes(buf)
+        return _frame_record(self, item)
 
     def decode(self, payload: bytes):
-        rid = _I64.unpack_from(payload, 0)[0]
-        offset = _I64.size
-        values = []
-        while offset < len(payload):
-            value, offset = deserialize_value(payload, offset)
-            values.append(value)
-        record = Record(self.schema, values)
-        record.rid = rid
-        return record
+        return _framed_record(self, payload)[1]
 
 
 class RowSpillCodec:
@@ -167,21 +197,10 @@ class RowSpillCodec:
     def encode(self, item):
         if not isinstance(item, tuple):
             return None
-        buf = bytearray(_I64.pack(next(_RID_COUNTER)))
-        try:
-            for value in item:
-                serialize_value(value, buf)
-        except SerdeError:
-            return None
-        return bytes(buf)
+        return encode_frame(item, next(_RID_COUNTER))
 
     def decode(self, payload: bytes):
-        offset = _I64.size
-        values = []
-        while offset < len(payload):
-            value, offset = deserialize_value(payload, offset)
-            values.append(value)
-        return tuple(values)
+        return tuple(decode_frame(payload, 1)[1])
 
 
 class EntrySpillCodec:
@@ -207,32 +226,12 @@ class EntrySpillCodec:
         return 9 + item[2].serialized_size()
 
     def encode(self, item):
-        bucket, record = item[0], item[2]
-        if not isinstance(bucket, int) or not isinstance(record, Record):
+        if not isinstance(item[0], int):
             return None
-        if self.schema is None:
-            self.schema = record.schema
-        elif record.schema != self.schema:
-            return None
-        buf = bytearray(_I64.pack(_rid_of(record)))
-        buf += _I64.pack(bucket)
-        try:
-            for value in record.values:
-                serialize_value(value, buf)
-        except SerdeError:
-            return None
-        return bytes(buf)
+        return _frame_record(self, item[2], item[0])
 
     def decode(self, payload: bytes):
-        rid = _I64.unpack_from(payload, 0)[0]
-        bucket = _I64.unpack_from(payload, _I64.size)[0]
-        offset = 2 * _I64.size
-        values = []
-        while offset < len(payload):
-            value, offset = deserialize_value(payload, offset)
-            values.append(value)
-        record = Record(self.schema, values)
-        record.rid = rid
+        (bucket,), record = _framed_record(self, payload, 2)
         return bucket, self.rekey(record), record
 
 
@@ -307,30 +306,36 @@ class QueryResources:
             self._tempdir.name, f"spill-{next(self._file_seq):05d}.bin"
         )
 
-    def admit(self, ctx, stage, worker: int, items: list, codec,
-              price: bool = True) -> list:
+    def admit(self, stage_name: str, worker: int, items: list, codec,
+              price: bool = True):
         """Account a worker's resident collection; spill past the budget.
 
-        Returns the (possibly replayed) list the operator should use in
-        place of ``items``.  ``price=True`` marks the sites that have
-        always charged :meth:`CostModel.spill_units` (join build sides,
-        COMBINE state); enforcement-only sites (exchange buffers,
-        pre-aggregation inputs) pass ``price=False`` so un-budgeted runs
-        charge exactly what they did before governance existed.
+        Returns ``(items, units, spill)``.  ``items`` is the (possibly
+        replayed) list the operator should use in place of what it passed.
+        ``units`` is what the admission costs — already added to
+        :attr:`spill_units`, and the *caller's* to charge to its stage.
+        ``spill`` is None while the collection fits (or nothing is
+        enforced), else ``(spilled_items, file_bytes)`` of the spill file
+        just written and replayed — ``(0, 0)`` when everything past the
+        budget was pinned.  :meth:`ExecutionContext.admit
+        <repro.engine.context.ExecutionContext.admit>` is the in-process
+        caller; the accountant itself charges and logs nothing.
+
+        ``price=True`` marks the sites that have always charged
+        :meth:`CostModel.spill_units` (join build sides, COMBINE state);
+        enforcement-only sites (exchange buffers, pre-aggregation inputs)
+        pass ``price=False`` so un-budgeted runs charge exactly what they
+        did before governance existed.
         """
         total = 0.0
         for item in items:
             total += codec.size(item)
-        self._note_reservation(stage.name, worker, total)
+        self._note_reservation(stage_name, worker, total)
         units = self.cost_model.spill_units(total) if price else 0.0
         budget = self.cost_model.worker_memory_bytes
         if not self.enforce or total <= budget:
-            if units:
-                self.spill_units += units
-                stage.charge(worker, units)
-                if ctx.tracer.enabled:
-                    ctx.tracer.attribute("spill", units)
-            return items
+            self.spill_units += units
+            return items, units, None
         # Over budget with enforcement on: keep a resident prefix, spill
         # the rest through the serde layer, and replay immediately so the
         # operator sees the same rows in the same order.
@@ -351,6 +356,7 @@ class QueryResources:
                 continue
             frames.append(payload)
             spilled_at.append(index)
+        file_bytes = 0
         if frames:
             path = self._spill_path()
             with open(path, "wb") as fh:
@@ -361,11 +367,6 @@ class QueryResources:
             self.spill_files += 1
             self.spill_bytes += file_bytes
             self.spilled_items += len(frames)
-            events = getattr(ctx, "events", None)
-            if events is not None:
-                events.emit("resource.spill", stage=stage.name,
-                            worker=worker, spilled_items=len(frames),
-                            spill_bytes=file_bytes)
             with open(path, "rb") as fh:
                 data = fh.read()
             offset = 0
@@ -380,12 +381,8 @@ class QueryResources:
             # (historical pricing parity), but once this branch is reached
             # a real spill happened, so the budgeted run pays for it.
             units = self.cost_model.spill_units(total)
-        if units:
-            self.spill_units += units
-            stage.charge(worker, units)
-            if ctx.tracer.enabled:
-                ctx.tracer.attribute("spill", units, calls=self.spill_files)
-        return out
+        self.spill_units += units
+        return out, units, (len(frames), file_bytes)
 
     def absorb(self, stage_name: str, worker: int, stats: dict) -> None:
         """Fold one pool task's worker-side accounting into this (the

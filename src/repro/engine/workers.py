@@ -11,8 +11,8 @@ to a pool of real worker processes, supervised by the coordinator:
 - **Crash detection + re-dispatch.**  A worker process that dies
   mid-lease (``SIGKILL`` in tests, or a planned kill under
   ``FaultPlan(real=True)``) is detected by the supervisor; its task is
-  re-dispatched and the loss charged through the same retry/backoff
-  arithmetic the serial backend uses.
+  re-dispatched and the loss charged by the retry loop the serial
+  backend uses.
 - **Speculative re-execution.**  A task overrunning
   ``straggler_detect_factor`` times the median completed-task time (or
   missing heartbeats) gets a speculative copy on an idle worker; first
@@ -31,8 +31,11 @@ callback calls, trace attributions, quarantines, breaker events, memory
 reservations — to the real context as it happens.  A worker hands the
 same kernel a :class:`_WorkerSite`, which logs those effects in order;
 the coordinator replays that ledger through the real metrics/tracer/
-breaker/accountant, re-running the serial retry loop per planned fault
-roll, so every float lands in the same order as the serial backend.
+breaker/accountant as the task function of the one retry loop
+(:meth:`ExecutionContext.run_task
+<repro.engine.context.ExecutionContext.run_task>`), which re-runs it
+per planned fault roll, so every float lands in the same order as the
+serial backend.
 
 Only COMBINE tasks ship (they dominate FUDJ cost and close over nothing
 but picklable state); SUMMARIZE/PARTITION and the exchanges stay on the
@@ -53,6 +56,7 @@ import tempfile
 import threading
 import time
 from collections import deque
+from functools import partial
 from itertools import count
 from multiprocessing import connection as mp_connection
 
@@ -61,17 +65,14 @@ from repro.engine.faults import FaultPlan, stage_key
 from repro.engine.metrics import QueryMetrics
 from repro.engine.record import Record
 from repro.engine.resources import (
+    EntrySpillCodec,
     KeyedEntrySpillCodec,
     QueryResources,
     _rid_of,
+    decode_frame,
+    encode_frame,
 )
-from repro.errors import (
-    FudjCallbackError,
-    SerdeError,
-    TaskFailedError,
-    WorkerPoolError,
-)
-from repro.serde.serializer import _I64, deserialize_value, serialize_value
+from repro.errors import FudjCallbackError, WorkerPoolError
 
 __all__ = ["WorkerPool", "default_pool_size", "run_combine"]
 
@@ -106,96 +107,51 @@ def default_pool_size(cluster) -> int:
 # -- entry/row transport through the serde layer ------------------------------
 #
 # COMBINE inputs are (bucket_id, external_key, record, assignment) tuples.
-# Records ship as serde frames (the same wire format the spill codecs
-# use): _I64(rid) _I64(bucket) + boxed values.  Keys ride alongside
+# Records ship as the frames the spill codec writes
+# (:class:`~repro.engine.resources.EntrySpillCodec`).  Keys ride alongside
 # through the body pickle — they are plain external Python values that
 # callbacks must see unchanged, so re-boxing them is not an option — and
 # so do the carried assignments (shared tuples of ints, or None).
-# Anything the serde layer cannot express falls back to pickling the
-# entries wholesale, and if even that fails the caller degrades to the
-# serial path.
+# Anything the codec would pin (a non-int bucket, a non-record, a second
+# schema, an unserializable value) falls back to pickling the entries
+# wholesale, and if even that fails the caller degrades to the serial
+# path.
 
 
 def _pack_entries(entries: list) -> dict:
-    schema = None
-    frames = []
-    keys = []
-    carried = []
-    for bucket, key, record, assignment in entries:
-        if not isinstance(bucket, int) or not isinstance(record, Record):
-            return {"codec": "pickle", "entries": entries}
-        if schema is None:
-            schema = record.schema
-        elif record.schema != schema:
-            return {"codec": "pickle", "entries": entries}
-        buf = bytearray(_I64.pack(_rid_of(record)))
-        buf += _I64.pack(bucket)
-        try:
-            for value in record.values:
-                serialize_value(value, buf)
-        except SerdeError:
-            return {"codec": "pickle", "entries": entries}
-        frames.append(bytes(buf))
-        keys.append(key)
-        carried.append(assignment)
-    return {"codec": "serde", "schema": schema, "frames": frames,
-            "keys": keys, "carried": carried}
+    codec = EntrySpillCodec(None)
+    frames = [codec.encode(entry) for entry in entries]
+    if None in frames:
+        return {"codec": "pickle", "entries": entries}
+    return {"codec": "serde", "schema": codec.schema, "frames": frames,
+            "keys": [entry[1] for entry in entries],
+            "carried": [entry[3] for entry in entries]}
 
 
 def _unpack_entries(packed: dict) -> list:
     if packed["codec"] == "pickle":
         return packed["entries"]
-    schema = packed["schema"]
-    entries = []
-    for frame, key, assignment in zip(packed["frames"], packed["keys"],
-                                      packed["carried"]):
-        rid = _I64.unpack_from(frame, 0)[0]
-        bucket = _I64.unpack_from(frame, _I64.size)[0]
-        offset = 2 * _I64.size
-        values = []
-        while offset < len(frame):
-            value, offset = deserialize_value(frame, offset)
-            values.append(value)
-        record = Record(schema, values)
-        record.rid = rid
-        entries.append((bucket, key, record, assignment))
-    return entries
+    keys = iter(packed["keys"])  # a decoded entry takes the next one
+    codec = EntrySpillCodec(lambda record: next(keys), packed["schema"])
+    return [codec.decode(frame) + (assignment,)
+            for frame, assignment in zip(packed["frames"], packed["carried"])]
 
 
 def _pack_rows(rows: list, tagged: bool) -> dict:
-    frames = []
-    ids = [] if tagged else None
-    for row in rows:
-        if tagged:
-            pair_id, record = row
-        else:
-            record = row
-        buf = bytearray()
-        try:
-            for value in record.values:
-                serialize_value(value, buf)
-        except SerdeError:
-            return {"codec": "pickle", "rows": rows}
-        frames.append(bytes(buf))
-        if tagged:
-            ids.append(pair_id)
-    return {"codec": "serde", "frames": frames, "ids": ids}
+    records = [row[1] for row in rows] if tagged else rows
+    frames = [encode_frame(record.values) for record in records]
+    if None in frames:
+        return {"codec": "pickle", "rows": rows}
+    return {"codec": "serde", "frames": frames,
+            "ids": [row[0] for row in rows] if tagged else None}
 
 
 def _unpack_rows(packed: dict, out_schema, tagged: bool) -> list:
     if packed["codec"] == "pickle":
         return packed["rows"]
-    rows = []
-    ids = packed["ids"]
-    for index, frame in enumerate(packed["frames"]):
-        offset = 0
-        values = []
-        while offset < len(frame):
-            value, offset = deserialize_value(frame, offset)
-            values.append(value)
-        record = Record(out_schema, values)
-        rows.append((ids[index], record) if tagged else record)
-    return rows
+    records = [Record(out_schema, decode_frame(frame, 0)[1])
+               for frame in packed["frames"]]
+    return list(zip(packed["ids"], records)) if tagged else records
 
 
 # -- portable error transport -------------------------------------------------
@@ -270,49 +226,6 @@ class _WorkerResources(QueryResources):
         }
 
 
-class _SiteEvents:
-    """Just enough event-log surface for :meth:`QueryResources.admit`:
-    records ``(kind, detail)`` tuples for the export.  Stage and worker
-    are dropped — the coordinator's replay re-emits each event with the
-    *real* stage name and worker index (the site only knows "worker"),
-    so the replayed stream matches the serial backend's byte for byte."""
-
-    __slots__ = ("logged",)
-
-    def __init__(self) -> None:
-        self.logged = []
-
-    def emit(self, kind: str, stage: str = "", worker: int = -1,
-             phase: str = None, level: str = None, **detail) -> None:
-        self.logged.append((kind, detail))
-
-
-class _TracerShim:
-    """Just enough tracer surface for :meth:`QueryResources.admit`."""
-
-    __slots__ = ("enabled", "_site")
-
-    def __init__(self, site, enabled: bool) -> None:
-        self.enabled = enabled
-        self._site = site
-
-    def attribute(self, name: str, units: float, calls: int = 0) -> None:
-        self._site.attribute(name, units, calls=calls)
-
-
-class _StageShim:
-    """Just enough stage surface for :meth:`QueryResources.admit`."""
-
-    __slots__ = ("name", "_site")
-
-    def __init__(self, site, name: str) -> None:
-        self.name = name
-        self._site = site
-
-    def charge(self, worker: int, units: float) -> None:
-        self._site.charge(units)
-
-
 class _WorkerSite(CombineSite):
     """One task's stand-in for the execution context inside a worker.
 
@@ -321,7 +234,7 @@ class _WorkerSite(CombineSite):
     touches the breaker, this site only *logs* the event, in order.  The
     coordinator builds it and pickles it into the task body; the export
     ships back to the coordinator, which replays it against the real
-    objects (see :func:`_apply_task`), so the arithmetic and its
+    objects (see :func:`_replay`), so the arithmetic and its
     float-summation order match the serial backend exactly.
     """
 
@@ -341,11 +254,10 @@ class _WorkerSite(CombineSite):
         self.key_conversions = 0
         self.breaker_failures = 0
         self.breaker_ok = False
+        #: ``(spilled_items, spill_bytes)`` per spill file written.
+        self.spills = []
         #: The worker opens its accountant on arrival (it owns the spill dir).
         self.resources = None
-        self.tracer = _TracerShim(self, self.traced)
-        self.events = _SiteEvents()
-        self._stage = _StageShim(self, "worker")
 
     # -- event log -----------------------------------------------------------
 
@@ -394,9 +306,19 @@ class _WorkerSite(CombineSite):
                 return inner(record)
 
             codec.rekey = rekey
-        return self.resources.admit(
-            self, self._stage, self.worker, items, codec, price=price,
-        )
+        # What ``ExecutionContext.admit`` does with the accountant's
+        # answer, logged: the spill, the charge, the trace attribution.
+        items, units, spill = self.resources.admit(
+            "worker", self.worker, items, codec, price)
+        if spill is not None and spill[0]:
+            self.spills.append(spill)
+        if units:
+            self.charge(units)
+            if self.traced:
+                self.attribute(
+                    "spill", units,
+                    calls=0 if spill is None else self.resources.spill_files)
+        return items
 
     def guard_record(self, join_name: str, phase: str, fn, *args,
                      detail=None):
@@ -439,7 +361,7 @@ class _WorkerSite(CombineSite):
             "breaker_failures": self.breaker_failures,
             "breaker_ok": self.breaker_ok,
             "resources": self.resources.export(),
-            "events": self.events.logged,
+            "spills": self.spills,
         }
 
 
@@ -977,12 +899,19 @@ def _mp_context():
 # -- coordinator-side replay --------------------------------------------------
 
 
-def _replay_attempt(ctx, stage, worker: int, export: dict,
-                    join_name: str) -> float:
+def _replay(ctx, stage, worker: int, export: dict, join_name: str,
+            error: dict = None) -> None:
     """Replay one attempt's worth of a task ledger against the real
-    metrics/tracer/breaker/accountant, in the serial order.  Returns the
-    units this attempt charged (the serial retry loop's ``units``)."""
-    units_before = stage.worker_units.get(worker, 0.0)
+    metrics/tracer/breaker/accountant, in the serial order.
+
+    This is the body :meth:`ExecutionContext.run_task` runs in place of
+    the task function: it re-runs it per planned crash roll, as it would
+    re-run the function, and rolls the result-visible counters at the
+    end (comparisons, quarantines) back on every lost attempt.  A ledger
+    that ends in a callback failure (``error``) raises it after the
+    partial work is charged, with the serial backend's message; the retry
+    loop aborts on it as it does when the task function raises.
+    """
     for units in export["charges"]:
         stage.charge(worker, units)
     tracer = ctx.tracer
@@ -1003,72 +932,26 @@ def _replay_attempt(ctx, stage, worker: int, export: dict,
     # not rolled back), so the replay adds them per attempt too.
     ctx.translator.unbox_count += export["key_conversions"]
     ctx.resources.absorb(stage.name, worker, export["resources"])
-    # Worker-side deterministic events (spills) ride the ledger: re-emit
-    # them here with the real stage name and worker index, once per
-    # replayed attempt — exactly when the serial backend's re-run of the
-    # task function would emit them.
-    for kind, detail in export.get("events", ()):
-        ctx.events.emit(kind, stage=stage.name, worker=worker, **detail)
-    return stage.worker_units.get(worker, 0.0) - units_before
-
-
-def _apply_counters(ctx, export: dict, join_name: str) -> None:
-    """Result-visible counters land once (the serial retry loop rolls
-    them back on every crashed attempt, so its net effect is one
-    attempt's worth too)."""
+    # The site only knows "worker": spills are logged here, under the
+    # real stage name and worker index, once per replayed attempt —
+    # exactly when the serial backend's re-run of the task function
+    # would log them.
+    for spilled_items, spill_bytes in export["spills"]:
+        ctx.events.emit("resource.spill", stage=stage.name, worker=worker,
+                        spilled_items=spilled_items, spill_bytes=spill_bytes)
     metrics = ctx.metrics
     metrics.comparisons += export["comparisons"]
-    for phase, error, detail in export["quarantine_log"]:
+    for phase, message, detail in export["quarantine_log"]:
         if len(metrics.quarantine_log) < metrics.MAX_QUARANTINE_REPORT:
             metrics.quarantine_log.append({
                 "phase": phase,
                 "join": join_name,
-                "error": error,
+                "error": message,
                 "record": detail,
             })
     metrics.records_quarantined += export["quarantined"]
-
-
-def _apply_task(ctx, stage, worker: int, export: dict, join_name: str,
-                plan, key: str, input_bytes: float) -> None:
-    """The coordinator's mirror of :meth:`ExecutionContext.run_task`:
-    same retry loop, same charges, same straggler arithmetic — driven by
-    the same fault-plan rolls — with the worker's ledger standing in for
-    re-running the task function."""
-    model = ctx.cost_model
-    metrics = ctx.metrics
-    if plan is None:
-        ctx.check_timeout()
-        _replay_attempt(ctx, stage, worker, export, join_name)
-    else:
-        attempt = 0
-        while True:
-            ctx.check_timeout()
-            units = _replay_attempt(ctx, stage, worker, export, join_name)
-            if not plan.crashes(key, worker, attempt):
-                break
-            attempt += 1
-            if attempt > plan.max_task_retries:
-                raise TaskFailedError(stage.name, worker, attempt)
-            backoff = plan.backoff_seconds(attempt)
-            restore = model.checkpoint_restore_units(input_bytes)
-            penalty = backoff * model.core_ops_per_second + restore
-            stage.charge(worker, penalty)
-            metrics.tasks_retried += 1
-            metrics.recovery_seconds += model.cpu_seconds(units + penalty)
-            ctx.events.emit("fault.retry", stage=stage.name, worker=worker,
-                            attempt=attempt, backoff_seconds=backoff)
-        if plan.straggles(key, worker) and units > 0.0:
-            crawl = units * (plan.straggler_slowdown - 1.0)
-            speculate = (units * plan.straggler_detect_factor
-                         + model.checkpoint_restore_units(input_bytes))
-            extra = min(crawl, speculate)
-            stage.charge(worker, extra)
-            metrics.stragglers_detected += 1
-            metrics.recovery_seconds += model.cpu_seconds(extra)
-            ctx.events.emit("fault.straggler", stage=stage.name,
-                            worker=worker, extra_units=round(extra, 6))
-    _apply_counters(ctx, export, join_name)
+    if error is not None:
+        raise _rebuild_error(error)
 
 
 def _fault_schedule(plan, key: str, worker: int, real: bool) -> dict:
@@ -1198,15 +1081,15 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
                 rows = _unpack_rows(payload["rows"], out_schema, tagged)
             except Exception:
                 return None
-            decoded.append(("ok", rows, payload["site"]))
+            decoded.append((rows, payload["site"], None))
         else:
             desc = payload["error"]
             if desc.get("kind") != "callback" or payload.get("partial") is None:
                 return None  # generic failure — serial replay reproduces it
-            decoded.append(("err", desc, payload["partial"]))
+            decoded.append((None, payload["partial"], desc))
 
     applied = []
-    for worker, item in enumerate(decoded):
+    for worker, (rows, export, error) in enumerate(decoded):
         outcome = outcomes[worker]
         if outcome["deaths"]:
             ctx.events.emit("worker.crash", stage=stage.name, worker=worker,
@@ -1227,18 +1110,10 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
                 "deaths": outcome["deaths"],
                 "speculated": outcome["speculated"],
             })
-        if item[0] == "err":
-            ctx.check_timeout()
-            # The failing attempt charged partial work before raising;
-            # replay it once (the serial loop aborts without retrying on
-            # an exception), then re-raise with an identical message.
-            _replay_attempt(ctx, stage, worker, item[2], join_name)
-            _apply_counters(ctx, item[2], join_name)
-            raise _rebuild_error(item[1])
-        rows = item[1]
-        _apply_task(
-            ctx, stage, worker, item[2], join_name,
-            plan if plan_active else None, key, input_bytes_list[worker],
+        ctx.run_task(
+            stage, worker,
+            partial(_replay, ctx, stage, worker, export, join_name, error),
+            input_bytes_list[worker],
         )
         # Physical recovery accounting: deaths beyond the planned kills
         # (a genuine SIGKILL, an OOM kill) are charged like injected

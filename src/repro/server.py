@@ -63,17 +63,15 @@ import socket
 import threading
 import time
 
+from repro.database import _error_status as _history_status
 from repro.engine.cancel import CancellationToken
 from repro.engine.resources import TenantLanes
 from repro.errors import (
     AdmissionError,
-    BreakerOpenError,
-    FudjCallbackError,
     QueryCancelledError,
     QueryTimeoutError,
     ReproError,
     ServerError,
-    TaskFailedError,
 )
 
 #: Default in-flight request depth of one tenant's lane.
@@ -86,21 +84,13 @@ _SESSION_IDS = itertools.count(1)
 
 
 def _error_status(exc: Exception) -> str:
-    """Typed wire status of a failed request (mirrors the history
-    status classes of ``Database.execute``)."""
-    if isinstance(exc, QueryCancelledError):
+    """Typed wire status of a failed request: the history status class
+    ``Database.execute`` records, with one exception."""
+    if isinstance(exc, QueryCancelledError) and exc.reason == "deadline":
         # A deadline watchdog cancels the token with reason "deadline";
         # to the client that is a timeout, same as the in-engine path.
-        return "timeout" if exc.reason == "deadline" else "cancelled"
-    if isinstance(exc, QueryTimeoutError):
         return "timeout"
-    if isinstance(exc, AdmissionError):
-        return "shed"
-    if isinstance(exc, BreakerOpenError):
-        return "rejected"
-    if isinstance(exc, (TaskFailedError, FudjCallbackError)):
-        return "failed"
-    return "error"
+    return _history_status(exc)
 
 
 def _jsonable(value):

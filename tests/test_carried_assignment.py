@@ -144,13 +144,6 @@ LIBRARIES = [
      (2.0, 24), TRAJECTORY_SQL),
 ]
 
-#: Pair ids of the elimination shuffle are ``id()`` / a process-wide
-#: counter, so where rows land — and with it every per-worker figure —
-#: (spills of the shuffle included) differs between any two runs; these
-#: do not.
-STABLE_UNDER_ELIMINATION = ("comparisons", "output_records",
-                            "records_quarantined")
-
 
 @pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("budget", [None, 512, 4096])
@@ -165,10 +158,9 @@ def test_carried_equals_per_pair(library, dedup, budget, backend):
     per_pair_rows, per_pair = run_query(
         with_join(build, name, twin_of(join_class), *defaults), sql,
         backend, budget, dedup=dedup)
-    assert sorted(carried_rows) == sorted(per_pair_rows)
+    assert carried_rows == per_pair_rows
     assert carried["output_records"] > 0  # a join that found nothing proves nothing
-    keys = COMPARED_KEYS if dedup is None else STABLE_UNDER_ELIMINATION
-    for key in keys:
+    for key in COMPARED_KEYS:
         assert carried.get(key) == per_pair.get(key), key
 
 

@@ -1,9 +1,18 @@
 """Unit tests for the exchange (shuffle) primitives."""
 
+import pytest
+
 from repro import FaultPlan
 from repro.engine import Cluster, Record, Schema
 from repro.engine.context import ExecutionContext
-from repro.engine.exchange import broadcast_exchange, hash_exchange, random_exchange
+from repro.engine.exchange import (
+    broadcast_exchange,
+    entry_size,
+    hash_exchange,
+    random_exchange,
+    record_size,
+    route_exchange,
+)
 from repro.serde.values import unbox
 
 
@@ -15,6 +24,32 @@ def make_partitions(ctx, count):
             Record.from_dict(schema, {"k": i, "v": f"val{i}"})
         )
     return partitions
+
+
+class Tagged:
+    """An item that sizes itself, as the duplicate-elimination shuffle's
+    ``(pair_id, record)`` rows do: 16 bytes of tag, then the record."""
+
+    def __init__(self, record):
+        self.record = record
+
+    def serialized_size(self):
+        return 16 + self.record.serialized_size()
+
+
+def make_entries(ctx, count):
+    """FUDJ entries ``(bucket_id, key, record, assignment)``."""
+    return [[(i, None, record, None) for i, record in enumerate(partition)]
+            for partition in make_partitions(ctx, count)]
+
+
+def route_to_two(entries, ctx, stage_name):
+    """The one multi-target route: every entry goes to two workers."""
+    num = ctx.num_partitions
+    return route_exchange(
+        entries, ctx, stage_name,
+        lambda entry: (entry[0] % num, (entry[0] + 1) % num),
+        ctx.cost_model.hash_op, entry_size)
 
 
 class TestHashExchange:
@@ -38,6 +73,21 @@ class TestHashExchange:
         partitions = make_partitions(self.ctx, 40)
         hash_exchange(partitions, lambda r: r["k"], self.ctx, "x")
         assert self.ctx.metrics.stage("x").network_bytes > 0
+        # Two deliveries per entry: each is charged, and each that leaves
+        # its worker is sized — as an entry, 9 bytes over its record.
+        entries = make_entries(self.ctx, 40)
+        route_to_two(entries, self.ctx, "two")
+        stage = self.ctx.metrics.stage("two")
+        moved = sum(
+            entry_size(entry)
+            for worker, partition in enumerate(entries) for entry in partition
+            for target in (entry[0] % 4, (entry[0] + 1) % 4)
+            if target != worker)
+        model = self.ctx.cost_model
+        assert stage.network_bytes == moved
+        assert (stage.records_in, stage.records_out) == (40, 80)
+        assert stage.total_units() == pytest.approx(
+            80 * model.hash_op + moved * model.serde_byte)
 
     def test_deterministic(self):
         partitions = make_partitions(self.ctx, 20)
@@ -100,13 +150,24 @@ class TestCheckpointCharge:
                 ExecutionContext(cluster, fault_plan=FaultPlan(seed=1)))
 
     def test_hash_and_random_spool_every_received_record(self):
-        for exchange in (lambda p, ctx: hash_exchange(p, lambda r: r["k"],
-                                                      ctx, "x"),
-                         lambda p, ctx: random_exchange(p, ctx, "x")):
+        def tagged(ctx, count):
+            return [[Tagged(r) for r in p] for p in make_partitions(ctx, count)]
+
+        for exchange, make_inputs, size_of, copies in (
+                (lambda p, ctx: hash_exchange(p, lambda r: r["k"], ctx, "x"),
+                 make_partitions, record_size, 1),
+                (lambda p, ctx: random_exchange(p, ctx, "x"),
+                 make_partitions, record_size, 1),
+                (lambda p, ctx: hash_exchange(p, lambda t: t.record["k"],
+                                              ctx, "x"),
+                 tagged, record_size, 1),
+                (lambda p, ctx: route_to_two(p, ctx, "x"),
+                 make_entries, entry_size, 2)):
             plain, checkpointing = self.contexts()
-            exchange(make_partitions(plain, 40), plain)
-            out = exchange(make_partitions(checkpointing, 40), checkpointing)
-            received = sum(r.serialized_size() for p in out for r in p)
+            exchange(make_inputs(plain, 40), plain)
+            out = exchange(make_inputs(checkpointing, 40), checkpointing)
+            assert sum(len(p) for p in out) == 40 * copies
+            received = sum(size_of(item) for p in out for item in p)
             assert plain.metrics.checkpoint_bytes == 0.0
             assert checkpointing.metrics.checkpoint_bytes == received
             extra = (checkpointing.metrics.stage("x").total_units()

@@ -1,0 +1,146 @@
+"""One copy of each engine decision: the hooks have one calling module.
+
+The FUDJ operator used to hold four exchanges that repeated
+``engine/exchange.py``'s line for line, the process pool a retry loop
+that mirrored ``ExecutionContext.run_task``, and the record frame was
+encoded by hand in five places.  Copies like that come back one
+convenient call at a time, so this test parses ``src/repro`` and fails
+on a call to an engine hook from anywhere but the module that owns the
+decision — or from a function listed below with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+
+ROOT = Path(repro.__file__).parent
+
+#: hook -> where it may be called from: a path under src/repro (any
+#: function of that module) or ``(path, qualified function name)``.
+CALLERS = {
+    # Link faults and the checkpoint copy are an exchange's to apply.
+    "apply_exchange_faults": {"engine/exchange.py"},
+    "checkpoint_outputs": {"engine/exchange.py"},
+    "charge_checkpoint": {
+        "engine/exchange.py",
+        # checkpoint_outputs is charge_checkpoint per received partition.
+        ("engine/faults.py", "checkpoint_outputs"),
+    },
+    # The crash / straggler rolls belong to the one retry loop.
+    "crashes": {
+        ("engine/context.py", "ExecutionContext.run_task"),
+        # The physical acting script of FaultPlan(real=True): how often a
+        # worker process really dies — not the accounting, which is
+        # run_task's on either backend.
+        ("engine/workers.py", "_fault_schedule"),
+    },
+    "straggles": {
+        ("engine/context.py", "ExecutionContext.run_task"),
+        ("engine/workers.py", "_fault_schedule"),
+    },
+}
+
+#: The same, for calls made under src/repro/engine only: the serde layer
+#: has other users (storage, the translator), the engine has one frame.
+ENGINE_CALLERS = {
+    "serialize_value": {
+        ("engine/resources.py", "encode_frame"),
+        # Sizes a row by serializing it into a scratch buffer; writes no
+        # frame anyone reads back.
+        ("engine/record.py", "serialized_values_size"),
+    },
+    "deserialize_value": {("engine/resources.py", "decode_frame")},
+}
+
+
+class _Calls(ast.NodeVisitor):
+    """Collects ``(callee name, qualified calling function)`` of every
+    call, and the name of every class."""
+
+    def __init__(self) -> None:
+        self.scope = []
+        self.calls = []
+        self.classes = []
+
+    def visit_ClassDef(self, node) -> None:
+        self.classes.append(node.name)
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node) -> None:
+        callee = node.func
+        name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+        if name is not None:
+            self.calls.append((name, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def scan(package: str = ""):
+    """``(path, visitor)`` for every module under src/repro/``package``."""
+    for path in sorted((ROOT / package).rglob("*.py")):
+        visitor = _Calls()
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        yield path.relative_to(ROOT).as_posix(), visitor
+
+
+def strays(allowed: dict, package: str = "") -> list:
+    found = []
+    for path, visitor in scan(package):
+        for name, function in visitor.calls:
+            where = allowed.get(name)
+            if (where is not None and path not in where
+                    and (path, function) not in where):
+                found.append(f"{name}() in src/repro/{path}: {function}")
+    return found
+
+
+def test_engine_hooks_have_one_calling_module():
+    found = strays(CALLERS) + strays(ENGINE_CALLERS, "engine")
+    assert not found, (
+        "an engine hook is called from outside the module that owns it "
+        "(call that module instead, or list the function in CALLERS with "
+        "the reason):\n" + "\n".join(found))
+
+
+def test_every_listed_caller_still_calls():
+    present = {(name, path, function)
+               for path, visitor in scan()
+               for name, function in visitor.calls}
+    for name, where in {**CALLERS, **ENGINE_CALLERS}.items():
+        for entry in where:
+            if isinstance(entry, tuple):
+                assert (name, *entry) in present, (name, entry)
+            else:
+                assert any(hit[:2] == (name, entry) for hit in present), (
+                    name, entry)
+
+
+def test_no_shim_classes_in_the_engine():
+    shims = [f"src/repro/{path}: {name}"
+             for path, visitor in scan("engine")
+             for name in visitor.classes if name.endswith("Shim")]
+    assert not shims, (
+        "an adapter that exists to satisfy another module's signature; "
+        "change the signature:\n" + "\n".join(shims))
+
+
+def test_the_visitor_names_the_calling_function():
+    visitor = _Calls()
+    visitor.visit(ast.parse(
+        "class A:\n"
+        "    def m(self, plan):\n"
+        "        def inner():\n"
+        "            return plan.crashes(1)\n"
+        "        helper()\n"
+        "class BShim: pass\n"))
+    assert visitor.calls == [("crashes", "A.m.inner"), ("helper", "A.m")]
+    assert visitor.classes == ["A", "BShim"]

@@ -180,8 +180,15 @@ class TestDegradedMode:
             def divide(self, s1, s2):
                 raise RuntimeError("no plan survives this")
 
-        with pytest.raises(FudjCallbackError, match="divide"):
-            run_with(Broken(1.0, 4), on_error="quarantine")
+        class BrokenMerge(BandJoin):
+            def global_aggregate(self, s1, s2, side):
+                raise RuntimeError("no summary survives this")
+
+        for broken, phase in ((Broken, "divide"),
+                              (BrokenMerge, "global_aggregate")):
+            for policy in ("skip", "quarantine"):
+                with pytest.raises(FudjCallbackError, match=phase):
+                    run_with(broken(1.0, 4), on_error=policy)
 
     def test_summarize_poison_skipped_without_changing_rows(self):
         # BandJoin's divide only needs the min/max envelope, so skipping

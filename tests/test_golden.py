@@ -1,0 +1,376 @@
+"""The engine's golden file: one committed answer per seeded case.
+
+Every refactor of the engine has had to show the same thing — rows,
+``QueryMetrics.to_dict()``, per-stage per-worker units, the canonical
+event JSONL and the trace are *byte-identical* to the parent — and PRs
+13 and 14 each built a hash dump by hand to show it, then threw it away.
+This is that dump, committed.
+
+``tests/golden/engine.json`` holds, for each case, the deterministic
+metrics in clear (so a reviewed diff reads ``operator_invocations: 1440 →
+1448``, not one hash turning into another) and a hash of each of rows,
+stages, events and trace.  A case is one point of
+
+    join library / query shape  x  memory budget None / 2 KB
+    x  no faults / a fault plan / checkpoint-only
+    x  dedup default / elimination  x  FUDJ / the baseline operator
+    x  serial / process / batch / cost  x  traced or not,
+
+trimmed to a set that still shows every *pair* of axis values together
+(the full cross product is 2,112 cases).  The case list lives in the
+file too, so collecting this module costs nothing.
+
+Every database here runs on a cost model with no dyadic constant:
+under the default one (``hash_op = 1.5``, ``record_touch = 1.0``) a sum
+of per-record charges is exact in floating point, so a change of
+summation order — batching the per-delivery charges of an exchange —
+would not show.  Cases route on ints and floats only, so the file does
+not depend on ``PYTHONHASHSEED``.
+
+The file is rewritten only by ``make golden-accept``; review its diff
+like code.
+"""
+
+import dataclasses
+import hashlib
+import itertools
+import json
+import random
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import FaultPlan
+from repro.builtin import install_builtin_joins
+from repro.database import Database
+from repro.datagen import (
+    generate_parks,
+    generate_reviews,
+    generate_taxi_rides,
+    generate_trajectories,
+    generate_wildfires,
+)
+from repro.engine.costs import CostModel
+from repro.errors import ReproError
+from repro.joins import (
+    IntervalJoin,
+    NumericBandJoin,
+    PartitionedIntervalJoin,
+    PlaneSweepSpatialJoin,
+    SortMergeIntervalJoin,
+    SpatialContainsJoin,
+    SpatialJoin,
+    TextSimilarityJoin,
+    TrajectoryProximityJoin,
+)
+from tests.test_workers import PoisonVerifyIntervalJoin
+
+GOLDEN = Path(__file__).parent / "golden" / "engine.json"
+
+#: No constant is a dyadic rational (see the module docstring).
+MODEL = dataclasses.replace(
+    CostModel(), record_touch=0.7, hash_op=1.3, comparison=1.9,
+    translation=0.3, match_op=0.11, expensive_predicate=37.3)
+
+#: ``to_dict()`` keys that are real time or real supervision.
+WALL_CLOCK_KEYS = ("wall_seconds", "queue_seconds", "worker_restarts",
+                   "heartbeat_misses")
+
+_INSTANCE_ID = re.compile(r"#\d+")
+
+
+# -- the query shapes -----------------------------------------------------------
+
+
+def _database() -> Database:
+    return Database(num_partitions=4, cost_model=MODEL)
+
+
+def _spatial(join_class, grid: int = 12):
+    def build():
+        db = _database()
+        db.create_type("ParkType", [("id", "int"), ("boundary", "geometry"),
+                                    ("tags", "string")])
+        db.create_dataset("Parks", "ParkType", "id")
+        db.load("Parks", generate_parks(40, seed=42, max_radius=100.0))
+        db.create_type("FireType", [("id", "int"), ("location", "point"),
+                                    ("fire_start", "double"),
+                                    ("fire_end", "double")])
+        db.create_dataset("Wildfires", "FireType", "id")
+        db.load("Wildfires", generate_wildfires(400, seed=43))
+        db.create_join("st_contains", join_class, defaults=(grid,))
+        db.create_join("st_intersects", SpatialJoin, defaults=(grid,))
+        install_builtin_joins(db, spatial_n=grid)
+        return db
+    return build
+
+
+def _multi():
+    """A FUDJ join among equi-joins: the hash join and, for the three-row
+    dimension table under the cost optimizer, the broadcast hash join are
+    on the path too."""
+    spatial = _spatial(SpatialContainsJoin)
+
+    def build():
+        db = spatial()
+        db.create_type("OwnerType", [("oid", "int"), ("park", "int"),
+                                     ("agency", "int")])
+        db.create_dataset("Owners", "OwnerType", "oid")
+        rng = random.Random(5)
+        db.load("Owners", [{"oid": i, "park": rng.randrange(40),
+                            "agency": rng.randrange(3)} for i in range(60)])
+        db.create_type("AgencyType", [("aid", "int"), ("region", "int")])
+        db.create_dataset("Agencies", "AgencyType", "aid")
+        db.load("Agencies", [{"aid": i, "region": i % 2} for i in range(3)])
+        return db
+    return build
+
+
+def _interval(join_class):
+    def build():
+        db = _database()
+        db.create_type("TaxiType", [("id", "int"), ("vendor", "int"),
+                                    ("ride_interval", "interval")])
+        db.create_dataset("NYCTaxi", "TaxiType", "id")
+        db.load("NYCTaxi", generate_taxi_rides(160, seed=44))
+        db.create_join("overlapping_interval", join_class, defaults=(24,))
+        install_builtin_joins(db, interval_buckets=24)
+        return db
+    return build
+
+
+def _text():
+    db = _database()
+    db.create_type("ReviewType", [("id", "int"), ("overall", "int"),
+                                  ("review", "text")])
+    db.create_dataset("AmazonReview", "ReviewType", "id")
+    db.load("AmazonReview", generate_reviews(90, seed=45, vocab_size=60))
+    db.create_join("similarity_jaccard", TextSimilarityJoin)
+    install_builtin_joins(db)
+    return db
+
+
+def _band():
+    db = _database()
+    db.create_type("S", [("id", "int"), ("reading", "double")])
+    rng = random.Random(3)
+    for name in ("SensorA", "SensorB"):
+        db.create_dataset(name, "S", "id")
+        db.load(name, [{"id": i, "reading": round(rng.uniform(0, 30), 2)}
+                       for i in range(200)])
+    db.create_join("within_band", NumericBandJoin, defaults=(1.0, 16))
+    return db
+
+
+def _trajectory():
+    db = _database()
+    db.create_type("TripType", [("id", "int"), ("vehicle", "int"),
+                                ("route", "trajectory")])
+    db.create_dataset("Trips", "TripType", "id")
+    db.load("Trips", generate_trajectories(50, seed=2))
+    db.create_join("routes_near", TrajectoryProximityJoin, defaults=(2.0, 12))
+    return db
+
+
+SPATIAL_SQL = ("SELECT p.id, COUNT(1) AS c FROM Parks p, Wildfires w "
+               "WHERE ST_Contains(p.boundary, w.location) GROUP BY p.id")
+SPATIAL_SELF_SQL = ("SELECT p.id, COUNT(1) AS c FROM Parks p, Parks q "
+                    "WHERE ST_Intersects(p.boundary, q.boundary) GROUP BY p.id")
+MULTI_SQL = ("SELECT a.region, COUNT(1) AS c "
+             "FROM Parks p, Wildfires w, Owners o, Agencies a "
+             "WHERE ST_Contains(p.boundary, w.location) AND p.id = o.park "
+             "AND o.agency = a.aid GROUP BY a.region")
+INTERVAL_SQL = ("SELECT n1.id, n2.id FROM NYCTaxi n1, NYCTaxi n2 "
+                "WHERE n1.vendor = 1 AND n2.vendor = 2 AND "
+                "overlapping_interval(n1.ride_interval, n2.ride_interval)")
+TEXT_SQL = ("SELECT COUNT(1) AS c FROM AmazonReview r1, AmazonReview r2 "
+            "WHERE r1.overall = 5 AND r2.overall = 4 AND "
+            "similarity_jaccard(r1.review, r2.review) >= 0.5")
+BAND_SQL = ("SELECT COUNT(1) AS n FROM SensorA a, SensorB b WHERE "
+            "{predicate}")
+TRAJECTORY_SQL = ("SELECT COUNT(1) AS c FROM Trips a, Trips b "
+                  "WHERE a.vehicle = 1 AND b.vehicle = 2 AND {predicate}")
+
+#: name -> (database builder, SQL, the baseline's mode and SQL, execute
+#: options).  The baseline of a join with a hand-written operator is that
+#: operator on the same SQL; of the others, the scalar predicate on top of
+#: a nested loop.
+SHAPES = {
+    "spatial": (_spatial(SpatialContainsJoin), SPATIAL_SQL,
+                ("builtin", SPATIAL_SQL), {}),
+    "plane_sweep": (_spatial(PlaneSweepSpatialJoin), SPATIAL_SQL,
+                    ("builtin", SPATIAL_SQL), {}),
+    "spatial_self": (_spatial(SpatialContainsJoin), SPATIAL_SELF_SQL,
+                     ("builtin", SPATIAL_SELF_SQL), {}),
+    "multi": (_multi(), MULTI_SQL, ("builtin", MULTI_SQL), {}),
+    "interval": (_interval(IntervalJoin), INTERVAL_SQL,
+                 ("builtin", INTERVAL_SQL), {}),
+    "interval_partitioned": (_interval(PartitionedIntervalJoin),
+                             INTERVAL_SQL, ("builtin", INTERVAL_SQL), {}),
+    "interval_sort_merge": (_interval(SortMergeIntervalJoin), INTERVAL_SQL,
+                            ("builtin", INTERVAL_SQL), {}),
+    "interval_poison": (_interval(PoisonVerifyIntervalJoin), INTERVAL_SQL,
+                        ("ontop", INTERVAL_SQL), {"on_error": "quarantine"}),
+    "text": (_text, TEXT_SQL, ("builtin", TEXT_SQL), {}),
+    "band": (
+        _band,
+        BAND_SQL.format(predicate="within_band(a.reading, b.reading, 0.5)"),
+        ("ontop",
+         BAND_SQL.format(predicate="abs(a.reading - b.reading) <= 0.5")), {}),
+    "trajectory": (
+        _trajectory,
+        TRAJECTORY_SQL.format(predicate="routes_near(a.route, b.route, 3.0)"),
+        ("ontop", TRAJECTORY_SQL.format(
+            predicate="trajectory_min_distance(a.route, b.route) <= 3.0")),
+        {}),
+}
+
+AXES = {
+    "shape": list(SHAPES),
+    "budget": [None, 2048],
+    "faults": ["none", "plan", "checkpoint"],
+    "dedup": [None, "elimination"],
+    "mode": ["fudj", "baseline"],
+    "variant": ["serial", "process", "batch", "cost"],
+    "trace": [False, True],
+}
+
+FAULTS = {
+    "none": None,
+    "plan": FaultPlan(seed=11, crash_rate=0.25, straggler_rate=0.15,
+                      exchange_failure_rate=0.25),
+    "checkpoint": FaultPlan(seed=11),
+}
+
+
+def choose_cases(axes: dict, extra: int = 76) -> list:
+    """The cases of the golden file: a deterministic greedy cover in which
+    every value of every axis meets every value of every other axis, plus
+    a seeded sample of ``extra`` more for the interactions of three and
+    four axes (a spilled COMBINE replayed after a crash on the pool)."""
+    names = list(axes)
+    full = [dict(zip(names, combo))
+            for combo in itertools.product(*axes.values())]
+
+    def pairs_of(case):
+        return {((a, case[a]), (b, case[b]))
+                for a, b in itertools.combinations(names, 2)}
+
+    uncovered = set().union(*(pairs_of(case) for case in full))
+    chosen = []
+    while uncovered:
+        best = max(full, key=lambda case: len(pairs_of(case) & uncovered))
+        chosen.append(best)
+        uncovered -= pairs_of(best)
+    rest = [case for case in full if case not in chosen]
+    return chosen + random.Random(18).sample(rest, extra)
+
+
+def case_id(case: dict) -> str:
+    return "-".join(str(case[name]) for name in AXES)
+
+
+# -- one case ---------------------------------------------------------------------
+
+
+def _digest(value) -> str:
+    """A hash of ``value`` as JSON, less the operator-instance ids in
+    stage and span names (``fudj-join#7``): they count the plans this
+    process built before."""
+    text = _INSTANCE_ID.sub("", json.dumps(value, sort_keys=True, default=repr))
+    return hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
+
+
+def _spans(span) -> list:
+    """The trace tree with exact floats (``Span.to_dict`` rounds to six
+    places, which hides a changed summation order)."""
+    return [span.name, span.kind, repr(span.units),
+            span.calls, span.errors, span.records_in, span.records_out,
+            repr(span.network_bytes), [_spans(child) for child in span.children]]
+
+
+def run_case(case: dict) -> dict:
+    build, sql, baseline, options = SHAPES[case["shape"]]
+    mode = "fudj"
+    if case["mode"] == "baseline":
+        mode, sql = baseline
+    db = build()
+    try:
+        if case["budget"] is not None:
+            db.set_memory_budget(case["budget"])
+        # Every mode is set, none left to FUDJ_BACKEND / FUDJ_EXEC / FUDJ_OPT.
+        variant = case["variant"]
+        db.set_backend("process" if variant == "process" else "serial")
+        db.set_execution("batch" if variant == "batch" else "row")
+        try:
+            result = db.execute(
+                sql, mode=mode, dedup=case["dedup"],
+                fault_plan=FAULTS[case["faults"]], trace=case["trace"],
+                optimizer="cost" if variant == "cost" else "rule",
+                **options)
+        except ReproError as exc:
+            # A doomed fault schedule aborts the query; the golden answer
+            # is then the error and what was logged up to it.
+            return {"error": _INSTANCE_ID.sub("", f"{type(exc).__name__}: {exc}"),
+                    "events": _digest(db.telemetry.events.to_jsonl())}
+        metrics = result.metrics.to_dict(db.cluster.cores)
+        for key in WALL_CLOCK_KEYS:
+            del metrics[key]
+        metrics["quarantine_log"] = _digest(result.metrics.quarantine_log)
+        trace = None
+        if result.trace is not None:
+            # Pool spans carry pids and wall clocks; units still add up.
+            trace = (repr(result.trace.total_units())
+                     if variant == "process"
+                     else _digest([_spans(result.trace.root),
+                                   result.trace.to_dict()["skew"]]))
+        return {
+            "metrics": metrics,
+            "rows": _digest([sorted(row.items()) for row in result.rows]),
+            "stages": _digest([
+                (stage.name, sorted(stage.worker_units.items()),
+                 stage.network_bytes, stage.fabric_bytes, stage.records_in,
+                 stage.records_out)
+                for stage in result.metrics.stages]),
+            "events": _digest(db.telemetry.events.to_jsonl()),
+            "trace": trace,
+        }
+    finally:
+        db.close()
+
+
+def load_golden() -> list:
+    # Empty before the first accept; test_every_axis_value_has_a_case
+    # fails on an empty or thinned file.
+    return json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
+
+
+@pytest.mark.parametrize("entry", load_golden(),
+                         ids=lambda entry: case_id(entry["case"]))
+def test_case_matches_golden(entry):
+    assert run_case(entry["case"]) == entry["answer"], (
+        "the engine's answer changed; if that is intended, run "
+        "`make golden-accept` and review the diff of tests/golden/engine.json")
+
+
+def test_every_axis_value_has_a_case():
+    cases = [entry["case"] for entry in load_golden()]
+    for name, values in AXES.items():
+        assert {case[name] for case in cases} == set(values), name
+
+
+def accept() -> None:
+    entries = [{"case": case, "answer": run_case(case)}
+               for case in choose_cases(AXES)]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({"cases": entries}, indent=1,
+                                 sort_keys=True) + "\n")
+    print(f"wrote {len(entries)} cases to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--accept"]:
+        sys.exit("usage: python -m tests.test_golden --accept")
+    accept()

@@ -153,23 +153,6 @@ class TestEntrySpillCodec:
 # -- the accountant ------------------------------------------------------------
 
 
-class FakeStage:
-    def __init__(self, name="stage"):
-        self.name = name
-        self.charged = {}
-
-    def charge(self, worker, units):
-        self.charged[worker] = self.charged.get(worker, 0.0) + units
-
-
-class FakeTracer:
-    enabled = False
-
-
-class FakeCtx:
-    tracer = FakeTracer()
-
-
 def small_model(budget):
     return dataclasses.replace(CostModel(), worker_memory_bytes=float(budget))
 
@@ -178,9 +161,10 @@ class TestQueryResources:
     def test_observer_mode_returns_items_untouched(self):
         resources = QueryResources(CostModel(), enforce=False)
         items = [make_record(i) for i in range(4)]
-        out = resources.admit(FakeCtx(), FakeStage(), 0, items,
-                              RecordSpillCodec(SCHEMA))
+        out, units, spill = resources.admit("stage", 0, items,
+                                            RecordSpillCodec(SCHEMA))
         assert out is items
+        assert (units, spill) == (0.0, None)
         assert resources.spill_files == 0
         assert resources.peak_reserved_bytes == sum(
             r.serialized_size() for r in items
@@ -189,29 +173,30 @@ class TestQueryResources:
     def test_observer_mode_charges_model_spill_units(self):
         model = small_model(10)
         resources = QueryResources(model, enforce=False)
-        stage = FakeStage()
         items = [make_record(i) for i in range(6)]
         total = sum(r.serialized_size() for r in items)
-        resources.admit(FakeCtx(), stage, 2, items, RecordSpillCodec(SCHEMA))
+        _, units, spill = resources.admit("stage", 2, items,
+                                          RecordSpillCodec(SCHEMA))
         assert total > 10  # the scenario actually overflows
-        assert stage.charged[2] == pytest.approx(model.spill_units(total))
+        assert units == pytest.approx(model.spill_units(total))
+        assert spill is None  # priced, not spilled
 
     def test_observer_price_false_charges_nothing(self):
         resources = QueryResources(small_model(10), enforce=False)
-        stage = FakeStage()
-        resources.admit(FakeCtx(), stage, 0, [make_record(1)],
-                        RecordSpillCodec(SCHEMA), price=False)
-        assert stage.charged == {}
+        _, units, _ = resources.admit("stage", 0, [make_record(1)],
+                                      RecordSpillCodec(SCHEMA), price=False)
+        assert units == 0.0
 
     def test_enforce_spills_and_preserves_order(self):
         resources = QueryResources(small_model(40), enforce=True)
         items = [make_record(i, f"value-{i}") for i in range(8)]
         expected = [r.to_dict() for r in items]
-        out = resources.admit(FakeCtx(), FakeStage(), 0, items,
-                              RecordSpillCodec(SCHEMA))
+        out, _, spill = resources.admit("stage", 0, items,
+                                        RecordSpillCodec(SCHEMA))
         assert resources.spill_files == 1
         assert resources.spill_bytes > 0
         assert resources.spilled_items > 0
+        assert spill == (resources.spilled_items, resources.spill_bytes)
         assert [r.to_dict() for r in out] == expected
         # The resident prefix is the original objects; the tail is clones.
         assert out[0] is items[0]
@@ -220,12 +205,11 @@ class TestQueryResources:
     def test_enforce_charge_matches_model_even_unpriced(self):
         model = small_model(40)
         resources = QueryResources(model, enforce=True)
-        stage = FakeStage()
         items = [make_record(i) for i in range(8)]
         total = sum(r.serialized_size() for r in items)
-        resources.admit(FakeCtx(), stage, 1, items, RecordSpillCodec(SCHEMA),
-                        price=False)
-        assert stage.charged[1] == pytest.approx(model.spill_units(total))
+        _, units, _ = resources.admit("stage", 1, items,
+                                      RecordSpillCodec(SCHEMA), price=False)
+        assert units == pytest.approx(model.spill_units(total))
         assert resources.spill_units == pytest.approx(model.spill_units(total))
 
     def test_enforce_pins_unserializable_items(self):
@@ -235,15 +219,14 @@ class TestQueryResources:
         partial_schema = Schema(["__key", "__states"])
         items = [make_record(i) for i in range(4)]
         items.append(Record(partial_schema, (9, RawState([1]))))
-        out = resources.admit(FakeCtx(), FakeStage(), 0, items,
-                              RecordSpillCodec(SCHEMA))
+        out, _, _ = resources.admit("stage", 0, items,
+                                    RecordSpillCodec(SCHEMA))
         assert resources.pinned_items >= 1
         assert out[-1] is items[-1]  # the opaque record stayed resident
 
     def test_spill_file_removed_after_replay(self):
         resources = QueryResources(small_model(20), enforce=True)
-        resources.admit(FakeCtx(), FakeStage(), 0,
-                        [make_record(i) for i in range(8)],
+        resources.admit("stage", 0, [make_record(i) for i in range(8)],
                         RecordSpillCodec(SCHEMA))
         assert resources._tempdir is not None
         assert os.listdir(resources._tempdir.name) == []
@@ -253,11 +236,10 @@ class TestQueryResources:
 
     def test_peak_tracks_concurrent_worker_reservations(self):
         resources = QueryResources(CostModel(), enforce=False)
-        stage = FakeStage()
         a = [make_record(1)]
         b = [make_record(2), make_record(3)]
-        resources.admit(FakeCtx(), stage, 0, a, RecordSpillCodec(SCHEMA))
-        resources.admit(FakeCtx(), stage, 1, b, RecordSpillCodec(SCHEMA))
+        resources.admit("stage", 0, a, RecordSpillCodec(SCHEMA))
+        resources.admit("stage", 1, b, RecordSpillCodec(SCHEMA))
         expected = sum(r.serialized_size() for r in a + b)
         assert resources.peak_reserved_bytes == expected
 

@@ -57,7 +57,7 @@ DETERMINISTIC_KEYS = (
     "tasks_retried", "exchange_retries", "stragglers_detected",
     "records_quarantined", "recovery_seconds", "checkpoint_bytes",
     "peak_reserved_bytes", "spill_bytes", "spill_files",
-    "simulated_seconds",
+    "simulated_seconds", "operator_invocations",
 )
 
 
@@ -154,6 +154,9 @@ def interval_with(join_class):
 
 BUDGETS = st.one_of(st.none(), st.sampled_from([512, 1024, 4096]))
 FAULT_SEEDS = st.one_of(st.none(), st.integers(min_value=0, max_value=999))
+#: Elimination tags every row with the pair of its inputs' ``rid``s and
+#: shuffles on it: the tags have to survive the trip to a worker and back.
+DEDUPS = st.sampled_from([None, "elimination"])
 
 
 class TestBackendParity:
@@ -162,33 +165,33 @@ class TestBackendParity:
     seeded schedules of real worker kills."""
 
     @settings(max_examples=5, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
-    def test_spatial_join(self, budget, fault_seed):
+    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS, dedup=DEDUPS)
+    def test_spatial_join(self, budget, fault_seed, dedup):
         check_parity(lambda: workloads.spatial_database(25, 120),
-                     workloads.SPATIAL_SQL, budget, fault_seed)
+                     workloads.SPATIAL_SQL, budget, fault_seed, dedup=dedup)
 
     @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
-    def test_interval_join(self, budget, fault_seed):
+    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS, dedup=DEDUPS)
+    def test_interval_join(self, budget, fault_seed, dedup):
         check_parity(lambda: workloads.interval_database(120),
-                     workloads.INTERVAL_SQL, budget, fault_seed)
+                     workloads.INTERVAL_SQL, budget, fault_seed, dedup=dedup)
 
     @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
-    def test_text_join(self, budget, fault_seed):
+    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS, dedup=DEDUPS)
+    def test_text_join(self, budget, fault_seed, dedup):
         check_parity(lambda: workloads.text_database(80),
                      workloads.TEXT_SQL.format(threshold=0.9),
-                     budget, fault_seed)
+                     budget, fault_seed, dedup=dedup)
 
     # The three above reach the ``single`` (spatial, text) and ``theta``
     # (interval) kernels; these cover ``partitioned`` and both
     # ``local_join`` branches.
 
     @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
-    def test_partitioned_interval_join(self, budget, fault_seed):
+    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS, dedup=DEDUPS)
+    def test_partitioned_interval_join(self, budget, fault_seed, dedup):
         check_parity(interval_with(PartitionedIntervalJoin),
-                     workloads.INTERVAL_SQL, budget, fault_seed)
+                     workloads.INTERVAL_SQL, budget, fault_seed, dedup=dedup)
 
     @settings(max_examples=4, deadline=None)
     @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
