@@ -5,7 +5,8 @@ Two experiments over the Figure 9 workloads:
 1. *Tracing overhead* — the tracer never charges work to the cost
    model, so the simulated makespan must be **identical** with tracing
    on and off (target: <= 5% of the trace-off makespan; achieved: 0%).
-   The real-wall overhead of recording spans is reported alongside.
+   What recording spans costs on a stopwatch is not measured here: that
+   is ``tracing.overhead_share`` in ``perf/``.
 2. *Phase breakdown* — a traced run of each workload reproduces the
    paper's Fig 9-style split: how much of the FUDJ join's work lands in
    SUMMARIZE vs PARTITION vs COMBINE, and inside them, how much is user
@@ -19,8 +20,6 @@ Shape targets:
 - COMBINE dominates on every workload (verification is the expensive
   phase, as in the paper).
 """
-
-import time
 
 from repro.bench import (
     INTERVAL_SQL,
@@ -44,12 +43,9 @@ WORKLOADS = (
 )
 
 
-def timed_run(make_db, sql, trace):
-    db = make_db()
-    started = time.perf_counter()
-    result = db.execute(sql, mode="fudj", measure_bytes=False, trace=trace)
-    wall = time.perf_counter() - started
-    return result, wall
+def run(make_db, sql, trace):
+    return make_db().execute(sql, mode="fudj", measure_bytes=False,
+                             trace=trace)
 
 
 class TestTracingOverhead:
@@ -58,8 +54,8 @@ class TestTracingOverhead:
     def test_makespan_unchanged_with_tracing(self, report, benchmark):
         rows = []
         for name, make_db, sql in WORKLOADS:
-            plain, wall_off = timed_run(make_db, sql, trace=False)
-            traced, wall_on = timed_run(make_db, sql, trace=True)
+            plain = run(make_db, sql, trace=False)
+            traced = run(make_db, sql, trace=True)
             assert plain.trace is None and traced.trace is not None
             assert traced.rows == plain.rows
             sim_off = plain.metrics.simulated_seconds(CORES)
@@ -69,20 +65,16 @@ class TestTracingOverhead:
             # spans mirror charges, they never add any.
             assert abs(overhead) <= 0.05
             assert sim_on == sim_off
-            rows.append([
-                name, f"{sim_off:.4f}", f"{sim_on:.4f}",
-                f"{overhead * 100:.2f}%",
-                f"{wall_off * 1000:.0f}", f"{wall_on * 1000:.0f}",
-                f"{(wall_on / wall_off - 1) * 100:+.0f}%",
-            ])
+            rows.append([name, f"{sim_off:.4f}", f"{sim_on:.4f}",
+                         f"{overhead * 100:.2f}%"])
         report("observability_overhead", format_table(
             ["workload", f"sim s off ({CORES}c)", f"sim s on ({CORES}c)",
-             "sim overhead", "wall ms off", "wall ms on", "wall overhead"],
+             "sim overhead"],
             rows,
             title="Observability 1: tracing overhead (simulated makespan "
-                  "must not move; wall overhead is the recording cost)",
+                  "must not move)",
         ))
-        benchmark(lambda: timed_run(*WORKLOADS[0][1:], trace=False))
+        benchmark(lambda: run(*WORKLOADS[0][1:], trace=False))
 
 
 class TestPhaseBreakdown:
@@ -91,7 +83,7 @@ class TestPhaseBreakdown:
     def test_phase_breakdown(self, report, benchmark):
         rows = []
         for name, make_db, sql in WORKLOADS:
-            result, _ = timed_run(make_db, sql, trace=True)
+            result = run(make_db, sql, trace=True)
             trace = result.trace
             # The whole tree accounts for every charged unit, exactly.
             assert abs(trace.total_units()
@@ -132,7 +124,7 @@ class TestPhaseBreakdown:
             title="Observability 2: Fig 9-style phase breakdown of the "
                   "FUDJ join (share of charged units)",
         ))
-        benchmark(lambda: timed_run(*WORKLOADS[0][1:], trace=True))
+        benchmark(lambda: run(*WORKLOADS[0][1:], trace=True))
 
 
 def main(argv=None) -> int:

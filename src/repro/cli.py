@@ -111,6 +111,7 @@ diagnostics, whatever ``.trace`` is set to.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from repro.database import Database
@@ -481,143 +482,100 @@ def _write_metrics(db: Database, path: str) -> None:
         handle.write(db.metrics_snapshot(fmt))
 
 
+class _UsageError(Exception):
+    """A command line the shell cannot run; the message is the report."""
+
+
+class _FlagParser(argparse.ArgumentParser):
+    """``argparse`` with the shell's contract for a bad command line: one
+    line on stderr and exit status 1 (:meth:`error` would print a usage
+    block and exit 2).  The usage text is the module docstring."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def _count(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError("needs a whole number")
+    return int(text)
+
+
+def _seconds(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = -1.0
+    if not seconds >= 0:
+        raise argparse.ArgumentTypeError("needs a number of seconds")
+    return seconds
+
+
+def _fault_plan(text: str) -> FaultPlan:
+    try:
+        return FaultPlan.parse(text)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_flags(argv: list) -> argparse.Namespace:
+    """The command line as a namespace; ``serve`` as the first word
+    selects the session server and is what admits its three flags."""
+    parser = _FlagParser(prog="python -m repro", add_help=False,
+                         allow_abbrev=False)
+    parser.add_argument("--demo", nargs="?", const="spatial")
+    parser.add_argument("--trace", action="store_true")
+    parser.add_argument("--inject-faults", type=_fault_plan)
+    parser.add_argument("--metrics-out")
+    parser.add_argument("--events-out")
+    parser.add_argument("--monitor-port", type=_count)
+    parser.add_argument("--memory-budget")
+    parser.add_argument("--backend", choices=("serial", "process"))
+    parser.add_argument("--execution", choices=("row", "batch"))
+    parser.add_argument("--optimizer", choices=("rule", "cost"))
+    serve = argv[:1] == ["serve"]
+    if serve:
+        parser.add_argument("--port", type=_count, default=0)
+        parser.add_argument("--max-sessions", type=_count, default=8)
+        parser.add_argument("--drain-timeout", type=_seconds, default=5.0)
+    else:
+        parser.add_argument("script", nargs="?")
+    parser.set_defaults(serve=serve)
+    return parser.parse_args(argv[1:] if serve else argv)
+
+
 def main(argv=None) -> int:
     """CLI entry point."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    serve_mode = bool(argv) and argv[0] == "serve"
-    serve_port = 0
-    max_sessions = 8
-    drain_timeout = 5.0
-    if serve_mode:
-        argv = argv[1:]
-        if "--port" in argv:
-            at = argv.index("--port")
-            if at + 1 >= len(argv) or not argv[at + 1].isdigit():
-                print("--port needs a port number (0 binds any free "
-                      "port)", file=sys.stderr)
-                return 1
-            serve_port = int(argv[at + 1])
-            del argv[at:at + 2]
-        if "--max-sessions" in argv:
-            at = argv.index("--max-sessions")
-            if (at + 1 >= len(argv) or not argv[at + 1].isdigit()
-                    or int(argv[at + 1]) < 1):
-                print("--max-sessions needs a positive session count",
-                      file=sys.stderr)
-                return 1
-            max_sessions = int(argv[at + 1])
-            del argv[at:at + 2]
-        if "--drain-timeout" in argv:
-            at = argv.index("--drain-timeout")
-            try:
-                drain_timeout = float(argv[at + 1])
-            except (IndexError, ValueError):
-                print("--drain-timeout needs a number of seconds",
-                      file=sys.stderr)
-                return 1
-            if drain_timeout < 0:
-                print("--drain-timeout needs a number of seconds",
-                      file=sys.stderr)
-                return 1
-            del argv[at:at + 2]
-    fault_plan = None
-    metrics_out = None
-    memory_budget = None
-    backend = None
-    execution = None
-    optimizer = None
-    events_out = None
-    monitor_port = None
-    if "--events-out" in argv:
-        at = argv.index("--events-out")
-        if at + 1 >= len(argv):
-            print("--events-out needs a path", file=sys.stderr)
-            return 1
-        events_out = argv[at + 1]
-        del argv[at:at + 2]
-    if "--monitor-port" in argv:
-        at = argv.index("--monitor-port")
-        if at + 1 >= len(argv) or not argv[at + 1].isdigit():
-            print("--monitor-port needs a port number", file=sys.stderr)
-            return 1
-        monitor_port = int(argv[at + 1])
-        del argv[at:at + 2]
-    if "--optimizer" in argv:
-        at = argv.index("--optimizer")
-        if at + 1 >= len(argv) or argv[at + 1] not in ("rule", "cost"):
-            print("--optimizer needs rule or cost", file=sys.stderr)
-            return 1
-        optimizer = argv[at + 1]
-        del argv[at:at + 2]
-    if "--backend" in argv:
-        at = argv.index("--backend")
-        if at + 1 >= len(argv) or argv[at + 1] not in ("serial", "process"):
-            print("--backend needs serial or process", file=sys.stderr)
-            return 1
-        backend = argv[at + 1]
-        del argv[at:at + 2]
-    if "--execution" in argv:
-        at = argv.index("--execution")
-        if at + 1 >= len(argv) or argv[at + 1] not in ("row", "batch"):
-            print("--execution needs row or batch", file=sys.stderr)
-            return 1
-        execution = argv[at + 1]
-        del argv[at:at + 2]
-    if "--memory-budget" in argv:
-        at = argv.index("--memory-budget")
-        if at + 1 >= len(argv):
-            print("--memory-budget needs a byte amount (e.g. 64kb, 2mb, "
-                  "or off)", file=sys.stderr)
-            return 1
-        memory_budget = argv[at + 1]
-        del argv[at:at + 2]
-    if "--metrics-out" in argv:
-        at = argv.index("--metrics-out")
-        if at + 1 >= len(argv):
-            print("--metrics-out needs a path", file=sys.stderr)
-            return 1
-        metrics_out = argv[at + 1]
-        del argv[at:at + 2]
-    if "--inject-faults" in argv:
-        at = argv.index("--inject-faults")
-        if at + 1 >= len(argv):
-            print("--inject-faults needs SEED:RATE (or "
-                  "SEED:CRASH:STRAGGLER:EXCHANGE)", file=sys.stderr)
-            return 1
-        try:
-            fault_plan = FaultPlan.parse(argv[at + 1])
-        except ReproError as exc:
-            print(f"bad --inject-faults value: {exc}", file=sys.stderr)
-            return 1
-        del argv[at:at + 2]
-    trace = "--trace" in argv
-    if trace:
-        argv.remove("--trace")
     try:
-        shell = Shell(db=Database(fault_plan=fault_plan,
-                                  memory_budget=memory_budget,
-                                  backend=backend,
-                                  execution=execution,
-                                  optimizer=optimizer,
-                                  event_log=events_out))
+        flags = _parse_flags(list(sys.argv[1:] if argv is None else argv))
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    try:
+        shell = Shell(db=Database(fault_plan=flags.inject_faults,
+                                  memory_budget=flags.memory_budget,
+                                  backend=flags.backend,
+                                  execution=flags.execution,
+                                  optimizer=flags.optimizer,
+                                  event_log=flags.events_out))
     except ReproError as exc:
         print(f"bad --memory-budget value: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cannot open --events-out path: {exc}", file=sys.stderr)
         return 1
-    shell.trace = trace
-    if monitor_port is not None:
+    shell.trace = flags.trace
+    if flags.monitor_port is not None:
         try:
-            monitor = shell.db.serve_monitor(monitor_port)
+            monitor = shell.db.serve_monitor(flags.monitor_port)
         except OSError as exc:
-            print(f"cannot start monitor on port {monitor_port}: {exc}",
-                  file=sys.stderr)
+            print(f"cannot start monitor on port {flags.monitor_port}: "
+                  f"{exc}", file=sys.stderr)
             return 1
         print(f"monitor serving on {monitor.url} "
               "(/healthz /metrics /queries /events /traces/<id>)")
-    if events_out is not None:
-        print(f"event log streaming to {events_out}")
+    if flags.events_out is not None:
+        print(f"event log streaming to {flags.events_out}")
     if shell.db.backend == "process":
         print("process backend active: COMBINE tasks run on a supervised "
               "worker-process pool")
@@ -627,30 +585,30 @@ def main(argv=None) -> int:
     if shell.db.optimizer == "cost":
         print("cost optimizer active: stats-driven join ordering and "
               "physical operator selection")
-    if fault_plan is not None:
-        print(f"fault injection active: {fault_plan.describe()}")
+    if flags.inject_faults is not None:
+        print("fault injection active: "
+              f"{flags.inject_faults.describe()}")
     if shell.db.memory_budget is not None:
         from repro.engine.resources import format_bytes
 
         print("memory budget active: "
               f"{format_bytes(shell.db.memory_budget)} per worker "
               "(over-budget state spills to disk)")
-    if trace:
+    if flags.trace:
         print("tracing active: span tree printed after each query")
-    if argv and argv[0] == "--demo":
-        shell._load_demo(argv[1] if len(argv) > 1 else "spatial")
-        argv = argv[2:]
-    if serve_mode:
-        return _serve(shell.db, serve_port, max_sessions, drain_timeout,
-                      metrics_out)
-    if argv:
+    if flags.demo is not None:
+        shell._load_demo(flags.demo)
+    if flags.serve:
+        return _serve(shell.db, flags.port, flags.max_sessions,
+                      flags.drain_timeout, flags.metrics_out)
+    if flags.script is not None:
         try:
-            with open(argv[0]) as handle:
+            with open(flags.script) as handle:
                 shell.run_script(handle.read())
         except OSError as exc:
             print(f"cannot read script: {exc}", file=sys.stderr)
             return 1
-        return _finish(shell, metrics_out)
+        return _finish(shell.db, flags.metrics_out)
     print("FUDJ shell — statements end with ';', .help for commands")
     try:
         while True:
@@ -663,7 +621,7 @@ def main(argv=None) -> int:
                 break
     except KeyboardInterrupt:
         pass
-    return _finish(shell, metrics_out)
+    return _finish(shell.db, flags.metrics_out)
 
 
 def _serve(db: Database, port: int, max_sessions: int,
@@ -700,25 +658,19 @@ def _serve(db: Database, port: int, max_sessions: int,
     print("draining: refusing new work, waiting for in-flight queries",
           flush=True)
     db.close()  # graceful drain, then pool/monitor/sink teardown
-    if metrics_out is not None:
-        try:
-            _write_metrics(db, metrics_out)
-        except OSError as exc:
-            print(f"cannot write metrics: {exc}", file=sys.stderr)
-            return 1
-        print(f"metrics written to {metrics_out}")
+    if _finish(db, metrics_out):
+        return 1
     print("session server stopped cleanly", flush=True)
     return 0
 
 
-def _finish(shell: Shell, metrics_out: str) -> int:
+def _finish(db: Database, metrics_out: str) -> int:
     """Flush the exit-time telemetry snapshot (``.demo``/``.open`` swap
-    ``shell.db``, so the snapshot comes from the session's final
-    database)."""
+    ``shell.db``, so a shell passes its session's final database)."""
     if metrics_out is None:
         return 0
     try:
-        _write_metrics(shell.db, metrics_out)
+        _write_metrics(db, metrics_out)
     except OSError as exc:
         print(f"cannot write metrics: {exc}", file=sys.stderr)
         return 1

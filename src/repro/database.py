@@ -40,6 +40,7 @@ from repro.core.library import JoinRegistry, JoinSignature
 from repro.engine import Cluster, Schema
 from repro.engine.context import ERROR_POLICIES
 from repro.engine.costs import CostModel
+from repro.engine.events import NULL_EVENTS
 from repro.engine.executor import QueryResult, execute_plan
 from repro.engine.faults import FaultPlan
 from repro.engine.resources import (
@@ -326,6 +327,7 @@ class Database:
         # concurrent sessions never share an id).
         self._active_query_id = (int(query_id) if query_id
                                  else self.telemetry.next_query_id())
+        result = error = None
         try:
             statement = parse_statement(sql)
             kind = _statement_kind(statement)
@@ -338,24 +340,22 @@ class Database:
             result = self._execute_statement(
                 statement, mode, dedup, measure_bytes, summarize_sample,
                 faults, policy, timeout, tracing, optimizer, cancel)
-        except ReproError as exc:
+            return result
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            # Whatever ended the statement — a result, a ReproError, a
+            # UDF's own exception — its timeline closes under its id.
             self.telemetry.record_statement(
-                sql, kind, mode_text, _error_status(exc), error=exc,
-                cores=self.cluster.cores,
+                sql, kind, mode_text,
+                "ok" if error is None else _error_status(error),
+                result=result, error=error,
+                cores=getattr(result, "cores", None) or self.cluster.cores,
                 wall_seconds=time.perf_counter() - started,
                 plan_rows=self._pending_plan_rows,
                 query_id=self._active_query_id)
             self._active_query_id = 0
-            raise
-        self.telemetry.record_statement(
-            sql, kind, mode_text, "ok", metrics=result.metrics,
-            rows=len(result.rows), trace=result.trace,
-            cores=result.cores or self.cluster.cores,
-            wall_seconds=time.perf_counter() - started,
-            plan_rows=self._pending_plan_rows,
-            query_id=self._active_query_id)
-        self._active_query_id = 0
-        return result
 
     def _execute_statement(self, statement, mode, dedup, measure_bytes,
                            summarize_sample, faults, policy, timeout,
@@ -679,8 +679,8 @@ class Database:
         self._optimizer = _check_optimizer(optimizer)
 
     def explain(self, sql: str, mode="fudj", optimizer: str = None) -> str:
-        """The optimized physical plan of a SELECT, as indented text."""
-        self._active_query_id = 0  # not a recorded statement
+        """The optimized physical plan of a SELECT, as indented text.
+        Not a recorded statement: no history entry, no events."""
         statement = parse_statement(sql)
         if not isinstance(statement, SelectStatement):
             raise PlanError("EXPLAIN supports SELECT statements only")
@@ -715,9 +715,11 @@ class Database:
         selection (see ``docs/query_optimizer.md``)."""
         estimator = CardinalityEstimator(self.cluster)
         order = enumerate_join_order(bound, estimator)
-        events = self.telemetry.events
-        events.emit("plan.order", query_id=self._active_query_id,
-                    order=" -> ".join(order.aliases))
+        # explain() plans outside any statement; what it chooses belongs
+        # to no timeline, so nothing is logged for it.
+        qid = self._active_query_id
+        events = self.telemetry.events.scoped(qid) if qid else NULL_EVENTS
+        events.emit("plan.order", order=" -> ".join(order.aliases))
         logical = optimize(bound, self.joins, mode, output_order,
                            table_order=order.aliases)
         annotate_estimates(logical, estimator, bound.aliases)
@@ -740,9 +742,8 @@ class Database:
             for node in _walk(logical):
                 strategy = assignment.strategy_of(node)
                 if strategy is not None:
-                    events.emit("plan.operator",
-                                query_id=self._active_query_id,
-                                join=node.describe(), strategy=strategy,
+                    events.emit("plan.operator", join=node.describe(),
+                                strategy=strategy,
                                 note=assignment.note_of(node))
         return logical
 

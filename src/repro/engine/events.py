@@ -35,17 +35,13 @@ docs linter (``tools/lint_docs.py`` check #9) holds
 from __future__ import annotations
 
 import json
-import re
-import sys
 import threading
 
+from repro.engine.metrics import phase_of, stage_op
+# The session-stable form of a stage name, under the name the event log
+# exports it by.
+from repro.engine.metrics import stage_key as normalize_stage
 from repro.errors import ReproError
-
-#: Operator-instance ids inside stage names (``hash-join#5/xleft``) come
-#: from a process-global counter, so they differ across sessions in one
-#: process; the event log strips them (``hash-join/xleft``) to keep the
-#: stream byte-identical across identical seeded runs.
-_INSTANCE_ID = re.compile(r"#\d+")
 
 #: Default bound on retained events (oldest evicted first).
 DEFAULT_EVENT_LIMIT = 4096
@@ -132,22 +128,6 @@ RUNTIME_KINDS = frozenset(
 
 class EventLogError(ReproError):
     """Misuse of the event log (unknown kind or level, bad limit)."""
-
-
-def normalize_stage(stage: str) -> str:
-    """A stage name with its process-global operator-instance id
-    stripped — the session-stable form events carry.  Interned: the
-    log retains thousands of events over a few dozen distinct names."""
-    return sys.intern(_INSTANCE_ID.sub("", stage))
-
-
-def _phase_for(stage: str) -> str:
-    """FUDJ phase of a stage-scoped event (empty for non-stage events)."""
-    if not stage:
-        return ""
-    from repro.engine.telemetry import phase_of, stage_op
-
-    return phase_of(stage_op(stage))
 
 
 class Event:
@@ -269,7 +249,8 @@ class EventLog:
         ``kind`` must be registered in :data:`EVENT_KINDS` (the default
         level comes from the registry; ``level`` overrides it).
         ``phase`` defaults to the FUDJ phase of ``stage`` when one is
-        given.  ``detail`` must be JSON-representable and deterministic.
+        given (empty for non-stage events).  ``detail`` must be
+        JSON-representable and deterministic.
         """
         registered = EVENT_KINDS.get(kind)
         if registered is None:
@@ -285,6 +266,8 @@ class EventLog:
                 f"use {'/'.join(EVENT_LEVELS)}"
             )
         runtime = kind in RUNTIME_KINDS
+        if phase is None:
+            phase = phase_of(stage_op(stage)) if stage else ""
         with self._lock:
             if runtime:
                 self._runtime_seq += 1
@@ -294,8 +277,7 @@ class EventLog:
                 seq = self._seq
             event = Event(
                 seq=seq, kind=kind, level=level, query_id=int(query_id),
-                phase=_phase_for(stage) if phase is None else phase,
-                stage=normalize_stage(stage), worker=int(worker),
+                phase=phase, stage=normalize_stage(stage), worker=int(worker),
                 runtime=runtime, detail=detail,
             )
             self._events.append(event)

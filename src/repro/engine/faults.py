@@ -26,21 +26,10 @@ with no special cases.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 
+from repro.engine.metrics import stage_key
 from repro.errors import ExecutionError
-
-#: Operator stage names embed a per-instance counter (``fudj-join#7``)
-#: that depends on how many plans the process built before this one.
-#: Fault rolls key on the *normalized* name so the same query replays the
-#: same faults no matter when it runs.
-_INSTANCE_ID = re.compile(r"#\d+")
-
-
-def stage_key(stage_name: str) -> str:
-    """The stable identity of a stage used for fault rolls."""
-    return _INSTANCE_ID.sub("", stage_name)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,64 @@ performs in that stage is charged in work units, and each exchange charges
 the bytes it moved.  :meth:`QueryMetrics.simulated_seconds` replays the
 recorded schedule over an arbitrary virtual core count — stages run one
 after another (exchanges are pipeline barriers), and within a stage the
-per-worker costs are LPT-scheduled onto the cores.
+per-worker costs are LPT-scheduled onto the cores.  The module that owns
+the stage owns its name too: the grammar below is the one place a stage
+name is taken apart.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
+import sys
 from dataclasses import dataclass, field
 
 from repro.engine.costs import CostModel, DEFAULT_COST_MODEL
+
+# -- the stage-name grammar ------------------------------------------------------
+#
+# A stage is named ``<operator>#<instance id>[/<op label>]``
+# (``scan#1``, ``fudj-join#5/assign-left``).  Everything that reads a
+# name back — fault rolls, the event log, ``sys.stages``, the registry's
+# per-op and per-phase counters — goes through the three functions here.
+
+#: The instance id comes from a process-global operator counter, so it
+#: depends on how many plans the process built before this one.
+_INSTANCE_ID = re.compile(r"#\d+")
+
+
+def stage_key(stage_name: str) -> str:
+    """A stage name with its instance id stripped
+    (``hash-join#5/xleft`` → ``hash-join/xleft``): the identity fault
+    rolls key on and events carry, so the same query replays the same
+    faults and the same byte-identical stream whenever it runs.
+    Interned: the event log retains thousands over a few dozen names."""
+    return sys.intern(_INSTANCE_ID.sub("", stage_name))
+
+
+def stage_op(stage_name: str) -> str:
+    """The stable operator label of a metrics stage name.
+
+    ``scan#1`` → ``scan``; ``fudj-join#5/assign-left`` → ``assign-left``.
+    Instance ids are stripped so the label is identical across sessions,
+    and interned: the history retains one per stage row over a few dozen
+    distinct labels.
+    """
+    if "/" in stage_name:
+        return sys.intern(stage_name.rsplit("/", 1)[1])
+    return sys.intern(stage_name.split("#", 1)[0])
+
+
+def phase_of(op: str) -> str:
+    """FUDJ phase of a stage op (paper Fig 8/9 grouping)."""
+    if op.startswith("summarize") or op.startswith("pplan"):
+        return "summarize"
+    if op.startswith("assign"):
+        return "partition"
+    if op.startswith(("xleft", "xright", "combine", "dedup", "spread",
+                      "broadcast", "route")):
+        return "combine"
+    return "other"
 
 
 @dataclass
@@ -39,6 +88,15 @@ class StageMetrics:
 
     def total_units(self) -> float:
         return sum(self.worker_units.values())
+
+    def imbalance(self):
+        """Max / mean per-worker units; None below two workers or
+        without work."""
+        workers = self.worker_units
+        if len(workers) < 2:
+            return None
+        mean = sum(workers.values()) / len(workers)
+        return max(workers.values()) / mean if mean > 0 else None
 
     def makespan_units(self, cores: int) -> float:
         """LPT schedule of the per-worker costs onto ``cores`` cores."""

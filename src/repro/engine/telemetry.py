@@ -35,11 +35,11 @@ query and pays the ordinary scan cost like any other dataset.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 
 from repro.engine.events import DEFAULT_EVENT_LIMIT, EventLog
+from repro.engine.metrics import phase_of, stage_op
 from repro.engine.record import Schema
 from repro.errors import ReproError
 
@@ -75,14 +75,6 @@ def _label_key(labelnames, labels: dict) -> tuple:
             f"{sorted(labelnames)}"
         )
     return tuple(str(labels[name]) for name in labelnames)
-
-
-def _render_labels(labelnames, key: tuple, extra=()) -> str:
-    pairs = list(zip(labelnames, key)) + list(extra)
-    if not pairs:
-        return ""
-    body = ",".join(f'{name}="{value}"' for name, value in pairs)
-    return "{" + body + "}"
 
 
 class Counter:
@@ -150,22 +142,10 @@ class Histogram:
         self.buckets = bounds
         self._series = {}
 
-    def observe(self, value: float, **labels) -> None:
-        key = _label_key(self.labelnames, labels)
-        series = self._series.get(key)
-        if series is None:
-            series = {"counts": [0] * len(self.buckets), "sum": 0.0,
-                      "count": 0}
-            self._series[key] = series
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                series["counts"][i] += 1
-        series["sum"] += float(value)
-        series["count"] += 1
-
-    def observe_many(self, value: float, count: int = 1, **labels) -> None:
+    def observe(self, value: float, count: int = 1, **labels) -> None:
         """Fold ``count`` identical observations of ``value`` in one call
-        (how batch-mode rows-per-batch tallies land in the registry)."""
+        (more than one is how batch-mode rows-per-batch tallies land in
+        the registry)."""
         if count < 0:
             raise TelemetryError(
                 f"histogram {self.name} cannot observe a negative count"
@@ -189,6 +169,25 @@ class Histogram:
 
     def samples(self):
         return sorted(self._series.items())
+
+
+def exposition_samples(family):
+    """Every sample of one family as ``(sample name, label pairs,
+    value)``, in exposition order.  A histogram series expands to its
+    cumulative ``_bucket`` samples (an ``le`` pair last, ``+Inf``
+    closing), then ``_sum`` and ``_count``."""
+    for key, value in family.samples():
+        labels = list(zip(family.labelnames, key))
+        if family.kind != "histogram":
+            yield family.name, labels, value
+            continue
+        for bound, count in zip(family.buckets, value["counts"]):
+            yield (f"{family.name}_bucket",
+                   labels + [("le", _format_number(bound))], count)
+        yield (f"{family.name}_bucket", labels + [("le", "+Inf")],
+               value["count"])
+        yield f"{family.name}_sum", labels, value["sum"]
+        yield f"{family.name}_count", labels, value["count"]
 
 
 class MetricsRegistry:
@@ -229,10 +228,12 @@ class MetricsRegistry:
         """All metric families, sorted by name (deterministic)."""
         return [self._families[name] for name in sorted(self._families)]
 
-    def reset(self) -> None:
-        """Zero every family (the families themselves stay registered)."""
+    def reset(self, keep=()) -> None:
+        """Zero every family but those in ``keep`` (the families
+        themselves stay registered)."""
         for family in self._families.values():
-            family.reset()
+            if family not in keep:
+                family.reset()
 
     # -- snapshots ------------------------------------------------------------
 
@@ -283,35 +284,11 @@ class MetricsRegistry:
             if family.help:
                 lines.append(f"# HELP {family.name} {family.help}")
             lines.append(f"# TYPE {family.name} {family.kind}")
-            if family.kind == "histogram":
-                for key, series in family.samples():
-                    cumulative = 0
-                    for bound, count in zip(family.buckets,
-                                            series["counts"]):
-                        cumulative = count
-                        labels = _render_labels(
-                            family.labelnames, key,
-                            extra=[("le", _format_number(bound))],
-                        )
-                        lines.append(
-                            f"{family.name}_bucket{labels} {cumulative}"
-                        )
-                    labels = _render_labels(family.labelnames, key,
-                                            extra=[("le", "+Inf")])
-                    lines.append(
-                        f"{family.name}_bucket{labels} {series['count']}"
-                    )
-                    plain = _render_labels(family.labelnames, key)
-                    lines.append(f"{family.name}_sum{plain} "
-                                 f"{_format_number(series['sum'])}")
-                    lines.append(f"{family.name}_count{plain} "
-                                 f"{series['count']}")
-            else:
-                for key, value in family.samples():
-                    labels = _render_labels(family.labelnames, key)
-                    lines.append(
-                        f"{family.name}{labels} {_format_number(value)}"
-                    )
+            for name, labels, value in exposition_samples(family):
+                if labels:
+                    body = ",".join(f'{k}="{v}"' for k, v in labels)
+                    name += "{" + body + "}"
+                lines.append(f"{name} {_format_number(value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -359,32 +336,61 @@ class QueryHistory:
         self.total_recorded = 0
 
 
-# -- stage/phase classification ------------------------------------------------
+# -- per-statement facts ----------------------------------------------------------
 
-
-def stage_op(stage_name: str) -> str:
-    """The stable operator label of a metrics stage name.
-
-    ``scan#1`` → ``scan``; ``fudj-join#5/assign-left`` → ``assign-left``.
-    Instance ids are stripped so the label is identical across sessions
-    (operator ids come from a process-global counter), and interned: the
-    history retains one per stage row over a few dozen distinct labels.
-    """
-    if "/" in stage_name:
-        return sys.intern(stage_name.rsplit("/", 1)[1])
-    return sys.intern(stage_name.split("#", 1)[0])
-
-
-#: FUDJ phase of a stage op (paper Fig 8/9 grouping).
-def phase_of(op: str) -> str:
-    if op.startswith("summarize") or op.startswith("pplan"):
-        return "summarize"
-    if op.startswith("assign"):
-        return "partition"
-    if op.startswith(("xleft", "xright", "combine", "dedup", "spread",
-                      "broadcast", "route")):
-        return "combine"
-    return "other"
+#: The one list of what telemetry records from a statement's
+#: ``QueryMetrics.to_dict()``: ``(to_dict key, sys.queries column or
+#: None, column type, registry counter or None, help)``.  The history
+#: entry's fact columns (and their zeros for a statement that never
+#: ran), that stretch of ``sys.queries``' schema and the registry's
+#: per-statement counters with their fold are all read from here, so a
+#: new counter is a ``QueryMetrics`` attribute, a ``to_dict()`` key and
+#: one row.  A row without a counter is a reading of one statement that
+#: does not sum across statements.
+STATEMENT_FACTS = (
+    ("cpu_units", "cpu_units", "double", "fudj_cpu_units_total",
+     "Work units charged to the cost model."),
+    ("network_bytes", "net_bytes", "double", "fudj_network_bytes_total",
+     "Bytes moved by exchanges."),
+    ("comparisons", "comparisons", "int", "fudj_comparisons_total",
+     "Join predicate evaluations."),
+    ("translation_conversions", "conversions", "int",
+     "fudj_translation_conversions_total", "FUDJ boundary translations."),
+    ("stages", "stage_count", "int", None, "Plan stages the statement ran."),
+    ("tasks_retried", "tasks_retried", "int", "fudj_task_retries_total",
+     "Compute task attempts replayed."),
+    ("exchange_retries", "exchange_retries", "int",
+     "fudj_exchange_retries_total", "Shuffle sends re-transmitted."),
+    ("stragglers_detected", "stragglers", "int", "fudj_stragglers_total",
+     "Tasks cut short by speculation."),
+    ("records_quarantined", "quarantined", "int",
+     "fudj_records_quarantined_total",
+     "Poison records dropped by degraded-mode policies."),
+    ("recovery_seconds", "recovery_seconds", "double",
+     "fudj_recovery_seconds_total",
+     "Simulated seconds of fault-recovery overhead."),
+    ("checkpoint_bytes", "checkpoint_bytes", "double",
+     "fudj_checkpoint_bytes_total", "Bytes spooled to the checkpoint store."),
+    ("worker_restarts", "worker_restarts", "int",
+     "fudj_worker_restarts_total",
+     "Worker processes that died mid-query and were respawned."),
+    ("heartbeat_misses", "heartbeat_misses", "int",
+     "fudj_worker_heartbeat_misses_total",
+     "Heartbeat deadlines missed by live workers holding a lease."),
+    ("peak_reserved_bytes", "peak_reserved_bytes", "double", None,
+     "High-water mark of bytes admitted by the memory accountant."),
+    ("spill_bytes", "spill_bytes", "double", "fudj_spill_bytes_total",
+     "Bytes written to memory-budget spill files."),
+    ("spill_files", "spill_files", "int", "fudj_spill_files_total",
+     "Memory-budget spill files written."),
+    ("queue_seconds", "queue_seconds", "double", None,
+     "Wall seconds the statement waited in the admission queue."),
+    ("operator_invocations", None, "int", "fudj_operator_invocations_total",
+     "Operator kernel/record invocations (one per record in row "
+     "mode, one per batch in batch mode)."),
+    ("batches", None, "int", "fudj_batches_total",
+     "Record batches produced by batch-mode operators."),
+)
 
 
 # -- sys.* table schemas -------------------------------------------------------
@@ -393,15 +399,9 @@ SYS_QUERIES_FIELDS = (
     ("id", "int"), ("sql", "string"), ("kind", "string"),
     ("mode", "string"), ("status", "string"), ("error_type", "string"),
     ("error", "string"), ("rows", "int"), ("wall_seconds", "double"),
-    ("sim_seconds", "double"), ("cpu_units", "double"),
-    ("net_bytes", "double"), ("comparisons", "int"),
-    ("conversions", "int"), ("stage_count", "int"),
-    ("tasks_retried", "int"), ("exchange_retries", "int"),
-    ("stragglers", "int"), ("quarantined", "int"),
-    ("recovery_seconds", "double"), ("checkpoint_bytes", "double"),
-    ("worker_restarts", "int"), ("heartbeat_misses", "int"),
-    ("peak_reserved_bytes", "double"), ("spill_bytes", "double"),
-    ("spill_files", "int"), ("queue_seconds", "double"),
+    ("sim_seconds", "double"),
+    *((column, column_type)
+      for _, column, column_type, _, _ in STATEMENT_FACTS if column),
     ("summarize_units", "double"), ("partition_units", "double"),
     ("combine_units", "double"), ("other_units", "double"),
     ("max_bucket_imbalance", "double"), ("max_replication", "double"),
@@ -526,42 +526,10 @@ class Telemetry:
             "SELECT/EXPLAIN executions, by final status.", ("status",))
         self._rows = r.counter(
             "fudj_rows_returned_total", "Result rows returned to callers.")
-        self._cpu_units = r.counter(
-            "fudj_cpu_units_total", "Work units charged to the cost model.")
-        self._net_bytes = r.counter(
-            "fudj_network_bytes_total", "Bytes moved by exchanges.")
-        self._comparisons = r.counter(
-            "fudj_comparisons_total", "Join predicate evaluations.")
-        self._conversions = r.counter(
-            "fudj_translation_conversions_total",
-            "FUDJ boundary translations.")
-        self._tasks_retried = r.counter(
-            "fudj_task_retries_total", "Compute task attempts replayed.")
-        self._exchange_retries = r.counter(
-            "fudj_exchange_retries_total", "Shuffle sends re-transmitted.")
-        self._stragglers = r.counter(
-            "fudj_stragglers_total", "Tasks cut short by speculation.")
-        self._quarantined = r.counter(
-            "fudj_records_quarantined_total",
-            "Poison records dropped by degraded-mode policies.")
-        self._recovery_seconds = r.counter(
-            "fudj_recovery_seconds_total",
-            "Simulated seconds of fault-recovery overhead.")
-        self._checkpoint_bytes = r.counter(
-            "fudj_checkpoint_bytes_total",
-            "Bytes spooled to the checkpoint store.")
-        self._spill_bytes = r.counter(
-            "fudj_spill_bytes_total",
-            "Bytes written to memory-budget spill files.")
-        self._spill_files = r.counter(
-            "fudj_spill_files_total", "Memory-budget spill files written.")
-        self._operator_invocations = r.counter(
-            "fudj_operator_invocations_total",
-            "Operator kernel/record invocations (one per record in row "
-            "mode, one per batch in batch mode).")
-        self._batches = r.counter(
-            "fudj_batches_total",
-            "Record batches produced by batch-mode operators.")
+        #: ``(to_dict key, counter)`` of every summed statement fact.
+        self._fact_totals = [
+            (key, r.counter(counter, help_text))
+            for key, _, _, counter, help_text in STATEMENT_FACTS if counter]
         self._batch_rows = r.histogram(
             "fudj_batch_rows", "Rows per record batch (batch mode).",
             BATCH_ROWS_BUCKETS)
@@ -573,20 +541,14 @@ class Telemetry:
         self._breaker_rejections = r.counter(
             "fudj_breaker_rejections_total",
             "Queries failed fast by an open circuit breaker.")
-        self._breaker_seen = {"trips": 0, "rejections": 0}
-        self._worker_restarts = r.counter(
-            "fudj_worker_restarts_total",
-            "Worker processes that died mid-query and were respawned.")
-        self._heartbeat_misses = r.counter(
-            "fudj_worker_heartbeat_misses_total",
-            "Heartbeat deadlines missed by live workers holding a lease.")
         self._speculations = r.counter(
             "fudj_worker_speculations_total",
             "Speculative task copies launched against real stragglers.")
         self._degradations = r.counter(
             "fudj_backend_degraded_total",
             "Queries degraded from the process backend to serial.")
-        self._pool_seen = {"speculations": 0, "degradations": 0}
+        #: Counter name -> the lifetime count :meth:`_catch_up` last saw.
+        self._seen = {}
         self._stage_units = r.counter(
             "fudj_stage_units_total",
             "Work units charged, by stage operator label.", ("op",))
@@ -694,79 +656,58 @@ class Telemetry:
             return self._assigned_ids
 
     def record_statement(self, sql: str, kind: str, mode: str, status: str,
-                         metrics=None, rows: int = 0, error=None,
-                         trace=None, cores: int = 1,
+                         result=None, error=None, cores: int = 1,
                          wall_seconds: float = 0.0,
                          plan_rows: list = None,
                          query_id: int = None) -> dict:
         """Fold one finished ``execute()`` into history + registry.
 
-        ``metrics`` is the query's :class:`QueryMetrics` (None for
-        statements that never reached execution, e.g. parse errors);
-        ``trace`` the optional :class:`~repro.engine.tracing.Trace`;
+        ``result`` is the statement's
+        :class:`~repro.engine.executor.QueryResult` (None for a
+        statement that failed, whether or not it reached execution);
         ``plan_rows`` the planned-operator rows from the optimizer
         (surfaced through ``sys.plans`` with per-stage actuals joined
         in); ``query_id`` the id reserved via :meth:`next_query_id`
         (None keeps the serial default, ``total_recorded + 1``).
         Returns the appended history entry.
         """
+        metrics = result.metrics if result is not None else None
+        facts = metrics.to_dict() if metrics is not None else None
         with self._lock:
-            return self._record_locked(sql, kind, mode, status, metrics,
-                                       rows, error, trace, cores,
-                                       wall_seconds, plan_rows, query_id)
-
-    def _record_locked(self, sql, kind, mode, status, metrics, rows,
-                       error, trace, cores, wall_seconds, plan_rows,
-                       query_id) -> dict:
-        entry = self._build_entry(sql, kind, mode, status, metrics, rows,
-                                  error, trace, cores, wall_seconds,
-                                  plan_rows, query_id)
-        self.history.append(entry)
-        self._statements.inc(kind=kind)
-        executed = metrics is not None and kind in ("select", "explain")
-        if executed:
-            self._queries.inc(status=status)
-            self._rows.inc(rows)
-            self._sim_seconds.observe(entry["sim_seconds"])
-            self._row_hist.observe(rows)
-        if metrics is not None:
-            m = metrics.to_dict()
-            self._cpu_units.inc(m["cpu_units"])
-            self._net_bytes.inc(m["network_bytes"])
-            self._comparisons.inc(m["comparisons"])
-            self._conversions.inc(m["translation_conversions"])
-            self._tasks_retried.inc(m["tasks_retried"])
-            self._exchange_retries.inc(m["exchange_retries"])
-            self._stragglers.inc(m["stragglers_detected"])
-            self._quarantined.inc(m["records_quarantined"])
-            self._recovery_seconds.inc(m["recovery_seconds"])
-            self._checkpoint_bytes.inc(m["checkpoint_bytes"])
-            self._worker_restarts.inc(m["worker_restarts"])
-            self._heartbeat_misses.inc(m["heartbeat_misses"])
-            self._spill_bytes.inc(m["spill_bytes"])
-            self._spill_files.inc(m["spill_files"])
-            self._operator_invocations.inc(m["operator_invocations"])
-            self._batches.inc(m["batches"])
-            for rows_per_batch, count in sorted(
-                    metrics.batch_row_counts.items()):
-                self._batch_rows.observe_many(rows_per_batch, count)
-            for stage_row in entry["stages"]:
-                self._stage_units.inc(stage_row["cpu_units"],
-                                      op=stage_row["op"])
-                self._phase_units.inc(stage_row["cpu_units"],
-                                      phase=stage_row["phase"])
-        for cb in entry["callbacks"]:
-            self._callback_calls.inc(cb["calls"], callback=cb["callback"])
-            if cb["errors"]:
-                self._callback_errors.inc(cb["errors"],
-                                          callback=cb["callback"])
-            self._callback_units.inc(cb["cpu_units"],
-                                     callback=cb["callback"])
-        self._history_entries.set(len(self.history))
-        self._history_evicted.set(self.history.evicted)
-        self._emit_statement_events(entry, metrics, error)
-        self._events_emitted.set(self.events.total_emitted)
-        return entry
+            entry = self._build_entry(sql, kind, mode, status, result, facts,
+                                      error, cores, wall_seconds, plan_rows,
+                                      query_id)
+            self.history.append(entry)
+            self._statements.inc(kind=kind)
+            if metrics is not None:
+                if kind in ("select", "explain"):
+                    self._queries.inc(status=status)
+                    self._rows.inc(entry["rows"])
+                    self._sim_seconds.observe(entry["sim_seconds"])
+                    self._row_hist.observe(entry["rows"])
+                for key, total in self._fact_totals:
+                    total.inc(facts[key])
+                for rows_per_batch, count in sorted(
+                        metrics.batch_row_counts.items()):
+                    self._batch_rows.observe(rows_per_batch, count)
+                for stage_row in entry["stages"]:
+                    self._stage_units.inc(stage_row["cpu_units"],
+                                          op=stage_row["op"])
+                    self._phase_units.inc(stage_row["cpu_units"],
+                                          phase=stage_row["phase"])
+            for cb in entry["callbacks"]:
+                self._callback_calls.inc(cb["calls"],
+                                         callback=cb["callback"])
+                if cb["errors"]:
+                    self._callback_errors.inc(cb["errors"],
+                                              callback=cb["callback"])
+                self._callback_units.inc(cb["cpu_units"],
+                                         callback=cb["callback"])
+            self._history_entries.set(len(self.history))
+            self._history_evicted.set(self.history.evicted)
+            self._emit_statement_events(entry, metrics, error)
+            self._events_emitted.set(self.events.total_emitted)
+            return entry
 
     def _emit_statement_events(self, entry: dict, metrics, error) -> None:
         """Completion-time events for one statement: the per-stage
@@ -812,9 +753,13 @@ class Telemetry:
         ev.emit("query.error", query_id=qid, status=entry["status"],
                 error_type=entry["error_type"])
 
-    def _build_entry(self, sql, kind, mode, status, metrics, rows, error,
-                     trace, cores, wall_seconds, plan_rows=None,
-                     query_id=None) -> dict:
+    def _build_entry(self, sql, kind, mode, status, result, facts, error,
+                     cores, wall_seconds, plan_rows, query_id) -> dict:
+        """The history entry of one statement — a pure function of its
+        arguments (``facts`` is ``result.metrics.to_dict()``, or None
+        with no result) and the history's next id."""
+        metrics = result.metrics if result is not None else None
+        trace = result.trace if result is not None else None
         entry = {
             "id": (int(query_id) if query_id
                    else self.history.total_recorded + 1),
@@ -824,65 +769,24 @@ class Telemetry:
             "status": status,
             "error_type": type(error).__name__ if error is not None else "",
             "error": str(error) if error is not None else "",
-            "rows": int(rows),
+            "rows": len(result.rows) if result is not None else 0,
             "wall_seconds": float(wall_seconds),
-            "sim_seconds": 0.0,
-            "cpu_units": 0.0,
-            "net_bytes": 0.0,
-            "comparisons": 0,
-            "conversions": 0,
-            "stage_count": 0,
-            "tasks_retried": 0,
-            "exchange_retries": 0,
-            "stragglers": 0,
-            "quarantined": 0,
-            "recovery_seconds": 0.0,
-            "checkpoint_bytes": 0.0,
-            "worker_restarts": 0,
-            "heartbeat_misses": 0,
-            "peak_reserved_bytes": 0.0,
-            "spill_bytes": 0.0,
-            "spill_files": 0,
-            "queue_seconds": 0.0,
-            "summarize_units": 0.0,
-            "partition_units": 0.0,
-            "combine_units": 0.0,
-            "other_units": 0.0,
-            "max_bucket_imbalance": 0.0,
-            "max_replication": 0.0,
-            "traced": trace is not None,
-            "stages": [],
-            "callbacks": [],
-            "plans": [],
+            "sim_seconds": (metrics.simulated_seconds(max(1, cores))
+                            if metrics is not None else 0.0),
         }
+        for key, column, column_type, _, _ in STATEMENT_FACTS:
+            if column is not None:
+                entry[column] = (facts[key] if facts is not None
+                                 else 0.0 if column_type == "double" else 0)
+        entry.update(
+            summarize_units=0.0, partition_units=0.0, combine_units=0.0,
+            other_units=0.0, max_bucket_imbalance=0.0, max_replication=0.0,
+            traced=trace is not None, stages=[], callbacks=[], plans=[],
+        )
         if metrics is not None:
-            m = metrics.to_dict()
-            entry["sim_seconds"] = metrics.simulated_seconds(max(1, cores))
-            entry["cpu_units"] = m["cpu_units"]
-            entry["net_bytes"] = m["network_bytes"]
-            entry["comparisons"] = m["comparisons"]
-            entry["conversions"] = m["translation_conversions"]
-            entry["stage_count"] = m["stages"]
-            entry["tasks_retried"] = m["tasks_retried"]
-            entry["exchange_retries"] = m["exchange_retries"]
-            entry["stragglers"] = m["stragglers_detected"]
-            entry["quarantined"] = m["records_quarantined"]
-            entry["recovery_seconds"] = m["recovery_seconds"]
-            entry["checkpoint_bytes"] = m["checkpoint_bytes"]
-            entry["worker_restarts"] = m["worker_restarts"]
-            entry["heartbeat_misses"] = m["heartbeat_misses"]
-            entry["peak_reserved_bytes"] = m["peak_reserved_bytes"]
-            entry["spill_bytes"] = m["spill_bytes"]
-            entry["spill_files"] = m["spill_files"]
-            entry["queue_seconds"] = m["queue_seconds"]
             for seq, stage in enumerate(metrics.stages):
                 op = stage_op(stage.name)
                 units = stage.total_units()
-                workers = stage.worker_units
-                mean = (sum(workers.values()) / len(workers)
-                        if workers else 0.0)
-                imbalance = (max(workers.values()) / mean
-                             if len(workers) > 1 and mean > 0 else 1.0)
                 phase = phase_of(op)
                 entry["stages"].append(StageRow(
                     query_id=entry["id"],
@@ -894,8 +798,8 @@ class Telemetry:
                     net_bytes=stage.network_bytes + stage.fabric_bytes,
                     records_in=stage.records_in,
                     records_out=stage.records_out,
-                    workers=len(workers),
-                    imbalance=imbalance,
+                    workers=len(stage.worker_units),
+                    imbalance=stage.imbalance() or 1.0,
                 ))
                 entry[f"{phase}_units"] += units
         if plan_rows:
@@ -966,16 +870,11 @@ class Telemetry:
         if breaker is None:
             return
         with self._lock:
-            trips = breaker.trips - self._breaker_seen["trips"]
+            trips = self._catch_up(self._breaker_trips, breaker.trips)
             if trips > 0:
-                self._breaker_trips.inc(trips)
                 self.events.emit("breaker.trip", query_id=query_id,
                                  trips=trips)
-            rejections = breaker.rejections - self._breaker_seen["rejections"]
-            if rejections > 0:
-                self._breaker_rejections.inc(rejections)
-            self._breaker_seen["trips"] = breaker.trips
-            self._breaker_seen["rejections"] = breaker.rejections
+            self._catch_up(self._breaker_rejections, breaker.rejections)
 
     def sync_pool(self, pool) -> None:
         """Fold a worker pool's lifetime speculation/degradation counts
@@ -986,16 +885,18 @@ class Telemetry:
             return
         counters = pool.counters()
         with self._lock:
-            speculations = (counters["speculations"]
-                            - self._pool_seen["speculations"])
-            if speculations > 0:
-                self._speculations.inc(speculations)
-            degradations = (counters["degradations"]
-                            - self._pool_seen["degradations"])
-            if degradations > 0:
-                self._degradations.inc(degradations)
-            self._pool_seen["speculations"] = counters["speculations"]
-            self._pool_seen["degradations"] = counters["degradations"]
+            self._catch_up(self._speculations, counters["speculations"])
+            self._catch_up(self._degradations, counters["degradations"])
+
+    def _catch_up(self, counter, lifetime: int) -> int:
+        """Add to ``counter`` what ``lifetime`` — a count its owner keeps
+        for its whole life — grew by since the last call; returns that
+        growth."""
+        grown = lifetime - self._seen.get(counter.name, 0)
+        self._seen[counter.name] = lifetime
+        if grown > 0:
+            counter.inc(grown)
+        return grown
 
     # -- snapshots ------------------------------------------------------------
 
@@ -1011,10 +912,12 @@ class Telemetry:
         )
 
     def reset(self) -> None:
-        """Zero the registry, drop the history, and clear the event
-        log (an attached event sink stays attached)."""
+        """Zero the registry (all but ``fudj_build_info``), drop the
+        history, and clear the event log (an attached event sink stays
+        attached)."""
         with self._lock:
-            self.registry.reset()
+            # Build info says what the session is, not what it has done.
+            self.registry.reset(keep=(self._build_info,))
             self.history.clear()
             self.events.clear()
             with self._id_lock:
@@ -1027,78 +930,25 @@ class Telemetry:
         return [{key: entry[key] for key in keys}
                 for entry in self.history.entries()]
 
-    def stages_rows(self) -> list:
+    def entry_rows(self, name: str) -> list:
+        """One of the three lists every retained statement's entry holds
+        (``stages`` / ``callbacks`` / ``plans``), end to end, oldest
+        statement first — the ``sys.*`` table of that name."""
         rows = []
         for entry in self.history.entries():
-            rows.extend(row.to_dict() for row in entry["stages"])
+            rows.extend(entry[name])
         return rows
-
-    def callbacks_rows(self) -> list:
-        rows = []
-        for entry in self.history.entries():
-            rows.extend(entry["callbacks"])
-        return rows
-
-    def plans_rows(self) -> list:
-        """Planned operators (with estimates and joined actuals) of every
-        retained query — the ``sys.plans`` provider."""
-        rows = []
-        for entry in self.history.entries():
-            rows.extend(entry.get("plans", []))
-        return rows
-
-    def events_rows(self) -> list:
-        """Retained engine events — the ``sys.events`` provider."""
-        return self.events.rows()
 
     def metrics_rows(self) -> list:
         """The registry flattened to one row per sample (histograms
         expand to ``_bucket`` / ``_sum`` / ``_count`` rows)."""
-        rows = []
-
-        def labels_text(labelnames, key, extra=()):
-            pairs = list(zip(labelnames, key)) + list(extra)
-            return ",".join(f"{n}={v}" for n, v in pairs)
-
-        for family in self.registry.families():
-            if family.kind == "histogram":
-                for key, series in family.samples():
-                    for bound, count in zip(family.buckets,
-                                            series["counts"]):
-                        rows.append({
-                            "metric": f"{family.name}_bucket",
-                            "kind": family.kind,
-                            "labels": labels_text(
-                                family.labelnames, key,
-                                [("le", _format_number(bound))]),
-                            "value": float(count),
-                        })
-                    rows.append({
-                        "metric": f"{family.name}_bucket",
-                        "kind": family.kind,
-                        "labels": labels_text(family.labelnames, key,
-                                              [("le", "+Inf")]),
-                        "value": float(series["count"]),
-                    })
-                    rows.append({
-                        "metric": f"{family.name}_sum", "kind": family.kind,
-                        "labels": labels_text(family.labelnames, key),
-                        "value": float(series["sum"]),
-                    })
-                    rows.append({
-                        "metric": f"{family.name}_count",
-                        "kind": family.kind,
-                        "labels": labels_text(family.labelnames, key),
-                        "value": float(series["count"]),
-                    })
-            else:
-                for key, value in family.samples():
-                    rows.append({
-                        "metric": family.name, "kind": family.kind,
-                        "labels": labels_text(family.labelnames, key),
-                        "value": float(value),
-                    })
-        return rows
+        return [
+            {"metric": name, "kind": family.kind,
+             "labels": ",".join(f"{k}={v}" for k, v in labels),
+             "value": float(value)}
+            for family in self.registry.families()
+            for name, labels, value in exposition_samples(family)
+        ]
 
 
 def resources_rows(db) -> list:
@@ -1155,13 +1005,14 @@ def register_sys_tables(db) -> None:
     telemetry = db.telemetry
     providers = {
         "sys.queries": telemetry.queries_rows,
-        "sys.stages": telemetry.stages_rows,
-        "sys.callbacks": telemetry.callbacks_rows,
+        "sys.stages": lambda: [row.to_dict()
+                               for row in telemetry.entry_rows("stages")],
+        "sys.callbacks": lambda: telemetry.entry_rows("callbacks"),
         "sys.metrics": telemetry.metrics_rows,
         "sys.resources": lambda: resources_rows(db),
         "sys.workers": lambda: workers_rows(db),
-        "sys.plans": telemetry.plans_rows,
-        "sys.events": telemetry.events_rows,
+        "sys.plans": lambda: telemetry.entry_rows("plans"),
+        "sys.events": telemetry.events.rows,
         "sys.sessions": lambda: sessions_rows(db),
     }
     for name, fields in SYS_TABLES.items():

@@ -113,11 +113,9 @@ class Span:
         self.records_in = stage.records_in
         self.records_out = stage.records_out
         self.network_bytes = stage.network_bytes + stage.fabric_bytes
-        workers = stage.worker_units
-        if len(workers) > 1:
-            mean = sum(workers.values()) / len(workers)
-            if mean > 0:
-                self.meta["imbalance"] = max(workers.values()) / mean
+        imbalance = stage.imbalance()
+        if imbalance is not None:
+            self.meta["imbalance"] = imbalance
 
     # -- aggregate views ----------------------------------------------------
 

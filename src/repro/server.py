@@ -93,6 +93,27 @@ def _error_status(exc: Exception) -> str:
     return _history_status(exc)
 
 
+def _is_key(value) -> bool:
+    """Whether an ``id`` / ``target`` can key the in-flight table."""
+    return value is None or isinstance(value, (str, int, float))
+
+
+def _frame_problem(request: dict):
+    """Why a parsed frame cannot be dispatched, or None when it can:
+    ``id`` and ``target`` key the in-flight table and ``deadline_ms``
+    arms a timer, so each must be what those can take."""
+    for name in ("id", "target"):
+        if not _is_key(request.get(name)):
+            return f"{name} must be a string or a number"
+    deadline_ms = request.get("deadline_ms")
+    if deadline_ms is not None and not (
+            isinstance(deadline_ms, (int, float))
+            and not isinstance(deadline_ms, bool)
+            and abs(deadline_ms) <= threading.TIMEOUT_MAX * 1000.0):
+        return "deadline_ms must be a finite number of milliseconds"
+    return None
+
+
 def _jsonable(value):
     """A JSON-representable form of one row value (exotic engine types
     — geometry tuples, opaque states — render through repr)."""
@@ -191,6 +212,12 @@ class _Session:
         rid = request.get("id")
         op = request.get("op")
         self.requests += 1
+        problem = _frame_problem(request)
+        if problem is not None:
+            self.send({"id": rid if _is_key(rid) else None, "type": "error",
+                       "error": "bad-request", "message": problem})
+            server.db.telemetry.note_request("invalid", "bad-request")
+            return True
         if server.draining and op in ("query", "hello"):
             self.send({"id": rid, "type": "error", "error": "draining",
                        "message": "server is draining; no new requests"})

@@ -131,12 +131,20 @@ class TestScriptRunner:
         assert main([str(script)]) == 0
         captured = capsys.readouterr()
         assert "c" in captured.out
+        # A flag counts wherever it stands, after the script too.
+        assert main([str(script), "--demo", "interval"]) == 0
+        assert "loaded the interval demo" in capsys.readouterr().out
 
     def test_main_with_missing_script(self, capsys):
         from repro.cli import main
 
         assert main(["/no/such/file.sql"]) == 1
         assert "cannot read" in capsys.readouterr().err
+        # An unknown flag is reported as one, not as a script to open.
+        assert main(["--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "--bogus" in err and "cannot read" not in err
+        assert len(err.splitlines()) == 1
 
     def test_explain_in_shell(self, shell_and_output):
         shell, lines = shell_and_output

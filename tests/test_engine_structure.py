@@ -7,12 +7,19 @@ encoded by hand in five places.  Copies like that come back one
 convenient call at a time, so this test parses ``src/repro`` and fails
 on a call to an engine hook from anywhere but the module that owns the
 decision — or from a function listed below with its reason.
+
+The same goes for a fact declared twice: a per-statement counter was
+hand-listed in seven places across ``metrics.py`` and ``telemetry.py``,
+the stage-name pattern compiled in two modules, a statement recorded
+from two call sites.  The last four tests hold each to one.
 """
 
 import ast
 from pathlib import Path
 
 import repro
+from repro.engine.metrics import QueryMetrics
+from repro.engine.telemetry import STATEMENT_FACTS
 
 ROOT = Path(repro.__file__).parent
 
@@ -39,7 +46,20 @@ CALLERS = {
         ("engine/context.py", "ExecutionContext.run_task"),
         ("engine/workers.py", "_fault_schedule"),
     },
+    # A statement is recorded where it ends, whichever way it ends.
+    "record_statement": {("database.py", "Database.execute")},
 }
+
+#: ``QueryMetrics.to_dict()`` keys telemetry does not read, and why.
+NOT_STATEMENT_FACTS = {
+    "wall_seconds": "recorded from Database.execute's own clock, which "
+                    "starts before the parse and stops after the fold",
+    "output_records": "the history's rows column, counted off the result",
+}
+
+#: ``to_dict()`` keys telemetry stores under another name.
+RENAMED_FACTS = ("network_bytes", "translation_conversions",
+                 "stragglers_detected", "records_quarantined")
 
 #: The same, for calls made under src/repro/engine only: the serde layer
 #: has other users (storage, the translator), the engine has one frame.
@@ -144,3 +164,41 @@ def test_the_visitor_names_the_calling_function():
         "class BShim: pass\n"))
     assert visitor.calls == [("crashes", "A.m.inner"), ("helper", "A.m")]
     assert visitor.classes == ["A", "BShim"]
+
+
+def string_constants(path: str) -> list:
+    tree = ast.parse((ROOT / path).read_text())
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_every_to_dict_key_is_a_declared_fact():
+    declared = {key for key, *_ in STATEMENT_FACTS}
+    assert not declared & set(NOT_STATEMENT_FACTS)
+    left_out = set(QueryMetrics().to_dict()) - declared - set(
+        NOT_STATEMENT_FACTS)
+    assert not left_out, (
+        f"to_dict() keys telemetry never sees: {sorted(left_out)} — add a "
+        "STATEMENT_FACTS row (or a NOT_STATEMENT_FACTS entry and its reason)")
+    assert declared <= set(QueryMetrics().to_dict())
+
+
+def test_a_renamed_fact_is_spelled_once():
+    constants = string_constants("engine/telemetry.py")
+    for key in RENAMED_FACTS:
+        assert constants.count(key) == 1, (
+            f"{key!r} is written {constants.count(key)} times in "
+            "telemetry.py; read it from STATEMENT_FACTS")
+
+
+def test_one_module_knows_the_instance_id_pattern():
+    owners = [path for path, _ in scan()
+              if r"#\d+" in string_constants(path)]
+    assert owners == ["engine/metrics.py"], owners
+
+
+def test_a_statement_is_recorded_from_one_call_site():
+    sites = [function for path, visitor in scan()
+             for name, function in visitor.calls
+             if name == "record_statement"]
+    assert sites == ["Database.execute"], sites

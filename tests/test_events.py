@@ -234,10 +234,14 @@ class TestSysEvents:
             # chosen order is narrated for every cost-planned query.
             db.execute("CREATE DATASET X(T) PRIMARY KEY id")
             db.load("X", [{"id": i, "k": i % 3, "v": i} for i in range(12)])
-            db.execute(
-                "SELECT l.id, r.id, x.id FROM L l, R r, X x "
-                "WHERE MOD_EQUI(l.k, r.k) AND MOD_EQUI(r.k, x.k)"
-            )
+            sql = ("SELECT l.id, r.id, x.id FROM L l, R r, X x "
+                   "WHERE MOD_EQUI(l.k, r.k) AND MOD_EQUI(r.k, x.k)")
+            # explain() is no statement: the stream must not depend on
+            # whether anyone called it.
+            before = db.telemetry.events.to_jsonl()
+            db.explain(sql)
+            assert db.telemetry.events.to_jsonl() == before
+            db.execute(sql)
             kinds = {e.kind for e in db.telemetry.events.events()}
         finally:
             db.close()

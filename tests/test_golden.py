@@ -27,11 +27,17 @@ summation order — batching the per-delivery charges of an exchange —
 would not show.  Cases route on ints and floats only, so the file does
 not depend on ``PYTHONHASHSEED``.
 
+The file pins bytes, not truth, so every FUDJ case that finishes is also
+held to the nested-loop answer of its shape (:func:`truth`): the same
+rows as a bag, whatever the budget, faults, dedup, backend or optimizer.
+
 The file is rewritten only by ``make golden-accept``; review its diff
 like code.
 """
 
+import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -291,6 +297,25 @@ def _spans(span) -> list:
             repr(span.network_bytes), [_spans(child) for child in span.children]]
 
 
+def _bag(rows) -> collections.Counter:
+    return collections.Counter(repr(sorted(row.items())) for row in rows)
+
+
+@functools.lru_cache(maxsize=None)
+def truth(shape: str) -> collections.Counter:
+    """The shape's rows by nested loop on a fresh database: ``ontop``
+    mode, on the baseline's scalar-predicate SQL where the shape has
+    one (no join library runs at all), else on the shape's own."""
+    build, sql, (baseline_mode, baseline_sql), _ = SHAPES[shape]
+    db = build()
+    try:
+        return _bag(db.execute(
+            baseline_sql if baseline_mode == "ontop" else sql,
+            mode="ontop").rows)
+    finally:
+        db.close()
+
+
 def run_case(case: dict) -> dict:
     build, sql, baseline, options = SHAPES[case["shape"]]
     mode = "fudj"
@@ -315,6 +340,13 @@ def run_case(case: dict) -> dict:
             # is then the error and what was logged up to it.
             return {"error": _INSTANCE_ID.sub("", f"{type(exc).__name__}: {exc}"),
                     "events": _digest(db.telemetry.events.to_jsonl())}
+        if mode == "fudj":
+            rows, true = _bag(result.rows), truth(case["shape"])
+            # The poison library quarantines by design: it may drop a
+            # true row, never invent one.
+            assert (not rows - true if case["shape"] == "interval_poison"
+                    else rows == true), (
+                "FUDJ rows differ from the nested loop's")
         metrics = result.metrics.to_dict(db.cluster.cores)
         for key in WALL_CLOCK_KEYS:
             del metrics[key]

@@ -20,8 +20,6 @@ PACKAGES = ("engine", "serde", "geometry", "core", "joins", "interval",
 
 #: ``(path under src/repro, qualified function name) -> why it stays``.
 ALLOWED = {
-    ("engine/events.py", "_phase_for"):
-        "per event; telemetry.py imports this module",
     ("engine/operators/fudj_join.py", "FudjJoin._combine"):
         "per query; a serial query never imports multiprocessing",
     ("engine/telemetry.py", "Telemetry.set_build_info"):

@@ -25,19 +25,24 @@ acceptance properties pinned down (``docs/serving.md``):
   still answers queries byte-identically.
 """
 
+import json
 import os
+import socket
 import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.database import Database
 from repro.engine.events import EVENT_KINDS, RUNTIME_KINDS
 from repro.errors import QueryCancelledError, ServerError
 from repro.client import SessionClient
 from repro.server import DEFAULT_TENANT, SessionServer, _error_status
+from repro.query.printer import sql_of
 from tests.helpers import BandJoin
+from tests.test_parser_fuzz import expressions, identifiers
 
 FAST_SQL = "SELECT l.id, r.id FROM L l, R r WHERE band_join(l.k, r.k)"
 SLOW_SUM_SQL = "SELECT l.id, r.id FROM L l, R r WHERE slow_sum(l.k, r.k)"
@@ -62,6 +67,32 @@ class SlowCombineJoin(BandJoin):
     def verify(self, key1, key2, pplan):
         time.sleep(0.003)
         return super().verify(key1, key2, pplan)
+
+
+#: Any JSON value, and any JSON object as a request frame: every field
+#: the server reads is drawn both well-formed and as any value at all.
+#: (``close`` is left out: its one answer is the session's last.)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=12)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+FRAMES = st.fixed_dictionaries({}, optional={
+    "op": st.one_of(st.sampled_from(["query", "cancel", "ping", "hello"]),
+                    JSON_VALUES.filter(lambda op: op != "close")),
+    "id": JSON_VALUES,
+    "target": JSON_VALUES,
+    "deadline_ms": JSON_VALUES,
+    "sql": st.one_of(
+        JSON_VALUES,
+        st.tuples(expressions(2), identifiers).map(
+            lambda drawn: f"SELECT {sql_of(drawn[0])} FROM {drawn[1]} t")),
+    "mode": JSON_VALUES,
+    "optimizer": JSON_VALUES,
+    "tenant": JSON_VALUES,
+})
 
 
 def make_db(rows=24, **kwargs):
@@ -170,6 +201,53 @@ class TestProtocol:
             assert client.ping()["type"] == "pong"  # answered mid-query
             reply = client.wait(slow, timeout=60.0)
             assert reply["type"] == "result"
+
+    def test_malformed_fields_are_bad_request_not_fatal(self, served):
+        db, server = served
+        with connect(server) as client:
+            for fields in ({"deadline_ms": "abc"}, {"deadline_ms": [1]},
+                           {"deadline_ms": True}, {"deadline_ms": 1e400}):
+                reply = client.request("query", sql=FAST_SQL, **fields)
+                assert reply["error"] == "bad-request", fields
+                assert "deadline_ms" in reply["message"]
+            reply = client.request("cancel", target={"a": 1})
+            assert reply["error"] == "bad-request"
+            client.send_raw({"id": {"a": 1}, "op": "ping"})
+            wait_until(lambda: client.notices, message="bad-request notice")
+            assert client.notices[0]["error"] == "bad-request"
+            assert client.ping()["type"] == "pong"
+
+    def test_any_json_object_gets_one_answer(self, served):
+        """For any JSON object sent as a frame the session answers
+        exactly one line, and goes on answering."""
+        db, server = served
+        sock = socket.create_connection((server.host, server.port),
+                                        timeout=30.0)
+        lines = sock.makefile("r", encoding="utf-8", newline="\n")
+
+        def exchange(*frames) -> list:
+            sock.sendall("".join(json.dumps(frame) + "\n"
+                                 for frame in frames).encode("utf-8"))
+            return [json.loads(lines.readline()) for _ in frames]
+
+        @settings(max_examples=100, deadline=None)
+        @given(frame=FRAMES)
+        def check(frame):
+            # A query is answered from its own thread, so its one line
+            # and the pong may come in either order; were there a second
+            # line, it would be read in place of the next pong.
+            replies = exchange(frame, {"id": "then", "op": "ping"})
+            assert {"id": "then", "type": "pong"} in replies
+            assert all(reply.get("type") in ("result", "error", "ok", "pong")
+                       for reply in replies)
+            assert exchange({"id": "after", "op": "ping"}) == [
+                {"id": "after", "type": "pong"}]
+
+        try:
+            check()
+        finally:
+            lines.close()
+            sock.close()
 
     def test_wire_error_status_mapping(self):
         assert _error_status(QueryCancelledError("deadline")) == "timeout"

@@ -259,6 +259,20 @@ class TestRecording:
         assert by_id[6]["status"] == "error"
         assert by_id[6]["error_type"] == "CatalogError"
         assert "Missing" in by_id[6]["error"]
+        # A UDF's own exception is no ReproError: it propagates as it
+        # is, and the statement is still recorded and its timeline closed.
+        db.register_udf("boom", lambda value: [][value])
+        with pytest.raises(IndexError):
+            db.execute("SELECT l.id FROM L l WHERE boom(l.v) = 1")
+        entry = db.telemetry.history.entries()[-1]
+        assert (entry["id"], entry["status"], entry["error_type"]) == (
+            7, "error", "IndexError")
+        kinds = [event.kind for event in db.telemetry.events.events()
+                 if event.query_id == 7]
+        assert (kinds[0], kinds[-1]) == ("query.start", "query.error")
+        assert db._active_query_id == 0
+        db.execute(GROUP_SQL)
+        assert db.telemetry.history.entries()[-1]["id"] == 8
 
     def test_timeout_status(self):
         db = make_db()
@@ -301,6 +315,8 @@ class TestRecording:
         assert db.execute("SELECT * FROM sys.queries").rows == []
         counter = db.telemetry.registry.counter("fudj_rows_returned_total")
         assert counter.value() == 0
+        # What the build is does not reset with what it did.
+        assert "\nfudj_build_info{" in db.metrics_snapshot("prometheus")
 
 
 # -- sys.* tables through SQL --------------------------------------------------
