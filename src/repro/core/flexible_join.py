@@ -97,6 +97,10 @@ class FlexibleJoin:
         optimizer then uses hash partitioning and the hash-join operator.
         Overriding this makes the join a *multi-join* (theta join on
         bucket ids) and forces a broadcast-based bucket matching plan.
+
+        It must be a pure function of ``(bucket_id1, bucket_id2)``: the
+        engine may call it once per distinct pair, in any order, and
+        reuse the answer for every record pair those buckets hold.
         """
         return bucket_id1 == bucket_id2
 

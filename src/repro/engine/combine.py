@@ -36,9 +36,12 @@ class CombineSite:
 
     Subclasses supply the effects — ``charge(units)``,
     ``attribute(name, units, calls=0)``, ``note_call(name, wall, ok=True)``,
-    ``add_comparisons(n)``, ``_admit(items, side, price)`` and
-    ``guard_record(join_name, phase, fn, *args, detail=None)`` (the
-    signature of :meth:`ExecutionContext.guard_record`).
+    ``add_comparisons(n)``, ``add_quarantined(n)``,
+    ``_admit(items, side, price)``,
+    ``guard_record(join_name, phase, fn, *args, detail=None)`` and
+    ``guard_batch(join_name, phase, calls, fn, *args)`` (the signatures of
+    :meth:`ExecutionContext.guard_record` and
+    :meth:`ExecutionContext.guard_batch`).
     """
 
     def __init__(self, op, ctx, pplan, out_schema, v_cost: float,
@@ -95,10 +98,9 @@ class CombineSite:
     def safe_verify(self, key1, key2) -> bool:
         """``verify`` under the error policy: a raising pair is treated
         as a non-match (and quarantined) instead of aborting."""
-        # Fetched, then called (here and in ``safe_match``): on the local
-        # site ``guard_record`` is an instance attribute, which CPython's
-        # cached method-call path misses on every call — 2 % of a theta
-        # query, measured.
+        # Fetched, then called: on the local site ``guard_record`` is an
+        # instance attribute, which CPython's cached method-call path
+        # misses on every call — 2 % of a theta query, measured.
         guard = self.guard_record
         ok, matched = guard(
             self.join.name, "verify", self.join.verify, key1, key2,
@@ -106,13 +108,14 @@ class CombineSite:
         )
         return bool(matched) if ok else False
 
-    def safe_match(self, bucket1, bucket2) -> bool:
-        guard = self.guard_record
-        ok, matched = guard(
+    def safe_match(self, bucket1, bucket2):
+        """``match`` on one bucket pair under the error policy; ``None``
+        (a non-match) when the call raised and the policy dropped it."""
+        ok, matched = self.guard_record(
             self.join.name, "match", self.join.match, bucket1, bucket2,
             detail=(bucket1, bucket2),
         )
-        return bool(matched) if ok else False
+        return bool(matched) if ok else None
 
     def local_join_pairs(self, keys1, keys2):
         """Enumerate the developer's ``local_join`` candidates; with
@@ -135,10 +138,11 @@ class LocalSite(CombineSite):
         self._op = op
         self._ctx = ctx
         self._stage = stage
-        # Bound methods, not wrappers: a theta combine makes one guarded
-        # ``match`` call per record pair, so an extra frame per call is a
-        # measurable slowdown of the whole query.
+        # Bound methods, not wrappers: COMBINE makes one guarded
+        # ``verify`` call per candidate record pair, so an extra frame per
+        # call is a measurable slowdown of the whole query.
         self.guard_record = ctx.guard_record
+        self.guard_batch = ctx.guard_batch
         self.attribute = ctx.tracer.attribute
         self.note_call = ctx.tracer.record_call
 
@@ -147,6 +151,9 @@ class LocalSite(CombineSite):
 
     def add_comparisons(self, count: int) -> None:
         self._ctx.metrics.comparisons += count
+
+    def add_quarantined(self, count: int) -> None:
+        self._ctx.metrics.records_quarantined += count
 
     def _admit(self, items: list, side: JoinSide, price: bool) -> list:
         # Resident COMBINE state goes through the accountant: it prices
@@ -197,13 +204,16 @@ def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
 
 
 def _close(site: CombineSite, probe_units: float, verify_units: float,
-           dedup_checks: int, probe_name: str = None) -> None:
+           dedup_checks: int, probe_name: str = None,
+           dropped: int = 0) -> None:
     """A kernel's closing charge: the probe side (hash probes, or the
     ``match`` calls when ``probe_name`` says so), verification, and the
-    duplicate checks."""
+    duplicate checks.  ``dropped`` is :attr:`_BucketPairs.dropped`."""
     dedup_units = dedup_checks * site.model.comparison
     site.charge(probe_units + verify_units + dedup_units)
     site.add_comparisons(dedup_checks)
+    if dropped:
+        site.add_quarantined(dropped)
     if site.traced:
         if probe_name is not None:
             site.attribute(probe_name, probe_units)
@@ -270,41 +280,129 @@ def _probe_with_local_join(site: CombineSite, rows: list, left_table,
     return candidates, verify_units
 
 
+_UNASKED = object()
+
+
+def _matching(match, bucket1, buckets2: list) -> set:
+    """One left bucket's row of ``match`` answers, unguarded."""
+    return {bucket2 for bucket2 in buckets2 if match(bucket1, bucket2)}
+
+
+class _BucketPairs:
+    """``match`` — and, on the partitioned plan, who owns the pair —
+    decided once per distinct bucket pair of one task.
+
+    ``match`` is a pure function of two bucket ids, so a task asks it per
+    *bucket* pair and runs its record-pair loop only over the right
+    entries whose bucket matched; the stage is still *charged* the
+    record-pair nested loop the cost model prices.  One left bucket's
+    whole row of answers is taken under one policy frame
+    (:meth:`ExecutionContext.guard_batch`); only a row in which some
+    ``match`` raised is asked again pair by pair through ``safe_match``,
+    which applies ``on_error`` to exactly the pairs that raise.  A
+    raising bucket pair is reported once and drops every record pair it
+    covers.
+
+    ``owns(b1, b2)``, when given, is asked first and ``match`` only of
+    the pairs this task owns.
+    """
+
+    def __init__(self, site: CombineSite, left_entries: list,
+                 right_entries: list, owns=None) -> None:
+        self.site = site
+        self.left = left_entries
+        self.right = right_entries
+        self.owns = owns
+        #: Distinct right bucket ids, in order of first appearance.
+        self.buckets2 = list(dict.fromkeys(
+            [entry[0] for entry in right_entries]))
+        self._candidates = {}
+        self._answers = {}
+        #: Record pairs dropped with a raising bucket pair, beyond the
+        #: one that each raising call has counted itself.
+        self.dropped = 0
+
+    def candidates(self, bucket1) -> list:
+        """The right entries a left entry of ``bucket1`` pairs with, in
+        arrival order."""
+        found = self._candidates.get(bucket1)
+        if found is None:
+            found = self._candidates[bucket1] = self._row(bucket1)
+        return found
+
+    def _row(self, bucket1) -> list:
+        site = self.site
+        owns = self.owns
+        buckets2 = self.buckets2
+        if owns is not None:
+            buckets2 = [b2 for b2 in buckets2 if owns(bucket1, b2)]
+        ok, row = site.guard_batch(
+            site.join.name, "match", len(buckets2),
+            _matching, site.join.match, bucket1, buckets2,
+        )
+        if not ok:
+            safe_match = site.safe_match
+            answers = [(b2, safe_match(bucket1, b2)) for b2 in buckets2]
+            row = {b2 for b2, matched in answers if matched}
+            raised = {b2 for b2, matched in answers if matched is None}
+            if raised:
+                covered = (
+                    sum(1 for entry in self.left if entry[0] == bucket1)
+                    * sum(1 for entry in self.right if entry[0] in raised))
+                self.dropped += covered - len(raised)
+        return [entry for entry in self.right if entry[0] in row]
+
+    def matches(self, bucket1, bucket2) -> bool:
+        """One pair's answer, for a task whose candidates are sparse (a
+        ``local_join``).  Call once per candidate record pair."""
+        pair = (bucket1, bucket2)
+        matched = self._answers.get(pair, _UNASKED)
+        if matched is _UNASKED:
+            owns = self.owns
+            matched = self._answers[pair] = (
+                (owns is None or owns(bucket1, bucket2))
+                and self.site.safe_match(bucket1, bucket2))
+        elif matched is None:
+            self.dropped += 1
+        return matched
+
+
 def theta_task(site: CombineSite, left_entries: list,
                broadcast: list) -> list:
-    """Theta bucket matching: spread left, broadcast right, test
-    ``match`` per record pair (the paper's §VII-C fallback).
+    """Theta bucket matching: spread left, broadcast right, pair every
+    left record with every broadcast record whose bucket ``match``es its
+    own (the paper's §VII-C fallback).
 
     The engine has no partitioned theta-join operator (AsterixDB does
     not either — the paper lists one as future work), so the bucket
     matching degenerates to a nested loop over ``(bucket_id, record)``
     tuples: every worker receives the whole broadcast side, tables it,
-    and evaluates ``match`` once per record pair.  The per-node
+    and is charged one ``match`` per record pair.  The per-node
     broadcast processing does not shrink as the cluster grows (and
     spills when it exceeds the worker's memory budget), which is exactly
-    why Fig 10b's interval join scales poorly.
+    why Fig 10b's interval join scales poorly.  What is *executed* is
+    one ``match`` per distinct bucket pair (:class:`_BucketPairs`).
     """
     model = site.model
     broadcast = site.admit(broadcast, JoinSide.RIGHT)
     site.charge((len(left_entries) + len(broadcast)) * model.hash_op)
     rows = []
-    match_checks = 0
     verify_units = 0.0
     dedup_checks = 0
-    # Kept as an explicit nested loop: this is the hottest loop in the
-    # engine (one guarded ``match`` per record pair), and feeding it from
-    # a candidate generator shared with ``partitioned_task`` measured
-    # 8-11 % slower end to end.
+    pairs = _BucketPairs(site, left_entries, broadcast)
+    candidates_of = pairs.candidates
+    # Kept as an explicit nested loop: with ``match`` out of it this is
+    # one ``_verify_pair`` per candidate, still the hottest loop in the
+    # engine, and feeding it from a candidate generator shared with
+    # ``partitioned_task`` measured 8-11 % slower end to end.
     for entry1 in left_entries:
-        b1 = entry1[0]
-        for entry2 in broadcast:
-            match_checks += 1
-            if not site.safe_match(b1, entry2[0]):
-                continue
-            dedup_checks += 1
+        candidates = candidates_of(entry1[0])
+        dedup_checks += len(candidates)
+        for entry2 in candidates:
             verify_units += _verify_pair(site, rows, entry1, entry2)
+    match_checks = len(left_entries) * len(broadcast)
     _close(site, match_checks * model.match_op, verify_units, dedup_checks,
-           "match")
+           "match", pairs.dropped)
     return rows
 
 
@@ -315,8 +413,8 @@ def partitioned_task(site: CombineSite, local_left: list,
     ``partition_buckets`` maps every bucket onto match partitions such
     that matching buckets share one, so both sides co-partition and join
     locally — no broadcast, and the per-node work shrinks with the
-    cluster.  A pair may meet in several partitions; the engine keeps it
-    only in the smallest shared one.
+    cluster.  A pair may meet in several partitions; only the smallest
+    shared one owns it — asks ``match`` of it and joins it.
     """
     model = site.model
     join = site.join
@@ -331,7 +429,6 @@ def partitioned_task(site: CombineSite, local_left: list,
         local_right = site.admit(local_right, JoinSide.RIGHT, price=False)
     site.charge((len(local_left) + len(local_right)) * model.hash_op)
     rows = []
-    match_checks = 0
     verify_units = 0.0
     dedup_checks = 0
     part_cache = {}
@@ -343,40 +440,35 @@ def partitioned_task(site: CombineSite, local_left: list,
             part_cache[bucket_id] = found
         return found
 
+    def owns(b1, b2):
+        return min(parts_of(b1) & parts_of(b2)) == worker
+
+    pairs = _BucketPairs(site, local_left, local_right, owns)
     if join.has_local_join():
         # A custom local algorithm (e.g. a sort-merge forward scan)
-        # enumerates candidates instead of the NLJ; the ownership check
-        # and verify still run per candidate.
+        # enumerates candidates instead of the NLJ; ownership, ``match``
+        # and verify still decide each candidate.
         keys1 = [entry[1] for entry in local_left]
         keys2 = [entry[1] for entry in local_right]
         match_checks = len(keys1) + len(keys2)  # sort/setup charge
+        matches = pairs.matches
         for i, j in site.local_join_pairs(keys1, keys2):
             entry1 = local_left[i]
             entry2 = local_right[j]
-            b1 = entry1[0]
-            b2 = entry2[0]
-            if not site.safe_match(b1, b2):
-                continue
-            shared = parts_of(b1) & parts_of(b2)
-            if min(shared) != worker:
+            if not matches(entry1[0], entry2[0]):
                 continue
             dedup_checks += 1
             verify_units += _verify_pair(site, rows, entry1, entry2)
     else:
+        match_checks = len(local_left) * len(local_right)
+        candidates_of = pairs.candidates
         for entry1 in local_left:
-            b1 = entry1[0]
-            for entry2 in local_right:
-                b2 = entry2[0]
-                match_checks += 1
-                if not site.safe_match(b1, b2):
-                    continue
-                shared = parts_of(b1) & parts_of(b2)
-                if min(shared) != worker:
-                    continue  # another partition owns this pair
-                dedup_checks += 1
+            candidates = candidates_of(entry1[0])
+            dedup_checks += len(candidates)
+            for entry2 in candidates:
                 verify_units += _verify_pair(site, rows, entry1, entry2)
     _close(site, match_checks * model.match_op, verify_units, dedup_checks,
-           "match")
+           "match", pairs.dropped)
     return rows
 
 

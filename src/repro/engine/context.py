@@ -300,11 +300,13 @@ class ExecutionContext:
         is the poison record (or key pair) — rendered into the quarantine
         report only when an error actually fires.
 
-        The signature is the hot path's: a theta COMBINE calls this once
-        per record pair, and one more defaulted keyword (``hard=False``)
-        measured +4.2 % ``latency_p50_ms`` on ``interval_theta``, worse in
-        9 of 10 pairs — which is why what fails hard is decided from
-        ``phase``, in the ``except`` branch, and not by a flag.
+        The signature is the hot path's: COMBINE calls this once per
+        candidate record pair (``verify``), and one more defaulted keyword
+        (``hard=False``) measured +4.2 % ``latency_p50_ms`` on
+        ``interval_theta`` when ``match`` also came through here per
+        record pair, worse in 9 of 10 pairs — which is why what fails
+        hard is decided from ``phase``, in the ``except`` branch, and not
+        by a flag.
 
         With tracing enabled, every invocation (including failed ones) is
         folded into the aggregated callback span named ``phase`` under
@@ -343,6 +345,33 @@ class ExecutionContext:
             return False, None
         if timed:
             tracer.record_call(phase, time.perf_counter() - started)
+        self.note_breaker_success(join_name)
+        return True, result
+
+    def guard_batch(self, join_name: str, phase: str, calls: int, fn,
+                    *args):
+        """Run ``fn(*args)``, which makes ``calls`` invocations of the
+        ``phase`` callback, under one frame of :meth:`guard_record`: one
+        cancellation check, one breaker note and, with tracing enabled,
+        one clock pair folded into the ``phase`` callback span.
+
+        Returns ``(True, result)``.  When any invocation raises it
+        returns ``(False, None)`` with nothing recorded and no policy
+        applied: the caller makes the calls again one by one through
+        :meth:`guard_record`, so ``on_error`` acts on exactly the items
+        that raise.
+        """
+        if self.cancel is not None:
+            self.cancel.check()
+        tracer = self.tracer
+        timed = tracer.enabled
+        started = time.perf_counter() if timed else 0.0
+        try:
+            result = fn(*args)
+        except Exception:
+            return False, None
+        if timed:
+            tracer.record_calls(phase, calls, time.perf_counter() - started)
         self.note_breaker_success(join_name)
         return True, result
 

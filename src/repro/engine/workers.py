@@ -267,6 +267,9 @@ class _WorkerSite(CombineSite):
     def add_comparisons(self, count: int) -> None:
         self.comparisons += count
 
+    def add_quarantined(self, count: int) -> None:
+        self.quarantined += count
+
     def _touch_child(self, name: str) -> None:
         # First-touch order of callback spans, so the coordinator creates
         # trace children in the same order the serial backend would.
@@ -278,13 +281,14 @@ class _WorkerSite(CombineSite):
         self._touch_child(name)
         self.attrs.append((name, units, calls))
 
-    def note_call(self, name: str, wall: float, ok: bool = True) -> None:
+    def note_call(self, name: str, wall: float, ok: bool = True,
+                  calls: int = 1) -> None:
         self._touch_child(name)
         entry = self.calls.get(name)
         if entry is None:
             entry = [0, 0, 0.0]
             self.calls[name] = entry
-        entry[0] += 1
+        entry[0] += calls
         if not ok:
             entry[1] += 1
         entry[2] += wall
@@ -344,6 +348,18 @@ class _WorkerSite(CombineSite):
             return False, None
         if self.traced:
             self.note_call(phase, time.perf_counter() - started)
+        self.breaker_ok = True
+        return True, result
+
+    def guard_batch(self, join_name: str, phase: str, calls: int, fn,
+                    *args):
+        started = time.perf_counter() if self.traced else 0.0
+        try:
+            result = fn(*args)
+        except Exception:
+            return False, None
+        if self.traced and calls:
+            self.note_call(phase, time.perf_counter() - started, calls=calls)
         self.breaker_ok = True
         return True, result
 

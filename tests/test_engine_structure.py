@@ -46,6 +46,14 @@ CALLERS = {
         ("engine/context.py", "ExecutionContext.run_task"),
         ("engine/workers.py", "_fault_schedule"),
     },
+    # ``match`` is decided per bucket pair: a kernel asks _BucketPairs,
+    # never the guarded callback from its own record-pair loop.
+    "safe_match": {
+        # The pair-by-pair pass over a row in which some ``match`` raised.
+        ("engine/combine.py", "_BucketPairs._row"),
+        # The sparse candidates of a ``local_join``, memoised per pair.
+        ("engine/combine.py", "_BucketPairs.matches"),
+    },
     # A statement is recorded where it ends, whichever way it ends.
     "record_statement": {("database.py", "Database.execute")},
 }
