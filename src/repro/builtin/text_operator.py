@@ -4,10 +4,10 @@ The prefix-filtered set-similarity join as a dedicated operator, the way
 the AsterixDB similarity work implemented it: global token-frequency
 summary, rank-ordered prefix replication, bucket-id hash exchange, exact
 Jaccard verification, and first-common-prefix-token duplicate avoidance.
-Unlike the FUDJ version — which re-tokenizes at every callback because the
-framework hands it one key at a time — this operator tokenizes each record
-once and carries the token set alongside it, a fusion only engine-level
-code can do.
+It tokenizes each record once and carries the token set alongside it;
+the FUDJ version does the same through ``FlexibleJoin.prepare``, so what
+separates the two is the framework's callbacks and the translation
+layer, not repeated tokenization.
 """
 
 from __future__ import annotations

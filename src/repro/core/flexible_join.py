@@ -21,8 +21,11 @@ COMBINE
     partitioning (default: duplicate avoidance via ``assign``).
 
 Keys are plain Python values — the engine's translation layer (Figure 7)
-unboxes its internal typed values before every callback, so implementing
-a join requires no engine knowledge at all.
+unboxes its internal typed values before they reach a callback, so
+implementing a join requires no engine knowledge at all.  A library whose
+callbacks all start by deriving the same thing from the key (a token set
+from a text) overrides ``prepare(key, side)``: it runs once per record
+per query, and its result is what every callback receives as the key.
 """
 
 from __future__ import annotations
@@ -61,6 +64,25 @@ class FlexibleJoin:
 
     def __init__(self, *parameters) -> None:
         self.parameters = parameters
+
+    # -- once per record, before SUMMARIZE ---------------------------------------
+
+    def prepare(self, key, side: JoinSide):
+        """Optional: derive from ``key`` the value the callbacks work on.
+
+        Runs once per input record per query (and once more for an entry
+        the serial backend replays from a spill file); what it returns
+        is what :meth:`local_aggregate`, :meth:`assign`, :meth:`verify`,
+        :meth:`dedup` and :meth:`local_join` receive in place of the
+        key.  It must be a pure function of ``(key, side)`` and its
+        result picklable (the process backend ships it to the workers).
+        The default is the key itself, and is never called.
+        """
+        return key
+
+    def prepares(self) -> bool:
+        """True when :meth:`prepare` is overridden."""
+        return type(self).prepare is not FlexibleJoin.prepare
 
     # -- SUMMARIZE -------------------------------------------------------------
 

@@ -36,24 +36,50 @@ class StandaloneRunner:
         self.stats = {}
 
     # -- phases, exposed individually for debugging -----------------------------
+    #
+    # The public phases take and return the keys as given; inside, a key
+    # travels as ``(key, prepared)`` so the callbacks get what the
+    # library's ``prepare`` made of it, as on the engine.
+
+    def _prepared(self, keys, side: JoinSide) -> list:
+        if not self.join.prepares():
+            keys = list(keys)
+            return list(zip(keys, keys))
+        return [(key, self.join.prepare(key, side)) for key in keys]
 
     def summarize(self, keys, side: JoinSide):
         """Run SUMMARIZE over one side and return the global summary."""
+        return self._summarize(self._prepared(keys, side), side)
+
+    def _summarize(self, pairs: list, side: JoinSide):
         summary = None
-        for key in keys:
-            summary = self.join.local_aggregate(key, summary, side)
+        for _, prepared in pairs:
+            summary = self.join.local_aggregate(prepared, summary, side)
         return summary
 
     def partition(self, keys, pplan, side: JoinSide) -> dict:
         """Run PARTITION: bucket_id -> list of keys."""
+        buckets = self._partition(self._prepared(keys, side), pplan, side)
+        return {bucket_id: [key for key, _ in pairs]
+                for bucket_id, pairs in buckets.items()}
+
+    def _partition(self, pairs: list, pplan, side: JoinSide) -> dict:
         buckets = defaultdict(list)
-        for key in keys:
-            for bucket_id in self.join.assign_list(key, pplan, side):
-                buckets[bucket_id].append(key)
+        for pair in pairs:
+            for bucket_id in self.join.assign_list(pair[1], pplan, side):
+                buckets[bucket_id].append(pair)
         return buckets
 
     def combine(self, buckets1: dict, buckets2: dict, pplan):
         """Run COMBINE: match buckets, verify pairs, deduplicate."""
+        return self._combine(
+            {bucket_id: self._prepared(keys, JoinSide.LEFT)
+             for bucket_id, keys in buckets1.items()},
+            {bucket_id: self._prepared(keys, JoinSide.RIGHT)
+             for bucket_id, keys in buckets2.items()},
+            pplan)
+
+    def _combine(self, buckets1: dict, buckets2: dict, pplan) -> list:
         results = []
         if self.join.uses_default_match():
             # Single-join: only equal bucket ids can match.
@@ -69,12 +95,13 @@ class StandaloneRunner:
             )
         verified = 0
         for b1, b2 in pairs:
-            for key1 in buckets1[b1]:
-                for key2 in buckets2[b2]:
+            for key1, prepared1 in buckets1[b1]:
+                for key2, prepared2 in buckets2[b2]:
                     verified += 1
-                    if not self.join.verify(key1, key2, pplan):
+                    if not self.join.verify(prepared1, prepared2, pplan):
                         continue
-                    if not self.dedup.keep_local(self.join, b1, key1, b2, key2, pplan):
+                    if not self.dedup.keep_local(
+                            self.join, b1, prepared1, b2, prepared2, pplan):
                         continue
                     results.append((key1, key2))
         if self.dedup.requires_shuffle:
@@ -85,25 +112,28 @@ class StandaloneRunner:
 
     # -- the whole pipeline ------------------------------------------------------
 
+    def _plan(self, left: list, right: list):
+        summary1 = self._summarize(left, JoinSide.LEFT)
+        summary2 = self._summarize(right, JoinSide.RIGHT)
+        return self.join.divide(summary1, summary2)
+
     def run(self, left_keys, right_keys) -> list:
         """Execute the full FUDJ pipeline and return result key pairs."""
-        left_keys = list(left_keys)
-        right_keys = list(right_keys)
-        summary1 = self.summarize(left_keys, JoinSide.LEFT)
-        summary2 = self.summarize(right_keys, JoinSide.RIGHT)
-        pplan = self.join.divide(summary1, summary2)
-        buckets1 = self.partition(left_keys, pplan, JoinSide.LEFT)
-        buckets2 = self.partition(right_keys, pplan, JoinSide.RIGHT)
+        left = self._prepared(left_keys, JoinSide.LEFT)
+        right = self._prepared(right_keys, JoinSide.RIGHT)
+        pplan = self._plan(left, right)
+        buckets1 = self._partition(left, pplan, JoinSide.LEFT)
+        buckets2 = self._partition(right, pplan, JoinSide.RIGHT)
         if self.trace:
             self.stats.update(
-                left_keys=len(left_keys),
-                right_keys=len(right_keys),
+                left_keys=len(left),
+                right_keys=len(right),
                 left_buckets=len(buckets1),
                 right_buckets=len(buckets2),
                 left_assignments=sum(len(v) for v in buckets1.values()),
                 right_assignments=sum(len(v) for v in buckets2.values()),
             )
-        return self.combine(buckets1, buckets2, pplan)
+        return self._combine(buckets1, buckets2, pplan)
 
     def bucket_histogram(self, keys, side: JoinSide, bins: int = 8) -> str:
         """A debugging view of how ``assign`` spreads ``keys``.
@@ -114,10 +144,10 @@ class StandaloneRunner:
         degenerate partitioning — the paper's §III-A failure modes —
         shows up immediately.
         """
-        keys = list(keys)
-        summary = self.summarize(keys, side)
+        keys = self._prepared(keys, side)
+        summary = self._summarize(keys, side)
         pplan = self.join.divide(summary, summary)
-        buckets = self.partition(keys, pplan, side)
+        buckets = self._partition(keys, pplan, side)
         if not buckets:
             return "(no buckets: empty input)"
         sizes = sorted((len(v) for v in buckets.values()), reverse=True)
@@ -141,16 +171,14 @@ class StandaloneRunner:
     def run_nested_loop(self, left_keys, right_keys) -> list:
         """Ground-truth nested loop using only ``verify`` (with a PPlan
         built the normal way).  Used by tests to check FUDJ correctness."""
-        left_keys = list(left_keys)
-        right_keys = list(right_keys)
-        summary1 = self.summarize(left_keys, JoinSide.LEFT)
-        summary2 = self.summarize(right_keys, JoinSide.RIGHT)
-        pplan = self.join.divide(summary1, summary2)
+        left = self._prepared(left_keys, JoinSide.LEFT)
+        right = self._prepared(right_keys, JoinSide.RIGHT)
+        pplan = self._plan(left, right)
         return [
-            (k1, k2)
-            for k1 in left_keys
-            for k2 in right_keys
-            if self.join.verify(k1, k2, pplan)
+            (key1, key2)
+            for key1, prepared1 in left
+            for key2, prepared2 in right
+            if self.join.verify(prepared1, prepared2, pplan)
         ]
 
 

@@ -2,8 +2,10 @@
 
 COMBINE is where the user's ``match`` / ``verify`` / ``dedup`` run.  A
 kernel is the body of one per-partition task: it takes the two routed
-entry lists (``(bucket_id, external_key, record, assignment)`` tuples, as
-PARTITION made them) and returns the joined rows.  Everything a task
+entry lists (``(bucket_id, key, record, assignment, raw_key)`` tuples, as
+PARTITION made them — ``key`` is what the callbacks receive, ``raw_key``
+the key before the library's ``prepare``, which a quarantine report
+renders) and returns the joined rows.  Everything a task
 does to shared state — charging the stage, recording a callback,
 attributing trace units, quarantining a record, reserving memory — goes
 through the site it is handed:
@@ -73,7 +75,7 @@ class CombineSite:
         """Route one side's resident entries through the memory
         accountant.  A spilled entry comes back as the codec's
         ``(bucket_id, key, record)`` in its original's position and takes
-        its original's carried assignment back."""
+        its original's carried assignment and raw key back."""
         admitted = self._admit(items, side, price)
         if admitted is items:
             return items
@@ -95,16 +97,17 @@ class CombineSite:
                     return b1 == bucket1 and b2 == bucket2
         return False
 
-    def safe_verify(self, key1, key2) -> bool:
+    def safe_verify(self, key1, key2, raw1, raw2) -> bool:
         """``verify`` under the error policy: a raising pair is treated
-        as a non-match (and quarantined) instead of aborting."""
+        as a non-match (and quarantined, by its raw keys) instead of
+        aborting."""
         # Fetched, then called: on the local site ``guard_record`` is an
         # instance attribute, which CPython's cached method-call path
         # misses on every call — 2 % of a theta query, measured.
         guard = self.guard_record
         ok, matched = guard(
             self.join.name, "verify", self.join.verify, key1, key2,
-            self.pplan, detail=(key1, key2),
+            self.pplan, detail=(raw1, raw2),
         )
         return bool(matched) if ok else False
 
@@ -158,12 +161,11 @@ class LocalSite(CombineSite):
     def _admit(self, items: list, side: JoinSide, price: bool) -> list:
         # Resident COMBINE state goes through the accountant: it prices
         # the spill and, under a memory budget, spills/replays the
-        # overflow for real — recomputing each replayed entry's key.
+        # overflow for real — making each replayed entry's key again.
         op, ctx = self._op, self._ctx
-        key_fn = op.left_key if side is JoinSide.LEFT else op.right_key
         return ctx.admit(
             self._stage, self.worker, items,
-            EntrySpillCodec(lambda r: op._external_key(r, key_fn, ctx)),
+            EntrySpillCodec(lambda r: op._key_column([r], side, ctx)[0][0]),
             price=price,
         )
 
@@ -184,8 +186,8 @@ def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
     references, and spills and worker transport replay clones that keep
     their ``rid``.
     """
-    bucket1, key1, record1, assignment1 = entry1
-    bucket2, key2, record2, assignment2 = entry2
+    bucket1, key1, record1, assignment1, raw1 = entry1
+    bucket2, key2, record2, assignment2, raw2 = entry2
     if site.carried:
         keep = site.keeps(bucket1, assignment1, bucket2, assignment2)
     else:
@@ -194,7 +196,7 @@ def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
         )
     if not keep:
         return 0.0
-    matched = site.safe_verify(key1, key2)
+    matched = site.safe_verify(key1, key2, raw1, raw2)
     if matched:
         joined = record1.concat(record2, site.out_schema)
         if site.tag:

@@ -14,6 +14,7 @@ from repro.engine.tracing import Tracer
 from repro.errors import (
     ExecutionError,
     FudjCallbackError,
+    QueryCancelledError,
     QueryTimeoutError,
     TaskFailedError,
 )
@@ -359,7 +360,9 @@ class ExecutionContext:
         returns ``(False, None)`` with nothing recorded and no policy
         applied: the caller makes the calls again one by one through
         :meth:`guard_record`, so ``on_error`` acts on exactly the items
-        that raise.
+        that raise.  A long batch polls the cancellation token between
+        its items itself; that cancellation is the query's, not an
+        item's, and passes through.
         """
         if self.cancel is not None:
             self.cancel.check()
@@ -368,6 +371,8 @@ class ExecutionContext:
         started = time.perf_counter() if timed else 0.0
         try:
             result = fn(*args)
+        except QueryCancelledError:
+            raise
         except Exception:
             return False, None
         if timed:

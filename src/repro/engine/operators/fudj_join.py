@@ -18,10 +18,14 @@ on top of the engine primitives:
    exchanges; the per-partition join is a kernel in
    :mod:`repro.engine.combine`.
 
-Every FUDJ callback goes through the translation layer (Figure 7) so
-engine values are unboxed to plain Python values first; built-in operator
-baselines bypass the layer (``translate=False``), which is exactly the
-overhead gap measured in paper §VII-B.
+Every join key goes through the translation layer (Figure 7), so the
+callbacks see plain Python values; built-in operator baselines bypass
+the layer (``translate=False``), which is exactly the overhead gap
+measured in paper §VII-B.  A key is made once per query
+(:meth:`FudjJoin._key_column`: key expression, translation, the
+library's ``prepare``) and every phase reads that column; the stages
+still *charge* a translation per record per phase, which is the engine
+the cost model describes.
 
 Fault tolerance: every per-worker phase body runs as a *task* through
 :meth:`ExecutionContext.run_task`, so an active fault plan can crash or
@@ -30,6 +34,10 @@ checkpoints (lineage-style recovery).  Per-record callbacks
 (``local_aggregate``, ``assign``, ``verify``, ``match``) additionally
 honor the context's degraded-mode policy: under ``skip``/``quarantine``
 a poison record is dropped (and reported) instead of aborting the query.
+A SUMMARIZE or PARTITION task makes its calls under one policy frame
+(:meth:`ExecutionContext.guard_batch`) and only when some call raised
+makes them again record by record, so the policy acts on exactly the
+records that raise.
 Phases with no single culprit record (``global_aggregate``, ``divide``,
 ``local_join``, ``dedup``) always fail hard.
 """
@@ -92,6 +100,61 @@ class _DedupEntry:
         return 16 + self.record.serialized_size()
 
 
+class _Unprepared:
+    """Stands in the key column for a key whose ``prepare`` raised.
+
+    Every callback that was to receive the key raises that error again
+    (:func:`_on_key`) inside its own policy frame — where the library
+    raised it when each callback derived the value for itself."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+
+def _on_key(callback, key, *args):
+    """``callback(key, *args)``: the record-by-record form of a SUMMARIZE
+    or PARTITION call."""
+    if type(key) is _Unprepared:
+        raise key.error
+    return callback(key, *args)
+
+
+def _fold(local_aggregate, keys: list, side: JoinSide, poll):
+    """One SUMMARIZE task's calls: ``keys`` folded into a summary.
+    ``poll`` is the query's cancellation check, or None."""
+    summary = None
+    for key in keys:
+        if poll is not None:
+            poll()
+        summary = local_aggregate(key, summary, side)
+    return summary
+
+
+def _checked_assign(key, assign_list, pplan, side: JoinSide) -> list:
+    """``key``'s bucket list, each id checked to be an int."""
+    bucket_ids = assign_list(key, pplan, side)
+    for bucket_id in bucket_ids:
+        if not isinstance(bucket_id, int):
+            raise TypeError(
+                f"bucket ids must be ints, got "
+                f"{type(bucket_id).__name__}: {bucket_id!r}"
+            )
+    return bucket_ids
+
+
+def _assign_all(assign_list, keys: list, pplan, side: JoinSide, poll) -> list:
+    """One PARTITION task's calls: the checked bucket list of each of
+    ``keys``."""
+    assigned = []
+    for key in keys:
+        if poll is not None:
+            poll()
+        assigned.append(_checked_assign(key, assign_list, pplan, side))
+    return assigned
+
+
 class FudjJoin(PhysicalOperator):
     """Physical FUDJ join of two inputs.
 
@@ -149,46 +212,84 @@ class FudjJoin(PhysicalOperator):
     def children(self) -> list:
         return [self.left, self.right]
 
-    # -- key extraction through the translation layer ---------------------------
+    # -- the key column -----------------------------------------------------------
 
-    def _external_key(self, record, key_fn, ctx: ExecutionContext):
-        boxed = key_fn(record)
+    def _key_column(self, records: list, side: JoinSide,
+                    ctx: ExecutionContext) -> tuple:
+        """The one place a join key is made: the key expression, the
+        translation layer, then the library's ``prepare`` if it has one.
+
+        Returns ``(keys, raws, clean)``, the lists parallel to
+        ``records``: ``keys`` is what the callbacks receive, ``raws`` the
+        translated keys a quarantine report renders (the same list for a
+        library without ``prepare``), and ``clean`` is False when some
+        ``prepare`` raised and left an :class:`_Unprepared` in ``keys``.
+        """
+        key_fn = self.left_key if side is JoinSide.LEFT else self.right_key
+        raws = [key_fn(record) for record in records]
         if self.translate:
-            return ctx.translator.to_external(boxed)
-        return unbox(boxed)
+            to_external = ctx.translator.to_external
+            raws = [to_external(boxed) for boxed in raws]
+        else:
+            raws = [unbox(boxed) for boxed in raws]
+        if not self.join.prepares():
+            return raws, raws, True
+        prepare = self.join.prepare
+        keys = []
+        clean = True
+        for raw in raws:
+            try:
+                keys.append(prepare(raw, side))
+            except Exception as exc:
+                keys.append(_Unprepared(exc))
+                clean = False
+        return keys, raws, clean
 
     def _key_cost(self, ctx: ExecutionContext) -> float:
         return ctx.cost_model.translation if self.translate else 0.0
 
     # -- phase 1: SUMMARIZE ------------------------------------------------------
 
-    def _summarize_side(self, result: OperatorResult, key_fn, side: JoinSide,
-                        ctx: ExecutionContext):
+    def _summarize_side(self, result: OperatorResult, column: list,
+                        side: JoinSide, ctx: ExecutionContext):
         stage = ctx.metrics.stage(f"{self.stage_name}/summarize-{side.value}")
         with ctx.tracer.span(f"summarize-{side.value}", kind="stage",
                              stage=stage):
-            return self._summarize_side_inner(result, key_fn, side, ctx, stage)
+            return self._summarize_side_inner(result, column, side, ctx, stage)
 
-    def _summarize_side_inner(self, result, key_fn, side, ctx, stage):
+    def _summarize_side_inner(self, result, column, side, ctx, stage):
         model = ctx.cost_model
         key_cost = self._key_cost(ctx)
         step = max(1, round(1.0 / self.summarize_sample))
         join = self.join
+        poll = None if ctx.cancel is None else ctx.cancel.check
         partials = []
         for worker, partition in enumerate(result.partitions):
-            sampled = partition if step == 1 else partition[::step]
+            keys, _, clean = column[worker]
+            if step > 1:
+                partition = partition[::step]
+                keys = keys[::step]
 
-            def task(worker=worker, sampled=sampled):
-                summary = None
-                for record in sampled:
-                    key = self._external_key(record, key_fn, ctx)
-                    ok, folded = ctx.guard_record(
-                        join.name, "local_aggregate",
-                        join.local_aggregate, key, summary, side,
-                        detail=record,
+            def task(worker=worker, sampled=partition, keys=keys,
+                     clean=clean):
+                ok = clean
+                if ok:
+                    ok, summary = ctx.guard_batch(
+                        join.name, "local_aggregate", len(keys),
+                        _fold, join.local_aggregate, keys, side, poll,
                     )
-                    if ok:
-                        summary = folded
+                if not ok:
+                    # The batch's partial summary is dropped, not
+                    # resumed: a library may have mutated it in place.
+                    summary = None
+                    for key, record in zip(keys, sampled):
+                        ok, folded = ctx.guard_record(
+                            join.name, "local_aggregate", _on_key,
+                            join.local_aggregate, key, summary, side,
+                            detail=record,
+                        )
+                        if ok:
+                            summary = folded
                 stage.charge(
                     worker, len(sampled) * (model.record_touch + key_cost)
                 )
@@ -214,10 +315,10 @@ class FudjJoin(PhysicalOperator):
 
     # -- phase 2: PARTITION ------------------------------------------------------
 
-    def _assign_side(self, result: OperatorResult, key_fn, side: JoinSide,
-                     pplan, ctx: ExecutionContext) -> list:
-        """Unnest each record into ``(bucket_id, external_key, record,
-        assignment)`` entries, one per bucket.
+    def _assign_side(self, result: OperatorResult, column: list,
+                     side: JoinSide, pplan, ctx: ExecutionContext) -> list:
+        """Unnest each record into ``(bucket_id, key, record, assignment,
+        raw_key)`` entries, one per bucket.
 
         ``assignment`` is the record's whole bucket list, sorted, as one
         tuple shared by its entries — ``None`` when the record has a
@@ -232,7 +333,7 @@ class FudjJoin(PhysicalOperator):
         stage = ctx.metrics.stage(f"{self.stage_name}/assign-{side.value}")
         with ctx.tracer.span(f"assign-{side.value}", kind="stage",
                              stage=stage):
-            out = self._assign_side_inner(result, key_fn, side, pplan, ctx,
+            out = self._assign_side_inner(result, column, side, pplan, ctx,
                                           stage)
         if ctx.tracer.enabled:
             histogram = {}
@@ -245,41 +346,45 @@ class FudjJoin(PhysicalOperator):
             )
         return out
 
-    def _assign_side_inner(self, result, key_fn, side, pplan, ctx,
+    def _assign_side_inner(self, result, column, side, pplan, ctx,
                            stage) -> list:
         model = ctx.cost_model
         key_cost = self._key_cost(ctx)
         join = self.join
+        poll = None if ctx.cancel is None else ctx.cancel.check
         out = []
-
-        def checked_assign(key):
-            bucket_ids = join.assign_list(key, pplan, side)
-            for bucket_id in bucket_ids:
-                if not isinstance(bucket_id, int):
-                    raise TypeError(
-                        f"bucket ids must be ints, got "
-                        f"{type(bucket_id).__name__}: {bucket_id!r}"
-                    )
-            return bucket_ids
-
         for worker, partition in enumerate(result.partitions):
 
             def task(worker=worker, partition=partition):
+                keys, raws, ok = column[worker]
+                if ok:
+                    ok, assigned = ctx.guard_batch(
+                        join.name, "assign", len(keys),
+                        _assign_all, join.assign_list, keys, pplan, side,
+                        poll,
+                    )
+                if not ok:
+                    # ``None`` for a record the policy dropped.
+                    assigned = [
+                        ctx.guard_record(
+                            join.name, "assign", _on_key, _checked_assign,
+                            key, join.assign_list, pplan, side,
+                            detail=record,
+                        )[1]
+                        for key, record in zip(keys, partition)
+                    ]
                 rows = []
                 assignments = 0
-                for record in partition:
-                    key = self._external_key(record, key_fn, ctx)
-                    ok, bucket_ids = ctx.guard_record(
-                        join.name, "assign", checked_assign, key,
-                        detail=record,
-                    )
-                    if not ok:
+                for bucket_ids, key, record, raw in zip(
+                        assigned, keys, partition, raws):
+                    if bucket_ids is None:
                         continue
                     assignments += len(bucket_ids)
                     assignment = (tuple(sorted(bucket_ids))
                                   if len(bucket_ids) > 1 else None)
                     for bucket_id in bucket_ids:
-                        rows.append((bucket_id, key, record, assignment))
+                        rows.append(
+                            (bucket_id, key, record, assignment, raw))
                 stage.charge(
                     worker,
                     len(partition) * (model.record_touch + key_cost)
@@ -306,14 +411,18 @@ class FudjJoin(PhysicalOperator):
 
         # SUMMARIZE (+ the self-join summarize-once optimization).
         with tracer.span("SUMMARIZE", kind="phase"):
+            left_keys = [self._key_column(partition, JoinSide.LEFT, ctx)
+                         for partition in left.partitions]
+            right_keys = [self._key_column(partition, JoinSide.RIGHT, ctx)
+                          for partition in right.partitions]
             summary1 = self._summarize_side(
-                left, self.left_key, JoinSide.LEFT, ctx
+                left, left_keys, JoinSide.LEFT, ctx
             )
             if self.self_join:
                 summary2 = summary1
             else:
                 summary2 = self._summarize_side(
-                    right, self.right_key, JoinSide.RIGHT, ctx
+                    right, right_keys, JoinSide.RIGHT, ctx
                 )
             pplan = ctx.guard_record(join.name, "divide", join.divide,
                                      summary1, summary2)[1]
@@ -327,10 +436,10 @@ class FudjJoin(PhysicalOperator):
             if self.dedup.requires_shuffle:
                 _number_records(left.partitions, right.partitions)
             left_assigned = self._assign_side(
-                left, self.left_key, JoinSide.LEFT, pplan, ctx
+                left, left_keys, JoinSide.LEFT, pplan, ctx
             )
             right_assigned = self._assign_side(
-                right, self.right_key, JoinSide.RIGHT, pplan, ctx
+                right, right_keys, JoinSide.RIGHT, pplan, ctx
             )
 
         out_schema = left.schema.concat(right.schema)

@@ -355,7 +355,8 @@ STATEMENT_FACTS = (
     ("comparisons", "comparisons", "int", "fudj_comparisons_total",
      "Join predicate evaluations."),
     ("translation_conversions", "conversions", "int",
-     "fudj_translation_conversions_total", "FUDJ boundary translations."),
+     "fudj_translation_conversions_total",
+     "FUDJ boundary translations performed."),
     ("stages", "stage_count", "int", None, "Plan stages the statement ran."),
     ("tasks_retried", "tasks_retried", "int", "fudj_task_retries_total",
      "Compute task attempts replayed."),

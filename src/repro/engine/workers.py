@@ -106,12 +106,15 @@ def default_pool_size(cluster) -> int:
 
 # -- entry/row transport through the serde layer ------------------------------
 #
-# COMBINE inputs are (bucket_id, external_key, record, assignment) tuples.
+# COMBINE inputs are (bucket_id, key, record, assignment, raw_key) tuples.
 # Records ship as the frames the spill codec writes
 # (:class:`~repro.engine.resources.EntrySpillCodec`).  Keys ride alongside
-# through the body pickle — they are plain external Python values that
-# callbacks must see unchanged, so re-boxing them is not an option — and
-# so do the carried assignments (shared tuples of ints, or None).
+# through the body pickle — they are plain external Python values (or what
+# the library's ``prepare`` made of them) that callbacks must see
+# unchanged, so re-boxing them is not an option — and so do the carried
+# assignments (shared tuples of ints, or None) and the raw keys (the key
+# objects again, memoized by the pickler, for a library without
+# ``prepare``).
 # Anything the codec would pin (a non-int bucket, a non-record, a second
 # schema, an unserializable value) falls back to pickling the entries
 # wholesale, and if even that fails the caller degrades to the serial
@@ -125,7 +128,7 @@ def _pack_entries(entries: list) -> dict:
         return {"codec": "pickle", "entries": entries}
     return {"codec": "serde", "schema": codec.schema, "frames": frames,
             "keys": [entry[1] for entry in entries],
-            "carried": [entry[3] for entry in entries]}
+            "rest": [entry[3:] for entry in entries]}
 
 
 def _unpack_entries(packed: dict) -> list:
@@ -133,8 +136,8 @@ def _unpack_entries(packed: dict) -> list:
         return packed["entries"]
     keys = iter(packed["keys"])  # a decoded entry takes the next one
     codec = EntrySpillCodec(lambda record: next(keys), packed["schema"])
-    return [codec.decode(frame) + (assignment,)
-            for frame, assignment in zip(packed["frames"], packed["carried"])]
+    return [codec.decode(frame) + rest
+            for frame, rest in zip(packed["frames"], packed["rest"])]
 
 
 def _pack_rows(rows: list, tagged: bool) -> dict:

@@ -27,7 +27,6 @@ from repro.geometry import UniformGrid, mbr_of, plane_sweep_pairs
 from repro.joins.interval import _GRANULE_BITS, _GRANULE_MASK, IntervalJoin, IntervalPPlan
 from repro.joins.spatial import SpatialContainsJoin, SpatialPPlan
 from repro.joins.text_similarity import TextSimilarityJoin
-from repro.text import tokenize
 
 
 class PlaneSweepSpatialJoin(SpatialContainsJoin):
@@ -167,8 +166,8 @@ class LengthFilteredTextJoin(TextSimilarityJoin):
     name = "text-length-filtered"
 
     def local_join(self, keys1, keys2, pplan):
-        sizes1 = [len(tokenize(text)) for text in keys1]
-        sizes2 = [len(tokenize(text)) for text in keys2]
+        sizes1 = [len(tokens) for tokens in keys1]
+        sizes2 = [len(tokens) for tokens in keys2]
         order2 = sorted(range(len(keys2)), key=sizes2.__getitem__)
         threshold = pplan.threshold
         for i, size1 in enumerate(sizes1):

@@ -1,10 +1,11 @@
 """Text-Similarity FUDJ with prefix filtering (paper §V-B).
 
-SUMMARIZE counts token occurrences per side; DIVIDE merges the counts and
-ranks tokens from rarest to most common; ASSIGN tokenizes each text, maps
-its tokens to global ranks, and emits the first ``p`` ranks of the sorted
-list, where ``p = l - ceil(t*l) + 1`` is the prefix-filter length — two
-texts with Jaccard >= t are guaranteed to share a bucket.  The default
+``prepare`` tokenizes each text once, so every other callback receives
+the token set.  SUMMARIZE counts token occurrences per side; DIVIDE merges
+the counts and ranks tokens from rarest to most common; ASSIGN maps a
+record's tokens to global ranks and emits the first ``p`` ranks of the
+sorted list, where ``p = l - ceil(t*l) + 1`` is the prefix-filter length —
+two texts with Jaccard >= t are guaranteed to share a bucket.  The default
 equality MATCH applies (single-join), and VERIFY computes exact Jaccard
 similarity against the threshold.
 """
@@ -44,10 +45,13 @@ class TextSimilarityJoin(FlexibleJoin):
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         self.threshold = float(threshold)
 
-    def local_aggregate(self, text, summary, side: JoinSide) -> dict:
+    def prepare(self, text, side: JoinSide) -> frozenset:
+        return tokenize(text)
+
+    def local_aggregate(self, tokens, summary, side: JoinSide) -> dict:
         if summary is None:
             summary = {}
-        for token in tokenize(text):
+        for token in tokens:
             summary[token] = summary.get(token, 0) + 1
         return summary
 
@@ -71,8 +75,7 @@ class TextSimilarityJoin(FlexibleJoin):
         token_ranks = {token: rank for rank, (token, _) in enumerate(ordered)}
         return TextPPlan(token_ranks, self.threshold)
 
-    def assign(self, text, pplan: TextPPlan, side: JoinSide) -> list:
-        tokens = tokenize(text)
+    def assign(self, tokens, pplan: TextPPlan, side: JoinSide) -> list:
         if not tokens:
             return [_EMPTY_BUCKET]
         # Tokens always appear in the summary when summarize ran over the
@@ -82,6 +85,5 @@ class TextSimilarityJoin(FlexibleJoin):
         p = prefix_length(len(ranks), pplan.threshold)
         return ranks[:p]
 
-    def verify(self, text1, text2, pplan) -> bool:
-        similarity = jaccard_similarity(tokenize(text1), tokenize(text2))
-        return similarity >= pplan.threshold
+    def verify(self, tokens1, tokens2, pplan) -> bool:
+        return jaccard_similarity(tokens1, tokens2) >= pplan.threshold

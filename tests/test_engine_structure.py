@@ -79,6 +79,15 @@ ENGINE_CALLERS = {
         ("engine/record.py", "serialized_values_size"),
     },
     "deserialize_value": {("engine/resources.py", "decode_frame")},
+    # A join key is made once per query, in one function: the key
+    # expression, the translation layer, the library's ``prepare``.
+    "to_external": {("engine/operators/fudj_join.py", "FudjJoin._key_column")},
+    "_key_column": {
+        # Each side's column, before SUMMARIZE; every phase reads it.
+        ("engine/operators/fudj_join.py", "FudjJoin.run"),
+        # An entry replayed from a spill file has its key made again.
+        ("engine/combine.py", "LocalSite._admit"),
+    },
 }
 
 

@@ -205,8 +205,9 @@ class TestLengthFilteredTextJoin:
             (i, j)
             for i, a in enumerate(left)
             for j, b in enumerate(right)
-            if runner.join.verify(a, b, runner.join.divide(
-                runner.summarize(left + right, None), {}))
+            if runner.join.verify(
+                runner.join.prepare(a, None), runner.join.prepare(b, None),
+                runner.join.divide(runner.summarize(left + right, None), {}))
         )
         assert got == expected
 

@@ -20,10 +20,18 @@ def random_texts(rng, count, min_len=2, max_len=6):
 
 
 class TestPhases:
+    """The callbacks take what ``prepare`` returns: the token set."""
+
+    def test_prepare_tokenizes(self):
+        join = TextSimilarityJoin(0.8)
+        assert join.prepares()
+        assert join.prepare("b a B", JoinSide.LEFT) == tokenize("a b")
+
     def test_summarize_counts_tokens(self):
         join = TextSimilarityJoin(0.8)
-        summary = join.local_aggregate("a b", None, JoinSide.LEFT)
-        summary = join.local_aggregate("b c", summary, JoinSide.LEFT)
+        summary = join.local_aggregate(tokenize("a b"), None, JoinSide.LEFT)
+        summary = join.local_aggregate(tokenize("b c"), summary,
+                                       JoinSide.LEFT)
         assert summary == {"a": 1, "b": 2, "c": 1}
 
     def test_global_aggregate_merges(self):
@@ -49,20 +57,20 @@ class TestPhases:
         counts = {f"t{i}": i + 1 for i in range(10)}
         pplan = join.divide(counts, {})
         text = " ".join(f"t{i}" for i in range(10))
-        ids = join.assign(text, pplan, JoinSide.LEFT)
+        ids = join.assign(tokenize(text), pplan, JoinSide.LEFT)
         # l=10, t=0.9 -> p=2 buckets, the two rarest tokens.
         assert ids == [0, 1]
 
     def test_empty_text_gets_reserved_bucket(self):
         join = TextSimilarityJoin(0.9)
         pplan = join.divide({"a": 1}, {})
-        assert join.assign("", pplan, JoinSide.LEFT) == [-1]
+        assert join.assign(tokenize(""), pplan, JoinSide.LEFT) == [-1]
 
     def test_verify_threshold(self):
         join = TextSimilarityJoin(0.5)
         pplan = join.divide({"a": 1, "b": 1, "c": 1}, {})
-        assert join.verify("a b", "a b", pplan)
-        assert not join.verify("a b", "c", pplan)
+        assert join.verify(tokenize("a b"), tokenize("a b"), pplan)
+        assert not join.verify(tokenize("a b"), tokenize("c"), pplan)
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
