@@ -28,6 +28,7 @@ import itertools
 import json
 import socket
 import threading
+import time
 
 from repro.errors import ServerError
 
@@ -127,9 +128,7 @@ class SessionClient:
         :class:`~repro.errors.ServerError` (a hang is a test failure,
         never a silent stall).
         """
-        import time as _time
-
-        deadline = _time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         with self._cond:
             while self._mailbox.get(rid) is None:
                 if self._eof:
@@ -137,7 +136,7 @@ class SessionClient:
                     return {"id": rid, "type": "error",
                             "error": "disconnected",
                             "message": "connection closed before reply"}
-                remaining = deadline - _time.monotonic()
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ServerError(
                         f"no response for request {rid} "

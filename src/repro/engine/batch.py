@@ -171,6 +171,11 @@ class BatchResult:
         for partition in self.partitions:
             yield from partition
 
+    def value_rows(self) -> list:
+        """Per-worker lists of value tuples, straight from the batches."""
+        return [[row for batch in worker for row in batch.iter_rows()]
+                for worker in self.batches]
+
 
 def batches_from_rows(ctx, schema: Schema, rows) -> list:
     """Chunk value-tuple rows into batches of ``ctx.batch_rows``.
@@ -204,8 +209,5 @@ def as_worker_batches(result, ctx) -> list:
     if isinstance(result, BatchResult):
         return result.batches
     schema = result.schema
-    return [
-        batches_from_rows(ctx, schema,
-                          [record.values for record in partition])
-        for partition in result.partitions
-    ]
+    return [batches_from_rows(ctx, schema, rows)
+            for rows in result.value_rows()]

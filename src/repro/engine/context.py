@@ -390,7 +390,11 @@ class ExecutionContext:
 
     def finish(self) -> QueryMetrics:
         """Fold translator + resource counters into the metrics, drop any
-        spill files, and return the metrics."""
+        spill files, and return the metrics — which stop observing this
+        context: they outlive the query (result, history), and a cycle
+        with it would keep the cluster and every record it holds until a
+        generation-2 collection."""
+        self.metrics.stage_observer = None
         self.metrics.translation_conversions = self.translator.total_conversions
         self.resources.fold_into(self.metrics)
         self.resources.close()

@@ -9,8 +9,9 @@ from repro.engine.cluster import Cluster
 from repro.engine.context import ExecutionContext
 from repro.engine.faults import FaultPlan
 from repro.engine.metrics import QueryMetrics
-from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.operators.base import PhysicalOperator
 from repro.engine.tracing import Trace
+from repro.serde.values import unbox
 
 
 @dataclass
@@ -119,7 +120,7 @@ def execute_plan(plan: PhysicalOperator, cluster: Cluster,
     )
     started = time.perf_counter()
     try:
-        result: OperatorResult = plan.execute(ctx)
+        schema, partitions = plan.rows(ctx)
     except BaseException:
         # Failed queries must not leak spill files, and an aborted pool
         # query must not leave its workers' stale results queued.
@@ -129,12 +130,14 @@ def execute_plan(plan: PhysicalOperator, cluster: Cluster,
             active.cancel_active()
         raise
     metrics = ctx.finish()
-    metrics.output_records = len(result)
-    rows = [record.to_dict() for record in result.all_records()]
+    fields = schema.fields
+    rows = [dict(zip(fields, map(unbox, values)))
+            for partition in partitions for values in partition]
+    metrics.output_records = len(rows)
     # Stamp the wall clock only after row materialization — building the
     # result dicts is part of what the caller waits for.  The root trace
     # span covers the same window, so it stays >= the sum of its children.
     metrics.wall_seconds = time.perf_counter() - started
     query_trace = ctx.tracer.finish(wall_seconds=metrics.wall_seconds)
-    return QueryResult(rows, result.schema.fields, metrics, query_trace,
+    return QueryResult(rows, fields, metrics, query_trace,
                        cores=cluster.cores)

@@ -9,13 +9,13 @@ row-mode cost expression (the byte-parity rule; see
 The kernel contract for per-row callbacks (predicates, map functions,
 group-key extractors, aggregate folds):
 
-* Callbacks receive a **cursor record** — a single reusable
-  :class:`~repro.engine.record.Record` whose ``values`` tuple is swapped
-  for every row.  They may read fields and keep any *values* they
-  extract (boxed values are immutable), but must not retain the cursor
-  object itself across rows.
-* Exchange key functions receive the raw value **tuple** instead (row
-  mode keys on ``record.values``, so the hashes match by construction).
+* Callbacks receive the raw value **tuple** of each live row, exactly as
+  the row operators' loops hand it to them: both run the functions
+  :func:`~repro.engine.record.row_function` makes (a bound expression
+  compiled against the batch's schema, or a plain ``callable(record)``
+  behind the record adapter).  Exchange key functions take the same
+  tuple (row mode keys on ``record.values``, so the hashes match by
+  construction).
 * Kernels never mutate column lists in place; filtered and projected
   batches are views sharing their parent's columns.
 """
@@ -23,40 +23,19 @@ group-key extractors, aggregate folds):
 from __future__ import annotations
 
 from repro.engine.batch import RecordBatch
-from repro.engine.record import Record, Schema, serialized_values_size
-from repro.serde.values import NULL, box
+from repro.engine.record import Schema
+from repro.serde.values import box
 
 
-class _RowCursor(Record):
-    """The one mutable record: its ``values`` are swapped for every row,
-    so it keeps nothing derived from them (a plain record sizes itself
-    once)."""
-
-    __slots__ = ()
-
-    def serialized_size(self) -> int:
-        return serialized_values_size(self.values)
-
-
-def make_cursor(schema: Schema) -> Record:
-    """A reusable row cursor for running row-level callbacks over a
-    batch without allocating one record per row."""
-    return _RowCursor(schema, (NULL,) * len(schema))
-
-
-def filter_batch(batch: RecordBatch, predicate, cursor: Record) -> RecordBatch:
+def filter_batch(batch: RecordBatch, predicate) -> RecordBatch:
     """Selection-vector filter: keep live rows passing ``predicate``.
 
     Returns a zero-copy view over the input batch's columns.
     """
-    kept = []
-    position = 0
-    for row in batch.iter_rows():
-        cursor.values = row
-        if predicate(cursor):
-            kept.append(position)
-        position += 1
-    return batch.take(kept)
+    return batch.take([
+        position for position, row in enumerate(batch.iter_rows())
+        if predicate(row)
+    ])
 
 
 def project_batch(batch: RecordBatch, indexes, out_schema: Schema) -> RecordBatch:
@@ -66,15 +45,16 @@ def project_batch(batch: RecordBatch, indexes, out_schema: Schema) -> RecordBatc
                        selection=batch.selection, rows=batch.num_rows)
 
 
-def map_batch(batch: RecordBatch, column_specs, out_schema: Schema,
-              cursor: Record) -> RecordBatch:
-    """Evaluate ``(name, fn, cost)`` column specs over every live row."""
-    out_columns = [[] for _ in column_specs]
-    for row in batch.iter_rows():
-        cursor.values = row
-        for j, (_, fn, _) in enumerate(column_specs):
-            out_columns[j].append(box(fn(cursor)))
-    return RecordBatch(out_schema, out_columns, rows=batch.num_rows)
+def row_mapper(column_fns: list):
+    """``fn(values)``: the boxed results of ``column_fns`` as one output
+    row, evaluated left to right — MAP's per-row body in both modes."""
+    return lambda values: tuple([box(fn(values)) for fn in column_fns])
+
+
+def map_batch(batch: RecordBatch, compute, out_schema: Schema) -> RecordBatch:
+    """Evaluate ``compute`` (a :func:`row_mapper`) over every live row."""
+    return RecordBatch.from_rows(out_schema,
+                                 list(map(compute, batch.iter_rows())))
 
 
 def distinct_batch(batch: RecordBatch, seen: set) -> RecordBatch:
@@ -105,28 +85,28 @@ def scatter_batch(batch: RecordBatch, key_fn, num_partitions: int,
             moved.append(row)
 
 
-def fold_groups(batch: RecordBatch, keys, aggregates, table: dict,
-                cursor: Record) -> None:
-    """Phase-1 GROUP BY fold of one batch into a per-worker hash table.
+def fold_groups(rows, key_fns, aggregates, table: dict) -> None:
+    """Phase-1 GROUP BY fold of value-tuple ``rows`` (a worker's list, or
+    one batch's ``iter_rows()``) into a per-worker hash table.
 
-    Mirrors the row loop exactly: dict insertion order (and so partial
-    emission order) matches the row engine's.
+    ``aggregates`` are specs bound to the rows' schema
+    (:meth:`~repro.engine.operators.aggregate.AggregateSpec.bind`).
+    Dict insertion order — and so partial emission order — is the rows'.
     """
-    for row in batch.iter_rows():
-        cursor.values = row
-        key = tuple(key_fn(cursor) for _, key_fn in keys)
+    adders = [agg.add for agg in aggregates]
+    for row in rows:
+        key = tuple([key_fn(row) for key_fn in key_fns])
         states = table.get(key)
         if states is None:
             states = [agg.init() for agg in aggregates]
             table[key] = states
-        for i, agg in enumerate(aggregates):
-            states[i] = agg.add(states[i], cursor)
+        for i, add in enumerate(adders):
+            states[i] = add(states[i], row)
 
 
-def fold_scalar(batch: RecordBatch, aggregates, states: list,
-                cursor: Record) -> None:
-    """Fold one batch into scalar-aggregate partial states."""
-    for row in batch.iter_rows():
-        cursor.values = row
-        for i, agg in enumerate(aggregates):
-            states[i] = agg.add(states[i], cursor)
+def fold_scalar(rows, aggregates, states: list) -> None:
+    """Fold value-tuple ``rows`` into scalar-aggregate partial states."""
+    adders = [agg.add for agg in aggregates]
+    for row in rows:
+        for i, add in enumerate(adders):
+            states[i] = add(states[i], row)

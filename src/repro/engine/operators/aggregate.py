@@ -7,13 +7,15 @@ the partials, then merge globally.
 
 from __future__ import annotations
 
+from copy import copy
+
 from repro.engine import kernels
 from repro.engine.batch import BatchResult, as_worker_batches, batches_from_rows
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import hash_exchange, hash_exchange_batches
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
-from repro.engine.record import Record, Schema
-from repro.engine.resources import RecordSpillCodec, RowSpillCodec
+from repro.engine.record import Record, Schema, row_function
+from repro.engine.resources import RowSpillCodec
 from repro.serde.values import box, unbox
 
 
@@ -21,9 +23,11 @@ class AggregateSpec:
     """One aggregate function: COUNT/SUM/AVG/MIN/MAX over an input fn.
 
     Subclasses define ``init`` (the identity state), ``add`` (fold one
-    record in), ``merge`` (combine two partial states), and ``result``.
-    ``value_fn`` extracts the aggregated value from a record (``None`` for
-    COUNT(*)-style aggregates).
+    row in), ``merge`` (combine two partial states), and ``result``.
+    ``value_fn`` extracts the aggregated value from a row (``None`` for
+    COUNT(*)-style aggregates): a bound expression or a plain
+    ``callable(record)``; ``add`` hands it whatever row it is given, so
+    an operator folds value tuples through :meth:`bind`'s copy.
     """
 
     name = "agg"
@@ -31,6 +35,14 @@ class AggregateSpec:
     def __init__(self, output_name: str, value_fn=None) -> None:
         self.output_name = output_name
         self.value_fn = value_fn
+
+    def bind(self, schema: Schema) -> "AggregateSpec":
+        """This aggregate over raw value tuples laid out as ``schema``."""
+        if self.value_fn is None:
+            return self
+        bound = copy(self)
+        bound.value_fn = row_function(self.value_fn, schema)
+        return bound
 
     def init(self):
         raise NotImplementedError
@@ -207,30 +219,23 @@ class GroupBy(PhysicalOperator):
         return [self.child]
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
-        source = self.child.execute(ctx)
+        schema, partitions = self.child.rows(ctx)
         stage = ctx.metrics.stage(self.stage_name)
         model = ctx.cost_model
+        key_fns = [row_function(key_fn, schema) for _, key_fn in self.keys]
+        aggregates = [agg.bind(schema) for agg in self.aggregates]
 
         # Phase 1: local aggregation per worker.  Under a memory budget
         # the pre-aggregation input is admitted first — aggregation tables
         # were never priced for spills, so this is enforcement-only.
         local_tables = []
-        for worker, partition in enumerate(source.partitions):
+        for worker, partition in enumerate(partitions):
             if ctx.resources.enforce:
-                partition = ctx.admit(
-                    stage, worker, partition,
-                    RecordSpillCodec(source.schema), price=False,
-                )
+                partition = ctx.admit(stage, worker, partition,
+                                      RowSpillCodec(), price=False)
             ctx.metrics.operator_invocations += len(partition)
             table = {}
-            for record in partition:
-                key = tuple(key_fn(record) for _, key_fn in self.keys)
-                states = table.get(key)
-                if states is None:
-                    states = [agg.init() for agg in self.aggregates]
-                    table[key] = states
-                for i, agg in enumerate(self.aggregates):
-                    states[i] = agg.add(states[i], record)
+            kernels.fold_groups(partition, key_fns, aggregates, table)
             stage.charge(
                 worker,
                 len(partition) * (model.hash_op + model.record_touch),
@@ -277,7 +282,7 @@ class GroupBy(PhysicalOperator):
                 ]
                 rows.append(Record(out_schema, list(key_values) + agg_values))
             out.append(rows)
-        stage.records_in = len(source)
+        stage.records_in = sum(map(len, partitions))
         stage.records_out = sum(len(p) for p in out)
         return OperatorResult(out, out_schema)
 
@@ -286,7 +291,9 @@ class GroupBy(PhysicalOperator):
         batches = as_worker_batches(source, ctx)
         stage = ctx.metrics.stage(self.stage_name)
         model = ctx.cost_model
-        cursor = kernels.make_cursor(source.schema)
+        key_fns = [row_function(key_fn, source.schema)
+                   for _, key_fn in self.keys]
+        aggregates = [agg.bind(source.schema) for agg in self.aggregates]
 
         # Phase 1: local aggregation, one kernel call per batch.  Under a
         # memory budget the raw rows are admitted first through the
@@ -303,8 +310,8 @@ class GroupBy(PhysicalOperator):
             total = 0
             for batch in worker_batches:
                 ctx.metrics.operator_invocations += 1
-                kernels.fold_groups(batch, self.keys, self.aggregates,
-                                    table, cursor)
+                kernels.fold_groups(batch.iter_rows(), key_fns, aggregates,
+                                    table)
                 total += batch.num_rows
             stage.charge(
                 worker, total * (model.hash_op + model.record_touch)
@@ -384,16 +391,15 @@ class ScalarAggregate(PhysicalOperator):
         return [self.child]
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
-        source = self.child.execute(ctx)
+        schema, partitions = self.child.rows(ctx)
         stage = ctx.metrics.stage(self.stage_name)
         model = ctx.cost_model
+        aggregates = [agg.bind(schema) for agg in self.aggregates]
         partials = []
-        for worker, partition in enumerate(source.partitions):
+        for worker, partition in enumerate(partitions):
             ctx.metrics.operator_invocations += len(partition)
-            states = [agg.init() for agg in self.aggregates]
-            for record in partition:
-                for i, agg in enumerate(self.aggregates):
-                    states[i] = agg.add(states[i], record)
+            states = [agg.init() for agg in aggregates]
+            kernels.fold_scalar(partition, aggregates, states)
             stage.charge(worker, len(partition) * model.record_touch)
             partials.append(states)
         merged = [agg.init() for agg in self.aggregates]
@@ -405,25 +411,25 @@ class ScalarAggregate(PhysicalOperator):
             out_schema,
             (box(agg.result(merged[i])) for i, agg in enumerate(self.aggregates)),
         )
-        partitions = [[] for _ in range(ctx.num_partitions)]
-        partitions[0] = [row]
-        stage.records_in = len(source)
+        out = [[] for _ in range(ctx.num_partitions)]
+        out[0] = [row]
+        stage.records_in = sum(map(len, partitions))
         stage.records_out = 1
-        return OperatorResult(partitions, out_schema)
+        return OperatorResult(out, out_schema)
 
     def run_batches(self, ctx: ExecutionContext) -> BatchResult:
         source = self.child.execute(ctx)
         batches = as_worker_batches(source, ctx)
         stage = ctx.metrics.stage(self.stage_name)
         model = ctx.cost_model
-        cursor = kernels.make_cursor(source.schema)
+        aggregates = [agg.bind(source.schema) for agg in self.aggregates]
         partials = []
         for worker, worker_batches in enumerate(batches):
-            states = [agg.init() for agg in self.aggregates]
+            states = [agg.init() for agg in aggregates]
             total = 0
             for batch in worker_batches:
                 ctx.metrics.operator_invocations += 1
-                kernels.fold_scalar(batch, self.aggregates, states, cursor)
+                kernels.fold_scalar(batch.iter_rows(), aggregates, states)
                 total += batch.num_rows
             stage.charge(worker, total * model.record_touch)
             partials.append(states)

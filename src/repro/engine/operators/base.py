@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.engine.context import ExecutionContext
-from repro.engine.record import Schema
+from repro.engine.record import Record, Schema
 
 _IDS = itertools.count(1)
 
@@ -45,15 +45,24 @@ class OperatorResult:
         for partition in self.partitions:
             yield from partition
 
+    def value_rows(self) -> list:
+        """Per-worker lists of the records' value tuples."""
+        return [[record.values for record in partition]
+                for partition in self.partitions]
+
+
+def _rows_out(result: tuple) -> int:
+    return sum(map(len, result[1]))
+
 
 class PhysicalOperator:
     """Base class for physical operators.
 
-    Subclasses implement :meth:`run`; callers invoke :meth:`execute`,
-    which wraps the run in a tracing span when the context traces (so
-    the span tree is shaped exactly like the physical plan).
-    ``stage_name`` is unique per operator instance so metrics can tell
-    two filters apart.
+    Subclasses implement :meth:`run`; callers invoke :meth:`execute` for
+    records or :meth:`rows` for bare value tuples, either of which wraps
+    the run in a tracing span when the context traces (so the span tree
+    is shaped exactly like the physical plan).  ``stage_name`` is unique
+    per operator instance so metrics can tell two filters apart.
     """
 
     label = "operator"
@@ -77,6 +86,18 @@ class PhysicalOperator:
         """
         ctx.check_cancel()  # every operator boundary is a checkpoint
         runner = self.run_batches if ctx.execution == "batch" else self.run
+        return self._spanned(ctx, runner, len)
+
+    def rows(self, ctx: ExecutionContext) -> tuple:
+        """The operator's output as ``(schema, per-worker lists of value
+        tuples)``: what a consumer that reads its child row by row (an
+        aggregate's local fold, the result's row dicts) asks for instead
+        of :meth:`execute`.  Here that is the executed result's values;
+        a :class:`StreamingOperator` never makes the records."""
+        result = self.execute(ctx)
+        return result.schema, result.value_rows()
+
+    def _spanned(self, ctx: ExecutionContext, runner, records_out):
         tracer = ctx.tracer
         if not tracer.enabled:
             return runner(ctx)
@@ -85,7 +106,7 @@ class PhysicalOperator:
             stage = ctx.metrics.find_stage(self.stage_name)
             if stage is not None:
                 span.copy_stage(stage)
-            span.records_out = len(result)
+            span.records_out = records_out(result)
             batches = getattr(result, "num_batches", None)
             if batches is not None:
                 span.meta["batches_out"] = batches
@@ -122,3 +143,34 @@ class PhysicalOperator:
     def children(self) -> list:
         """Child operators, outermost first."""
         return []
+
+
+class StreamingOperator(PhysicalOperator):
+    """An operator that reads and writes one row at a time (scan, prune,
+    filter, map): below a pipeline breaker these hand each other value
+    tuples, and a :class:`Record` is made only for a row that reaches an
+    operator that asks for records.
+
+    Subclasses implement :meth:`run_rows` — the one row implementation —
+    and ``run_batches``.  Each still charges its own stage with its own
+    input count; only the row's container is shared.
+    """
+
+    def run_rows(self, ctx: ExecutionContext) -> tuple:
+        """``(schema, per-worker lists of value tuples)`` (subclass
+        hook); children are read through :meth:`rows`."""
+        raise NotImplementedError
+
+    def rows(self, ctx: ExecutionContext) -> tuple:
+        if ctx.execution == "batch":
+            return super().rows(ctx)
+        ctx.check_cancel()
+        return self._spanned(ctx, self.run_rows, _rows_out)
+
+    def run(self, ctx: ExecutionContext) -> OperatorResult:
+        schema, partitions = self.run_rows(ctx)
+        return OperatorResult(
+            [[Record(schema, row) for row in partition]
+             for partition in partitions],
+            schema,
+        )

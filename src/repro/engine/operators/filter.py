@@ -3,18 +3,25 @@ each with a vectorized ``run_batches`` twin charging identically."""
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.engine import kernels
 from repro.engine.batch import BatchResult, as_worker_batches
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import hash_exchange, hash_exchange_batches
-from repro.engine.operators.base import OperatorResult, PhysicalOperator
-from repro.engine.record import Record, Schema
-from repro.serde.values import box
+from repro.engine.operators.base import (
+    OperatorResult,
+    PhysicalOperator,
+    StreamingOperator,
+)
+from repro.engine.record import Schema, row_function
 
 
-class Filter(PhysicalOperator):
-    """Keep records for which ``predicate(record)`` is truthy.
+class Filter(StreamingOperator):
+    """Keep rows for which ``predicate`` is truthy.
 
+    ``predicate`` is a bound expression (the planner's) or a plain
+    ``callable(record)``; see :func:`~repro.engine.record.row_function`.
     ``cost_units`` is the work charged per evaluation; the planner sets it
     to the cost model's ``comparison`` for cheap predicates and
     ``expensive_predicate`` for heavy UDFs such as ``ST_Contains``.
@@ -36,20 +43,21 @@ class Filter(PhysicalOperator):
     def children(self) -> list:
         return [self.child]
 
-    def run(self, ctx: ExecutionContext) -> OperatorResult:
-        source = self.child.execute(ctx)
+    def run_rows(self, ctx: ExecutionContext) -> tuple:
+        schema, partitions = self.child.rows(ctx)
         stage = ctx.metrics.stage(self.stage_name)
         cost = self.cost_units if self.cost_units is not None else ctx.cost_model.comparison
+        predicate = row_function(self.predicate, schema)
         out = []
-        for worker, partition in enumerate(source.partitions):
+        for worker, partition in enumerate(partitions):
             ctx.metrics.operator_invocations += len(partition)
-            kept = [r for r in partition if self.predicate(r)]
+            kept = list(filter(predicate, partition))
             stage.charge(worker, len(partition) * cost)
             ctx.metrics.comparisons += len(partition)
             out.append(kept)
-        stage.records_in = len(source)
-        stage.records_out = sum(len(p) for p in out)
-        return OperatorResult(out, source.schema)
+        stage.records_in = sum(map(len, partitions))
+        stage.records_out = sum(map(len, out))
+        return schema, out
 
     def run_batches(self, ctx: ExecutionContext) -> BatchResult:
         source = self.child.execute(ctx)
@@ -57,7 +65,7 @@ class Filter(PhysicalOperator):
         stage = ctx.metrics.stage(self.stage_name)
         cost = (self.cost_units if self.cost_units is not None
                 else ctx.cost_model.comparison)
-        cursor = kernels.make_cursor(source.schema)
+        predicate = row_function(self.predicate, source.schema)
         out = []
         records_out = 0
         for worker, worker_batches in enumerate(batches):
@@ -65,7 +73,7 @@ class Filter(PhysicalOperator):
             rows = 0
             for batch in worker_batches:
                 ctx.metrics.operator_invocations += 1
-                kept = kernels.filter_batch(batch, self.predicate, cursor)
+                kept = kernels.filter_batch(batch, predicate)
                 rows += batch.num_rows
                 if kept.num_rows:
                     ctx.metrics.note_batch(kept.num_rows)
@@ -79,7 +87,14 @@ class Filter(PhysicalOperator):
         return BatchResult(out, source.schema)
 
 
-class Project(PhysicalOperator):
+def _pruner(indexes: list):
+    """``fn(values)``: the tuple of the values at ``indexes``."""
+    if len(indexes) > 1:
+        return itemgetter(*indexes)  # a tuple only from two indexes up
+    return lambda values: tuple([values[i] for i in indexes])
+
+
+class Project(StreamingOperator):
     """Keep only the named fields (pure column pruning)."""
 
     label = "project"
@@ -95,22 +110,20 @@ class Project(PhysicalOperator):
     def children(self) -> list:
         return [self.child]
 
-    def run(self, ctx: ExecutionContext) -> OperatorResult:
-        source = self.child.execute(ctx)
+    def run_rows(self, ctx: ExecutionContext) -> tuple:
+        source_schema, partitions = self.child.rows(ctx)
         schema = Schema(self.field_names)
-        indexes = [source.schema.index_of(name) for name in self.field_names]
+        prune = _pruner(
+            [source_schema.index_of(name) for name in self.field_names])
         stage = ctx.metrics.stage(self.stage_name)
         model = ctx.cost_model
         out = []
-        for worker, partition in enumerate(source.partitions):
+        for worker, partition in enumerate(partitions):
             ctx.metrics.operator_invocations += len(partition)
-            projected = [
-                Record(schema, (r.values[i] for i in indexes)) for r in partition
-            ]
+            out.append(list(map(prune, partition)))
             stage.charge(worker, len(partition) * model.record_touch)
-            out.append(projected)
-        stage.records_in = stage.records_out = len(source)
-        return OperatorResult(out, schema)
+        stage.records_in = stage.records_out = sum(map(len, partitions))
+        return schema, out
 
     def run_batches(self, ctx: ExecutionContext) -> BatchResult:
         source = self.child.execute(ctx)
@@ -135,11 +148,13 @@ class Project(PhysicalOperator):
         return BatchResult(out, schema)
 
 
-class MapColumns(PhysicalOperator):
-    """Compute output columns as functions of the input record.
+class MapColumns(StreamingOperator):
+    """Compute output columns as functions of the input row.
 
-    ``columns`` is a list of ``(name, fn, cost_units)``; each ``fn`` takes
-    the input :class:`Record` and returns an already-boxed or plain value.
+    ``columns`` is a list of ``(name, fn, cost_units)``; each ``fn`` is a
+    bound expression or a plain ``callable(record)``
+    (:func:`~repro.engine.record.row_function`) and returns an
+    already-boxed or plain value.
     """
 
     label = "map"
@@ -155,22 +170,20 @@ class MapColumns(PhysicalOperator):
     def children(self) -> list:
         return [self.child]
 
-    def run(self, ctx: ExecutionContext) -> OperatorResult:
-        source = self.child.execute(ctx)
+    def run_rows(self, ctx: ExecutionContext) -> tuple:
+        source_schema, partitions = self.child.rows(ctx)
         schema = Schema(name for name, _, _ in self.columns)
         stage = ctx.metrics.stage(self.stage_name)
         row_cost = sum(cost for _, _, cost in self.columns)
+        compute = kernels.row_mapper(
+            [row_function(fn, source_schema) for _, fn, _ in self.columns])
         out = []
-        for worker, partition in enumerate(source.partitions):
+        for worker, partition in enumerate(partitions):
             ctx.metrics.operator_invocations += len(partition)
-            mapped = [
-                Record(schema, (box(fn(r)) for _, fn, _ in self.columns))
-                for r in partition
-            ]
+            out.append(list(map(compute, partition)))
             stage.charge(worker, len(partition) * row_cost)
-            out.append(mapped)
-        stage.records_in = stage.records_out = len(source)
-        return OperatorResult(out, schema)
+        stage.records_in = stage.records_out = sum(map(len, partitions))
+        return schema, out
 
     def run_batches(self, ctx: ExecutionContext) -> BatchResult:
         source = self.child.execute(ctx)
@@ -178,15 +191,15 @@ class MapColumns(PhysicalOperator):
         schema = Schema(name for name, _, _ in self.columns)
         stage = ctx.metrics.stage(self.stage_name)
         row_cost = sum(cost for _, _, cost in self.columns)
-        cursor = kernels.make_cursor(source.schema)
+        compute = kernels.row_mapper(
+            [row_function(fn, source.schema) for _, fn, _ in self.columns])
         out = []
         for worker, worker_batches in enumerate(batches):
             mapped = []
             rows = 0
             for batch in worker_batches:
                 ctx.metrics.operator_invocations += 1
-                computed = kernels.map_batch(batch, self.columns, schema,
-                                             cursor)
+                computed = kernels.map_batch(batch, compute, schema)
                 ctx.metrics.note_batch(computed.num_rows)
                 mapped.append(computed)
                 rows += batch.num_rows

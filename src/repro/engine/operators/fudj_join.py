@@ -60,6 +60,7 @@ from repro.engine.exchange import (
     wire_bytes,
 )
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.record import row_function
 from repro.errors import ExecutionError, FudjCallbackError
 from repro.serde.values import unbox
 
@@ -161,7 +162,9 @@ class FudjJoin(PhysicalOperator):
     Args:
         left, right: child operators.
         join: the FlexibleJoin instance (parameters already bound).
-        left_key, right_key: functions Record -> boxed join key.
+        left_key, right_key: the join key of a row, boxed or plain: a
+            bound expression or a plain ``callable(record)``
+            (:func:`~repro.engine.record.row_function`).
         dedup: optional dedup strategy override (Fig 12 experiments).
         translate: route keys through the FUDJ translation layer.  The
             built-in baselines set this False — their operators read
@@ -225,8 +228,12 @@ class FudjJoin(PhysicalOperator):
         library without ``prepare``), and ``clean`` is False when some
         ``prepare`` raised and left an :class:`_Unprepared` in ``keys``.
         """
-        key_fn = self.left_key if side is JoinSide.LEFT else self.right_key
-        raws = [key_fn(record) for record in records]
+        if not records:
+            return [], [], True
+        key_fn = row_function(
+            self.left_key if side is JoinSide.LEFT else self.right_key,
+            records[0].schema)
+        raws = [key_fn(record.values) for record in records]
         if self.translate:
             to_external = ctx.translator.to_external
             raws = [to_external(boxed) for boxed in raws]

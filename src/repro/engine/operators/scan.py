@@ -4,11 +4,15 @@ from __future__ import annotations
 
 from repro.engine.batch import BatchResult, batches_from_rows
 from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.operators.base import (
+    OperatorResult,
+    PhysicalOperator,
+    StreamingOperator,
+)
 from repro.engine.record import Record, Schema
 
 
-class Scan(PhysicalOperator):
+class Scan(StreamingOperator):
     """Scan a stored dataset, qualifying fields with the query alias.
 
     ``Parks p`` produces fields ``p.id``, ``p.boundary``, ... so that later
@@ -25,7 +29,7 @@ class Scan(PhysicalOperator):
     def describe(self) -> str:
         return f"SCAN {self.dataset_name} AS {self.alias}"
 
-    def run(self, ctx: ExecutionContext) -> OperatorResult:
+    def run_rows(self, ctx: ExecutionContext) -> tuple:
         dataset = ctx.cluster.dataset(self.dataset_name)
         schema = dataset.schema.qualify(self.alias)
         stage = ctx.metrics.stage(self.stage_name)
@@ -33,14 +37,15 @@ class Scan(PhysicalOperator):
         partitions = []
         for worker, partition in enumerate(dataset.partitions):
             ctx.metrics.operator_invocations += len(partition)
-            out = [Record(schema, record.values) for record in partition]
+            # The stored values under the query's field names: a scanned
+            # row shares its tuple with the dataset's record.
+            out = [record.values for record in partition]
             stage.charge(worker, len(out) * model.record_touch)
             partitions.append(out)
         stage.records_in = stage.records_out = sum(len(p) for p in partitions)
         # A dataset may have fewer/more partitions than the query context;
         # normalise to the cluster's partition count.
-        partitions = _normalize(partitions, ctx.num_partitions)
-        return OperatorResult(partitions, schema)
+        return schema, _normalize(partitions, ctx.num_partitions)
 
     def run_batches(self, ctx: ExecutionContext) -> BatchResult:
         dataset = ctx.cluster.dataset(self.dataset_name)
@@ -72,26 +77,26 @@ class Values(PhysicalOperator):
     def __init__(self, schema: Schema, rows) -> None:
         super().__init__()
         self.schema = schema
-        self.rows = [
+        self.records = [
             row if isinstance(row, Record) else Record.from_dict(schema, row)
             for row in rows
         ]
 
     def describe(self) -> str:
-        return f"VALUES ({len(self.rows)} rows)"
+        return f"VALUES ({len(self.records)} rows)"
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
         partitions = [[] for _ in range(ctx.num_partitions)]
-        for i, record in enumerate(self.rows):
+        for i, record in enumerate(self.records):
             partitions[i % ctx.num_partitions].append(record)
-        ctx.metrics.operator_invocations += len(self.rows)
+        ctx.metrics.operator_invocations += len(self.records)
         stage = ctx.metrics.stage(self.stage_name)
-        stage.records_in = stage.records_out = len(self.rows)
+        stage.records_in = stage.records_out = len(self.records)
         return OperatorResult(partitions, self.schema)
 
     def run_batches(self, ctx: ExecutionContext) -> BatchResult:
         rows_per_worker = [[] for _ in range(ctx.num_partitions)]
-        for i, record in enumerate(self.rows):
+        for i, record in enumerate(self.records):
             rows_per_worker[i % ctx.num_partitions].append(record.values)
         worker_batches = [
             batches_from_rows(ctx, self.schema, rows)
@@ -101,7 +106,7 @@ class Values(PhysicalOperator):
             len(batches) for batches in worker_batches
         )
         stage = ctx.metrics.stage(self.stage_name)
-        stage.records_in = stage.records_out = len(self.rows)
+        stage.records_in = stage.records_out = len(self.records)
         return BatchResult(worker_batches, self.schema)
 
 

@@ -130,6 +130,22 @@ class Record:
         return size
 
 
+def row_function(fn, schema: Schema):
+    """``fn`` as a function of a raw value tuple laid out as ``schema``.
+
+    Operators below a pipeline breaker hand on value tuples, not
+    records.  A bound expression (anything with a ``compile`` method,
+    :class:`repro.query.ast.Expr`) resolves its field positions here,
+    once per operator per query.  A plain ``callable(record)`` — a
+    test's lambda, a hand-built plan — is given a :class:`Record` around
+    every tuple: this is the one adapter between the two shapes.
+    """
+    compile_for = getattr(fn, "compile", None)
+    if compile_for is not None:
+        return compile_for(schema)
+    return lambda values: fn(Record(schema, values))
+
+
 def serialized_values_size(values) -> int:
     """Wire size of one row's values in bytes.
 

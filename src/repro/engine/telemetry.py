@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import weakref
 
 from repro.engine.events import DEFAULT_EVENT_LIMIT, EventLog
 from repro.engine.metrics import phase_of, stage_op
@@ -1002,8 +1003,14 @@ def sessions_rows(db) -> list:
 
 def register_sys_tables(db) -> None:
     """Register every ``sys.*`` virtual table on a database's catalog
-    and cluster, backed by its :class:`Telemetry` instance."""
+    and cluster, backed by its :class:`Telemetry` instance.
+
+    The cluster holds the providers and the database holds the cluster,
+    so a provider that reads the database holds it weakly: a closed and
+    dropped database is then freed with its last reference, not at some
+    later generation-2 collection with every record it loaded."""
     telemetry = db.telemetry
+    db = weakref.proxy(db)
     providers = {
         "sys.queries": telemetry.queries_rows,
         "sys.stages": lambda: [row.to_dict()

@@ -210,8 +210,6 @@ def _bind_having(expr: Expr, binder, aggregates, group_keys, select_items):
     ``$having<i>``) that the final projection drops.  Plain columns must
     name a group key or select alias.
     """
-    from repro.query.ast import And, Arithmetic, Comparison, Not, Or
-
     key_names = {name for name, _ in group_keys}
     alias_names = {name for name, _ in select_items}
 

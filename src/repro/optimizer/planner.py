@@ -101,20 +101,20 @@ class _Planner:
             predicate = node.predicate
             return Filter(
                 child,
-                predicate.evaluate,
+                predicate,
                 cost_units=predicate.cost_units(self.model),
                 description=str(predicate),
             )
         if isinstance(node, LProject):
             child = self.lower(node.child)
             columns = [
-                (name, expr.evaluate, expr.cost_units(self.model))
+                (name, expr, expr.cost_units(self.model))
                 for name, expr in node.items
             ]
             return MapColumns(child, columns)
         if isinstance(node, LGroupBy):
             child = self.lower(node.child)
-            keys = [(name, expr.evaluate) for name, expr in node.keys]
+            keys = list(node.keys)
             aggs = [self._agg_spec(call) for call in node.aggregates]
             return GroupBy(child, keys, aggs)
         if isinstance(node, LScalarAgg):
@@ -175,7 +175,7 @@ class _Planner:
         raise PlanError(f"cannot lower logical node: {node!r}")
 
     def _agg_spec(self, call: AggregateCall):
-        value_fn = call.argument.evaluate if call.argument is not None else None
+        value_fn = call.argument
         if call.distinct:
             if value_fn is None:
                 raise PlanError("COUNT(DISTINCT ...) needs an argument")
@@ -188,8 +188,6 @@ class _Planner:
     def _lower_fudj(self, node: LFudjJoin) -> PhysicalOperator:
         left = self.lower(node.left)
         right = self.lower(node.right)
-        left_key = node.left_key.evaluate
-        right_key = node.right_key.evaluate
 
         if self.mode is ExecutionMode.BUILTIN:
             factory = self.builtin_factories.get(node.join_name)
@@ -198,7 +196,9 @@ class _Planner:
                     f"no built-in operator installed for join "
                     f"{node.join_name!r}; install one or use FUDJ mode"
                 )
-            join_op = factory(left, right, left_key, right_key,
+            # The hand-written operators read records, not rows.
+            join_op = factory(left, right, node.left_key.evaluate,
+                              node.right_key.evaluate,
                               tuple(node.parameters))
         else:
             join = self.joins.instantiate(node.join_name, node.parameters)
@@ -206,8 +206,8 @@ class _Planner:
                 left,
                 right,
                 join,
-                left_key,
-                right_key,
+                node.left_key,
+                node.right_key,
                 dedup=self.dedup,
                 translate=True,
                 self_join=node.self_join,
@@ -218,7 +218,7 @@ class _Planner:
         if node.residual is not None:
             return Filter(
                 join_op,
-                node.residual.evaluate,
+                node.residual,
                 cost_units=node.residual.cost_units(self.model),
                 description=str(node.residual),
             )

@@ -2,16 +2,22 @@
 
 Expressions evaluate against a :class:`~repro.engine.record.Record` whose
 fields carry qualified names (``p.id``).  Evaluation returns plain Python
-values (columns unbox); the planner wraps compiled expressions back into
-boxed values where operators need them.
+values (columns unbox); operators box results again where they need to.
+
+Every node has two evaluators that must agree.  :meth:`Expr.evaluate`
+walks the tree for one record, looking every field up by name: it is the
+reference.  :meth:`Expr.compile` resolves the field positions of one
+schema once and returns a closure over a raw value tuple: it is what the
+engine's per-row loops call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from repro.errors import PlanError
-from repro.serde.values import unbox
+from repro.serde.values import AValue, unbox
 
 
 class Expr:
@@ -19,6 +25,13 @@ class Expr:
 
     def evaluate(self, record):
         """Plain-Python value of this expression for ``record``."""
+        raise NotImplementedError
+
+    def compile(self, schema):
+        """``fn(values)``: this expression over a raw value tuple laid
+        out as ``schema``, returning — or raising — what
+        :meth:`evaluate` does for the record of those values.  A field
+        the schema lacks raises when a row reaches it, not here."""
         raise NotImplementedError
 
     def referenced_fields(self) -> set:
@@ -42,6 +55,17 @@ class Column(Expr):
 
     def evaluate(self, record):
         return unbox(record[self.name])
+
+    def compile(self, schema):
+        if self.name not in schema:
+            return lambda values: schema.index_of(self.name)  # raises
+        position = schema.index_of(self.name)
+
+        def column(values):
+            value = values[position]
+            return value.to_python() if isinstance(value, AValue) else value
+
+        return column
 
     def referenced_fields(self) -> set:
         return {self.name}
@@ -72,6 +96,10 @@ class Literal(Expr):
     def evaluate(self, record):
         return self.value
 
+    def compile(self, schema):
+        value = self.value
+        return lambda values: value
+
     def cost_units(self, model) -> float:
         return 0.0
 
@@ -101,6 +129,19 @@ class FunctionCall(Expr):
             raise PlanError(f"unbound function call: {self.name}")
         return self.fn(*(arg.evaluate(record) for arg in self.args))
 
+    def compile(self, schema):
+        fn = self.fn
+        if fn is None:
+            return self.evaluate  # raises before it reads its argument
+        args = [arg.compile(schema) for arg in self.args]
+        if len(args) == 1:
+            arg, = args
+            return lambda values: fn(arg(values))
+        if len(args) == 2:
+            first, second = args
+            return lambda values: fn(first(values), second(values))
+        return lambda values: fn(*[arg(values) for arg in args])
+
     def referenced_fields(self) -> set:
         fields = set()
         for arg in self.args:
@@ -126,13 +167,13 @@ class FunctionCall(Expr):
 
 
 _COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -154,6 +195,28 @@ class Comparison(Expr):
         if lhs is None or rhs is None:
             return False
         return _COMPARATORS[self.op](lhs, rhs)
+
+    def compile(self, schema):
+        compare = _COMPARATORS[self.op]
+        left = self.left.compile(schema)
+        if isinstance(self.right, Literal) and self.right.value is not None:
+            constant = self.right.value
+
+            def against_constant(values):
+                lhs = left(values)
+                return False if lhs is None else compare(lhs, constant)
+
+            return against_constant
+        right = self.right.compile(schema)
+
+        def comparison(values):
+            lhs = left(values)
+            rhs = right(values)
+            if lhs is None or rhs is None:
+                return False
+            return compare(lhs, rhs)
+
+        return comparison
 
     def referenced_fields(self) -> set:
         return self.left.referenced_fields() | self.right.referenced_fields()
@@ -177,6 +240,11 @@ class And(Expr):
     def evaluate(self, record):
         return bool(self.left.evaluate(record)) and bool(self.right.evaluate(record))
 
+    def compile(self, schema):
+        left = self.left.compile(schema)
+        right = self.right.compile(schema)
+        return lambda values: bool(left(values)) and bool(right(values))
+
     def referenced_fields(self) -> set:
         return self.left.referenced_fields() | self.right.referenced_fields()
 
@@ -198,6 +266,11 @@ class Or(Expr):
     def evaluate(self, record):
         return bool(self.left.evaluate(record)) or bool(self.right.evaluate(record))
 
+    def compile(self, schema):
+        left = self.left.compile(schema)
+        right = self.right.compile(schema)
+        return lambda values: bool(left(values)) or bool(right(values))
+
     def referenced_fields(self) -> set:
         return self.left.referenced_fields() | self.right.referenced_fields()
 
@@ -215,6 +288,10 @@ class Not(Expr):
     def evaluate(self, record):
         return not bool(self.child.evaluate(record))
 
+    def compile(self, schema):
+        child = self.child.compile(schema)
+        return lambda values: not child(values)
+
     def referenced_fields(self) -> set:
         return self.child.referenced_fields()
 
@@ -226,10 +303,10 @@ class Not(Expr):
 
 
 _ARITHMETIC = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
 }
 
 
@@ -251,6 +328,20 @@ class Arithmetic(Expr):
         if lhs is None or rhs is None:
             return None
         return _ARITHMETIC[self.op](lhs, rhs)
+
+    def compile(self, schema):
+        apply = _ARITHMETIC[self.op]
+        left = self.left.compile(schema)
+        right = self.right.compile(schema)
+
+        def arithmetic(values):
+            lhs = left(values)
+            rhs = right(values)
+            if lhs is None or rhs is None:
+                return None
+            return apply(lhs, rhs)
+
+        return arithmetic
 
     def referenced_fields(self) -> set:
         return self.left.referenced_fields() | self.right.referenced_fields()

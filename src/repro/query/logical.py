@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.query.ast import Expr
+from repro.errors import PlanError
+from repro.query.ast import Column, Expr
 
 
 # -- statements ----------------------------------------------------------------------
@@ -27,8 +28,6 @@ class SelectItem:
     def output_name(self, position: int) -> str:
         if self.alias:
             return self.alias
-        from repro.query.ast import Column
-
         if isinstance(self.expr, Column):
             return self.expr.name
         return f"$col{position}"
@@ -344,7 +343,5 @@ class AggregateCall:
     VALID = ("count", "sum", "avg", "min", "max")
 
     def __post_init__(self) -> None:
-        from repro.errors import PlanError
-
         if self.func not in self.VALID:
             raise PlanError(f"unknown aggregate function: {self.func}")

@@ -36,6 +36,7 @@ from repro.query.logical import (
     CreateTypeStatement,
     DropDatasetStatement,
     DropJoinStatement,
+    ExplainStatement,
     SelectItem,
     SelectStatement,
     TableRef,
@@ -141,8 +142,6 @@ class Parser:
         if self._check("keyword", "explain"):
             self._advance()
             analyze = self._accept("keyword", "analyze") is not None
-            from repro.query.logical import ExplainStatement
-
             stmt = ExplainStatement(self._select(), analyze)
         elif self._check("keyword", "select"):
             stmt = self._select()

@@ -263,15 +263,12 @@ class TestKernels:
     def test_filter_batch(self):
         rows = _rows((1, "x"), (2, "y"), (3, "z"))
         batch = RecordBatch.from_rows(SCHEMA, rows)
-        cursor = kernels.make_cursor(SCHEMA)
-        kept = kernels.filter_batch(
-            batch, lambda r: r["a"].value >= 2, cursor)
+        kept = kernels.filter_batch(batch, lambda row: row[0].value >= 2)
         assert kept.rows() == rows[1:]
 
     def test_filter_empty_result(self):
         batch = RecordBatch.from_rows(SCHEMA, _rows((1, "x")))
-        cursor = kernels.make_cursor(SCHEMA)
-        kept = kernels.filter_batch(batch, lambda r: False, cursor)
+        kept = kernels.filter_batch(batch, lambda row: False)
         assert kept.num_rows == 0
 
     def test_project_batch_zero_copy(self):

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.engine import Record, Schema, kernels
+from repro.engine import Record, Schema
 from repro.engine.operators.aggregate import RawState
 from repro.engine.record import serialized_values_size
 from repro.engine.resources import EntrySpillCodec, RecordSpillCodec
@@ -147,16 +147,3 @@ class TestSizedOnce:
             clone = pickle.loads(pickle.dumps(record))
             assert clone == record
             self.check(clone)
-
-    def test_cursor_is_sized_per_row(self):
-        # The batch kernels' cursor is the one record whose values are
-        # swapped; a kept size would be the first row's for ever.
-        cursor = kernels.make_cursor(self.SCHEMA)
-        rows = [self.record(1, "a").values, self.record(2, "a" * 40).values,
-                self.record(3, "").values]
-        sizes = []
-        for row in rows:
-            cursor.values = row
-            self.check(cursor)
-            sizes.append(cursor.serialized_size())
-        assert len(set(sizes)) == 3

@@ -11,15 +11,27 @@ decision — or from a function listed below with its reason.
 The same goes for a fact declared twice: a per-statement counter was
 hand-listed in seven places across ``metrics.py`` and ``telemetry.py``,
 the stage-name pattern compiled in two modules, a statement recorded
-from two call sites.  The last four tests hold each to one.
+from two call sites.  Four tests hold each to one.
+
+And for a row's container: below a pipeline breaker the streaming
+operators hand on value tuples, and the last tests count the Records a
+plan makes.
 """
 
 import ast
+from collections import Counter
+from contextlib import closing
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro import Database
+from repro.engine import kernels
 from repro.engine.metrics import QueryMetrics
+from repro.engine.record import Record
 from repro.engine.telemetry import STATEMENT_FACTS
+from tests.helpers import BandJoin
 
 ROOT = Path(repro.__file__).parent
 
@@ -219,3 +231,81 @@ def test_a_statement_is_recorded_from_one_call_site():
              for name, function in visitor.calls
              if name == "record_statement"]
     assert sites == ["Database.execute"], sites
+
+
+# -- one Record per row that reaches a pipeline breaker ---------------------------
+#
+# Scan, prune, filter and map hand each other value tuples (``rows``); a
+# Record is made where an operator that needs records reads them.  The
+# tests below count ``Record.__init__`` calls by the schema they are made
+# for, so that a convenient ``execute`` in a streaming operator — one
+# Record per row per operator, which is what these plans cost before —
+# shows as a count and not as a slower benchmark three PRs later.
+
+
+@pytest.fixture
+def records_made(monkeypatch):
+    """``{schema fields: Records constructed}`` while the test runs."""
+    made = Counter()
+    construct = Record.__init__
+
+    def counting(self, schema, values):
+        made[schema.fields] += 1
+        construct(self, schema, values)
+
+    monkeypatch.setattr(Record, "__init__", counting)
+    return made
+
+
+def _fires(rows: int = 1200) -> Database:
+    db = Database(num_partitions=4, execution="row")
+    db.execute("CREATE TYPE FireType { id: int, start: double, "
+               "zone: int, note: string }")
+    db.execute("CREATE DATASET Fires(FireType) PRIMARY KEY id")
+    db.load("Fires", [{"id": i, "start": float(i % 97), "zone": i % 7,
+                       "note": f"n{i}"} for i in range(rows)])
+    return db
+
+
+def test_a_point_lookup_makes_no_record_per_row(records_made):
+    # The serving_mixed lookup shape.  At the parent of this test's PR:
+    # 2,401 — 1,200 scanned, 1,200 pruned, 1 mapped.
+    with closing(_fires()) as db:
+        records_made.clear()
+        result = db.execute("SELECT f.id, f.start FROM Fires f "
+                            "WHERE f.id = 345")
+        assert result.rows == [{"f.id": 345, "f.start": 345.0 % 97}]
+        assert sum(records_made.values()) <= 2, records_made
+
+
+def test_a_scanned_group_by_makes_no_record_before_its_partial_states(
+        records_made):
+    with closing(_fires()) as db:
+        records_made.clear()
+        result = db.execute("SELECT f.zone, COUNT(1) AS c FROM Fires f "
+                            "WHERE f.start < 50.0 GROUP BY f.zone")
+        assert len(result.rows) == 7
+        # Partial states into the shuffle, output rows out of the merge.
+        assert set(records_made) <= {("__key", "__states"), ("f.zone", "c")}
+        assert records_made["f.zone", "c"] == 7
+
+
+def test_a_filtered_fudj_input_makes_one_record_per_row_the_filter_keeps(
+        records_made):
+    with closing(_fires(300)) as db:
+        db.create_join("near", BandJoin, defaults=(1.5, 8))
+        records_made.clear()
+        result = db.execute(
+            "SELECT a.id, b.id FROM Fires a, Fires b "
+            "WHERE near(a.start, b.start) AND a.zone = 3 AND b.id < 40")
+        assert result.rows
+        kept_left = sum(1 for i in range(300) if i % 7 == 3)
+        inputs = {fields: count for fields, count in records_made.items()
+                  if len({name.split(".")[0] for name in fields}) == 1
+                  and fields[0][:2] in ("a.", "b.")}
+        assert sorted(inputs.values()) == sorted([kept_left, 40]), inputs
+
+
+def test_the_kernels_hold_no_row_cursor():
+    assert not hasattr(kernels, "_RowCursor")
+    assert not hasattr(kernels, "make_cursor")

@@ -252,20 +252,21 @@ class TestTimeout:
 
 class TestExecutorTiming:
     def test_wall_seconds_includes_row_materialization(self, monkeypatch):
-        from repro.engine import record as record_module
+        from repro.engine import executor
 
-        original = record_module.Record.to_dict
+        original = executor.unbox
 
-        def slow_to_dict(self):
+        def slow_unbox(value):
             time.sleep(0.005)
-            return original(self)
+            return original(value)
 
-        monkeypatch.setattr(record_module.Record, "to_dict", slow_to_dict)
+        # The result's row dicts unbox every value of every row.
+        monkeypatch.setattr(executor, "unbox", slow_unbox)
         cluster = Cluster(num_partitions=2)
         ds = cluster.create_dataset("T", Schema(["id"]), "id")
         ds.bulk_load({"id": i} for i in range(10))
         result = execute_plan(Scan("T", "t"), cluster)
-        # 10 records x 5 ms each must be visible in the wall clock.
+        # 10 one-column rows x 5 ms each must be visible in the wall clock.
         assert result.metrics.wall_seconds >= 0.05
 
 

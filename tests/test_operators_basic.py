@@ -5,8 +5,25 @@ import pytest
 from repro.engine import Cluster, Schema
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import execute_plan
-from repro.engine.operators import Filter, Limit, MapColumns, Project, Scan, Values
+from repro.engine.operators import (
+    AvgAgg,
+    CountAgg,
+    CountDistinctAgg,
+    Filter,
+    FudjJoin,
+    GroupBy,
+    Limit,
+    MapColumns,
+    MaxAgg,
+    Project,
+    ScalarAggregate,
+    Scan,
+    SumAgg,
+    Values,
+)
+from repro.query.ast import Arithmetic, Column, Comparison, FunctionCall, Literal
 from repro.serde.values import unbox
+from tests.helpers import BandJoin
 
 
 def make_cluster(rows, partitions=4):
@@ -133,3 +150,53 @@ class TestExplain:
         lines = text.splitlines()
         assert lines[0].startswith("LIMIT")
         assert lines[1].startswith("  FILTER")
+
+
+def _plain(expr):
+    """``expr`` as a hand-built plan would pass it: a function of the
+    record, which the operator cannot compile."""
+    return lambda record: expr.evaluate(record)
+
+
+def _adapter_plans(wrap):
+    """One plan per operator that takes a row function, its expressions
+    passed through ``wrap``."""
+    value, ident = Column("a.value"), Column("a.id")
+    small = Comparison("<", ident, Literal(12))
+    bucket = Arithmetic("-", ident, Arithmetic("*", Literal(3), FunctionCall(
+        "floor_third", [ident], fn=lambda i: i // 3)))
+    return {
+        "filter": Filter(Scan("t", "a"), wrap(small)),
+        "map": MapColumns(Scan("t", "a"), [
+            ("v", wrap(value), 1.0),
+            ("w", wrap(Arithmetic("+", value, ident)), 1.0)]),
+        "group-by": GroupBy(
+            Filter(Scan("t", "a"), wrap(small)), [("b", wrap(bucket))],
+            [CountAgg("n"), SumAgg("s", wrap(value)),
+             CountDistinctAgg("d", wrap(bucket))]),
+        "scalar-aggregate": ScalarAggregate(
+            Scan("t", "a"), [AvgAgg("avg", wrap(value)),
+                             MaxAgg("max", wrap(ident))]),
+        "fudj-join": FudjJoin(
+            Filter(Scan("t", "a"), wrap(small)), Scan("t", "b"),
+            BandJoin(15.0, 4), wrap(value), wrap(Column("b.value"))),
+    }
+
+
+class TestPlainCallablesThroughTheAdapter:
+    """The planner hands these operators bound expressions, which they
+    compile against their input's schema; a ``callable(record)`` must
+    keep working, through ``row_function``'s record adapter."""
+
+    @pytest.mark.parametrize("execution", ["row", "batch"])
+    @pytest.mark.parametrize("operator", sorted(_adapter_plans(_plain)))
+    def test_same_rows_and_units_as_the_bound_expression(
+            self, operator, execution):
+        cluster = make_cluster(ROWS)
+        want = execute_plan(_adapter_plans(lambda expr: expr)[operator],
+                            cluster, execution=execution)
+        got = execute_plan(_adapter_plans(_plain)[operator], cluster,
+                           execution=execution)
+        assert want.rows, "nothing was compared"
+        assert got.rows == want.rows
+        assert got.metrics.total_cpu_units() == want.metrics.total_cpu_units()

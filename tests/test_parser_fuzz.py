@@ -1,17 +1,21 @@
 """Parser robustness: round-trip and fuzz properties.
 
-Two invariants:
+Three invariants:
 
 1. Round-trip: any expression the AST can express prints to SQL that
    parses back to an equal AST.
 2. Totality: arbitrary input never crashes the parser with anything but
    :class:`ParseError` (no hangs, no internal exceptions).
+3. One evaluator: for any such expression, schema and row,
+   ``expr.compile(schema)(values)`` is ``expr.evaluate(record)`` — the
+   same value of the same type, or an exception of the same type.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import pytest
 
+from repro.engine import Record, Schema
 from repro.errors import ParseError
 from repro.query.ast import (
     And,
@@ -25,6 +29,7 @@ from repro.query.ast import (
 )
 from repro.query.parser import _KEYWORDS, Parser, parse_statement
 from repro.query.printer import sql_of
+from repro.serde.values import box
 
 # The parser's own list, not a copy: a keyword added there is a name the
 # generator must stop drawing the same day.
@@ -50,15 +55,17 @@ columns = st.one_of(
 )
 
 
-def expressions(depth: int = 3):
+def expressions(depth: int = 3, columns=columns, call=FunctionCall):
+    """Expression trees; ``columns`` draws the leaves that name a field
+    and ``call(name, args)`` builds a function call."""
     if depth == 0:
         return st.one_of(literals, columns)
-    sub = expressions(depth - 1)
+    sub = expressions(depth - 1, columns, call)
     return st.one_of(
         literals,
         columns,
         st.tuples(identifiers, st.lists(sub, max_size=3)).map(
-            lambda t: FunctionCall(t[0], t[1])
+            lambda t: call(t[0], t[1])
         ),
         st.tuples(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), sub,
                   sub).map(lambda t: Comparison(*t)),
@@ -113,6 +120,95 @@ class TestRoundTrip:
                 parse_expression(sql_of(Column(keyword)))
         with pytest.raises(ParseError):
             parse_expression(sql_of(Not(Not(Column(f"t.{keyword}")))))
+
+
+#: Field names the evaluator property draws its schemas and its column
+#: references from: a reference to a name the drawn schema left out is
+#: the missing-field case.
+FIELDS = ("t.i", "t.d", "t.s", "u.i", "n")
+
+#: Implementations a generated call is bound to, by the length of its
+#: name: any arity, at least one argument (else IndexError), numbers only
+#: (else TypeError), and unbound (PlanError).
+FUNCTIONS = (lambda *args: len(args), lambda *args: args[0],
+             lambda *args: sum(args), None)
+
+
+def bound_call(name, args):
+    return FunctionCall(name, args, fn=FUNCTIONS[len(name) % len(FUNCTIONS)])
+
+
+#: A stored value: NULL, ints against doubles against strings, booleans —
+#: boxed as the engine stores them, or plain as a hand-built record may.
+stored_values = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-5, max_value=5),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+    st.sampled_from(["", "a", "b"]),
+).flatmap(lambda value: st.sampled_from([value, box(value)]))
+
+
+@st.composite
+def schemas_and_rows(draw):
+    fields = draw(st.lists(st.sampled_from(FIELDS), min_size=1, unique=True))
+    rows = draw(st.lists(
+        st.tuples(*[stored_values] * len(fields)), min_size=1, max_size=4))
+    return Schema(fields), rows
+
+
+def outcome(thunk):
+    """What ``thunk`` comes to: its value with the value's type (``1``,
+    ``1.0`` and ``True`` are equal), or the type of what it raised."""
+    try:
+        value = thunk()
+    except Exception as exc:
+        return "raised", type(exc)
+    return type(value), value
+
+
+class TestCompiledIsEvaluated:
+    @settings(max_examples=1500, deadline=None)
+    @given(expr=st.one_of(*[  # shallow trees too: a leaf under one operator
+               expressions(depth, st.sampled_from(FIELDS).map(Column),
+                           bound_call) for depth in (1, 2, 3)]),
+           data=schemas_and_rows())
+    def test_compile_agrees_with_evaluate(self, expr, data):
+        schema, rows = data
+        for values in rows:
+            record = Record(schema, values)
+            assert (outcome(lambda: expr.compile(schema)(record.values))
+                    == outcome(lambda: expr.evaluate(record))), sql_of(expr)
+
+    def test_the_cases_the_generator_must_reach(self):
+        # Each is one draw of the property above; spelled out so that a
+        # generator that stops reaching one does not hide it.
+        schema = Schema(["t.i", "t.s"])
+        record = Record.from_dict(schema, {"t.i": 2, "t.s": "a"})
+        null = Record.from_dict(schema, {"t.i": None, "t.s": None})
+        cases = [
+            (Comparison("=", Column("t.i"), Literal(2)), record),
+            (Comparison("=", Column("t.i"), Literal(2.0)), record),
+            (Comparison("<", Column("t.i"), Literal(None)), record),
+            (Comparison("<", Column("t.i"), Column("t.s")), record),  # TypeError
+            (Comparison("<", Column("t.i"), Literal("a")), record),   # TypeError
+            (Comparison(">=", Column("t.i"), Literal(1)), null),
+            (Arithmetic("/", Column("t.i"), Literal(0)), record),
+            (Arithmetic("+", Column("t.i"), Column("t.s")), null),
+            (Arithmetic("-", Column("t.i"), Literal(None)), record),
+            (Arithmetic("-", Literal(None), Column("t.i")), record),
+            (Column("u.i"), record),                                  # missing
+            (Or(Comparison("=", Column("t.i"), Literal(2)), Column("u.i")),
+             record),                      # short-circuits before the miss
+            (And(Column("t.i"), Not(Column("u.i"))), record),
+            (FunctionCall("f", [Column("t.i")]), record),             # unbound
+            (FunctionCall("f", [], fn=lambda: 7), record),
+            (FunctionCall("f", [Column("t.i")] * 3, fn=max), record),
+        ]
+        for expr, row in cases:
+            assert (outcome(lambda: expr.compile(schema)(row.values))
+                    == outcome(lambda: expr.evaluate(row))), sql_of(expr)
+        # A missing field is an error of the row that reaches it, as it is
+        # for ``evaluate``: compiling alone raises nothing.
+        Column("u.i").compile(schema)
 
 
 class TestFuzz:

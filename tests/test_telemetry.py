@@ -14,7 +14,9 @@ The acceptance properties pinned down here:
   ``sys.queries`` row counts track the retained window exactly.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -405,6 +407,26 @@ class TestSysTables:
         for name in SYS_TABLES:
             result = db.execute(f"SELECT * FROM {name}")
             assert result.schema == tuple(n for n, _ in SYS_TABLES[name])
+
+    def test_a_dropped_database_is_not_cyclic_garbage(self):
+        # The cluster holds the sys.* providers and the database holds
+        # the cluster: a provider that closes over the database strongly
+        # keeps every loaded record until a generation-2 collection.  So
+        # does a finished query's context, if its metrics still observe
+        # it: the context holds the cluster.
+        gc.disable()
+        try:
+            db = make_db()
+            assert len(db.execute(JOIN_SQL, trace=True).rows) == 128
+            assert db.execute("SELECT r.name FROM sys.resources r").rows
+            assert db.execute("SELECT * FROM sys.workers").rows == []
+            assert db.execute("SELECT * FROM sys.sessions").rows == []
+            db.close()
+            alive = [weakref.ref(db), weakref.ref(db.cluster)]
+            del db
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            gc.enable()
 
 
 # -- retention property --------------------------------------------------------

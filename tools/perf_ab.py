@@ -18,7 +18,12 @@ ask for a claimed gain:
 * per workload and end-to-end metric: both medians with their quartiles,
   how much worse (+) or better (-) the change's median is as a share of
   the base's, that difference against the base's own interquartile
-  range, and the share of pairs the change won (ties count for neither);
+  range, the share of pairs the change won (ties count for neither), and
+  a verdict against the metric's ``better`` and ``bound`` in
+  ``BENCHMARK.json``: ``WORSE`` when the change's median is worse than
+  the base's by more than the bound, ``unresolved`` when the base's own
+  interquartile range is wider than the bound and the pairs do not all
+  point the same way (the runs spread too widely to tell);
 * then ``--traced-pairs`` pairs of the ``--trace 1`` form, for the
   per-layer medians of both sides — among them ``client.slice_spread``,
   each run's own noise reading (above 0.10 the run was disturbed).
@@ -26,7 +31,8 @@ ask for a claimed gain:
 ``S`` is ``run_seconds`` of this checkout's ``BENCHMARK.json``.  Nothing
 under ``perf/`` is edited or imported.  The worktree and the scratch
 directory are removed on every way out, Ctrl-C and SIGTERM included.
-Exit code 1 when an operation failed on either side, else 0.
+Exit code 1 when an operation failed on either side or a metric reads
+``WORSE``, else 0.
 """
 
 from __future__ import annotations
@@ -98,14 +104,25 @@ def worse_by(better: str, before: float, after: float) -> float:
     return change if better == "lower" else -change
 
 
-def compare(workload: str, metrics, runs: dict) -> None:
+def verdict(bound: float, worse: float, iqr_share: float, won: int,
+            lost: int, pairs: int) -> str:
+    """``WORSE``, ``unresolved`` or nothing, for a metric whose change
+    median is ``worse`` (a share of the base's) against ``bound``."""
+    if iqr_share > bound and pairs not in (won, lost):
+        return "unresolved"
+    return "WORSE" if worse > bound else ""
+
+
+def compare(workload: str, metrics, runs: dict) -> list:
     """One block of the report: ``runs[side]`` is that side's list of
-    ``{metric: value}``, pair by pair."""
+    ``{metric: value}``, pair by pair.  Returns the names of the metrics
+    that read ``WORSE``."""
     pairs = len(runs["base"])
     print(f"\n== {workload}: {pairs} pairs")
     print(f"   {'metric':<34}{'base median [q1, q3]':>38}"
           f"{'change median [q1, q3]':>38}{'change':>10}"
           f"{'vs base IQR':>13}{'won':>8}")
+    past_bound = []
     for metric in metrics:
         name = metric["name"]
         base = [run[name] for run in runs["base"]]
@@ -119,17 +136,28 @@ def compare(workload: str, metrics, runs: dict) -> None:
         lost = sum(worse_by(better, b, c) > 0 for b, c in zip(base, change))
         iqr = b3 - b1
         against = f"{abs(cm - bm) / iqr:.1f} x" if iqr else "-"
+        worse = worse_by(better, bm, cm)
+        # Per-layer metrics carry no bound and get no verdict.
+        mark = ("" if "bound" not in metric else verdict(
+            metric["bound"], worse, iqr / abs(bm) if bm else 0.0, won, lost,
+            pairs))
+        if mark == "WORSE":
+            past_bound.append(f"{workload}: {name}")
         print(f"   {name:<34}"
               f"{f'{bm:.4g} [{b1:.4g}, {b3:.4g}]':>38}"
               f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>38}"
-              f"{worse_by(better, bm, cm):>+10.1%}{against:>13}"
-              f"{f'{won}/{won + lost}':>8}")
+              f"{worse:>+10.1%}{against:>13}"
+              f"{f'{won}/{won + lost}':>8}  {mark}".rstrip())
+    return past_bound
 
 
 def measure(sides: dict, workloads, spec: dict, pairs: int,
-            traced_pairs: int, seed: int) -> int:
+            traced_pairs: int, seed: int) -> tuple:
+    """Run every pair and print every block; returns ``(failed
+    operations, names of the metrics that read WORSE)``."""
     seconds = spec["run_seconds"]
     failed = 0
+    past_bound = []
     for trace, count, metrics in ((0, pairs, spec["end_to_end"]),
                                   (1, traced_pairs, spec["per_layer"])):
         for workload in workloads:
@@ -146,9 +174,10 @@ def measure(sides: dict, workloads, spec: dict, pairs: int,
                           f"{count} {side}: {result['attempted']} operations,"
                           f" {result['failed']} failed", file=sys.stderr)
             if count:
-                compare(workload + (" (traced pass)" if trace else ""),
-                        metrics, runs)
-    return failed
+                past_bound += compare(
+                    workload + (" (traced pass)" if trace else ""),
+                    metrics, runs)
+    return failed, past_bound
 
 
 def main(argv=None) -> int:
@@ -183,8 +212,9 @@ def main(argv=None) -> int:
               f"{' + uncommitted' if git('status', '--porcelain') else ''}"
               f"  {spec['run_seconds']} s per run, seeds {args.seed}.."
               f"{args.seed + args.pairs - 1}")
-        failed = measure({"base": base_root, "change": ROOT}, workloads,
-                         spec, args.pairs, args.traced_pairs, args.seed)
+        failed, past_bound = measure(
+            {"base": base_root, "change": ROOT}, workloads, spec,
+            args.pairs, args.traced_pairs, args.seed)
     finally:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
                         "--force", str(base_root)], capture_output=True)
@@ -193,7 +223,9 @@ def main(argv=None) -> int:
                        capture_output=True)
     if failed:
         print(f"{failed} failed operations", file=sys.stderr)
-    return 1 if failed else 0
+    for name in past_bound:
+        print(f"WORSE past its bound: {name}", file=sys.stderr)
+    return 1 if failed or past_bound else 0
 
 
 def terminated(signum, frame):
