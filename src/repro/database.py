@@ -38,12 +38,14 @@ from repro.core.dedup import (
 )
 from repro.core.library import JoinRegistry, JoinSignature
 from repro.engine import Cluster, Schema
+from repro.engine.cancel import CancellationToken
 from repro.engine.context import ERROR_POLICIES
 from repro.engine.costs import CostModel
 from repro.engine.events import NULL_EVENTS
 from repro.engine.executor import QueryResult, execute_plan
 from repro.engine.faults import FaultPlan
 from repro.engine.resources import (
+    POLL_SECONDS,
     AdmissionController,
     CircuitBreaker,
     QueryResources,
@@ -292,7 +294,8 @@ class Database:
             on_error: per-query override of the degraded-mode policy for
                 FUDJ callbacks (``fail`` / ``skip`` / ``quarantine``).
             query_timeout: per-query override of the wall-clock budget in
-                seconds (``None`` disables it).
+                seconds (``None`` disables it), counted from this call;
+                it becomes a deadline on ``cancel`` (or a fresh token).
             trace: per-query override of the instance ``trace`` flag;
                 when True the result carries a structured span trace on
                 :attr:`QueryResult.trace`.
@@ -302,9 +305,8 @@ class Database:
                 :class:`~repro.engine.cancel.CancellationToken`;
                 cancelling it from any thread aborts the statement with
                 :class:`~repro.errors.QueryCancelledError` at the next
-                engine checkpoint (recorded with status
-                ``"cancelled"``), leaving the database immediately
-                reusable.
+                engine checkpoint (status ``"cancelled"``; ``"timeout"``
+                past its deadline), leaving the database reusable.
             query_id: a history id already reserved via
                 :meth:`Telemetry.next_query_id
                 <repro.engine.telemetry.Telemetry.next_query_id>`, for
@@ -316,6 +318,9 @@ class Database:
         policy = self.on_error if on_error is None else _check_policy(on_error)
         timeout = (self.query_timeout if query_timeout is _UNSET
                    else query_timeout)
+        if timeout is not None:
+            cancel = (CancellationToken(timeout) if cancel is None
+                      else cancel.expire_after(timeout))
         tracing = self.trace if trace is _UNSET else bool(trace)
         mode_text = mode.value if isinstance(mode, ExecutionMode) else str(mode)
         started = time.perf_counter()
@@ -339,7 +344,7 @@ class Database:
                 statement=kind, mode=mode_text, sql=sql.strip())
             result = self._execute_statement(
                 statement, mode, dedup, measure_bytes, summarize_sample,
-                faults, policy, timeout, tracing, optimizer, cancel)
+                faults, policy, tracing, optimizer, cancel)
             return result
         except BaseException as exc:
             error = exc
@@ -358,18 +363,17 @@ class Database:
             self._active_query_id = 0
 
     def _execute_statement(self, statement, mode, dedup, measure_bytes,
-                           summarize_sample, faults, policy, timeout,
-                           tracing, optimizer=None,
-                           cancel=None) -> QueryResult:
+                           summarize_sample, faults, policy, tracing,
+                           optimizer=None, cancel=None) -> QueryResult:
         if isinstance(statement, SelectStatement):
             plan = self._plan_select(statement, _to_mode(mode), _to_dedup(dedup),
                                      summarize_sample, optimizer)
             return self._run_plan(plan, measure_bytes, faults, policy,
-                                  timeout, tracing, cancel)
+                                  tracing, cancel)
         if isinstance(statement, ExplainStatement):
             return self._execute_explain(statement, _to_mode(mode),
                                          _to_dedup(dedup), measure_bytes,
-                                         faults, policy, timeout,
+                                         faults, policy,
                                          optimizer=optimizer,
                                          cancel=cancel)
         return self._execute_ddl(statement)
@@ -573,12 +577,13 @@ class Database:
             pending.extend(node.children())
         return total
 
-    def _run_plan(self, plan, measure_bytes, faults, policy, timeout,
-                  tracing, cancel=None) -> QueryResult:
+    def _run_plan(self, plan, measure_bytes, faults, policy, tracing,
+                  cancel=None) -> QueryResult:
         """Execute a physical plan under the governance posture: admission
         first (reservation estimated from catalog stats), then the run
         itself — serialized on the engine lock — with a budget-enforcing
-        memory accountant and the shared circuit breaker."""
+        memory accountant and the shared circuit breaker.  Both waits
+        poll ``cancel``, so a stopped query leaves either queue at once."""
         resources = QueryResources(
             self.cluster.cost_model, enforce=self.memory_budget is not None
         )
@@ -586,8 +591,7 @@ class Database:
         if self.admission is not None:
             try:
                 ticket = self.admission.acquire(
-                    self._estimate_plan_bytes(plan)
-                )
+                    self._estimate_plan_bytes(plan), cancel=cancel)
             except AdmissionError as exc:
                 self.telemetry.note_admission(exc.reason)
                 raise
@@ -599,18 +603,15 @@ class Database:
         pool = self._acquire_pool if self.cluster.backend == "process" else None
         locked = False
         try:
-            # Concurrent sessions queue here after admission.  The wait
-            # polls the cancellation token, so a queued request whose
-            # client cancelled (or hung up) aborts without waiting for
-            # the running query to finish.
-            while not self._engine_lock.acquire(timeout=0.05):
+            # Concurrent sessions queue here after admission.
+            while not self._engine_lock.acquire(timeout=POLL_SECONDS):
                 if cancel is not None:
                     cancel.check()
             locked = True
             return execute_plan(plan, self.cluster,
                                 measure_bytes=measure_bytes,
                                 fault_plan=faults, on_error=policy,
-                                timeout_seconds=timeout, trace=tracing,
+                                trace=tracing,
                                 resources=resources, breaker=self.breaker,
                                 pool=pool, execution=self._execution,
                                 batch_rows=self.batch_rows,
@@ -750,7 +751,6 @@ class Database:
     def _execute_explain(self, statement: ExplainStatement,
                          mode: ExecutionMode, dedup, measure_bytes,
                          fault_plan=None, on_error: str = "fail",
-                         timeout: float = None,
                          optimizer: str = None,
                          cancel=None) -> QueryResult:
         """EXPLAIN: plan text (one row per line); ANALYZE adds a
@@ -768,7 +768,7 @@ class Database:
         metrics = QueryMetrics(self.cluster.cost_model)
         if statement.analyze:
             executed = self._run_plan(plan, measure_bytes, fault_plan,
-                                      on_error, timeout, True, cancel)
+                                      on_error, True, cancel)
             metrics = executed.metrics
             if opt == "cost" and plan_rows:
                 lines.append("")

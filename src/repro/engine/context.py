@@ -23,6 +23,10 @@ from repro.serde.translator import Translator
 #: Degraded-mode policies for per-record FUDJ callbacks.
 ERROR_POLICIES = ("fail", "skip", "quarantine")
 
+#: What a checkpoint raises to stop the whole query: it passes through
+#: every callback guard untouched.
+STOP_ERRORS = (QueryCancelledError, QueryTimeoutError)
+
 #: Callbacks with no single culprit record: a failure leaves no plan to
 #: continue with, so it aborts the query under every policy.
 HARD_PHASES = ("divide", "global_aggregate")
@@ -47,14 +51,11 @@ class ExecutionContext:
             ``"fail"`` aborts the query (the classic behaviour),
             ``"skip"`` drops the poison record, ``"quarantine"`` drops
             it and keeps a per-phase error report in the metrics.
-        timeout_seconds: wall-clock budget; checked at stage boundaries
-            and task attempts, so cancellation is clean.
         cancel: optional
-            :class:`~repro.engine.cancel.CancellationToken`; another
-            thread cancelling it aborts the query with
-            :class:`~repro.errors.QueryCancelledError` at the next
-            checkpoint (the same points the timeout is checked, plus
-            every guarded FUDJ callback).
+            :class:`~repro.engine.cancel.CancellationToken`, the query's
+            one stop condition: another thread cancelling it, or its
+            deadline passing, aborts the query at the next checkpoint
+            (stage and task boundaries, every guarded FUDJ callback).
         trace: record a structured span trace of the execution (see
             :mod:`repro.engine.tracing`); the :attr:`tracer` is always
             present but inert unless this is True.
@@ -82,7 +83,6 @@ class ExecutionContext:
     def __init__(self, cluster: Cluster, metrics: QueryMetrics = None,
                  measure_bytes: bool = True, fault_plan: FaultPlan = None,
                  on_error: str = "fail",
-                 timeout_seconds: float = None,
                  trace: bool = False,
                  resources=None,
                  breaker=None,
@@ -109,7 +109,6 @@ class ExecutionContext:
         self.measure_bytes = measure_bytes
         self.fault_plan = fault_plan
         self.on_error = on_error
-        self.timeout_seconds = timeout_seconds
         if resources is None:
             resources = QueryResources(cluster.cost_model)
         self.resources = resources
@@ -121,16 +120,12 @@ class ExecutionContext:
         self._pool = pool if (pool is None or hasattr(pool, "run_tasks")) \
             else None
         self.tracer = Tracer(enabled=trace)
-        self._deadline = (
-            None if timeout_seconds is None
-            else time.perf_counter() + timeout_seconds
-        )
         # Every new stage is a cancellation point; with tracing on, every
         # new stage also mirrors its charges into the open span.
         self.metrics.stage_observer = self._observe_stage
 
     def _observe_stage(self, stage) -> None:
-        self.check_timeout()
+        self.check_cancel()
         if self.tracer.enabled:
             stage.on_charge = self.tracer.record_units
 
@@ -202,24 +197,12 @@ class ExecutionContext:
 
     # -- cancellation ----------------------------------------------------------
 
-    def check_timeout(self) -> None:
-        """Raise :class:`QueryTimeoutError` once the deadline has passed,
-        or :class:`~repro.errors.QueryCancelledError` once the query's
-        cancellation token is cancelled.  Every timeout checkpoint is a
-        cancellation checkpoint: the two halves of request robustness
-        share one set of engine boundaries."""
+    def check_cancel(self) -> None:
+        """Stop here if the query's token is cancelled or past its
+        deadline (see :meth:`CancellationToken.check
+        <repro.engine.cancel.CancellationToken.check>`)."""
         if self.cancel is not None:
             self.cancel.check()
-        if self._deadline is None:
-            return
-        now = time.perf_counter()
-        if now > self._deadline:
-            elapsed = self.timeout_seconds + (now - self._deadline)
-            raise QueryTimeoutError(elapsed, self.timeout_seconds)
-
-    #: Alias making call sites self-documenting where the asynchronous
-    #: (token) half is the point — operator/batch/exchange boundaries.
-    check_cancel = check_timeout
 
     # -- task-level fault injection and recovery -------------------------------
 
@@ -241,14 +224,14 @@ class ExecutionContext:
         plan = self.fault_plan
         if (plan is None or not plan.any_faults()
                 or not plan.active_for(stage.name)):
-            self.check_timeout()  # every task attempt is a cancellation point
+            self.check_cancel()  # every task attempt is a cancellation point
             return fn()
         model = self.cost_model
         metrics = self.metrics
         key = stage_key(stage.name)
         attempt = 0
         while True:
-            self.check_timeout()
+            self.check_cancel()
             units_before = stage.worker_units.get(worker, 0.0)
             comparisons = metrics.comparisons
             quarantined = metrics.records_quarantined
@@ -313,9 +296,9 @@ class ExecutionContext:
         folded into the aggregated callback span named ``phase`` under
         the currently open span.
         """
-        # Checked before the try so a cancel can never be swallowed by a
-        # skip/quarantine policy: slow user callbacks abort record by
-        # record, not phase by phase.
+        # Slow user callbacks stop record by record, not phase by phase;
+        # a stop error is the query's, never the record's, so no policy
+        # swallows or wraps it.
         if self.cancel is not None:
             self.cancel.check()
         tracer = self.tracer
@@ -323,16 +306,16 @@ class ExecutionContext:
         started = time.perf_counter() if timed else 0.0
         try:
             result = fn(*args)
+        except STOP_ERRORS:
+            raise
         except Exception as exc:
             if timed:
                 tracer.record_call(
                     phase, time.perf_counter() - started, ok=False
                 )
-            if self.breaker is not None and not isinstance(
-                    exc, QueryTimeoutError):
+            if self.breaker is not None:
                 self.breaker.record_failure(join_name)
-            if (self.on_error == "fail" or phase in HARD_PHASES
-                    or isinstance(exc, QueryTimeoutError)):
+            if self.on_error == "fail" or phase in HARD_PHASES:
                 if isinstance(exc, FudjCallbackError):
                     raise
                 raise FudjCallbackError(join_name, phase, exc) from exc
@@ -361,8 +344,8 @@ class ExecutionContext:
         applied: the caller makes the calls again one by one through
         :meth:`guard_record`, so ``on_error`` acts on exactly the items
         that raise.  A long batch polls the cancellation token between
-        its items itself; that cancellation is the query's, not an
-        item's, and passes through.
+        its items itself; that stop is the query's, not an item's, and
+        passes through.
         """
         if self.cancel is not None:
             self.cancel.check()
@@ -371,7 +354,7 @@ class ExecutionContext:
         started = time.perf_counter() if timed else 0.0
         try:
             result = fn(*args)
-        except QueryCancelledError:
+        except STOP_ERRORS:
             raise
         except Exception:
             return False, None

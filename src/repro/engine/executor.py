@@ -64,7 +64,6 @@ class QueryResult:
 def execute_plan(plan: PhysicalOperator, cluster: Cluster,
                  measure_bytes: bool = True, fault_plan: FaultPlan = None,
                  on_error: str = "fail",
-                 timeout_seconds: float = None,
                  trace: bool = False,
                  resources=None,
                  breaker=None,
@@ -82,9 +81,6 @@ def execute_plan(plan: PhysicalOperator, cluster: Cluster,
         fault_plan: optional seeded fault injection + recovery schedule.
         on_error: degraded-mode policy for per-record FUDJ callbacks
             (``fail`` / ``skip`` / ``quarantine``).
-        timeout_seconds: per-query wall-clock budget; exceeding it raises
-            :class:`~repro.errors.QueryTimeoutError` at the next
-            cancellation point.
         trace: record a structured span trace (phase/callback tree, skew
             diagnostics) on :attr:`QueryResult.trace`.  Adds zero charged
             cost — the simulated makespan is identical either way.
@@ -106,14 +102,13 @@ def execute_plan(plan: PhysicalOperator, cluster: Cluster,
             the inert null emitter.
         cancel: optional cooperative
             :class:`~repro.engine.cancel.CancellationToken`; cancelling
-            it from any thread aborts the query with
-            :class:`~repro.errors.QueryCancelledError` at the next
-            engine checkpoint, with the same clean unwind as a timeout
-            (spill files dropped, pool leases abandoned).
+            it from any thread, or its deadline passing, aborts the query
+            at the next engine checkpoint with a clean unwind (spill
+            files dropped, pool leases abandoned).
     """
     ctx = ExecutionContext(
         cluster, measure_bytes=measure_bytes, fault_plan=fault_plan,
-        on_error=on_error, timeout_seconds=timeout_seconds, trace=trace,
+        on_error=on_error, trace=trace,
         resources=resources, breaker=breaker, pool=pool,
         execution=execution, batch_rows=batch_rows, events=events,
         cancel=cancel,

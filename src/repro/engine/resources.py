@@ -416,6 +416,10 @@ class QueryResources:
 # -- admission control ---------------------------------------------------------
 
 
+#: How often a query waiting for the engine looks at its token.
+POLL_SECONDS = 0.05
+
+
 class AdmissionTicket:
     """One admitted query's reservation (hand back via ``release``)."""
 
@@ -433,8 +437,9 @@ class AdmissionController:
     than the whole cluster still runs, alone, relying on the per-worker
     spill path.  Arrivals past ``queue_limit`` waiters are shed
     immediately; a waiter that exceeds ``queue_timeout`` seconds is shed
-    with reason ``"timeout"``.  FIFO is strict: no waiter overtakes an
-    earlier one even if it would fit.
+    with reason ``"timeout"``; a waiter whose ``cancel`` token stops
+    leaves with the token's error.  FIFO is strict: no waiter overtakes
+    an earlier one even if it would fit.
     """
 
     def __init__(self, capacity_bytes: float, max_concurrent: int = None,
@@ -460,7 +465,8 @@ class AdmissionController:
             return False
         return self.reserved_bytes + reserved <= self.capacity_bytes
 
-    def acquire(self, estimate_bytes: float, clock=None) -> AdmissionTicket:
+    def acquire(self, estimate_bytes: float, clock=None,
+                cancel=None) -> AdmissionTicket:
         """Block until the reservation fits; shed on queue-full/timeout."""
         clock = clock or time.monotonic
         reserved = min(float(estimate_bytes), self.capacity_bytes)
@@ -490,6 +496,10 @@ class AdmissionController:
                                 "timeout", estimate_bytes,
                                 f"waited {self.queue_timeout:.3f}s"
                             )
+                    if cancel is not None:
+                        cancel.check()
+                        remaining = min(remaining or POLL_SECONDS,
+                                        POLL_SECONDS)
                     self._cond.wait(timeout=remaining)
             finally:
                 self._waiting.remove(my_turn)

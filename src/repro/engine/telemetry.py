@@ -681,9 +681,10 @@ class Telemetry:
                                       query_id)
             self.history.append(entry)
             self._statements.inc(kind=kind)
+            if kind in ("select", "explain"):
+                self._queries.inc(status=status)
             if metrics is not None:
                 if kind in ("select", "explain"):
-                    self._queries.inc(status=status)
                     self._rows.inc(entry["rows"])
                     self._sim_seconds.observe(entry["sim_seconds"])
                     self._row_hist.observe(entry["rows"])

@@ -58,8 +58,10 @@ class FudjCallbackError(ExecutionError):
 class QueryTimeoutError(ExecutionError):
     """The query exceeded its wall-clock budget and was cancelled.
 
-    Raised at the next stage boundary or task attempt after the deadline
-    passes, so cancellation is clean: no partial results escape.
+    The budget (``query_timeout``, or a request's ``deadline_ms``) is a
+    deadline on the query's :class:`~repro.engine.cancel.CancellationToken`
+    counted from the call; the token's ``check()`` raises this at the
+    first checkpoint past it, so no partial results escape.
     """
 
     def __init__(self, elapsed_seconds: float, limit_seconds: float) -> None:
@@ -74,8 +76,9 @@ class QueryTimeoutError(ExecutionError):
 class QueryCancelledError(ExecutionError):
     """The query was cancelled cooperatively before it finished.
 
-    Raised at the next cancellation checkpoint (stage boundary, operator
-    boundary, exchange, task attempt, or guarded FUDJ callback) after a
+    Raised at the next cancellation checkpoint (a wait for the engine,
+    a stage or operator boundary, exchange, task attempt, or guarded
+    FUDJ callback) after a
     :class:`~repro.engine.cancel.CancellationToken` is cancelled — by an
     explicit client CANCEL, a client disconnect, or a server drain.  The
     unwind is clean: reservations are released, spill files dropped, and

@@ -24,18 +24,17 @@ parsing messages.
 
 Request robustness, end to end:
 
-* **Deadlines** — ``deadline_ms`` extends the PR 1 ``query_timeout``
-  machinery: the server computes the remaining budget when the query
-  starts and passes it as the per-query timeout, *and* arms a watchdog
-  that cancels the query's token at the deadline, so a request stuck
-  behind a long-running query still dies on time.  Both paths answer
-  with ``error: "timeout"``.
-* **Cooperative cancellation** — every query request gets a
-  :class:`~repro.engine.cancel.CancellationToken`.  An explicit
-  ``cancel`` op, a client disconnect, or a server drain cancels it; the
-  engine aborts at the next checkpoint, frees reservations and spill
-  files, and the recorded status is ``cancelled``.  Re-running the same
-  query afterwards returns byte-identical rows.
+* **One token per request** — every query request gets a
+  :class:`~repro.engine.cancel.CancellationToken` when it arrives.
+* **Deadlines** — ``deadline_ms`` is that token's deadline.  The engine
+  checks it in every wait (admission queue, engine lock) and at every
+  checkpoint, so a request stuck behind a long-running query still dies
+  on time, answering ``error: "timeout"``.
+* **Cooperative cancellation** — an explicit ``cancel`` op, a client
+  disconnect, or a server drain cancels the token; the engine aborts at
+  the next checkpoint, frees reservations and spill files, and the
+  recorded status is ``cancelled``.  Re-running the same query
+  afterwards returns byte-identical rows.
 * **Per-tenant backpressure** — each session's tenant gets a bounded
   lane (:class:`~repro.engine.resources.TenantLanes`); requests past
   the lane depth are shed with ``error: "shed"`` before they can occupy
@@ -60,19 +59,14 @@ from __future__ import annotations
 import itertools
 import json
 import socket
+import sys
 import threading
 import time
 
-from repro.database import _error_status as _history_status
+from repro.database import _error_status
 from repro.engine.cancel import CancellationToken
 from repro.engine.resources import TenantLanes
-from repro.errors import (
-    AdmissionError,
-    QueryCancelledError,
-    QueryTimeoutError,
-    ReproError,
-    ServerError,
-)
+from repro.errors import AdmissionError, ReproError, ServerError
 
 #: Default in-flight request depth of one tenant's lane.
 DEFAULT_TENANT_DEPTH = 4
@@ -83,16 +77,6 @@ DEFAULT_TENANT = "default"
 _SESSION_IDS = itertools.count(1)
 
 
-def _error_status(exc: Exception) -> str:
-    """Typed wire status of a failed request: the history status class
-    ``Database.execute`` records, with one exception."""
-    if isinstance(exc, QueryCancelledError) and exc.reason == "deadline":
-        # A deadline watchdog cancels the token with reason "deadline";
-        # to the client that is a timeout, same as the in-engine path.
-        return "timeout"
-    return _history_status(exc)
-
-
 def _is_key(value) -> bool:
     """Whether an ``id`` / ``target`` can key the in-flight table."""
     return value is None or isinstance(value, (str, int, float))
@@ -101,7 +85,7 @@ def _is_key(value) -> bool:
 def _frame_problem(request: dict):
     """Why a parsed frame cannot be dispatched, or None when it can:
     ``id`` and ``target`` key the in-flight table and ``deadline_ms``
-    arms a timer, so each must be what those can take."""
+    sets a deadline, so each must be what those can take."""
     for name in ("id", "target"):
         if not _is_key(request.get(name)):
             return f"{name} must be a string or a number"
@@ -109,7 +93,7 @@ def _frame_problem(request: dict):
     if deadline_ms is not None and not (
             isinstance(deadline_ms, (int, float))
             and not isinstance(deadline_ms, bool)
-            and abs(deadline_ms) <= threading.TIMEOUT_MAX * 1000.0):
+            and abs(deadline_ms) <= sys.float_info.max):
         return "deadline_ms must be a finite number of milliseconds"
     return None
 
@@ -251,27 +235,24 @@ class _Session:
     # -- query requests -------------------------------------------------------
 
     def _start_query(self, rid, request: dict) -> None:
-        token = CancellationToken()
-        deadline = None
         deadline_ms = request.get("deadline_ms")
-        if deadline_ms is not None:
-            deadline = time.monotonic() + float(deadline_ms) / 1000.0
+        token = CancellationToken(
+            None if deadline_ms is None else deadline_ms / 1000.0)
         holder = {"token": token, "query_id": 0}
         with self._inflight_lock:
             self.inflight[rid] = holder
         worker = threading.Thread(
             target=self._run_query,
-            args=(rid, request, token, deadline, holder),
+            args=(rid, request, token, holder),
             name=f"fudj-req-{self.session_id}-{rid}", daemon=True,
         )
         self._workers.append(worker)
         worker.start()
 
-    def _run_query(self, rid, request, token, deadline, holder) -> None:
+    def _run_query(self, rid, request, token, holder) -> None:
         server = self.server
         db = server.db
         tenant = self.tenant
-        watchdog = None
         outcome = "ok"
         in_lane = False
 
@@ -303,28 +284,14 @@ class _Session:
                 outcome = "shed"
                 finish(self._error_payload(rid, exc))
                 return
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise QueryTimeoutError(0.0, 0.0)
-                # The in-engine deadline starts only once the query is
-                # admitted and holds the engine; the watchdog covers the
-                # wait before that, so the deadline is end-to-end.
-                watchdog = threading.Timer(
-                    remaining, self._cancel_token, args=(token, "deadline"))
-                watchdog.daemon = True
-                watchdog.start()
-            kwargs = {}
-            if remaining is not None:
-                kwargs["query_timeout"] = remaining
+            token.check()  # an expired deadline runs nothing
             # Reserve the history id up front so sys.sessions can show
             # which query this session is running *while* it runs.
             holder["query_id"] = db.telemetry.next_query_id()
             result = db.execute(
                 sql, mode=request.get("mode", "fudj"),
                 optimizer=request.get("optimizer"),
-                cancel=token, query_id=holder["query_id"], **kwargs)
+                cancel=token, query_id=holder["query_id"])
             rows = [{str(k): _jsonable(v) for k, v in row.items()}
                     for row in result.rows]
             finish({
@@ -342,8 +309,6 @@ class _Session:
                     "error_type": type(exc).__name__,
                     "message": str(exc)})
         finally:
-            if watchdog is not None:
-                watchdog.cancel()
             if in_lane:
                 server.lanes.leave(tenant)
             with self._inflight_lock:
@@ -362,12 +327,6 @@ class _Session:
 
     # -- cancellation ---------------------------------------------------------
 
-    def _cancel_token(self, token: CancellationToken, reason: str) -> None:
-        if token.cancel(reason):
-            self.server.db.telemetry.events.emit(
-                "cancel.request", reason=reason,
-                session=self.session_id)
-
     def _cancel_request(self, rid, request: dict) -> None:
         target = request.get("target")
         with self._inflight_lock:
@@ -378,7 +337,10 @@ class _Session:
             self.send({"id": rid, "type": "ok", "cancelled": False})
             self.server.db.telemetry.note_request("cancel", "miss")
             return
-        self._cancel_token(holder["token"], "client-cancel")
+        if holder["token"].cancel("client-cancel"):
+            self.server.db.telemetry.events.emit(
+                "cancel.request", reason="client-cancel",
+                session=self.session_id)
         self.send({"id": rid, "type": "ok", "cancelled": True})
         self.server.db.telemetry.note_request("cancel", "ok")
 

@@ -14,11 +14,17 @@ the stage-name pattern compiled in two modules, a statement recorded
 from two call sites.  Four tests hold each to one.
 
 And for a row's container: below a pipeline breaker the streaming
-operators hand on value tuples, and the last tests count the Records a
+operators hand on value tuples, and the Record tests count the Records a
 plan makes.
+
+And for a query's stop condition: a timeout used to be a second clock in
+``ExecutionContext`` beside the cancellation token, and a served
+deadline a third, a watchdog thread that flipped the token; the last
+test holds the deadline to the token.
 """
 
 import ast
+import inspect
 from collections import Counter
 from contextlib import closing
 from pathlib import Path
@@ -27,7 +33,11 @@ import pytest
 
 import repro
 from repro import Database
+from repro import server
+from repro.database import _error_status
 from repro.engine import kernels
+from repro.engine.context import ExecutionContext
+from repro.engine.executor import execute_plan
 from repro.engine.metrics import QueryMetrics
 from repro.engine.record import Record
 from repro.engine.telemetry import STATEMENT_FACTS
@@ -309,3 +319,24 @@ def test_a_filtered_fudj_input_makes_one_record_per_row_the_filter_keeps(
 def test_the_kernels_hold_no_row_cursor():
     assert not hasattr(kernels, "_RowCursor")
     assert not hasattr(kernels, "make_cursor")
+
+
+# -- one stop condition per query ------------------------------------------------
+
+
+def test_the_cancellation_token_is_the_only_stop_condition():
+    # Only the token's check() decides a query ran out of time...
+    raisers = sorted({path for path, visitor in scan()
+                      for name, _ in visitor.calls
+                      if name == "QueryTimeoutError"})
+    assert raisers == ["engine/cancel.py"], raisers
+    # ...so the engine keeps no clock of its own,
+    assert not hasattr(ExecutionContext, "check_timeout")
+    for function in (ExecutionContext.__init__, execute_plan):
+        assert "timeout_seconds" not in inspect.signature(function).parameters
+    # and the server arms no watchdog and maps no cancel reason to a
+    # status: a deadline is the token's, recorded as what it raised.
+    server_calls = {name for path, visitor in scan()
+                    if path == "server.py" for name, _ in visitor.calls}
+    assert "Timer" not in server_calls
+    assert server._error_status is _error_status

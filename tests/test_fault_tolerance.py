@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, FaultPlan
 from repro.engine import Cluster, Schema
+from repro.engine.cancel import CancellationToken
 from repro.engine.executor import execute_plan
 from repro.engine.operators import FudjJoin, Scan
 from repro.errors import ExecutionError, QueryTimeoutError, TaskFailedError
@@ -233,21 +234,21 @@ class TestRecoveryCorrectness:
 class TestTimeout:
     def test_immediate_timeout_cancels(self):
         with pytest.raises(QueryTimeoutError):
-            run(timeout_seconds=1e-9)
+            run(cancel=CancellationToken(1e-9))
 
     def test_generous_timeout_passes(self):
-        result = run(timeout_seconds=60.0)
+        result = run(cancel=CancellationToken(60.0))
         assert len(result) > 0
 
     def test_error_carries_budget(self):
         with pytest.raises(QueryTimeoutError) as excinfo:
-            run(timeout_seconds=1e-9)
+            run(cancel=CancellationToken(1e-9))
         assert excinfo.value.limit_seconds == 1e-9
         assert excinfo.value.elapsed_seconds >= 0.0
 
     def test_timeout_is_catchable_as_execution_error(self):
         with pytest.raises(ExecutionError):
-            run(timeout_seconds=1e-9)
+            run(cancel=CancellationToken(1e-9))
 
 
 class TestExecutorTiming:
@@ -314,6 +315,39 @@ class TestDatabaseFacade:
             db.execute(self.SQL)
         # Per-query override lifts the instance default.
         assert len(db.execute(self.SQL, query_timeout=None)) >= 0
+        # With a caller's token too, the earlier of the two budgets wins,
+        # and a passed deadline does not flip the token's latch.
+        for token_budget, query_timeout in ((60.0, 1e-9), (1e-9, 60.0)):
+            token = CancellationToken(token_budget)
+            with pytest.raises(QueryTimeoutError) as excinfo:
+                db.execute(self.SQL, query_timeout=query_timeout,
+                           cancel=token)
+            assert excinfo.value.limit_seconds == 1e-9
+            assert not token.cancelled
+
+    def test_query_timeout_stops_between_two_callbacks(self):
+        """The budget is checked before every guarded callback, not only
+        at task boundaries: a COMBINE whose ``verify`` sleeps 3 ms stops
+        after the calls that fit in 50 ms, where one task here makes ~90
+        (272 in all)."""
+        calls = []
+
+        class SlowVerify(BandJoin):
+            name = "slow_verify"
+
+            def verify(self, key1, key2, pplan):
+                calls.append(1)
+                time.sleep(0.003)
+                return super().verify(key1, key2, pplan)
+
+        # Serial, so the calls are made (and counted) in this process.
+        db = self._db(backend="serial")
+        db.create_join("slow_verify", SlowVerify, defaults=(1.0, 4))
+        with pytest.raises(QueryTimeoutError):
+            db.execute(self.SQL.replace("band_join", "slow_verify"),
+                       query_timeout=0.05)
+        # Call n starts 3 (n - 1) ms or more after execute() began.
+        assert 0 < len(calls) <= 0.05 / 0.003 + 1, len(calls)
 
     def test_bad_policy_rejected(self):
         from repro.errors import PlanError

@@ -13,7 +13,8 @@ acceptance properties pinned down (``docs/serving.md``):
   spill temp files, and leaves the pool clean: re-running the same
   query afterwards is byte-identical to a fresh serial run.
 - **Deadlines.** ``deadline_ms`` is end-to-end: it covers the wait for
-  the engine, not just execution, and answers ``error: "timeout"``.
+  the engine (admission queue and engine lock), not just execution, and
+  answers ``error: "timeout"`` — recorded as ``timeout`` too.
 - **Backpressure.** ``max_sessions`` sheds connections and a tenant
   past its lane depth sheds requests — both with typed ``shed``
   errors, never by queueing unboundedly.
@@ -206,7 +207,8 @@ class TestProtocol:
         db, server = served
         with connect(server) as client:
             for fields in ({"deadline_ms": "abc"}, {"deadline_ms": [1]},
-                           {"deadline_ms": True}, {"deadline_ms": 1e400}):
+                           {"deadline_ms": True}, {"deadline_ms": 1e400},
+                           {"deadline_ms": 10 ** 400}):
                 reply = client.request("query", sql=FAST_SQL, **fields)
                 assert reply["error"] == "bad-request", fields
                 assert "deadline_ms" in reply["message"]
@@ -250,7 +252,6 @@ class TestProtocol:
             sock.close()
 
     def test_wire_error_status_mapping(self):
-        assert _error_status(QueryCancelledError("deadline")) == "timeout"
         assert _error_status(QueryCancelledError("disconnect")) == "cancelled"
 
 
@@ -271,20 +272,42 @@ class TestDeadlines:
             reply = client.query(SLOW_COMB_SQL, deadline_ms=120)
             assert reply["type"] == "error"
             assert reply["error"] == "timeout"
-        # The abort is recorded, and the engine is immediately reusable.
+        # The abort is recorded as what the client was told, and the
+        # engine is immediately reusable.
+        statuses = [row["q.status"] for row in
+                    db.execute("SELECT q.status FROM sys.queries q").rows]
+        assert statuses == ["timeout"]
+        assert metric_value(db, "fudj_queries_total", status="timeout") == 1.0
+        assert metric_value(db, "fudj_queries_total", status="cancelled") == 0
         assert db.execute(FAST_SQL).rows
 
-    def test_deadline_covers_the_wait_for_the_engine(self, served):
-        """A query stuck *behind* another still dies on time: the
-        watchdog is end-to-end, not execution-only."""
-        db, server = served
-        with connect(server) as first, connect(server) as second:
-            running = first.query_async(SLOW_COMB_SQL)
-            time.sleep(0.05)  # let it take the engine
-            reply = second.query(FAST_SQL, deadline_ms=100, timeout=30.0)
-            assert reply["type"] == "error"
-            assert reply["error"] == "timeout"
-            first.wait(running, timeout=60.0)
+    def test_deadline_covers_the_wait_for_the_engine(self):
+        """A query stuck *behind* another still dies on time, whether it
+        waits for the engine lock or in the admission queue: the deadline
+        is end-to-end, not execution-only."""
+        for kwargs in ({}, {"max_concurrent": 1}):
+            db = make_db(**kwargs)
+            server = db.serve(port=0)
+            try:
+                with connect(server) as first, connect(server) as second:
+                    running = first.query_async(SLOW_COMB_SQL)
+                    wait_until(lambda: any(
+                        row["active_query"] for row in server.sessions_rows()),
+                        message="first query running")
+                    time.sleep(0.05)  # let it take the engine
+                    started = time.monotonic()
+                    reply = second.query(FAST_SQL, deadline_ms=100,
+                                         timeout=30.0)
+                    waited = time.monotonic() - started
+                    assert reply["type"] == "error", kwargs
+                    assert reply["error"] == "timeout", kwargs
+                    assert waited < 1.0, (kwargs, waited)
+                    # ...while the query it waited behind still runs.
+                    assert server._inflight_count() == 1, kwargs
+                    assert first.wait(running, timeout=60.0)["type"] == \
+                        "result"
+            finally:
+                db.close()
 
     def test_generous_deadline_succeeds(self, served):
         db, server = served
@@ -345,6 +368,34 @@ class TestCancellation:
             reply = client.query(FAST_SQL)
         assert reply["type"] == "result"
         assert reply["rows"] == fresh_rows()
+
+    def test_a_client_that_hangs_up_while_queued_frees_its_slot(self):
+        """A queued request whose client disconnects leaves the admission
+        queue at once, so it cannot shed the next live client."""
+        db = make_db(max_concurrent=1, queue_limit=1)
+        server = db.serve(port=0)
+        admission = db.admission.snapshot
+        try:
+            with connect(server) as first, connect(server) as third:
+                running = first.query_async(SLOW_COMB_SQL)
+                wait_until(lambda: admission()["running"] == 1,
+                           message="first query admitted")
+                second = connect(server)
+                second.query_async(FAST_SQL)
+                wait_until(lambda: admission()["waiting"] == 1,
+                           message="second query queued")
+                second.drop()
+                wait_until(lambda: admission()["waiting"] == 0, timeout=0.5,
+                           message="the hung-up client left the queue")
+                assert admission()["running"] == 1  # the first still runs
+                reply = third.query(FAST_SQL, timeout=60.0)
+                assert reply["type"] == "result", reply
+                assert reply["rows"] == fresh_rows()
+                assert first.wait(running, timeout=60.0)["type"] == "result"
+            assert metric_value(db, "fudj_cancelled_total",
+                                reason="disconnect") == 1.0
+        finally:
+            db.close()
 
     @pytest.mark.parametrize("sql,phase", [(SLOW_SUM_SQL, "SUMMARIZE"),
                                            (SLOW_COMB_SQL, "COMBINE")])

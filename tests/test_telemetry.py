@@ -283,6 +283,9 @@ class TestRecording:
         entry = db.telemetry.history.entries()[-1]
         assert entry["status"] == "timeout"
         assert entry["error_type"] == "QueryTimeoutError"
+        # A failed query is counted under its final status too.
+        assert 'fudj_queries_total{status="timeout"} 1' in \
+            db.metrics_snapshot("prometheus")
 
     def test_parse_error_is_recorded_as_invalid(self):
         db = Database()
