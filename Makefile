@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-faults test-telemetry test-resources test-workers test-batch test-optimizer test-events test-server bench bench-check perf-gate perf perf-quick perf-ab golden-accept lint-docs examples slow-examples shell clean serve
+.PHONY: install test test-faults test-telemetry test-resources test-workers test-batch test-optimizer test-events test-server bench bench-check perf perf-quick perf-ab golden-accept lint-docs examples slow-examples shell clean serve
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -23,12 +23,12 @@ test-resources:   ## memory budgets, spill, admission, circuit breakers
 	$(PYTHON) -m pytest tests/test_resources.py tests/test_resource_properties.py -q
 	$(PYTHON) -m pytest benchmarks/bench_resource_governance.py --benchmark-disable -q
 
-test-workers:     ## supervised process-pool backend: parity, crashes, recovery
+test-workers:     ## supervised process-pool backend: crashes, recovery, lifecycle
 	$(PYTHON) -m pytest tests/test_workers.py -q
 	$(PYTHON) benchmarks/bench_fig10_scalability.py --backend process --workers 2 --out /tmp/fudj-fig10-measured.json
 
-test-optimizer:   ## cost-based optimizer: estimates, ordering, parity, plan quality
-	$(PYTHON) -m pytest tests/test_optimizer_cost.py tests/test_optimizer_parity.py -q
+test-optimizer:   ## cost-based optimizer: estimates, ordering, plan quality
+	$(PYTHON) -m pytest tests/test_optimizer_cost.py -q
 	$(PYTHON) benchmarks/bench_optimizer.py --out /tmp/fudj-optimizer-plan-quality.json
 
 test-events:      ## structured event log + live monitor: determinism, parity, endpoints
@@ -40,13 +40,8 @@ test-server:      ## concurrent session server: chaos harness, cancellation, dra
 serve:            ## run the session server on an ephemeral port
 	$(PYTHON) -m repro serve --port 0
 
-test-batch:       ## vectorized batch execution: row-parity, kernels, perf gate
+test-batch:       ## vectorized batch execution: RecordBatch, kernels, surface
 	$(PYTHON) -m pytest tests/test_batch.py -q
-	FUDJ_EXEC=batch $(PYTHON) -m pytest tests/ -q
-	$(PYTHON) benchmarks/bench_fig9_performance.py --check-baseline
-
-perf-gate:        ## row-vs-batch units baseline (CI-required)
-	$(PYTHON) benchmarks/bench_fig9_performance.py --check-baseline
 
 perf-quick:       ## wall-clock benchmark smoke: tiny inputs, < 30 s (perf/README.md)
 	$(PYTHON) perf/run.py --quick
@@ -63,7 +58,7 @@ bench:            ## full run: timings + shape assertions + results/*.txt
 bench-check:      ## fast run: shape assertions only
 	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
-golden-accept:    ## rewrite tests/golden/engine.json from this tree; review the diff like code
+golden-accept:    ## rewrite tests/golden/engine.json (the cross-mode oracle); review the diff like code
 	$(PYTHON) -m tests.test_golden --accept
 
 lint-docs:        ## links resolve; dot-commands, Database kwargs, CLI flags documented
@@ -80,6 +75,6 @@ slow-examples:
 shell:
 	$(PYTHON) -m repro
 
-clean:
-	rm -rf .pytest_cache benchmarks/results .benchmarks
+clean:            ## caches only; benchmarks/results is committed
+	rm -rf .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -10,24 +10,7 @@ Shape targets:
 - on-top is one to three orders of magnitude slower and hits the cutoff
   first;
 - FUDJ tracks built-in with a small overhead (the translation layer).
-
-Run directly, this file is also the CI performance gate::
-
-    python benchmarks/bench_fig9_performance.py --check-baseline
-
-re-measures the Fig 9 workloads in row *and* batch execution and fails
-if charged cpu units drift more than 2% from the checked-in
-``benchmarks/results/baseline_units.json``, if batch mode loses row
-parity, or if batch mode amortizes fewer than 3 rows per operator
-invocation relative to row mode.  ``--write-baseline`` refreshes the
-baseline after an intentional cost-model change.
 """
-
-import json
-import os
-import sys
-
-import pytest
 
 from repro.bench import (
     INTERVAL_SQL,
@@ -172,168 +155,3 @@ class TestFig9Overhead:
             title="SVII-B (reproduced): FUDJ framework overhead vs built-in",
         ))
         benchmark(lambda: None)
-
-
-# -- CI performance gate --------------------------------------------------------
-#
-# ``--check-baseline`` re-measures the Fig 9 workloads (at test sizes,
-# so the gate runs in seconds) in both execution granularities and
-# compares against the checked-in baseline.
-
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "results",
-    "baseline_units.json",
-)
-#: Allowed relative drift in charged cpu units before the gate fails.
-UNITS_TOLERANCE = 0.02
-#: Batch mode must amortize at least this many rows per operator
-#: invocation relative to row mode (the tentpole's headline win).
-MIN_AMORTIZATION = 3.0
-
-GATE_WORKLOADS = (
-    ("spatial", lambda: spatial_database(25, 120), SPATIAL_SQL),
-    ("interval", lambda: interval_database(120), INTERVAL_SQL),
-    ("text", lambda: text_database(80), TEXT_SQL.format(threshold=0.9)),
-)
-
-
-def _measure_workload(name, make_db, sql) -> dict:
-    """Row vs batch measurement of one workload: charged units, operator
-    invocations, batch counts, and a row-parity fingerprint."""
-    out = {"name": name}
-    rows_by_mode = {}
-    for execution in ("row", "batch"):
-        db = make_db()
-        db.set_execution(execution)
-        result = db.execute(sql, mode="fudj")
-        metrics = result.metrics.to_dict(CORES)
-        rows_by_mode[execution] = sorted(
-            tuple(sorted(row.items())) for row in result.rows
-        )
-        out[execution] = {
-            "cpu_units": metrics["cpu_units"],
-            "network_bytes": metrics["network_bytes"],
-            "operator_invocations": metrics["operator_invocations"],
-            "batches": metrics["batches"],
-            "result_rows": len(result.rows),
-            "sim_seconds": metrics["simulated_seconds"],
-        }
-    out["rows_match"] = rows_by_mode["row"] == rows_by_mode["batch"]
-    out["amortization"] = (
-        out["row"]["operator_invocations"]
-        / max(1, out["batch"]["operator_invocations"])
-    )
-    out["units_per_invocation"] = {
-        execution: out[execution]["cpu_units"]
-        / max(1, out[execution]["operator_invocations"])
-        for execution in ("row", "batch")
-    }
-    return out
-
-
-def measure_gate() -> dict:
-    return {
-        "format": "fudj-baseline-units",
-        "version": 1,
-        "cores": CORES,
-        "workloads": [
-            _measure_workload(name, make_db, sql)
-            for name, make_db, sql in GATE_WORKLOADS
-        ],
-    }
-
-
-def check_baseline(measured: dict, baseline: dict) -> list:
-    """Gate failures (empty = pass): unit drift beyond tolerance, lost
-    row parity, or amortization below the floor."""
-    failures = []
-    base_by_name = {w["name"]: w for w in baseline.get("workloads", ())}
-    for workload in measured["workloads"]:
-        name = workload["name"]
-        if not workload["rows_match"]:
-            failures.append(f"{name}: batch rows differ from row rows")
-        if workload["amortization"] < MIN_AMORTIZATION:
-            failures.append(
-                f"{name}: batch amortization {workload['amortization']:.2f}x "
-                f"< required {MIN_AMORTIZATION:.0f}x"
-            )
-        base = base_by_name.get(name)
-        if base is None:
-            failures.append(f"{name}: missing from baseline")
-            continue
-        for execution in ("row", "batch"):
-            measured_units = workload[execution]["cpu_units"]
-            base_units = base[execution]["cpu_units"]
-            drift = (measured_units - base_units) / max(1e-9, base_units)
-            if drift > UNITS_TOLERANCE:
-                failures.append(
-                    f"{name}/{execution}: cpu units regressed "
-                    f"{drift * 100:.2f}% ({base_units:.1f} -> "
-                    f"{measured_units:.1f}, tolerance "
-                    f"{UNITS_TOLERANCE * 100:.0f}%)"
-                )
-    return failures
-
-
-def main(argv=None) -> int:
-    # Shuffle routing hashes value tuples; str hashes vary per process
-    # unless pinned, so the gate re-execs itself with a fixed seed to
-    # make network/unit totals reproducible across runs and machines.
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        env = dict(os.environ, PYTHONHASHSEED="0")
-        os.execve(sys.executable, [sys.executable] + sys.argv, env)
-    argv = list(sys.argv[1:] if argv is None else argv)
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Fig 9 row-vs-batch performance gate")
-    parser.add_argument("--check-baseline", action="store_true",
-                        help="fail on unit drift >2%%, lost parity, or "
-                             "batch amortization below 3x")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help=f"refresh {BASELINE_PATH}")
-    parser.add_argument("--out", help="write the measured JSON here")
-    args = parser.parse_args(argv)
-
-    measured = measure_gate()
-    for workload in measured["workloads"]:
-        print(
-            f"{workload['name']}: row {workload['row']['cpu_units']:.1f} "
-            f"units / {workload['row']['operator_invocations']} invocations, "
-            f"batch {workload['batch']['cpu_units']:.1f} units / "
-            f"{workload['batch']['operator_invocations']} invocations "
-            f"({workload['batch']['batches']} batches, "
-            f"{workload['amortization']:.1f}x amortization, rows "
-            f"{'match' if workload['rows_match'] else 'DIFFER'})"
-        )
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(measured, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    if args.write_baseline:
-        with open(BASELINE_PATH, "w") as handle:
-            json.dump(measured, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {BASELINE_PATH}")
-        return 0
-    if args.check_baseline:
-        try:
-            with open(BASELINE_PATH) as handle:
-                baseline = json.load(handle)
-        except OSError as exc:
-            print(f"cannot read baseline: {exc}", file=sys.stderr)
-            return 1
-        failures = check_baseline(measured, baseline)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("baseline check passed: units within "
-              f"{UNITS_TOLERANCE * 100:.0f}%, amortization >= "
-              f"{MIN_AMORTIZATION:.0f}x, rows identical")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,7 +23,7 @@ operators), ``"ontop"`` (scalar UDF inside a nested-loop join).
 
 from __future__ import annotations
 
-import os
+import contextlib
 import threading
 import time
 import weakref
@@ -130,7 +130,6 @@ class Database:
       deterministic default) or ``"process"`` (COMBINE tasks run on a
       supervised pool of real worker processes that genuinely crash,
       straggle, and recover; results stay byte-identical to serial).
-      Defaults to the ``FUDJ_BACKEND`` environment variable when unset.
     * ``workers`` — worker-process count for the process backend
       (default: a small bound from partitions/cores/machine size).
 
@@ -140,8 +139,7 @@ class Database:
       default) or ``"batch"`` (operators exchange columnar
       :class:`~repro.engine.batch.RecordBatch` chunks and run
       vectorized kernels; rows and deterministic metrics stay
-      byte-identical to row mode).  Defaults to the ``FUDJ_EXEC``
-      environment variable when unset.
+      byte-identical to row mode).
     * ``batch_rows`` — target rows per batch in batch mode (default
       1024).
 
@@ -152,9 +150,12 @@ class Database:
       (stats-driven: pessimistic cardinality bounds pick the join order
       and the physical operator per join; EXPLAIN gains per-operator
       estimates and ``sys.plans`` records estimates vs. actuals).
-      Defaults to the ``FUDJ_OPT`` environment variable when unset.
       Single-join queries produce byte-identical rows under either
       setting; see ``docs/query_optimizer.md``.
+
+    Every mode is what the keyword (or its setter) says; none is read
+    from the environment.  ``tests/test_golden.py`` holds each non-default
+    mode to its default twin.
 
     Observability:
 
@@ -213,28 +214,23 @@ class Database:
         self.worker_pool = None
         self._pool_finalizer = None
         self.cluster.backend = _check_backend(
-            backend if backend is not None
-            else os.environ.get("FUDJ_BACKEND") or "serial"
-        )
+            "serial" if backend is None else backend)
         self._execution = _check_execution(
-            execution if execution is not None
-            else os.environ.get("FUDJ_EXEC") or "row"
-        )
+            "row" if execution is None else execution)
         self.batch_rows = batch_rows
         self._optimizer = _check_optimizer(
-            optimizer if optimizer is not None
-            else os.environ.get("FUDJ_OPT") or "rule"
-        )
+            "rule" if optimizer is None else optimizer)
         #: Per-statement state (active query id, pending plan rows) is
         #: thread-local: the session server runs ``execute()`` from one
         #: thread per request, and concurrent statements must not see
         #: each other's in-flight ids.
         self._tls = threading.local()
-        #: Serializes the engine core.  Acquired *after* the admission
-        #: ticket, so the admission controller — not this lock — is what
-        #: queues, sheds, and times out concurrent sessions; the lock
-        #: only keeps the single-threaded engine internals (cluster
-        #: state, metrics folds, the worker pool) correct beneath them.
+        #: Serializes the engine core and the catalog: a query holds it
+        #: for its whole run, DDL and ``load`` for their change, so
+        #: neither sees the other half done (see :meth:`_engine`).  A
+        #: query takes it *after* the admission ticket, so the admission
+        #: controller — not this lock — is what queues, sheds, and times
+        #: out concurrent sessions.
         self._engine_lock = threading.RLock()
         self._monitor = None
         self._server = None
@@ -376,7 +372,20 @@ class Database:
                                          faults, policy,
                                          optimizer=optimizer,
                                          cancel=cancel)
-        return self._execute_ddl(statement)
+        return self._execute_ddl(statement, cancel)
+
+    @contextlib.contextmanager
+    def _engine(self, cancel=None):
+        """Hold the engine lock.  Concurrent statements queue here; the
+        wait polls ``cancel``, so a stopped statement leaves the queue at
+        once."""
+        while not self._engine_lock.acquire(timeout=POLL_SECONDS):
+            if cancel is not None:
+                cancel.check()
+        try:
+            yield
+        finally:
+            self._engine_lock.release()
 
     # -- resource governance --------------------------------------------------------
 
@@ -601,26 +610,19 @@ class Database:
                 reserved_bytes=ticket.reserved_bytes)
             resources.queue_seconds = ticket.queue_seconds
         pool = self._acquire_pool if self.cluster.backend == "process" else None
-        locked = False
         try:
-            # Concurrent sessions queue here after admission.
-            while not self._engine_lock.acquire(timeout=POLL_SECONDS):
-                if cancel is not None:
-                    cancel.check()
-            locked = True
-            return execute_plan(plan, self.cluster,
-                                measure_bytes=measure_bytes,
-                                fault_plan=faults, on_error=policy,
-                                trace=tracing,
-                                resources=resources, breaker=self.breaker,
-                                pool=pool, execution=self._execution,
-                                batch_rows=self.batch_rows,
-                                events=self.telemetry.events.scoped(
-                                    self._active_query_id),
-                                cancel=cancel)
+            with self._engine(cancel):
+                return execute_plan(plan, self.cluster,
+                                    measure_bytes=measure_bytes,
+                                    fault_plan=faults, on_error=policy,
+                                    trace=tracing,
+                                    resources=resources, breaker=self.breaker,
+                                    pool=pool, execution=self._execution,
+                                    batch_rows=self.batch_rows,
+                                    events=self.telemetry.events.scoped(
+                                        self._active_query_id),
+                                    cancel=cancel)
         finally:
-            if locked:
-                self._engine_lock.release()
             if ticket is not None:
                 self.admission.release(ticket)
             self.telemetry.sync_breaker(self.breaker, self._active_query_id)
@@ -795,18 +797,20 @@ class Database:
         rows = [{"plan": line} for line in lines]
         return QueryResult(rows, ("plan",), metrics)
 
-    def _execute_ddl(self, statement) -> QueryResult:
+    def _execute_ddl(self, statement, cancel=None) -> QueryResult:
         from repro.engine.metrics import QueryMetrics
 
-        empty = QueryResult([], (), QueryMetrics(self.cluster.cost_model))
+        with self._engine(cancel):
+            self._apply_ddl(statement)
+        return QueryResult([], (), QueryMetrics(self.cluster.cost_model))
+
+    def _apply_ddl(self, statement) -> None:
         if isinstance(statement, CreateTypeStatement):
             self.catalog.create_type(statement.name, statement.fields)
-            return empty
-        if isinstance(statement, CreateDatasetStatement):
+        elif isinstance(statement, CreateDatasetStatement):
             self.create_dataset(statement.name, statement.type_name,
                                 statement.primary_key)
-            return empty
-        if isinstance(statement, CreateJoinStatement):
+        elif isinstance(statement, CreateJoinStatement):
             signature = JoinSignature(
                 statement.name.lower(),
                 tuple(type_name for _, type_name in statement.params),
@@ -814,31 +818,34 @@ class Database:
                 statement.library,
             )
             self.joins.create(signature)
-            return empty
-        if isinstance(statement, DropJoinStatement):
+        elif isinstance(statement, DropJoinStatement):
             self.joins.drop(statement.name.lower())
-            return empty
-        if isinstance(statement, DropDatasetStatement):
+        elif isinstance(statement, DropDatasetStatement):
             self.catalog.drop_dataset(statement.name)
             self.cluster.drop_dataset(statement.name)
-            return empty
-        raise ReproError(f"unhandled statement: {statement!r}")
+        else:
+            raise ReproError(f"unhandled statement: {statement!r}")
 
     # -- programmatic API -------------------------------------------------------------
 
     def create_type(self, name: str, fields) -> None:
         """API twin of ``CREATE TYPE``; ``fields`` is [(name, type), ...]."""
-        self.catalog.create_type(name, fields)
+        with self._engine():
+            self.catalog.create_type(name, fields)
 
     def create_dataset(self, name: str, type_name: str, primary_key: str) -> None:
         """API twin of ``CREATE DATASET`` (also allocates storage)."""
-        info = self.catalog.create_dataset(name, type_name, primary_key)
-        self.cluster.create_dataset(name, Schema(info.field_names), primary_key)
+        with self._engine():
+            info = self.catalog.create_dataset(name, type_name, primary_key)
+            self.cluster.create_dataset(name, Schema(info.field_names),
+                                        primary_key)
 
     def load(self, dataset_name: str, rows) -> int:
-        """Bulk-load plain-dict rows into a dataset."""
-        self.catalog.dataset_info(dataset_name)  # raises if unknown
-        return self.cluster.dataset(dataset_name).bulk_load(rows)
+        """Bulk-load plain-dict rows into a dataset.  Waits for a running
+        query, which sees the dataset as it was when it started."""
+        with self._engine():
+            self.catalog.dataset_info(dataset_name)  # raises if unknown
+            return self.cluster.dataset(dataset_name).bulk_load(rows)
 
     def create_join(self, name: str, join_class=None, class_path: str = None,
                     param_types=("any", "any"), library: str = "",
@@ -854,11 +861,13 @@ class Database:
         signature = JoinSignature(
             name.lower(), tuple(param_types), class_path or "", library
         )
-        self.joins.create(signature, join_class, defaults)
+        with self._engine():
+            self.joins.create(signature, join_class, defaults)
 
     def drop_join(self, name: str) -> None:
         """API twin of ``DROP JOIN``."""
-        self.joins.drop(name.lower())
+        with self._engine():
+            self.joins.drop(name.lower())
 
     def register_builtin_join(self, name: str, factory) -> None:
         """Install a hand-written built-in join operator for BUILTIN mode.

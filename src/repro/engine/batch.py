@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from repro.engine.record import Record, Schema
 
-#: Execution modes accepted by ``Database(execution=...)`` and the
-#: ``FUDJ_EXEC`` environment override.
+#: Execution modes accepted by ``Database(execution=...)``.
 EXECUTION_MODES = ("row", "batch")
 
 #: Rows per batch produced by batched operators and exchanges.

@@ -128,9 +128,9 @@ class QueryMetrics:
         # -- batched execution ---------------------------------------------------
         #: Engine kernel dispatches: one per record pushed through a
         #: row-loop operator or exchange send in row mode, one per batch
-        #: in batch mode, and one per worker task either way.  The
-        #: batch/row ratio of this counter is the amortization bound the
-        #: CI perf gate enforces.
+        #: in batch mode, and one per worker task either way.  With
+        #: ``batches`` it is the one key a batch run may differ in from
+        #: its row twin (``tests/test_golden.py``).
         self.operator_invocations = 0
         #: Record batches produced (0 under row execution).
         self.batches = 0

@@ -27,8 +27,7 @@ from repro.optimizer.rules import ExecutionMode, optimize
 from repro.optimizer.planner import plan_physical
 from repro.optimizer.stats import CardinalityEstimator, annotate_estimates
 
-#: Optimizer modes accepted by ``Database(optimizer=...)`` and the
-#: ``FUDJ_OPT`` environment override.
+#: Optimizer modes accepted by ``Database(optimizer=...)``.
 OPTIMIZER_MODES = ("rule", "cost")
 
 __all__ = [

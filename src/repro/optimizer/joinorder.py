@@ -12,8 +12,8 @@ The enumerator is deterministic: ties break on the original FROM-clause
 position, never on dict/set iteration order.  Two-table queries keep
 their written order untouched — a single join has nothing to reorder,
 and preserving it keeps ``optimizer="cost"`` byte-identical to
-``optimizer="rule"`` on single-join queries (the parity property tested
-in ``tests/test_optimizer_parity.py``).
+``optimizer="rule"`` on single-join queries (the parity property every
+``cost`` case of ``tests/test_golden.py`` checks against its rule twin).
 """
 
 from __future__ import annotations

@@ -91,18 +91,23 @@ def min_distance(a: Trajectory, b: Trajectory) -> float:
     Computed segment-to-segment (not just over the sample points), so two
     routes that *cross* between samples correctly measure 0 — the case a
     point-sample approximation misses.  Degenerate single-point
-    trajectories fall back to point-segment distance.
+    trajectories fall back to point-segment distance.  A segment pair
+    whose bounding boxes are already farther apart than the best distance
+    so far cannot improve on it and is skipped.
     """
-    segs_a = _segments_of(a)
-    segs_b = _segments_of(b)
-    best = None
-    for a1, a2 in segs_a:
-        for b1, b2 in segs_b:
+    boxed_b = _boxed_segments(b)
+    best = best_sq = float("inf")
+    for a1, a2, ax0, ax1, ay0, ay1 in _boxed_segments(a):
+        for b1, b2, bx0, bx1, by0, by1 in boxed_b:
+            gap_x = max(bx0 - ax1, ax0 - bx1, 0.0)
+            gap_y = max(by0 - ay1, ay0 - by1, 0.0)
+            if gap_x * gap_x + gap_y * gap_y > best_sq:
+                continue
             d = segment_distance(a1, a2, b1, b2)
-            if best is None or d < best:
-                best = d
-                if best == 0.0:
+            if d < best:
+                if d == 0.0:
                     return 0.0
+                best, best_sq = d, d * d
     return best
 
 
@@ -112,6 +117,12 @@ def _segments_of(t: Trajectory) -> list:
     if len(t.points) == 1:
         return [(t.points[0], t.points[0])]
     return [(t.points[i], t.points[i + 1]) for i in range(len(t.points) - 1)]
+
+
+def _boxed_segments(t: Trajectory) -> list:
+    """Each segment with its bounding box: ``(p, q, x0, x1, y0, y1)``."""
+    return [(p, q, min(p.x, q.x), max(p.x, q.x), min(p.y, q.y), max(p.y, q.y))
+            for p, q in _segments_of(t)]
 
 
 def hausdorff_distance(a: Trajectory, b: Trajectory) -> float:

@@ -11,9 +11,11 @@ per pair, as it always did.
 So every shipped library gets a *twin* whose only change is a ``dedup``
 that calls the framework default: the twin takes the per-pair path, the
 original the carried one, and the two must agree byte for byte — rows,
-``QueryMetrics.to_dict()``, quarantine report and event JSONL — on both
-backends, with and without spilling.  The harness is
-``tests/test_workers.py``'s ``run_query``.
+``QueryMetrics.to_dict()``, quarantine report and event JSONL.  The
+harness is ``tests/test_workers.py``'s ``run_query``.  That the carry
+also holds on the process backend and across a spill is what the golden
+file's ``process`` and budgeted cases pin (``tests/test_golden.py``),
+and :class:`TestTheCarryDropsDuplicates` anchors the spill here.
 """
 
 import random
@@ -43,12 +45,7 @@ from repro.joins import (
     TextSimilarityJoin,
     TrajectoryProximityJoin,
 )
-from tests.test_workers import (  # noqa: F401 (the fixture is autouse)
-    COMPARED_KEYS,
-    _no_backend_env,
-    run_query,
-    with_join,
-)
+from tests.test_workers import COMPARED_KEYS, run_query, with_join
 
 
 def _per_pair_dedup(self, *args):
@@ -57,15 +54,9 @@ def _per_pair_dedup(self, *args):
 
 def twin_of(join_class):
     """``join_class`` with ``dedup`` overridden by a call to the default:
-    same answers, but the engine must ask per pair.  Module-level name,
-    so the process pool can pickle it."""
-    name = f"PerPair{join_class.__name__}"
-    twin = globals().get(name)
-    if twin is None:
-        twin = type(name, (join_class,), {"dedup": _per_pair_dedup,
-                                          "__module__": __name__})
-        globals()[name] = twin
-    return twin
+    same answers, but the engine must ask per pair."""
+    return type(f"PerPair{join_class.__name__}", (join_class,),
+                {"dedup": _per_pair_dedup})
 
 
 def spatial_self_database():
@@ -145,19 +136,17 @@ LIBRARIES = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
-@pytest.mark.parametrize("budget", [None, 512, 4096])
 @pytest.mark.parametrize("dedup", [None, "elimination"])
 @pytest.mark.parametrize("library", LIBRARIES,
                          ids=lambda library: library[0].__name__)
-def test_carried_equals_per_pair(library, dedup, budget, backend):
+def test_carried_equals_per_pair(library, dedup):
     join_class, build, name, defaults, sql = library
     carried_rows, carried = run_query(
-        with_join(build, name, join_class, *defaults), sql, backend,
-        budget, dedup=dedup)
+        with_join(build, name, join_class, *defaults), sql, "serial",
+        dedup=dedup)
     per_pair_rows, per_pair = run_query(
         with_join(build, name, twin_of(join_class), *defaults), sql,
-        backend, budget, dedup=dedup)
+        "serial", dedup=dedup)
     assert carried_rows == per_pair_rows
     assert carried["output_records"] > 0  # a join that found nothing proves nothing
     for key in COMPARED_KEYS:
@@ -268,7 +257,7 @@ class TestOverridesAreCalledPerPair:
 
 class TestTheCarryDropsDuplicates:
     def test_self_join_has_duplicates_to_drop(self):
-        # Anchor for the parity sweep: on this workload avoidance rejects
+        # Anchor for test_carried_equals_per_pair: avoidance rejects
         # pairs, so a carry that always said "keep" would change rows.
         build = with_join(spatial_self_database, "st_intersects",
                           SpatialJoin, 48)

@@ -1,9 +1,16 @@
 """End-to-end SQL tests through the Database facade (DDL + queries)."""
 
+import threading
+
 import pytest
 
 from repro.database import Database
-from repro.errors import CatalogError, JoinLibraryError, PlanError
+from repro.errors import (
+    CatalogError,
+    ExecutionError,
+    JoinLibraryError,
+    PlanError,
+)
 
 
 @pytest.fixture()
@@ -170,3 +177,83 @@ class TestSelect:
         result = db.execute("SELECT COUNT(1) AS n FROM Items i")
         assert result.metrics.wall_seconds > 0
         assert result.metrics.simulated_seconds(12) > 0
+
+
+class _WatchedLock:
+    """A lock that reports every wait for it that timed out."""
+
+    def __init__(self, lock, waited: threading.Event) -> None:
+        self._lock = lock
+        self._waited = waited
+
+    def acquire(self, blocking=True, timeout=-1):
+        got = self._lock.acquire(blocking, timeout)
+        if not got:
+            self._waited.set()
+        return got
+
+    def release(self):
+        self._lock.release()
+
+
+RACED_SQL = ("SELECT COUNT(1) AS c FROM A a, B b "
+             "WHERE slow(a.v) >= 0 AND a.v = b.v")
+
+
+class TestDdlWaitsForRunningQueries:
+    """DDL and ``load`` sent while a query runs take effect after it:
+    the query answers as if it had run alone."""
+
+    def raced(self, ddl):
+        """Run :data:`RACED_SQL` and, while its first ``slow`` call
+        waits, ``ddl(db)`` on another thread; the call goes on once the
+        DDL has waited for the engine or has finished.  The query must
+        answer what it answers alone; returns the database."""
+        db = Database(num_partitions=4)
+        db.execute("CREATE TYPE T { id: int, v: int }")
+        for name in ("A", "B"):
+            db.execute(f"CREATE DATASET {name}(T) PRIMARY KEY id")
+            db.load(name, [{"id": i, "v": i % 4} for i in range(40)])
+        armed, inside, ddl_waited = (threading.Event(), threading.Event(),
+                                     threading.Event())
+
+        def slow(value):
+            if armed.is_set():
+                armed.clear()
+                inside.set()
+                ddl_waited.wait(10)
+            return value
+
+        db.register_udf("slow", slow, arity=1)
+        alone = db.execute(RACED_SQL).rows
+        armed.set()
+        db._engine_lock = _WatchedLock(db._engine_lock, ddl_waited)
+        rows = []
+        query = threading.Thread(
+            target=lambda: rows.extend(db.execute(RACED_SQL).rows))
+        query.start()
+        assert inside.wait(10)
+
+        def run_ddl():
+            try:
+                ddl(db)
+            finally:
+                ddl_waited.set()
+
+        other = threading.Thread(target=run_ddl)
+        other.start()
+        query.join(10)
+        other.join(10)
+        assert not query.is_alive() and not other.is_alive()
+        assert rows == alone == [{"c": 400}]
+        return db
+
+    def test_load_waits(self):
+        db = self.raced(lambda db: db.load(
+            "B", [{"id": 100 + i, "v": i % 4} for i in range(40)]))
+        assert db.execute(RACED_SQL).rows == [{"c": 800}]
+
+    def test_drop_dataset_waits(self):
+        db = self.raced(lambda db: db.execute("DROP DATASET B"))
+        with pytest.raises((CatalogError, ExecutionError)):
+            db.execute(RACED_SQL)

@@ -177,7 +177,7 @@ class TestBackendParity:
         assert all(e.seq < 0 for e in runtime)
 
     def test_serial_backend_never_emits_worker_events(self):
-        db = fudj_db(backend="serial")  # explicit: CI's FUDJ_BACKEND leg
+        db = fudj_db(backend="serial")
         try:
             db.execute(FUDJ_SQL)
             assert not [e for e in db.telemetry.events.events()

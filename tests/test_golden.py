@@ -1,4 +1,4 @@
-"""The engine's golden file: one committed answer per seeded case.
+"""The engine's golden file and its cross-mode oracle.
 
 Every refactor of the engine has had to show the same thing — rows,
 ``QueryMetrics.to_dict()``, per-stage per-worker units, the canonical
@@ -17,8 +17,10 @@ stages, events and trace.  A case is one point of
     x  serial / process / batch / cost  x  traced or not,
 
 trimmed to a set that still shows every *pair* of axis values together
-(the full cross product is 2,112 cases).  The case list lives in the
-file too, so collecting this module costs nothing.
+(the full cross product is 2,112 cases for the first eleven shapes).
+Shapes added later get a cover of their own, appended after the
+existing cases so no case id moves (:data:`LATER_SHAPES`).  The case
+list lives in the file too, so collecting this module costs nothing.
 
 Every database here runs on a cost model with no dyadic constant:
 under the default one (``hash_op = 1.5``, ``record_touch = 1.0``) a sum
@@ -27,9 +29,19 @@ summation order — batching the per-delivery charges of an exchange —
 would not show.  Cases route on ints and floats only, so the file does
 not depend on ``PYTHONHASHSEED``.
 
-The file pins bytes, not truth, so every FUDJ case that finishes is also
-held to the nested-loop answer of its shape (:func:`truth`): the same
-rows as a bag, whatever the budget, faults, dedup, backend or optimizer.
+The file pins bytes, not truth, so two oracles ride on every case:
+
+* every FUDJ case that finishes returns the nested-loop answer of its
+  shape as a bag (:func:`truth`), whatever the budget, faults, dedup,
+  backend or optimizer;
+* every ``batch``, ``process`` and ``cost`` case runs its *serial twin*
+  — the same case on the serial backend, row execution and the rule
+  optimizer — and must agree with it (:func:`twin_view`): ``batch`` in
+  rows (in order), every ``to_dict()`` key but ``operator_invocations``
+  and ``batches``, stages, events and the trace's total units;
+  ``process`` in all of those with no key excepted; ``cost`` on shapes
+  of at most two tables in everything but its ``plan.*`` events.  A
+  case that fails fails with its twin's error.
 
 The file is rewritten only by ``make golden-accept``; review its diff
 like code.
@@ -58,7 +70,10 @@ from repro.datagen import (
     generate_trajectories,
     generate_wildfires,
 )
+from repro.engine.combine import KERNELS
 from repro.engine.costs import CostModel
+from repro.engine.operators.base import PhysicalOperator
+from repro.engine.operators.fudj_join import FudjJoin
 from repro.errors import ReproError
 from repro.joins import (
     IntervalJoin,
@@ -71,6 +86,8 @@ from repro.joins import (
     TextSimilarityJoin,
     TrajectoryProximityJoin,
 )
+from repro.optimizer import ExecutionMode
+from repro.query.parser import parse_statement
 from tests.test_workers import PoisonVerifyIntervalJoin
 
 GOLDEN = Path(__file__).parent / "golden" / "engine.json"
@@ -83,6 +100,14 @@ MODEL = dataclasses.replace(
 #: ``to_dict()`` keys that are real time or real supervision.
 WALL_CLOCK_KEYS = ("wall_seconds", "queue_seconds", "worker_restarts",
                    "heartbeat_misses")
+
+#: ``to_dict()`` keys that count dispatch granularity: the only ones a
+#: ``batch`` case may differ in from its serial twin.
+BATCH_GRANULARITY_KEYS = ("operator_invocations", "batches")
+
+#: Rows per batch of a ``batch`` case: small enough that every partition
+#: spans several batches.
+BATCH_ROWS = 16
 
 _INSTANCE_ID = re.compile(r"#\d+")
 
@@ -198,6 +223,18 @@ BAND_SQL = ("SELECT COUNT(1) AS n FROM SensorA a, SensorB b WHERE "
             "{predicate}")
 TRAJECTORY_SQL = ("SELECT COUNT(1) AS c FROM Trips a, Trips b "
                   "WHERE a.vehicle = 1 AND b.vehicle = 2 AND {predicate}")
+#: HAVING, ORDER BY and a LIMIT whose OFFSET reaches into the second
+#: batch of the sorted groups.
+RANKED_SQL = ("SELECT p.id, COUNT(1) AS c FROM Parks p, Parks q "
+              "WHERE ST_Intersects(p.boundary, q.boundary) GROUP BY p.id "
+              "HAVING COUNT(1) >= 2 ORDER BY c DESC, p.id LIMIT 6 OFFSET 17")
+#: A computed column under DISTINCT: each id repeats across batches.
+DISTINCT_SQL = ("SELECT DISTINCT a.id AS id, a.reading * 2 AS twice "
+                "FROM SensorA a, SensorB b WHERE {predicate} ORDER BY id")
+#: A FUDJ join crossed with a three-row table.
+CROSS_SQL = ("SELECT a.region, COUNT(1) AS c FROM Parks p JOIN Wildfires w "
+             "ON ST_Contains(p.boundary, w.location) CROSS JOIN Agencies a "
+             "GROUP BY a.region")
 
 #: name -> (database builder, SQL, the baseline's mode and SQL, execute
 #: options).  The baseline of a join with a hand-written operator is that
@@ -231,7 +268,25 @@ SHAPES = {
         ("ontop", TRAJECTORY_SQL.format(
             predicate="trajectory_min_distance(a.route, b.route) <= 3.0")),
         {}),
+    "ranked": (_spatial(SpatialContainsJoin), RANKED_SQL,
+               ("builtin", RANKED_SQL), {}),
+    "distinct": (
+        _band,
+        DISTINCT_SQL.format(predicate="within_band(a.reading, b.reading, 0.5)"),
+        ("ontop",
+         DISTINCT_SQL.format(predicate="abs(a.reading - b.reading) <= 0.5")),
+        {}),
+    "cross": (_multi(), CROSS_SQL, ("builtin", CROSS_SQL), {}),
 }
+
+#: Shapes added after the first eleven, one tuple per change that added
+#: some: each tuple gets a cover of its own, appended after the earlier
+#: ones', so a new tuple adds cases and moves none.
+LATER_SHAPES = (("ranked", "distinct", "cross"),)
+
+#: Shapes of more than two tables: the cost optimizer may plan them
+#: another way, so only their bag of rows (:func:`truth`) is compared.
+WIDE_SHAPES = ("multi", "cross")
 
 AXES = {
     "shape": list(SHAPES),
@@ -248,6 +303,9 @@ FAULTS = {
     "plan": FaultPlan(seed=11, crash_rate=0.25, straggler_rate=0.15,
                       exchange_failure_rate=0.25),
     "checkpoint": FaultPlan(seed=11),
+    # Not an axis value: under this schedule the interval join's COMBINE
+    # task on worker 2 crashes seven times running and the query fails.
+    "doomed": FaultPlan(seed=29, crash_rate=0.7),
 }
 
 
@@ -272,6 +330,16 @@ def choose_cases(axes: dict, extra: int = 76) -> list:
         uncovered -= pairs_of(best)
     rest = [case for case in full if case not in chosen]
     return chosen + random.Random(18).sample(rest, extra)
+
+
+def all_cases() -> list:
+    """The first eleven shapes' cover, then each later tuple's own."""
+    later = [shape for group in LATER_SHAPES for shape in group]
+    cases = choose_cases(
+        dict(AXES, shape=[shape for shape in SHAPES if shape not in later]))
+    for group in LATER_SHAPES:
+        cases += choose_cases(dict(AXES, shape=list(group)), extra=12)
+    return cases
 
 
 def case_id(case: dict) -> str:
@@ -316,7 +384,10 @@ def truth(shape: str) -> collections.Counter:
         db.close()
 
 
-def run_case(case: dict) -> dict:
+def observe(case: dict) -> tuple:
+    """One run of ``case``: its golden answer, and what the twin
+    contract reads beyond it — the trace's total units and the event
+    JSONL."""
     build, sql, baseline, options = SHAPES[case["shape"]]
     mode = "fudj"
     if case["mode"] == "baseline":
@@ -325,10 +396,11 @@ def run_case(case: dict) -> dict:
     try:
         if case["budget"] is not None:
             db.set_memory_budget(case["budget"])
-        # Every mode is set, none left to FUDJ_BACKEND / FUDJ_EXEC / FUDJ_OPT.
         variant = case["variant"]
         db.set_backend("process" if variant == "process" else "serial")
         db.set_execution("batch" if variant == "batch" else "row")
+        if variant == "batch":
+            db.batch_rows = BATCH_ROWS
         try:
             result = db.execute(
                 sql, mode=mode, dedup=case["dedup"],
@@ -338,8 +410,10 @@ def run_case(case: dict) -> dict:
         except ReproError as exc:
             # A doomed fault schedule aborts the query; the golden answer
             # is then the error and what was logged up to it.
-            return {"error": _INSTANCE_ID.sub("", f"{type(exc).__name__}: {exc}"),
-                    "events": _digest(db.telemetry.events.to_jsonl())}
+            events = db.telemetry.events.to_jsonl()
+            return ({"error": _INSTANCE_ID.sub("", f"{type(exc).__name__}: {exc}"),
+                     "events": _digest(events)},
+                    {"events": events, "trace_units": None})
         if mode == "fudj":
             rows, true = _bag(result.rows), truth(case["shape"])
             # The poison library quarantines by design: it may drop a
@@ -347,18 +421,23 @@ def run_case(case: dict) -> dict:
             assert (not rows - true if case["shape"] == "interval_poison"
                     else rows == true), (
                 "FUDJ rows differ from the nested loop's")
+            if variant == "process":
+                # The stage really shipped: a join the pool cannot pickle
+                # would fall back to the serial loop and pass vacuously.
+                assert db.worker_pool.tasks_ok_total > 0
         metrics = result.metrics.to_dict(db.cluster.cores)
         for key in WALL_CLOCK_KEYS:
             del metrics[key]
         metrics["quarantine_log"] = _digest(result.metrics.quarantine_log)
-        trace = None
+        trace = trace_units = None
         if result.trace is not None:
+            trace_units = repr(result.trace.total_units())
             # Pool spans carry pids and wall clocks; units still add up.
-            trace = (repr(result.trace.total_units())
-                     if variant == "process"
+            trace = (trace_units if variant == "process"
                      else _digest([_spans(result.trace.root),
                                    result.trace.to_dict()["skew"]]))
-        return {
+        events = db.telemetry.events.to_jsonl()
+        answer = {
             "metrics": metrics,
             "rows": _digest([sorted(row.items()) for row in result.rows]),
             "stages": _digest([
@@ -366,11 +445,47 @@ def run_case(case: dict) -> dict:
                  stage.network_bytes, stage.fabric_bytes, stage.records_in,
                  stage.records_out)
                 for stage in result.metrics.stages]),
-            "events": _digest(db.telemetry.events.to_jsonl()),
+            "events": _digest(events),
             "trace": trace,
         }
+        return answer, {"events": events, "trace_units": trace_units}
     finally:
         db.close()
+
+
+@functools.lru_cache(maxsize=None)
+def _observe_serial(items: tuple) -> tuple:
+    return observe(dict(items))
+
+
+def serial_twin(case: dict) -> tuple:
+    """:func:`observe` of ``case`` on the serial backend, row execution
+    and the rule optimizer; run once per twin."""
+    return _observe_serial(tuple(sorted(dict(case, variant="serial").items())))
+
+
+def _without_plan_events(jsonl: str) -> list:
+    """The event lines less the cost optimizer's own (``plan.*``), and
+    less ``seq``, which those shift."""
+    events = [json.loads(line) for line in jsonl.splitlines()]
+    return [{key: value for key, value in event.items() if key != "seq"}
+            for event in events if not event["kind"].startswith("plan.")]
+
+
+def twin_view(case: dict, answer: dict, seen: dict) -> dict:
+    """What a run of ``case`` (``answer``, ``seen``: :func:`observe`) must
+    share with the same view of its serial twin."""
+    if "error" in answer:
+        return {"error": answer["error"]}
+    variant = case["variant"]
+    if variant == "cost":
+        if case["shape"] in WIDE_SHAPES:
+            return {}
+        return dict(answer, events=_without_plan_events(seen["events"]))
+    excepted = BATCH_GRANULARITY_KEYS if variant == "batch" else ()
+    metrics = {key: value for key, value in answer["metrics"].items()
+               if key not in excepted}
+    return dict(answer, metrics=metrics, trace=seen["trace_units"])
 
 
 def load_golden() -> list:
@@ -382,9 +497,27 @@ def load_golden() -> list:
 @pytest.mark.parametrize("entry", load_golden(),
                          ids=lambda entry: case_id(entry["case"]))
 def test_case_matches_golden(entry):
-    assert run_case(entry["case"]) == entry["answer"], (
+    case = entry["case"]
+    answer, seen = observe(case)
+    assert answer == entry["answer"], (
         "the engine's answer changed; if that is intended, run "
         "`make golden-accept` and review the diff of tests/golden/engine.json")
+    if case["variant"] != "serial":
+        assert twin_view(case, answer, seen) == twin_view(
+            case, *serial_twin(case)), (
+            f"the {case['variant']} run differs from its serial twin")
+
+
+@pytest.mark.parametrize("variant", ["process", "batch", "cost"])
+def test_a_doomed_schedule_fails_as_its_twin_does(variant):
+    """No golden case fails; this one does, in COMBINE, where the process
+    backend's failure comes back from the pool."""
+    case = {"shape": "interval", "budget": None, "faults": "doomed",
+            "dedup": None, "mode": "fudj", "variant": variant,
+            "trace": False}
+    answer, seen = observe(case)
+    assert "'fudj-join/combine'" in answer["error"]
+    assert twin_view(case, answer, seen) == twin_view(case, *serial_twin(case))
 
 
 def test_every_axis_value_has_a_case():
@@ -393,9 +526,71 @@ def test_every_axis_value_has_a_case():
         assert {case[name] for case in cases} == set(values), name
 
 
+def _operators(op: PhysicalOperator):
+    yield op
+    for child in op.children():
+        yield from _operators(child)
+
+
+def _batched_operators(cls=PhysicalOperator) -> set:
+    """Every operator class with a ``run_batches`` of its own."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if "run_batches" in vars(sub):
+            found.add(sub.__name__)
+        found |= _batched_operators(sub)
+    return found
+
+
+#: Operators with a ``run_batches`` of their own that no SQL plans.
+NOT_PLANNED_FROM_SQL = {"Values"}
+
+
+@functools.lru_cache(maxsize=None)
+def _planning_database(shape: str) -> Database:
+    return SHAPES[shape][0]()
+
+
+def _plan(case: dict) -> PhysicalOperator:
+    """The rule plan of ``case``'s statement, not executed."""
+    _, sql, (baseline_mode, baseline_sql), _ = SHAPES[case["shape"]]
+    mode = "fudj"
+    if case["mode"] == "baseline":
+        mode, sql = baseline_mode, baseline_sql
+    return _planning_database(case["shape"])._plan_select(
+        parse_statement(sql), ExecutionMode(mode), None)
+
+
+def _kernel(op: FudjJoin) -> str:
+    """The :data:`~repro.engine.combine.KERNELS` kind ``op`` runs: the
+    dispatch of ``FudjJoin``'s COMBINE phase."""
+    if op.join.uses_default_match():
+        return "single"
+    return ("partitioned" if op.join.supports_partitioned_matching()
+            else "theta")
+
+
+def test_every_batch_operator_and_kernel_has_a_case():
+    """The twin contract covers an operator's batch path only if some
+    ``batch`` case plans it, and a kernel's pool path only if some
+    ``process`` case runs it."""
+    batched, kernels = set(), set()
+    for entry in load_golden():
+        case = entry["case"]
+        if case["variant"] not in ("batch", "process"):
+            continue
+        for op in _operators(_plan(case)):
+            if case["variant"] == "batch":
+                batched.add(type(op).__name__)
+            elif isinstance(op, FudjJoin):
+                kernels.add(_kernel(op))
+    assert _batched_operators() - NOT_PLANNED_FROM_SQL <= batched
+    assert set(KERNELS) <= kernels
+
+
 def accept() -> None:
-    entries = [{"case": case, "answer": run_case(case)}
-               for case in choose_cases(AXES)]
+    entries = [{"case": case, "answer": observe(case)[0]}
+               for case in all_cases()]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"cases": entries}, indent=1,
                                  sort_keys=True) + "\n")

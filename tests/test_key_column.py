@@ -36,7 +36,6 @@ from repro.errors import FudjCallbackError, QueryCancelledError
 from repro.geometry import Point
 from repro.joins import SpatialJoin, TextSimilarityJoin
 from repro.serde.values import unbox
-from tests.test_workers import _no_backend_env  # noqa: F401 (autouse)
 
 # -- the batch frame against the record-by-record loop ---------------------------
 

@@ -63,7 +63,7 @@ class TestEndpoints:
         assert ctype.startswith("application/json")
         health = json.loads(body)
         assert health["status"] == "ok"
-        assert health["backend"] == db.backend  # "serial" unless FUDJ_BACKEND says otherwise
+        assert health["backend"] == db.backend
         assert health["queries_recorded"] == len(db.telemetry.history)
         assert health["events_emitted"] == db.telemetry.events.total_emitted
         assert health["uptime_seconds"] >= 0

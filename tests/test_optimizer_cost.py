@@ -238,11 +238,9 @@ def test_sys_plans_records_both_optimizers():
                                                   for r in rule_rows}
 
 
-def test_optimizer_kwarg_env_and_validation(monkeypatch):
+def test_optimizer_kwarg_and_validation():
     assert Database().optimizer == "rule"
-    monkeypatch.setenv("FUDJ_OPT", "cost")
-    assert Database().optimizer == "cost"
-    assert Database(optimizer="rule").optimizer == "rule"  # kwarg wins
+    assert Database(optimizer="cost").optimizer == "cost"
     with pytest.raises(PlanError):
         Database(optimizer="volcano")
     db = Database()

@@ -29,7 +29,6 @@ from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.database import Database
 from repro.engine.cancel import CancellationToken
 from repro.errors import FudjCallbackError, QueryCancelledError
-from tests.test_workers import _no_backend_env  # noqa: F401 (autouse)
 
 #: Bucket pairs on which ``PoisonNearJoin.match`` raises: two that would
 #: have matched and carry rows, one on the diagonal, one that would not

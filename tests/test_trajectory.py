@@ -236,3 +236,38 @@ class TestSegmentDistance:
             point_min = min(p.distance_to(q)
                             for p in a.points for q in b.points)
             assert min_distance(a, b) <= point_min + 1e-12
+
+
+def reference_min_distance(a: Trajectory, b: Trajectory) -> float:
+    """Every segment pair, none skipped: what ``min_distance`` computed
+    before it pruned on bounding boxes."""
+    from repro.trajectory import segment_distance
+    from repro.trajectory.trajectory import _segments_of
+
+    best = None
+    for a1, a2 in _segments_of(a):
+        for b1, b2 in _segments_of(b):
+            d = segment_distance(a1, a2, b1, b2)
+            if best is None or d < best:
+                best = d
+                if best == 0.0:
+                    return 0.0
+    return best
+
+
+COORDS = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+ROUTES = st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=8).map(
+    Trajectory)
+
+
+class TestMinDistanceAgainstTheReference:
+    @settings(max_examples=200, deadline=None)
+    @given(a=ROUTES, b=ROUTES)
+    def test_random_routes(self, a, b):
+        assert min_distance(a, b) == reference_min_distance(a, b)
+
+    def test_generated_routes(self):
+        routes = [row["route"] for row in generate_trajectories(40, seed=7)]
+        for a in routes:
+            for b in routes:
+                assert min_distance(a, b) == reference_min_distance(a, b)

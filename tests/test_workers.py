@@ -1,13 +1,16 @@
 """The supervised process-pool backend: real workers that crash,
 straggle, and recover.
 
-The contract under test is *byte identity*: ``backend="process"`` must
-return exactly the rows — and the deterministic metrics — of the serial
-backend, across join libraries, memory budgets, and seeded
-``FaultPlan(real=True)`` schedules that physically SIGKILL live worker
-processes mid-task.  Divergence is allowed only where real supervision
-is visible by design: ``worker_restarts`` / ``heartbeat_misses`` count
-actual process deaths and stalls, and wall-clock timings differ.
+That a process run returns the serial run's rows and deterministic
+metrics is checked by every ``process`` case of the golden file
+(``tests/test_golden.py``) against its serial twin.  What this file
+checks is what simulated faults cannot show: seeded
+``FaultPlan(real=True)`` schedules and outside SIGKILLs that kill live
+worker processes mid-task, a callback error rebuilt from a worker, and
+the pool's lifecycle.  Divergence from serial is allowed only where real
+supervision is visible by design: ``worker_restarts`` /
+``heartbeat_misses`` count actual process deaths and stalls, and
+wall-clock timings differ.
 """
 
 import os
@@ -17,8 +20,6 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import FaultPlan
 from repro.bench import workloads
@@ -26,12 +27,7 @@ from repro.errors import FudjCallbackError, TaskFailedError
 from repro.cli import Shell
 from repro.database import Database
 from repro.engine.workers import WorkerPool, default_pool_size
-from repro.joins import (
-    LengthFilteredTextJoin,
-    PartitionedIntervalJoin,
-    PlaneSweepSpatialJoin,
-    SortMergeIntervalJoin,
-)
+from repro.joins import PartitionedIntervalJoin
 from repro.query.printer import render_timing_line
 
 #: ``QueryMetrics.to_dict`` keys that must match serial byte-for-byte
@@ -39,18 +35,6 @@ from repro.query.printer import render_timing_line
 #: ``queue_seconds`` (real time, nondeterministic even serial-vs-serial)
 #: and ``worker_restarts`` / ``heartbeat_misses`` (real supervision —
 #: nonzero only when actual processes die or stall).
-@pytest.fixture(autouse=True, scope="module")
-def _no_backend_env():
-    """Every test here picks its backend explicitly, so the file must
-    behave identically when the whole suite runs under
-    ``FUDJ_BACKEND=process`` (the CI tier-1 process job).  Module scope
-    keeps hypothesis's function-scoped-fixture health check quiet."""
-    old = os.environ.pop("FUDJ_BACKEND", None)
-    yield
-    if old is not None:
-        os.environ["FUDJ_BACKEND"] = old
-
-
 DETERMINISTIC_KEYS = (
     "cpu_units", "network_bytes", "comparisons",
     "translation_conversions", "output_records", "stages",
@@ -152,74 +136,9 @@ def interval_with(join_class):
                      "overlapping_interval", join_class, 100)
 
 
-BUDGETS = st.one_of(st.none(), st.sampled_from([512, 1024, 4096]))
-FAULT_SEEDS = st.one_of(st.none(), st.integers(min_value=0, max_value=999))
-#: Elimination tags every row with the pair of its inputs' ``rid``s and
-#: shuffles on it: the tags have to survive the trip to a worker and back.
-DEDUPS = st.sampled_from([None, "elimination"])
-
-
 class TestBackendParity:
-    """Hypothesis property: the process backend is byte-identical to
-    serial for every join library, under arbitrary memory budgets and
-    seeded schedules of real worker kills."""
-
-    @settings(max_examples=5, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS, dedup=DEDUPS)
-    def test_spatial_join(self, budget, fault_seed, dedup):
-        check_parity(lambda: workloads.spatial_database(25, 120),
-                     workloads.SPATIAL_SQL, budget, fault_seed, dedup=dedup)
-
-    @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS, dedup=DEDUPS)
-    def test_interval_join(self, budget, fault_seed, dedup):
-        check_parity(lambda: workloads.interval_database(120),
-                     workloads.INTERVAL_SQL, budget, fault_seed, dedup=dedup)
-
-    @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS, dedup=DEDUPS)
-    def test_text_join(self, budget, fault_seed, dedup):
-        check_parity(lambda: workloads.text_database(80),
-                     workloads.TEXT_SQL.format(threshold=0.9),
-                     budget, fault_seed, dedup=dedup)
-
-    # The three above reach the ``single`` (spatial, text) and ``theta``
-    # (interval) kernels; these cover ``partitioned`` and both
-    # ``local_join`` branches.
-
-    @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS, dedup=DEDUPS)
-    def test_partitioned_interval_join(self, budget, fault_seed, dedup):
-        check_parity(interval_with(PartitionedIntervalJoin),
-                     workloads.INTERVAL_SQL, budget, fault_seed, dedup=dedup)
-
-    @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
-    def test_sort_merge_interval_join(self, budget, fault_seed):
-        check_parity(interval_with(SortMergeIntervalJoin),
-                     workloads.INTERVAL_SQL, budget, fault_seed)
-
-    @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
-    def test_plane_sweep_spatial_join(self, budget, fault_seed):
-        check_parity(with_join(lambda: workloads.spatial_database(25, 120),
-                               "st_contains", PlaneSweepSpatialJoin, 48),
-                     workloads.SPATIAL_SQL, budget, fault_seed)
-
-    @settings(max_examples=4, deadline=None)
-    @given(budget=BUDGETS, fault_seed=FAULT_SEEDS)
-    def test_length_filtered_text_join(self, budget, fault_seed):
-        check_parity(with_join(lambda: workloads.text_database(80),
-                               "similarity_jaccard", LengthFilteredTextJoin),
-                     workloads.TEXT_SQL.format(threshold=0.9),
-                     budget, fault_seed)
-
-    def test_poison_verify_quarantined(self):
-        metrics = check_parity(
-            interval_with(PoisonVerifyIntervalJoin),
-            workloads.INTERVAL_SQL, None, None, on_error="quarantine")
-        assert metrics["records_quarantined"] > 0
-        assert metrics["quarantine_log"]
+    """Serial and process runs agree where the golden file cannot look:
+    under real worker kills, and when a callback fails in a worker."""
 
     def test_poison_verify_fails_with_the_same_error(self):
         # check_parity compares what run_query returns for a failed
@@ -231,16 +150,10 @@ class TestBackendParity:
                                on_error="fail")
         assert failure[0] == "callback-failed" and failure[2] == "ValueError"
 
-    def test_traced_units_add_up_on_both_backends(self):
-        metrics = check_parity(
-            interval_with(SortMergeIntervalJoin),
-            workloads.INTERVAL_SQL, None, None, trace=True)
-        assert metrics["trace_units"] == pytest.approx(metrics["cpu_units"])
-
     def test_planned_kills_actually_restart_workers(self):
-        # Anchor for the property above: under this seed the schedule
-        # provably kills at least one worker process for real, and the
-        # supervision shows up only in the allowed divergences.
+        # Under this seed the schedule provably kills at least one worker
+        # process for real, and the supervision shows up only in the
+        # allowed divergences.
         metrics = check_parity(lambda: workloads.interval_database(120),
                                workloads.INTERVAL_SQL, None, 42)
         assert metrics["worker_restarts"] > 0
@@ -412,15 +325,6 @@ class TestPoolLifecycle:
         db = Database()
         with pytest.raises(PlanError):
             db.set_backend("bogus")
-
-    def test_backend_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("FUDJ_BACKEND", "process")
-        db = Database()
-        assert db.backend == "process"
-        monkeypatch.setenv("FUDJ_BACKEND", "serial")
-        assert Database().backend == "serial"
-        # An explicit kwarg beats the environment.
-        assert Database(backend="serial").backend == "serial"
 
 
 class TestIntrospection:

@@ -20,8 +20,7 @@ Ten checks over ``README.md`` and ``docs/*.md``:
    somewhere in the docs.
 6. **Execution modes are documented.** Every mode in
    ``repro.engine.batch.EXECUTION_MODES`` appears as a literal
-   ``execution="<mode>"`` usage, and the ``FUDJ_EXEC`` environment
-   override is mentioned.
+   ``execution="<mode>"`` usage somewhere in the docs.
 7. **Optimizer modes are documented.** Every mode in
    ``repro.optimizer.OPTIMIZER_MODES`` appears as a literal
    ``optimizer="<mode>"`` usage somewhere in the docs.
@@ -127,9 +126,6 @@ def check_execution_modes(files: list) -> list:
         if literal not in corpus:
             problems.append(f"execution mode {literal} is not documented "
                             "in README.md or docs/")
-    if "FUDJ_EXEC" not in corpus:
-        problems.append("environment override 'FUDJ_EXEC' is not "
-                        "documented in README.md or docs/")
     return problems
 
 
