@@ -1,5 +1,5 @@
 """Catalog: metadata for types, datasets, and installed joins."""
 
-from repro.catalog.catalog import Catalog, DatasetInfo, TypeInfo
+from repro.catalog.catalog import Catalog, TypeInfo
 
-__all__ = ["Catalog", "DatasetInfo", "TypeInfo"]
+__all__ = ["Catalog", "TypeInfo"]

@@ -1,13 +1,20 @@
-"""Catalog metadata objects.
+"""Catalog metadata: types, and the DDL checks on relations.
 
-The catalog records what exists (types, datasets, joins); the cluster owns
-the actual partitioned data, and the join registry owns FUDJ libraries.
+The catalog owns ``CREATE TYPE``.  The relations themselves — stored
+datasets, each carrying its type name and primary key, and the ``sys.*``
+virtual tables — live in one map, the cluster's
+(:meth:`~repro.engine.cluster.Cluster.relation`): the catalog checks DDL
+against that map and answers lookups by reading it.  The join registry
+owns FUDJ libraries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.engine.cluster import VirtualTable
+from repro.engine.dataset import PartitionedDataset
+from repro.engine.record import Schema
 from repro.errors import CatalogError
 
 #: Field types the DDL accepts.  They are descriptive — records carry
@@ -32,49 +39,28 @@ class TypeInfo:
         return tuple(name for name, _ in self.fields)
 
 
-@dataclass(frozen=True)
-class DatasetInfo:
-    """A dataset's catalog entry: ``CREATE DATASET``."""
-
-    name: str
-    type_name: str
-    field_names: tuple
-    primary_key: str
-
-
 class Catalog:
-    """Types and dataset metadata for one database.
+    """Types, and the DDL checks on one cluster's relations.
 
-    Besides user datasets, the catalog holds *virtual tables* —
-    engine-provided relations (the ``sys.*`` introspection surface)
-    whose rows are produced on demand by the cluster.  Virtual tables
-    resolve through :meth:`dataset_info` like any dataset, so the
-    binder and planner need no special cases; they are excluded from
-    :meth:`dataset_names` (and therefore from persistence) and cannot
-    be created or dropped via DDL.
+    A virtual table (``sys.*``) resolves through :meth:`dataset_info`
+    like any dataset, so the binder and planner need no special cases;
+    it is left out of :meth:`dataset_names` (and therefore out of
+    persistence) and cannot be created, dropped or loaded into.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cluster) -> None:
         self._types = {}
-        self._datasets = {}
-        self._virtual = {}
+        self._cluster = cluster
 
     # -- types ----------------------------------------------------------------
 
     def create_type(self, name: str, fields) -> TypeInfo:
         if name in self._types:
             raise CatalogError(f"type already exists: {name}")
-        normalized = []
-        for field_name, type_name in fields:
-            type_name = type_name.lower()
-            if type_name not in VALID_FIELD_TYPES:
-                raise CatalogError(
-                    f"unknown field type {type_name!r} for {name}.{field_name}"
-                )
-            normalized.append((field_name, type_name))
+        normalized = _checked_fields(name, fields)
         if not normalized:
             raise CatalogError(f"type {name} has no fields")
-        info = TypeInfo(name, tuple(normalized))
+        info = TypeInfo(name, normalized)
         self._types[name] = info
         return info
 
@@ -87,12 +73,17 @@ class Catalog:
     def has_type(self, name: str) -> bool:
         return name in self._types
 
+    def type_names(self) -> list:
+        return sorted(self._types)
+
     # -- datasets --------------------------------------------------------------
 
-    def create_dataset(self, name: str, type_name: str, primary_key: str) -> DatasetInfo:
-        if name in self._datasets:
+    def create_dataset(self, name: str, type_name: str,
+                       primary_key: str) -> PartitionedDataset:
+        relation = self._cluster.relation(name)
+        if isinstance(relation, PartitionedDataset):
             raise CatalogError(f"dataset already exists: {name}")
-        if name in self._virtual or name.lower().startswith("sys."):
+        if relation is not None or name.lower().startswith("sys."):
             raise CatalogError(
                 f"cannot create dataset {name}: the sys.* namespace is "
                 f"reserved for virtual tables"
@@ -102,55 +93,57 @@ class Catalog:
             raise CatalogError(
                 f"primary key {primary_key!r} is not a field of type {type_name}"
             )
-        info = DatasetInfo(name, type_name, type_info.field_names, primary_key)
-        self._datasets[name] = info
-        return info
+        return self._cluster.create_dataset(
+            name, Schema(type_info.field_names), primary_key, type_name)
 
     def drop_dataset(self, name: str) -> None:
-        if name in self._virtual:
-            raise CatalogError(f"cannot drop virtual table: {name}")
-        if name not in self._datasets:
-            raise CatalogError(f"no such dataset: {name}")
-        del self._datasets[name]
+        self.stored_dataset(name, "drop")
+        self._cluster.drop_dataset(name)
 
-    def dataset_info(self, name: str) -> DatasetInfo:
-        info = self._datasets.get(name) or self._virtual.get(name)
-        if info is None:
+    def stored_dataset(self, name: str,
+                       action: str = "load into") -> PartitionedDataset:
+        """The stored dataset ``name``; raises for an unknown name and
+        for a virtual table (``action`` words that error)."""
+        relation = self.dataset_info(name)
+        if isinstance(relation, VirtualTable):
+            raise CatalogError(f"cannot {action} virtual table: {name}")
+        return relation
+
+    def dataset_info(self, name: str):
+        """The relation ``name`` (a stored dataset or a virtual table)."""
+        relation = self._cluster.relation(name)
+        if relation is None:
             raise CatalogError(f"no such dataset: {name}")
-        return info
+        return relation
 
     def has_dataset(self, name: str) -> bool:
-        return name in self._datasets or name in self._virtual
+        return self._cluster.relation(name) is not None
 
     def dataset_names(self) -> list:
-        """User datasets only — virtual tables are listed separately by
-        :meth:`virtual_names` (and are never persisted)."""
-        return sorted(self._datasets)
+        """Stored datasets only — virtual tables are never persisted."""
+        return self._cluster.dataset_names()
 
     # -- virtual tables --------------------------------------------------------
 
-    def register_virtual_table(self, name: str, fields) -> DatasetInfo:
+    def register_virtual_table(self, name: str, fields,
+                               provider) -> VirtualTable:
         """Register an engine-provided relation (``sys.*``).
 
-        ``fields`` is ``[(field_name, type_name), ...]``; types are
-        validated like ``CREATE TYPE`` fields.  The entry resolves via
-        :meth:`dataset_info` but is invisible to :meth:`dataset_names`.
+        ``fields`` is ``[(field_name, type_name), ...]``, validated like
+        ``CREATE TYPE`` fields; ``provider()`` returns the current rows.
         """
-        if name in self._datasets or name in self._virtual:
-            raise CatalogError(f"dataset already exists: {name}")
-        for field_name, type_name in fields:
-            if type_name.lower() not in VALID_FIELD_TYPES:
-                raise CatalogError(
-                    f"unknown field type {type_name!r} for {name}.{field_name}"
-                )
-        field_names = tuple(field_name for field_name, _ in fields)
-        info = DatasetInfo(name, "$virtual", field_names,
-                           field_names[0] if field_names else "")
-        self._virtual[name] = info
-        return info
+        return self._cluster.register_virtual_table(
+            name, _checked_fields(name, fields), provider)
 
-    def is_virtual(self, name: str) -> bool:
-        return name in self._virtual
 
-    def virtual_names(self) -> list:
-        return sorted(self._virtual)
+def _checked_fields(owner: str, fields) -> tuple:
+    """``fields`` with lower-cased type names; raises on an unknown type."""
+    normalized = []
+    for field_name, type_name in fields:
+        type_name = type_name.lower()
+        if type_name not in VALID_FIELD_TYPES:
+            raise CatalogError(
+                f"unknown field type {type_name!r} for {owner}.{field_name}"
+            )
+        normalized.append((field_name, type_name))
+    return tuple(normalized)

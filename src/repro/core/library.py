@@ -75,7 +75,10 @@ def load_join_class(class_path: str) -> type:
 
 
 @dataclass
-class _Entry:
+class JoinEntry:
+    """One installed join: what ``CREATE JOIN`` declared, its class once
+    resolved, and the constructor defaults."""
+
     signature: JoinSignature
     join_class: type = None
     defaults: tuple = ()
@@ -103,7 +106,8 @@ class JoinRegistry:
             raise JoinLibraryError(
                 f"{join_class!r} is not a FlexibleJoin subclass"
             )
-        self._entries[signature.name] = _Entry(signature, join_class, tuple(defaults))
+        self._entries[signature.name] = JoinEntry(signature, join_class,
+                                                  tuple(defaults))
 
     def drop(self, name: str) -> None:
         """DROP JOIN: remove a registered join and its proxy UDFs."""
@@ -114,11 +118,14 @@ class JoinRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def signature(self, name: str) -> JoinSignature:
+    def entry(self, name: str) -> JoinEntry:
         try:
-            return self._entries[name].signature
+            return self._entries[name]
         except KeyError:
             raise JoinLibraryError(f"no such join: {name}") from None
+
+    def signature(self, name: str) -> JoinSignature:
+        return self.entry(name).signature
 
     def instantiate(self, name: str, parameters) -> FlexibleJoin:
         """Build the FlexibleJoin object for one query call site.
@@ -126,9 +133,7 @@ class JoinRegistry:
         Call-site parameters win; when the call site passes none, the
         registration-time defaults apply.
         """
-        entry = self._entries.get(name)
-        if entry is None:
-            raise JoinLibraryError(f"no such join: {name}")
+        entry = self.entry(name)
         if entry.join_class is None:
             entry.join_class = load_join_class(entry.signature.class_path)
         effective = tuple(parameters) if parameters else entry.defaults

@@ -37,7 +37,7 @@ from repro.core.dedup import (
     NoDedup,
 )
 from repro.core.library import JoinRegistry, JoinSignature
-from repro.engine import Cluster, Schema
+from repro.engine import Cluster, PartitionedDataset
 from repro.engine.cancel import CancellationToken
 from repro.engine.context import ERROR_POLICIES
 from repro.engine.costs import CostModel
@@ -198,7 +198,7 @@ class Database:
             )
         self.breaker = (CircuitBreaker(breaker_threshold)
                         if breaker_threshold is not None else None)
-        self.catalog = Catalog()
+        self.catalog = Catalog(self.cluster)
         self.functions = default_function_registry()
         self.joins = JoinRegistry()
         self.builtin_factories = {}
@@ -207,8 +207,8 @@ class Database:
         self.query_timeout = query_timeout
         self.trace = bool(trace)
         #: Metrics registry + bounded query history; ``history_limit``
-        #: caps retained records (oldest evicted first).  Registers the
-        #: ``sys.*`` introspection tables on catalog and cluster.
+        #: caps retained records (oldest evicted first).  Backs the
+        #: ``sys.*`` introspection tables.
         self.telemetry = Telemetry(history_limit=history_limit)
         self.workers = workers
         self.worker_pool = None
@@ -220,11 +220,6 @@ class Database:
         self.batch_rows = batch_rows
         self._optimizer = _check_optimizer(
             "rule" if optimizer is None else optimizer)
-        #: Per-statement state (active query id, pending plan rows) is
-        #: thread-local: the session server runs ``execute()`` from one
-        #: thread per request, and concurrent statements must not see
-        #: each other's in-flight ids.
-        self._tls = threading.local()
         #: Serializes the engine core and the catalog: a query holds it
         #: for its whole run, DDL and ``load`` for their change, so
         #: neither sees the other half done (see :meth:`_engine`).  A
@@ -238,26 +233,6 @@ class Database:
             self.telemetry.events.attach_sink(event_log)
         self.telemetry.set_build_info(self.cluster.backend, self._execution)
         register_sys_tables(self)
-
-    # -- per-thread statement state -------------------------------------------------
-
-    @property
-    def _active_query_id(self) -> int:
-        """Id of the statement this thread is executing (0 outside
-        execute()), stamped on every event the engine emits for it."""
-        return getattr(self._tls, "query_id", 0)
-
-    @_active_query_id.setter
-    def _active_query_id(self, value: int) -> None:
-        self._tls.query_id = value
-
-    @property
-    def _pending_plan_rows(self):
-        return getattr(self._tls, "plan_rows", None)
-
-    @_pending_plan_rows.setter
-    def _pending_plan_rows(self, value) -> None:
-        self._tls.plan_rows = value
 
     # -- SQL entry points -----------------------------------------------------------
 
@@ -321,26 +296,37 @@ class Database:
         mode_text = mode.value if isinstance(mode, ExecutionMode) else str(mode)
         started = time.perf_counter()
         kind = "invalid"
-        self._pending_plan_rows = None
-        # The entry id record_statement will use — reserved up front and
-        # stamped on every event this statement emits, so the timeline
-        # joins to sys.queries before the query has even finished (and
-        # concurrent sessions never share an id).
-        self._active_query_id = (int(query_id) if query_id
-                                 else self.telemetry.next_query_id())
-        result = error = None
+        # The statement's emitter carries the history id record_statement
+        # will use — reserved up front and stamped on every event this
+        # statement emits, so the timeline joins to sys.queries before
+        # the query has even finished (and concurrent sessions never
+        # share an id).
+        events = self.telemetry.events.scoped(
+            int(query_id) if query_id else self.telemetry.next_query_id())
+        result = error = plan_rows = None
         try:
             statement = parse_statement(sql)
             kind = _statement_kind(statement)
             # The detail deliberately excludes backend/execution (the
             # build-info gauge carries those): serial and process runs of
             # one script emit byte-identical deterministic streams.
-            self.telemetry.events.emit(
-                "query.start", query_id=self._active_query_id,
-                statement=kind, mode=mode_text, sql=sql.strip())
-            result = self._execute_statement(
-                statement, mode, dedup, measure_bytes, summarize_sample,
-                faults, policy, tracing, optimizer, cancel)
+            events.emit("query.start", statement=kind, mode=mode_text,
+                        sql=sql.strip())
+            if isinstance(statement, SelectStatement):
+                plan, plan_rows = self._plan_select(
+                    statement, _to_mode(mode), _to_dedup(dedup),
+                    summarize_sample, optimizer, events)
+                result = self._run_plan(plan, measure_bytes, faults, policy,
+                                        tracing, events, cancel)
+            elif isinstance(statement, ExplainStatement):
+                plan, plan_rows = self._plan_select(
+                    statement.select, _to_mode(mode), _to_dedup(dedup),
+                    optimizer=optimizer, events=events)
+                result = self._execute_explain(
+                    statement, plan, plan_rows, measure_bytes, faults,
+                    policy, events, cancel)
+            else:
+                result = self._execute_ddl(statement, cancel)
             return result
         except BaseException as exc:
             error = exc
@@ -349,30 +335,12 @@ class Database:
             # Whatever ended the statement — a result, a ReproError, a
             # UDF's own exception — its timeline closes under its id.
             self.telemetry.record_statement(
-                sql, kind, mode_text,
+                events, sql, kind, mode_text,
                 "ok" if error is None else _error_status(error),
                 result=result, error=error,
                 cores=getattr(result, "cores", None) or self.cluster.cores,
                 wall_seconds=time.perf_counter() - started,
-                plan_rows=self._pending_plan_rows,
-                query_id=self._active_query_id)
-            self._active_query_id = 0
-
-    def _execute_statement(self, statement, mode, dedup, measure_bytes,
-                           summarize_sample, faults, policy, tracing,
-                           optimizer=None, cancel=None) -> QueryResult:
-        if isinstance(statement, SelectStatement):
-            plan = self._plan_select(statement, _to_mode(mode), _to_dedup(dedup),
-                                     summarize_sample, optimizer)
-            return self._run_plan(plan, measure_bytes, faults, policy,
-                                  tracing, cancel)
-        if isinstance(statement, ExplainStatement):
-            return self._execute_explain(statement, _to_mode(mode),
-                                         _to_dedup(dedup), measure_bytes,
-                                         faults, policy,
-                                         optimizer=optimizer,
-                                         cancel=cancel)
-        return self._execute_ddl(statement, cancel)
+                plan_rows=plan_rows)
 
     @contextlib.contextmanager
     def _engine(self, cancel=None):
@@ -580,14 +548,14 @@ class Database:
             node = pending.pop()
             dataset_name = getattr(node, "dataset_name", None)
             if dataset_name is not None:
-                stored = self.cluster._datasets.get(dataset_name)
-                if stored is not None:
-                    total += stored.total_bytes()
+                relation = self.cluster.relation(dataset_name)
+                if isinstance(relation, PartitionedDataset):
+                    total += relation.total_bytes()
             pending.extend(node.children())
         return total
 
     def _run_plan(self, plan, measure_bytes, faults, policy, tracing,
-                  cancel=None) -> QueryResult:
+                  events, cancel=None) -> QueryResult:
         """Execute a physical plan under the governance posture: admission
         first (reservation estimated from catalog stats), then the run
         itself — serialized on the engine lock — with a budget-enforcing
@@ -605,9 +573,8 @@ class Database:
                 self.telemetry.note_admission(exc.reason)
                 raise
             self.telemetry.note_admission("admitted")
-            self.telemetry.events.emit(
-                "admission.admit", query_id=self._active_query_id,
-                reserved_bytes=ticket.reserved_bytes)
+            events.emit("admission.admit",
+                        reserved_bytes=ticket.reserved_bytes)
             resources.queue_seconds = ticket.queue_seconds
         pool = self._acquire_pool if self.cluster.backend == "process" else None
         try:
@@ -619,13 +586,11 @@ class Database:
                                     resources=resources, breaker=self.breaker,
                                     pool=pool, execution=self._execution,
                                     batch_rows=self.batch_rows,
-                                    events=self.telemetry.events.scoped(
-                                        self._active_query_id),
-                                    cancel=cancel)
+                                    events=events, cancel=cancel)
         finally:
             if ticket is not None:
                 self.admission.release(ticket)
-            self.telemetry.sync_breaker(self.breaker, self._active_query_id)
+            self.telemetry.sync_breaker(self.breaker, events.query_id)
             self.telemetry.sync_pool(self.worker_pool)
 
     def _governance_lines(self, metrics) -> list:
@@ -687,13 +652,16 @@ class Database:
         statement = parse_statement(sql)
         if not isinstance(statement, SelectStatement):
             raise PlanError("EXPLAIN supports SELECT statements only")
-        plan = self._plan_select(statement, _to_mode(mode), None,
-                                 optimizer=optimizer)
+        plan, _ = self._plan_select(statement, _to_mode(mode), None,
+                                    optimizer=optimizer)
         return plan.explain()
 
     def _plan_select(self, statement: SelectStatement, mode: ExecutionMode,
                      dedup: DedupStrategy, summarize_sample: float = 1.0,
-                     optimizer: str = None):
+                     optimizer: str = None, events=NULL_EVENTS):
+        """``(physical plan, its sys.plans rows)``.  What the cost
+        optimizer chooses is narrated on ``events``; explain() plans
+        outside any statement and passes none, so nothing is logged."""
         opt = (self._optimizer if optimizer is None
                else _check_optimizer(optimizer))
         bound = bind_select(statement, self.catalog, self.functions, self.joins)
@@ -701,7 +669,7 @@ class Database:
             item.output_name(i) for i, item in enumerate(statement.items)
         ]
         if opt == "cost":
-            logical = self._cost_optimize(bound, mode, output_order)
+            logical = self._cost_optimize(bound, mode, output_order, events)
         else:
             logical = optimize(bound, self.joins, mode, output_order)
         plan = plan_physical(
@@ -709,19 +677,15 @@ class Database:
             dedup=dedup, builtin_factories=self.builtin_factories,
             summarize_sample=summarize_sample,
         )
-        self._pending_plan_rows = _plan_report_rows(plan, opt)
-        return plan
+        return plan, _plan_report_rows(plan, opt)
 
-    def _cost_optimize(self, bound, mode: ExecutionMode, output_order):
+    def _cost_optimize(self, bound, mode: ExecutionMode, output_order,
+                       events):
         """The three cost-based stages: pessimistic cardinality bounds,
         upper-bound join ordering, and chained physical operator
         selection (see ``docs/query_optimizer.md``)."""
         estimator = CardinalityEstimator(self.cluster)
         order = enumerate_join_order(bound, estimator)
-        # explain() plans outside any statement; what it chooses belongs
-        # to no timeline, so nothing is logged for it.
-        qid = self._active_query_id
-        events = self.telemetry.events.scoped(qid) if qid else NULL_EVENTS
         events.emit("plan.order", order=" -> ".join(order.aliases))
         logical = optimize(bound, self.joins, mode, output_order,
                            table_order=order.aliases)
@@ -750,10 +714,8 @@ class Database:
                                 note=assignment.note_of(node))
         return logical
 
-    def _execute_explain(self, statement: ExplainStatement,
-                         mode: ExecutionMode, dedup, measure_bytes,
-                         fault_plan=None, on_error: str = "fail",
-                         optimizer: str = None,
+    def _execute_explain(self, statement: ExplainStatement, plan, plan_rows,
+                         measure_bytes, fault_plan, on_error: str, events,
                          cancel=None) -> QueryResult:
         """EXPLAIN: plan text (one row per line); ANALYZE adds a
         per-stage profile, the span trace tree, and skew diagnostics
@@ -761,18 +723,13 @@ class Database:
         ANALYZE also tabulates estimated vs. actual rows per stage."""
         from repro.engine.metrics import QueryMetrics
 
-        opt = (self._optimizer if optimizer is None
-               else _check_optimizer(optimizer))
-        plan = self._plan_select(statement.select, mode, dedup,
-                                 optimizer=opt)
-        plan_rows = self._pending_plan_rows
         lines = plan.explain().splitlines()
         metrics = QueryMetrics(self.cluster.cost_model)
         if statement.analyze:
             executed = self._run_plan(plan, measure_bytes, fault_plan,
-                                      on_error, True, cancel)
+                                      on_error, True, events, cancel)
             metrics = executed.metrics
-            if opt == "cost" and plan_rows:
+            if plan_rows[0]["optimizer"] == "cost":
                 lines.append("")
                 lines.extend(_estimate_report_lines(plan_rows, metrics))
             lines.append("")
@@ -808,8 +765,8 @@ class Database:
         if isinstance(statement, CreateTypeStatement):
             self.catalog.create_type(statement.name, statement.fields)
         elif isinstance(statement, CreateDatasetStatement):
-            self.create_dataset(statement.name, statement.type_name,
-                                statement.primary_key)
+            self.catalog.create_dataset(statement.name, statement.type_name,
+                                        statement.primary_key)
         elif isinstance(statement, CreateJoinStatement):
             signature = JoinSignature(
                 statement.name.lower(),
@@ -822,7 +779,6 @@ class Database:
             self.joins.drop(statement.name.lower())
         elif isinstance(statement, DropDatasetStatement):
             self.catalog.drop_dataset(statement.name)
-            self.cluster.drop_dataset(statement.name)
         else:
             raise ReproError(f"unhandled statement: {statement!r}")
 
@@ -833,19 +789,17 @@ class Database:
         with self._engine():
             self.catalog.create_type(name, fields)
 
-    def create_dataset(self, name: str, type_name: str, primary_key: str) -> None:
-        """API twin of ``CREATE DATASET`` (also allocates storage)."""
+    def create_dataset(self, name: str, type_name: str,
+                       primary_key: str) -> PartitionedDataset:
+        """API twin of ``CREATE DATASET``; returns the new, empty dataset."""
         with self._engine():
-            info = self.catalog.create_dataset(name, type_name, primary_key)
-            self.cluster.create_dataset(name, Schema(info.field_names),
-                                        primary_key)
+            return self.catalog.create_dataset(name, type_name, primary_key)
 
     def load(self, dataset_name: str, rows) -> int:
         """Bulk-load plain-dict rows into a dataset.  Waits for a running
         query, which sees the dataset as it was when it started."""
         with self._engine():
-            self.catalog.dataset_info(dataset_name)  # raises if unknown
-            return self.cluster.dataset(dataset_name).bulk_load(rows)
+            return self.catalog.stored_dataset(dataset_name).bulk_load(rows)
 
     def create_join(self, name: str, join_class=None, class_path: str = None,
                     param_types=("any", "any"), library: str = "",

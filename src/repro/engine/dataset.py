@@ -16,16 +16,19 @@ class PartitionedDataset:
     """
 
     __slots__ = ("name", "schema", "partitions", "primary_key",
-                 "_bytes_cache")
+                 "type_name", "_bytes_cache")
 
     def __init__(self, name: str, schema: Schema, num_partitions: int,
-                 primary_key: str = None) -> None:
+                 primary_key: str = None, type_name: str = None) -> None:
         if num_partitions < 1:
             raise ExecutionError(f"need >= 1 partition, got {num_partitions}")
         self.name = name
         self.schema = schema
         self.partitions = [[] for _ in range(num_partitions)]
         self.primary_key = primary_key
+        #: The ``CREATE TYPE`` this dataset was declared with (None for
+        #: a dataset made on a bare cluster, or a virtual table's snapshot).
+        self.type_name = type_name
         self._bytes_cache = None
 
     @property

@@ -352,10 +352,6 @@ class QueryMetrics:
             out["simulated_seconds"] = self.simulated_seconds(cores)
         return out
 
-    def summary(self) -> dict:
-        """Alias of :meth:`to_dict`, kept for bench-table call sites."""
-        return self.to_dict()
-
     def __repr__(self) -> str:
         return (
             f"QueryMetrics(wall={self.wall_seconds:.3f}s, "

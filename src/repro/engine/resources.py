@@ -122,14 +122,37 @@ def encode_frame(values, *header_ints):
 
 def decode_frame(payload: bytes, header_count: int):
     """``(header ints, values)`` of a frame :func:`encode_frame` made."""
-    header = [_I64.unpack_from(payload, index * _I64.size)[0]
-              for index in range(header_count)]
+    header = []
+    for index in range(header_count):
+        header.append(_I64.unpack_from(payload, index * _I64.size)[0])
     offset = header_count * _I64.size
+    end = len(payload)
     values = []
-    while offset < len(payload):
+    while offset < end:
         value, offset = deserialize_value(payload, offset)
         values.append(value)
     return header, values
+
+
+def write_frame(out: bytearray, payload: bytes) -> None:
+    """Append one frame to ``out`` behind its ``_U32`` length: the layout
+    of a spill file and of a saved dataset."""
+    out += _U32.pack(len(payload))
+    out += payload
+
+
+def read_frame(data: bytes, offset: int):
+    """``(payload, next offset)`` of the frame :func:`write_frame` wrote
+    at ``offset``; raises :class:`SerdeError` when ``data`` ends inside
+    its length or its payload."""
+    start = offset + _U32.size
+    if start > len(data):
+        raise SerdeError(f"truncated frame length at offset {offset}")
+    (length,) = _U32.unpack_from(data, offset)
+    end = start + length
+    if end > len(data):
+        raise SerdeError(f"truncated frame at offset {offset}")
+    return data[start:end], end
 
 
 def _frame_record(codec, record, *header_ints):
@@ -359,10 +382,11 @@ class QueryResources:
         file_bytes = 0
         if frames:
             path = self._spill_path()
+            framed = bytearray()
+            for payload in frames:
+                write_frame(framed, payload)
             with open(path, "wb") as fh:
-                for payload in frames:
-                    fh.write(_U32.pack(len(payload)))
-                    fh.write(payload)
+                fh.write(framed)
             file_bytes = os.path.getsize(path)
             self.spill_files += 1
             self.spill_bytes += file_bytes
@@ -371,10 +395,8 @@ class QueryResources:
                 data = fh.read()
             offset = 0
             for index in spilled_at:
-                (length,) = _U32.unpack_from(data, offset)
-                offset += _U32.size
-                out[index] = codec.decode(data[offset:offset + length])
-                offset += length
+                payload, offset = read_frame(data, offset)
+                out[index] = codec.decode(payload)
             os.remove(path)
         if not price:
             # Enforcement-only site: un-governed runs charge nothing here

@@ -20,9 +20,9 @@ Three tiers on top of the per-query observability layer
 
 3. **Queryable introspection**: the history and the registry are
    registered as *virtual tables* (``sys.queries``, ``sys.stages``,
-   ``sys.callbacks``, ``sys.metrics``) in the catalog and the cluster,
-   so plain SQL reaches them through the normal binder → planner →
-   scan-operator path::
+   ``sys.callbacks``, ``sys.metrics``) in the cluster's registry of
+   relations, so plain SQL reaches them through the normal binder →
+   planner → scan-operator path::
 
        SELECT status, COUNT(1) AS n FROM sys.queries GROUP BY status;
 
@@ -41,7 +41,6 @@ import weakref
 
 from repro.engine.events import DEFAULT_EVENT_LIMIT, EventLog
 from repro.engine.metrics import phase_of, stage_op
-from repro.engine.record import Schema
 from repro.errors import ReproError
 
 #: Histogram bucket upper bounds for per-query simulated seconds.
@@ -657,28 +656,28 @@ class Telemetry:
                                      self.history.total_recorded) + 1
             return self._assigned_ids
 
-    def record_statement(self, sql: str, kind: str, mode: str, status: str,
-                         result=None, error=None, cores: int = 1,
+    def record_statement(self, events, sql: str, kind: str, mode: str,
+                         status: str, result=None, error=None, cores: int = 1,
                          wall_seconds: float = 0.0,
-                         plan_rows: list = None,
-                         query_id: int = None) -> dict:
+                         plan_rows: list = None) -> dict:
         """Fold one finished ``execute()`` into history + registry.
 
-        ``result`` is the statement's
-        :class:`~repro.engine.executor.QueryResult` (None for a
-        statement that failed, whether or not it reached execution);
-        ``plan_rows`` the planned-operator rows from the optimizer
-        (surfaced through ``sys.plans`` with per-stage actuals joined
-        in); ``query_id`` the id reserved via :meth:`next_query_id`
-        (None keeps the serial default, ``total_recorded + 1``).
-        Returns the appended history entry.
+        ``events`` is the statement's scoped emitter
+        (:meth:`EventLog.scoped <repro.engine.events.EventLog.scoped>`
+        of an id reserved via :meth:`next_query_id`): the entry and its
+        completion events take its id.  ``result`` is the
+        statement's :class:`~repro.engine.executor.QueryResult` (None
+        for a statement that failed, whether or not it reached
+        execution); ``plan_rows`` the planned-operator rows from the
+        optimizer (surfaced through ``sys.plans`` with per-stage
+        actuals joined in).  Returns the appended history entry.
         """
         metrics = result.metrics if result is not None else None
         facts = metrics.to_dict() if metrics is not None else None
         with self._lock:
             entry = self._build_entry(sql, kind, mode, status, result, facts,
                                       error, cores, wall_seconds, plan_rows,
-                                      query_id)
+                                      events.query_id)
             self.history.append(entry)
             self._statements.inc(kind=kind)
             if kind in ("select", "explain"):
@@ -760,12 +759,11 @@ class Telemetry:
                      cores, wall_seconds, plan_rows, query_id) -> dict:
         """The history entry of one statement — a pure function of its
         arguments (``facts`` is ``result.metrics.to_dict()``, or None
-        with no result) and the history's next id."""
+        with no result)."""
         metrics = result.metrics if result is not None else None
         trace = result.trace if result is not None else None
         entry = {
-            "id": (int(query_id) if query_id
-                   else self.history.total_recorded + 1),
+            "id": int(query_id),
             "sql": sql.strip(),
             "kind": kind,
             "mode": mode,
@@ -1003,8 +1001,9 @@ def sessions_rows(db) -> list:
 
 
 def register_sys_tables(db) -> None:
-    """Register every ``sys.*`` virtual table on a database's catalog
-    and cluster, backed by its :class:`Telemetry` instance.
+    """Register every ``sys.*`` virtual table with a database's catalog
+    (one entry each in the cluster's registry of relations), backed by
+    its :class:`Telemetry` instance.
 
     The cluster holds the providers and the database holds the cluster,
     so a provider that reads the database holds it weakly: a closed and
@@ -1025,8 +1024,4 @@ def register_sys_tables(db) -> None:
         "sys.sessions": lambda: sessions_rows(db),
     }
     for name, fields in SYS_TABLES.items():
-        db.catalog.register_virtual_table(name, fields)
-        db.cluster.register_virtual_dataset(
-            name, Schema(field_name for field_name, _ in fields),
-            providers[name],
-        )
+        db.catalog.register_virtual_table(name, fields, providers[name])

@@ -71,9 +71,9 @@ def bind_select(stmt: SelectStatement, catalog, functions,
     for table in stmt.tables:
         if table.alias in aliases:
             raise PlanError(f"duplicate alias in FROM: {table.alias}")
-        dataset = catalog.dataset_info(table.dataset)
+        relation = catalog.dataset_info(table.dataset)
         aliases[table.alias] = table.dataset
-        alias_fields[table.alias] = dataset.field_names
+        alias_fields[table.alias] = relation.schema.fields
 
     binder = _ExprBinder(aliases, alias_fields, functions, joins)
 

@@ -3,14 +3,16 @@
 ``save_database`` writes a directory layout::
 
     <path>/catalog.json          types, datasets, joins, cluster config
-    <path>/data/<dataset>.bin    length-prefixed serialized records,
-                                 one stream per dataset (partition
-                                 boundaries recorded in the catalog)
+    <path>/data/<dataset>.bin    one length-prefixed record frame per
+                                 record, one stream per dataset
+                                 (partition boundaries recorded in the
+                                 catalog)
 
-Records are encoded with the same binary format the exchange operators
-use (:mod:`repro.serde.serializer`), so persistence doubles as an
-end-to-end serde exercise: everything that can be stored can cross the
-simulated network, and vice versa.
+A record is stored as the same frame a spill file and a worker pipe
+carry (:func:`~repro.engine.resources.encode_frame` behind
+:func:`~repro.engine.resources.write_frame`), so persistence doubles as
+an end-to-end serde exercise: everything that can be stored can cross
+the simulated network, and vice versa.
 
 Join libraries are saved by *reference* (class path + defaults) — code is
 not serialized; loading re-imports the classes, exactly like AsterixDB
@@ -25,12 +27,16 @@ from pathlib import Path
 
 from repro.core.library import load_join_class
 from repro.database import Database
-from repro.engine.record import Record, Schema
+from repro.engine.record import Record
+from repro.engine.resources import (
+    decode_frame,
+    encode_frame,
+    read_frame,
+    write_frame,
+)
 from repro.errors import ReproError, SerdeError
-from repro.serde.serializer import deserialize_value, serialize_value
 
 _MAGIC = b"FUDJDB1\n"
-_U32 = struct.Struct(">I")
 
 
 class StorageError(ReproError):
@@ -49,28 +55,23 @@ def save_database(db: Database, path) -> None:
 
     datasets = {}
     for name in db.catalog.dataset_names():
-        info = db.catalog.dataset_info(name)
-        dataset = db.cluster.dataset(name)
-        partition_sizes = [len(p) for p in dataset.partitions]
+        dataset = db.catalog.dataset_info(name)
         datasets[name] = {
-            "type": info.type_name,
-            "primary_key": info.primary_key,
-            "partition_sizes": partition_sizes,
+            "type": dataset.type_name,
+            "primary_key": dataset.primary_key,
+            "partition_sizes": [len(p) for p in dataset.partitions],
         }
         _write_records(root / "data" / f"{name}.bin", dataset)
 
     types = {
         type_name: list(db.catalog.type_info(type_name).fields)
-        for type_name in sorted(
-            {info["type"] for info in datasets.values()}
-            | set(_all_type_names(db))
-        )
+        for type_name in db.catalog.type_names()
     }
 
     joins = []
     for join_name in db.joins.names():
-        signature = db.joins.signature(join_name)
-        entry = db.joins._entries[join_name]
+        entry = db.joins.entry(join_name)
+        signature = entry.signature
         class_path = signature.class_path
         if not class_path and entry.join_class is not None:
             cls = entry.join_class
@@ -119,8 +120,8 @@ def load_database(path) -> Database:
     for type_name, fields in catalog["types"].items():
         db.create_type(type_name, [tuple(field) for field in fields])
     for name, meta in catalog["datasets"].items():
-        db.create_dataset(name, meta["type"], meta["primary_key"])
-        _read_records(root / "data" / f"{name}.bin", db.cluster.dataset(name),
+        dataset = db.create_dataset(name, meta["type"], meta["primary_key"])
+        _read_records(root / "data" / f"{name}.bin", dataset,
                       meta["partition_sizes"])
     for join in catalog["joins"]:
         join_class = load_join_class(join["class_path"])
@@ -132,20 +133,16 @@ def load_database(path) -> Database:
     return db
 
 
-def _all_type_names(db: Database):
-    return list(db.catalog._types)
-
-
 def _write_records(path: Path, dataset) -> None:
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        for partition in dataset.partitions:
-            for record in partition:
-                buf = bytearray()
-                for value in record.values:
-                    serialize_value(value, buf)
-                handle.write(_U32.pack(len(buf)))
-                handle.write(buf)
+    data = bytearray(_MAGIC)
+    for record in dataset.scan():
+        payload = encode_frame(record.values)
+        if payload is None:
+            raise StorageError(
+                f"{dataset.name}: a record holds a value that cannot be "
+                f"serialized")
+        write_frame(data, payload)
+    path.write_bytes(data)
 
 
 def _read_records(path: Path, dataset, partition_sizes) -> None:
@@ -154,34 +151,26 @@ def _read_records(path: Path, dataset, partition_sizes) -> None:
     data = path.read_bytes()
     if not data.startswith(_MAGIC):
         raise StorageError(f"bad magic in {path}")
-    offset = len(_MAGIC)
-    schema: Schema = dataset.schema
-    arity = len(schema)
     if len(partition_sizes) != dataset.num_partitions:
         raise StorageError(
             f"{path}: saved with {len(partition_sizes)} partitions, "
             f"cluster has {dataset.num_partitions}"
         )
-    for partition_index, size in enumerate(partition_sizes):
+    schema = dataset.schema
+    arity = len(schema)
+    offset = len(_MAGIC)
+    for partition, size in zip(dataset.partitions, partition_sizes):
         for _ in range(size):
-            if offset + 4 > len(data):
-                raise StorageError(f"truncated data file: {path}")
-            (length,) = _U32.unpack_from(data, offset)
-            offset += 4
-            end = offset + length
-            if end > len(data):
-                raise StorageError(f"truncated record in {path}")
-            values = []
-            cursor = offset
             try:
-                for _ in range(arity):
-                    value, cursor = deserialize_value(data, cursor)
-                    values.append(value)
-            except SerdeError as exc:
+                payload, offset = read_frame(data, offset)
+                values = decode_frame(payload, 0)[1]
+            except (SerdeError, struct.error, ValueError) as exc:
+                # A payload cut short inside a value raises struct.error
+                # (or a UnicodeDecodeError, a ValueError) from the serde
+                # layer.
                 raise StorageError(f"corrupt record in {path}: {exc}") from exc
-            if cursor != end:
+            if len(values) != arity:
                 raise StorageError(f"record length mismatch in {path}")
-            dataset.partitions[partition_index].append(Record(schema, values))
-            offset = end
+            partition.append(Record(schema, values))
     if offset != len(data):
         raise StorageError(f"trailing bytes in {path}")

@@ -112,7 +112,7 @@ class TestSimulatedSeconds:
 
     def test_summary_keys(self):
         metrics = QueryMetrics()
-        summary = metrics.summary()
+        summary = metrics.to_dict()
         for key in ("wall_seconds", "cpu_units", "network_bytes",
                     "comparisons", "output_records", "stages"):
             assert key in summary

@@ -557,8 +557,9 @@ def _plan(case: dict) -> PhysicalOperator:
     mode = "fudj"
     if case["mode"] == "baseline":
         mode, sql = baseline_mode, baseline_sql
-    return _planning_database(case["shape"])._plan_select(
+    plan, _ = _planning_database(case["shape"])._plan_select(
         parse_statement(sql), ExecutionMode(mode), None)
+    return plan
 
 
 def _kernel(op: FudjJoin) -> str:

@@ -1,12 +1,19 @@
 """Tests for database persistence (save/load)."""
 
+import hashlib
 import json
+import struct
 
 import pytest
 
 from repro.bench import SPATIAL_SQL, spatial_database
 from repro.database import Database
+from repro.serde.serializer import serialize_value
+from repro.serde.values import box
 from repro.storage import StorageError, load_database, save_database
+
+_U32 = struct.Struct(">I")
+_MAGIC = b"FUDJDB1\n"
 
 
 @pytest.fixture()
@@ -71,6 +78,18 @@ class TestRoundTrip:
         loaded = load_database(tmp_path / "d")
         assert len(loaded.cluster.dataset("D")) == 0
 
+    def test_bytes_are_pinned(self, saved):
+        # The on-disk layout of one seeded database, file by file: a change
+        # to how records are framed or the catalog is written shows here.
+        _, path = saved
+        digests = {
+            file.relative_to(path).as_posix():
+                hashlib.sha256(file.read_bytes()).hexdigest()
+            for file in [path / "catalog.json",
+                         *sorted((path / "data").glob("*.bin"))]
+        }
+        assert digests == PINNED_DIGESTS
+
     def test_resave_overwrites(self, saved):
         from repro.geometry import Point
 
@@ -123,3 +142,49 @@ class TestCorruption:
         data_file.write_bytes(data_file.read_bytes()[:-10])
         with pytest.raises(StorageError):
             load_database(path)
+
+    def test_record_length_mismatch(self, saved):
+        # The first record's frame holds one value more than its type has.
+        _, path = saved
+        data_file = path / "data" / "Parks.bin"
+        data = data_file.read_bytes()
+        (length,) = _U32.unpack_from(data, len(_MAGIC))
+        start = len(_MAGIC) + _U32.size
+        extra = bytearray()
+        serialize_value(box(7), extra)
+        data_file.write_bytes(
+            _MAGIC + _U32.pack(length + len(extra))
+            + data[start:start + length] + bytes(extra)
+            + data[start + length:])
+        with pytest.raises(StorageError, match="record length mismatch"):
+            load_database(path)
+
+    def test_record_shorter_than_its_values(self, saved):
+        # The first record's length prefix ends one byte inside its last
+        # value.
+        _, path = saved
+        data_file = path / "data" / "Parks.bin"
+        data = bytearray(data_file.read_bytes())
+        (length,) = _U32.unpack_from(data, len(_MAGIC))
+        _U32.pack_into(data, len(_MAGIC), length - 1)
+        data_file.write_bytes(bytes(data))
+        with pytest.raises(StorageError):
+            load_database(path)
+
+    def test_trailing_bytes(self, saved):
+        _, path = saved
+        data_file = path / "data" / "Parks.bin"
+        data_file.write_bytes(data_file.read_bytes() + b"\x00")
+        with pytest.raises(StorageError, match="trailing bytes"):
+            load_database(path)
+
+
+#: SHA-256 of each file ``save_database`` writes for the ``saved`` fixture.
+PINNED_DIGESTS = {
+    "catalog.json":
+        "804ca58f7e55937af62704da96e9d6dd4acacc17922fb2881b2603e837c48e82",
+    "data/Parks.bin":
+        "c379c234502f7b72d22e75afa69667aa833de573182abfa2aa6089d716436a16",
+    "data/Wildfires.bin":
+        "448e690aba41e57ed4e107ba4d02af2dd1259fbf938fbbb327408715235e87db",
+}
