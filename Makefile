@@ -49,8 +49,8 @@ perf-quick:       ## wall-clock benchmark smoke: tiny inputs, < 30 s (perf/READM
 perf:             ## wall-clock benchmark, all four workloads, ~3.5 min
 	$(PYTHON) perf/run.py
 
-perf-ab:          ## parent-vs-change pairs: make perf-ab BASE=<ref> [PAIRS=10] [WORKLOADS=a,b]
-	$(PYTHON) tools/perf_ab.py $(BASE) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(WORKLOADS),--workloads $(WORKLOADS))
+perf-ab:          ## parent-vs-change pairs: make perf-ab BASE=<ref> [PAIRS=10] [WORKLOADS=a,b] [SEED=101] [TRACED=1]
+	$(PYTHON) tools/perf_ab.py $(BASE) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(SEED),--seed $(SEED)) $(if $(TRACED),--traced-pairs $(TRACED))
 
 bench:            ## full run: timings + shape assertions + results/*.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -38,8 +38,7 @@ class EpsilonDistanceJoin(FlexibleJoin):
         self.eps = float(eps)
 
     def local_aggregate(self, point, summary, side):
-        mbr = point.mbr()
-        return mbr if summary is None else summary.union(mbr)
+        return point.mbr() if summary is None else summary.cover(point)
 
     def global_aggregate(self, s1, s2, side):
         if s1 is None or s2 is None:

@@ -61,8 +61,9 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
         for worker, partition in enumerate(result.partitions):
             local = None
             for record in partition:
-                box = mbr_of(key_fn(record))
-                local = box if local is None else local.union(box)
+                geometry = key_fn(record)
+                local = (mbr_of(geometry) if local is None
+                         else local.cover(geometry))
             stage.charge(worker, len(partition) * model.record_touch)
             if local is not None:
                 side_mbr = local if side_mbr is None else side_mbr.union(local)

@@ -16,9 +16,10 @@ replication, :func:`replicate_exchange`; an exchange is a choice of
 
 :func:`hash_exchange`, :func:`random_exchange` and
 :func:`broadcast_exchange` are those choices for records; the FUDJ
-operator makes its own for PARTITION's entries.  Items are serialized for
-real (unless the context's ``measure_bytes`` speed knob is off, in which
-case sizes are extrapolated from a per-partition sample).
+operator makes its own for PARTITION's entries.  Every item's size is
+counted from the wire format, equal to its serialized length, without
+serializing it (unless the context's ``measure_bytes`` speed knob is off,
+in which case sizes are extrapolated from a per-partition sample).
 
 Exchanges are also the engine's recovery boundary: with a fault plan
 active, each worker's send is retried through injected transient link

@@ -8,8 +8,8 @@ so expressions can reference either side unambiguously.
 
 from __future__ import annotations
 
-from repro.errors import ExecutionError, SerdeError
-from repro.serde.serializer import serialize_value
+from repro.errors import ExecutionError
+from repro.serde.serializer import encoded_size
 from repro.serde.values import AValue, box, unbox
 
 
@@ -147,7 +147,8 @@ def row_function(fn, schema: Schema):
 
 
 def serialized_values_size(values) -> int:
-    """Wire size of one row's values in bytes.
+    """Wire size of one row's values in bytes, counted from the format
+    (:func:`~repro.serde.serializer.encoded_size`), not serialized.
 
     Shared by :meth:`Record.serialized_size` and the batched execution
     path (which sizes raw value tuples), so row and batch byte
@@ -156,11 +157,4 @@ def serialized_values_size(values) -> int:
     they are counted as a fixed 16-byte blob, which only affects the
     simulated network charge of the (small) partial-state shuffles.
     """
-    buf = bytearray()
-    opaque = 0
-    for value in values:
-        try:
-            serialize_value(value, buf)
-        except SerdeError:
-            opaque += 1
-    return len(buf) + 16 * opaque
+    return sum(map(encoded_size, values))

@@ -2,14 +2,17 @@
 
 The grid logically divides a bounding rectangle into ``n x n`` equal tiles
 numbered row-major from 0.  The Spatial FUDJ ``assign`` function maps each
-record's MBR to the ids of all overlapping tiles (multi-assign).
+record's MBR to the ids of all overlapping tiles (multi-assign);
+:meth:`UniformGrid.tile_ids_of` does that for a geometry without building
+a point's MBR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geometry.rectangle import Rectangle
+from repro.geometry.point import Point
+from repro.geometry.rectangle import Rectangle, mbr_of
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,14 @@ class UniformGrid:
             for row in range(r1, r2 + 1)
             for col in range(c1, c2 + 1)
         ]
+
+    def tile_ids_of(self, geometry) -> list:
+        """``overlapping_tile_ids(mbr_of(geometry))``; a :class:`Point`'s
+        one tile is read off its coordinates, with no MBR built."""
+        if type(geometry) is Point:
+            return [self.row_of(geometry.y) * self.n
+                    + self.column_of(geometry.x)]
+        return self.overlapping_tile_ids(mbr_of(geometry))
 
     def reference_tile_id(self, mbr1: Rectangle, mbr2: Rectangle) -> int:
         """Tile containing the *reference point* of an MBR pair.

@@ -12,24 +12,9 @@ import math
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon, _segments_intersect
-from repro.geometry.rectangle import Rectangle
+from repro.geometry.rectangle import Rectangle, mbr_of
 
 Geometry = object  # Point | Rectangle | Polygon
-
-
-def mbr_of(geom) -> Rectangle:
-    """Minimum bounding rectangle of any supported geometry.
-
-    Anything exposing an ``mbr()`` method qualifies (trajectories and
-    user-defined shapes included), so grid partitioning works for every
-    spatially-extended type.
-    """
-    mbr = getattr(geom, "mbr", None)
-    if callable(mbr):
-        box = mbr()
-        if isinstance(box, Rectangle):
-            return box
-    raise TypeError(f"not a geometry: {geom!r}")
 
 
 def intersects(a, b) -> bool:

@@ -84,6 +84,25 @@ class Rectangle:
             max(self.y2, other.y2),
         )
 
+    def cover(self, geometry) -> "Rectangle":
+        """``self.union(mbr_of(geometry))``, building nothing it can skip.
+
+        A :class:`Point` is bounded from its coordinates (an exact
+        ``Point``: a subclass may define its own ``mbr()``), and ``self``
+        is returned as it is when it already covers the geometry, so
+        folding a side's keys into its MBR allocates only when it grows.
+        """
+        if type(geometry) is Point:
+            x1 = x2 = geometry.x
+            y1 = y2 = geometry.y
+        else:
+            box = mbr_of(geometry)
+            x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+        if x1 < self.x1 or y1 < self.y1 or x2 > self.x2 or y2 > self.y2:
+            return Rectangle(min(self.x1, x1), min(self.y1, y1),
+                             max(self.x2, x2), max(self.y2, y2))
+        return self
+
     def intersection(self, other: "Rectangle") -> "Rectangle | None":
         """The overlap region, or ``None`` when the rectangles are disjoint."""
         if not self.intersects(other):
@@ -121,3 +140,18 @@ class Rectangle:
             x2 = max(x2, p.x)
             y2 = max(y2, p.y)
         return Rectangle(x1, y1, x2, y2)
+
+
+def mbr_of(geom) -> Rectangle:
+    """Minimum bounding rectangle of any supported geometry.
+
+    Anything exposing an ``mbr()`` method qualifies (trajectories and
+    user-defined shapes included), so grid partitioning works for every
+    spatially-extended type.
+    """
+    mbr = getattr(geom, "mbr", None)
+    if callable(mbr):
+        box = mbr()
+        if isinstance(box, Rectangle):
+            return box
+    raise TypeError(f"not a geometry: {geom!r}")

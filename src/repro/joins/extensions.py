@@ -66,10 +66,9 @@ class AutoTuneSpatialJoin(SpatialContainsJoin):
         self.n = None  # chosen by divide
 
     def local_aggregate(self, geometry, summary, side: JoinSide):
-        box = mbr_of(geometry)
         if summary is None:
-            return (box, 1)
-        return (summary[0].union(box), summary[1] + 1)
+            return (mbr_of(geometry), 1)
+        return (summary[0].cover(geometry), summary[1] + 1)
 
     def global_aggregate(self, summary1, summary2, side: JoinSide):
         if summary1 is None:

@@ -36,8 +36,7 @@ class SpatialJoin(FlexibleJoin):
         self.n = int(n)
 
     def local_aggregate(self, geometry, summary, side: JoinSide):
-        box = mbr_of(geometry)
-        return box if summary is None else summary.union(box)
+        return mbr_of(geometry) if summary is None else summary.cover(geometry)
 
     def global_aggregate(self, summary1, summary2, side: JoinSide):
         if summary1 is None:
@@ -57,7 +56,7 @@ class SpatialJoin(FlexibleJoin):
     def assign(self, geometry, pplan: SpatialPPlan, side: JoinSide):
         if pplan.grid is None:
             return []
-        return pplan.grid.overlapping_tile_ids(mbr_of(geometry))
+        return pplan.grid.tile_ids_of(geometry)
 
     def verify(self, geometry1, geometry2, pplan) -> bool:
         return intersects(geometry1, geometry2)

@@ -37,8 +37,9 @@ class TrajectoryProximityJoin(FlexibleJoin):
         self.n = int(n)
 
     def local_aggregate(self, trajectory, summary, side: JoinSide):
-        box = mbr_of(trajectory)
-        return box if summary is None else summary.union(box)
+        if summary is None:
+            return mbr_of(trajectory)
+        return summary.cover(trajectory)
 
     def global_aggregate(self, summary1, summary2, side: JoinSide):
         if summary1 is None:

@@ -5,8 +5,8 @@ FUDJ user code, by contrast, wants plain language values (paper Figure 7).
 This package provides:
 
 - :mod:`repro.serde.values` — the engine's boxed value types,
-- :mod:`repro.serde.serializer` — a compact binary wire format used by the
-  exchange operators (so shuffle byte counts are real),
+- :mod:`repro.serde.serializer` — a compact binary wire format; the
+  exchange operators count shuffle bytes from it,
 - :mod:`repro.serde.translator` — the proxy built-in function translation
   layer that unboxes engine values into plain Python values for the FUDJ
   library and boxes results back.
@@ -25,7 +25,11 @@ from repro.serde.values import (
     box,
     unbox,
 )
-from repro.serde.serializer import deserialize_value, serialize_value, serialized_size
+from repro.serde.serializer import (
+    deserialize_value,
+    encoded_size,
+    serialize_value,
+)
 from repro.serde.translator import Translator
 
 __all__ = [
@@ -42,6 +46,6 @@ __all__ = [
     "unbox",
     "serialize_value",
     "deserialize_value",
-    "serialized_size",
+    "encoded_size",
     "Translator",
 ]

@@ -1,8 +1,10 @@
 """Compact binary wire format for boxed values and records.
 
-The exchange operators serialize every record they move between simulated
-nodes; the byte counts feed the network term of the cost model, so the
-format is a real, round-trippable encoding rather than an estimate.
+Spill files, saved datasets and the process pool's pipes carry records in
+this format.  The exchange operators size every record they move by it:
+:func:`encoded_size` counts a value's bytes from the layout, equal to the
+length :func:`serialize_value` would write, and those counts feed the
+network term of the cost model.
 
 Layout: one type byte followed by a type-specific body.  Variable-length
 bodies carry a 4-byte big-endian length prefix.
@@ -48,6 +50,14 @@ _U32 = struct.Struct(">I")
 _POINT = struct.Struct(">dd")
 _RECT = struct.Struct(">dddd")
 _INTERVAL = struct.Struct(">dd")
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+#: What a value the format cannot encode (an opaque intra-engine value:
+#: a partial aggregate state, a PPlan handle) counts for on the wire.
+_OPAQUE_SIZE = 16
+#: Encoded size of each value type whose size the type alone fixes.
+_FIXED_SIZE = {ANull: 1, ABoolean: 1, ADouble: 1 + 8, AInterval: 1 + 16}
 
 
 def serialize_value(value: AValue, out: bytearray) -> None:
@@ -57,8 +67,13 @@ def serialize_value(value: AValue, out: bytearray) -> None:
     elif isinstance(value, ABoolean):
         out += _TAG_TRUE if value.value else _TAG_FALSE
     elif isinstance(value, AInt64):
+        try:  # packed before the tag, so a refused int writes nothing
+            body = _I64.pack(value.value)
+        except struct.error as exc:  # outside the int64 range
+            raise SerdeError(
+                f"cannot serialize {value.value} as int64: {exc}") from None
         out += _TAG_INT64
-        out += _I64.pack(value.value)
+        out += body
     elif isinstance(value, ADouble):
         out += _TAG_DOUBLE
         out += _F64.pack(value.value)
@@ -100,6 +115,46 @@ def _serialize_geometry(geom, out: bytearray) -> None:
             out += _POINT.pack(v.x, v.y)
     else:
         raise SerdeError(f"cannot serialize geometry of type {type(geom).__name__}")
+
+
+def encoded_size(value) -> int:
+    """Bytes ``value`` adds to a row on the wire, counted from the layout.
+
+    Equal to the length :func:`serialize_value` writes.  A value it
+    cannot encode counts as a 16-byte blob, after whatever bytes were
+    written before it failed (a list holding one).  Only a value whose
+    size its type does not fix (a list, a subclass) is serialized into a
+    scratch buffer to be measured.
+    """
+    kind = type(value)
+    size = _FIXED_SIZE.get(kind)
+    if size is not None:
+        return size
+    if kind is AString:
+        text = value.value
+        return 5 + (len(text) if text.isascii() else len(text.encode("utf-8")))
+    if kind is AInt64:
+        if _INT64_MIN <= value.value <= _INT64_MAX:
+            return 1 + 8
+    elif kind is AGeometry:
+        geom = value.value
+        shape = type(geom)
+        if shape is Point:
+            return 1 + 16
+        if shape is Rectangle:
+            return 1 + 32
+        if shape is Polygon:
+            return 5 + 16 * len(geom.vertices)
+        if shape is Trajectory:
+            return 5 + 16 * len(geom.points)
+    elif not isinstance(value, AValue):
+        return _OPAQUE_SIZE
+    buf = bytearray()
+    try:
+        serialize_value(value, buf)
+    except SerdeError:
+        return len(buf) + _OPAQUE_SIZE
+    return len(buf)
 
 
 def deserialize_value(data, offset: int = 0):
@@ -163,10 +218,3 @@ def deserialize_value(data, offset: int = 0):
             items.append(item)
         return AList(tuple(items)), offset
     raise SerdeError(f"unknown type tag: {tag!r} at offset {offset - 1}")
-
-
-def serialized_size(value: AValue) -> int:
-    """Number of bytes ``value`` occupies on the wire."""
-    buf = bytearray()
-    serialize_value(value, buf)
-    return len(buf)

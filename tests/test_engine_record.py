@@ -94,6 +94,11 @@ class TestRecord:
         r = Record(Schema(["x"]), (Opaque(),))
         assert r.serialized_size() == 16
 
+    def test_serialized_size_of_an_int_outside_int64(self):
+        # The wire format cannot encode it, so it counts as an opaque blob.
+        r = Record.from_dict(self.schema, {"id": 2 ** 70, "name": "x"})
+        assert r.serialized_size() == 16 + 6
+
 
 class TestSizedOnce:
     """``serialized_size`` is computed on the first call and kept; it

@@ -19,12 +19,16 @@ plan makes.
 
 And for a query's stop condition: a timeout used to be a second clock in
 ``ExecutionContext`` beside the cancellation token, and a served
-deadline a third, a watchdog thread that flipped the token; the last
-test holds the deadline to the token.
+deadline a third, a watchdog thread that flipped the token; one test
+holds the deadline to the token.
+
+And for what is built only to measure a row: the last test counts the
+Rectangles a spatial query makes and the values it serializes.
 """
 
 import ast
 import inspect
+import sys
 from collections import Counter
 from contextlib import closing
 from pathlib import Path
@@ -34,6 +38,7 @@ import pytest
 import repro
 from repro import Database
 from repro import server
+from repro.bench import SPATIAL_SQL, spatial_database
 from repro.database import _error_status
 from repro.engine import kernels
 from repro.engine.context import ExecutionContext
@@ -41,6 +46,8 @@ from repro.engine.executor import execute_plan
 from repro.engine.metrics import QueryMetrics
 from repro.engine.record import Record
 from repro.engine.telemetry import STATEMENT_FACTS
+from repro.geometry import Rectangle
+from repro.serde import serializer
 from tests.helpers import BandJoin
 
 ROOT = Path(repro.__file__).parent
@@ -96,9 +103,6 @@ RENAMED_FACTS = ("network_bytes", "translation_conversions",
 ENGINE_CALLERS = {
     "serialize_value": {
         ("engine/resources.py", "encode_frame"),
-        # Sizes a row by serializing it into a scratch buffer; writes no
-        # frame anyone reads back.
-        ("engine/record.py", "serialized_values_size"),
     },
     "deserialize_value": {("engine/resources.py", "decode_frame")},
     # A join key is made once per query, in one function: the key
@@ -340,3 +344,44 @@ def test_the_cancellation_token_is_the_only_stop_condition():
                     if path == "server.py" for name, _ in visitor.calls}
     assert "Timer" not in server_calls
     assert server._error_status is _error_status
+
+
+# -- nothing built per record just to measure it ---------------------------------
+#
+# A spatial key is folded into its side's MBR with ``Rectangle.cover`` and
+# mapped to its tiles with ``UniformGrid.tile_ids_of``; an exchange sizes
+# a row with ``encoded_size``.  At the parent of this test's change the
+# query below built 12,399 Rectangles — ``Point.mbr()`` twice per
+# Wildfires point and one ``union`` per record — and made 4,386
+# ``serialize_value`` calls, sizing each row it moved by serializing it
+# into a scratch buffer.
+
+
+def test_a_spatial_fudj_query_builds_and_serializes_nothing_per_record(
+        monkeypatch):
+    made = Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            made[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    # spatial_partition's shape: 8 partitions, grid 48; no memory budget,
+    # fault plan or save, so no record is framed for a spill, a
+    # checkpoint or a file.
+    with closing(spatial_database(400, 4000)) as db:
+        monkeypatch.setattr(Rectangle, "__init__",
+                            counting("Rectangle", Rectangle.__init__))
+        original = serializer.serialize_value
+        for module in list(sys.modules.values()):
+            if getattr(module, "serialize_value", None) is original:
+                monkeypatch.setattr(module, "serialize_value",
+                                    counting("serialize_value", original))
+        result = db.execute(SPATIAL_SQL, mode="fudj")
+    assert len(result.rows) == 51
+    # What is left is one Rectangle each time a partition's running MBR
+    # grows (233), each partition's first key (8), the merges (14) and
+    # the overlap (1): 2.1 % of the parent's.
+    assert made["serialize_value"] == 0, made
+    assert made["Rectangle"] <= 12_399 * 0.025, made

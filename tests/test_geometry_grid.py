@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Rectangle, UniformGrid
+from repro.geometry import Point, Polygon, Rectangle, UniformGrid, mbr_of
+from repro.trajectory import Trajectory
 
 EXTENT = Rectangle(0.0, 0.0, 10.0, 10.0)
 
@@ -221,3 +222,56 @@ class TestLookupEqualsReference:
         assert a == UniformGrid(EXTENT, 4) and hash(a) == hash(
             UniformGrid(EXTENT, 4))
         assert "tile_width" not in repr(a)
+
+
+# -- tile_ids_of: the tiles of a key, with no MBR built for a point ---------------
+
+
+points = st.builds(Point, coordinates, coordinates)
+
+
+@st.composite
+def shapes(draw):
+    """A key of any spatial type, its coordinates as hostile as boxes'."""
+    kind = draw(st.sampled_from(["point", "rectangle", "polygon",
+                                 "trajectory"]))
+    if kind == "point":
+        return draw(points)
+    if kind == "rectangle":
+        return draw(boxes())
+    if kind == "polygon":
+        return Polygon(draw(st.lists(points, min_size=3, max_size=6)))
+    return Trajectory(draw(st.lists(points, min_size=1, max_size=6)))
+
+
+class TestTileIdsOf:
+    @settings(max_examples=400, deadline=None)
+    @given(grid=grids(), key=shapes())
+    def test_equals_the_tiles_of_the_mbr(self, grid, key):
+        assert grid.tile_ids_of(key) == grid.overlapping_tile_ids(mbr_of(key))
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=grids(), data=st.data())
+    def test_points_on_tile_borders(self, grid, data):
+        col = data.draw(st.integers(0, grid.n))
+        row = data.draw(st.integers(0, grid.n))
+        point = Point(grid.extent.x1 + col * grid.tile_width,
+                      grid.extent.y1 + row * grid.tile_height)
+        assert grid.tile_ids_of(point) == grid.overlapping_tile_ids(
+            point.mbr())
+
+    @pytest.mark.parametrize("point", [
+        Point(-1.0, 11.0), Point(25.0, 5.0), Point(5.0, 5.0),
+        Point(10.0, 10.0), Point(0.0, 0.0), Point(float("nan"), 2.0),
+        Point(float("inf"), float("-inf")),
+    ])
+    @pytest.mark.parametrize("extent", [EXTENT, Rectangle(3.0, 0.0, 3.0, 10.0)])
+    def test_points_inside_outside_and_on_a_zero_width_extent(self, point,
+                                                              extent):
+        grid = UniformGrid(extent, 5)
+        assert grid.tile_ids_of(point) == grid.overlapping_tile_ids(
+            point.mbr())
+
+    def test_a_non_geometry_raises_as_mbr_of_does(self):
+        with pytest.raises(TypeError, match="not a geometry"):
+            UniformGrid(EXTENT, 4).tile_ids_of((1.0, 2.0))

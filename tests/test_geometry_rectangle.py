@@ -1,8 +1,13 @@
 """Unit tests for repro.geometry.rectangle."""
 
-import pytest
+import struct
 
-from repro.geometry import Point, Rectangle
+import pytest
+from hypothesis import given, settings
+
+from repro.geometry import Point, Polygon, Rectangle, mbr_of
+from repro.trajectory import Trajectory
+from tests.test_geometry_grid import boxes, shapes
 
 
 class TestConstruction:
@@ -107,3 +112,42 @@ class TestConstructive:
     def test_from_points_empty_raises(self):
         with pytest.raises(ValueError):
             Rectangle.from_points([])
+
+
+# -- cover: union with a key's MBR, building only what grows ----------------------
+
+
+def bits(rectangle: Rectangle) -> bytes:
+    """The exact bounds, so nan and -0.0 compare as what they are."""
+    return struct.pack(">4d", *rectangle.as_tuple())
+
+
+class TestCover:
+    @settings(max_examples=400, deadline=None)
+    @given(summary=boxes(), key=shapes())
+    def test_equals_the_union_with_the_mbr(self, summary, key):
+        assert bits(summary.cover(key)) == bits(summary.union(mbr_of(key)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(summary=boxes(), key=shapes())
+    def test_returns_itself_when_it_already_covers(self, summary, key):
+        if summary.contains_rectangle(mbr_of(key)):
+            assert summary.cover(key) is summary
+
+    def test_grows_to_a_point_outside(self):
+        r = Rectangle(0.0, 0.0, 2.0, 2.0)
+        assert r.cover(Point(3.0, -1.0)) == Rectangle(0.0, -1.0, 3.0, 2.0)
+        assert r.cover(Point(1.0, 1.0)) is r
+
+    def test_folds_a_side_like_union(self):
+        keys = [Point(1.0, 1.0), Polygon([(0, 0), (4, 0), (2, 3)]),
+                Rectangle(-1.0, 2.0, 0.5, 5.0), Trajectory([(9, 9), (8, 1)])]
+        covered = united = mbr_of(keys[0])
+        for key in keys[1:]:
+            covered = covered.cover(key)
+            united = united.union(mbr_of(key))
+        assert covered == united == Rectangle(-1.0, 0.0, 9.0, 9.0)
+
+    def test_a_non_geometry_raises_as_mbr_of_does(self):
+        with pytest.raises(TypeError, match="not a geometry"):
+            Rectangle(0.0, 0.0, 1.0, 1.0).cover("POINT(1 2)")

@@ -103,6 +103,30 @@ class TestRoundTrip:
         assert len(loaded.cluster.dataset("Wildfires")) == 301
 
 
+class TestUnserializableValues:
+    def test_an_int_outside_int64_raises_a_storage_error(self, tmp_path):
+        # ``load`` does not type-check an int field, so 2**70 is stored;
+        # saving it is where the wire format refuses it.
+        db = Database(num_partitions=2)
+        db.create_type("T", [("id", "int"), ("n", "int")])
+        db.create_dataset("Big", "T", "id")
+        db.load("Big", [{"id": 1, "n": 2 ** 70}])
+        with pytest.raises(StorageError, match="cannot be serialized"):
+            save_database(db, tmp_path / "db")
+
+    def test_a_query_sizes_an_int_outside_int64_as_opaque(self):
+        # Every exchange sizes the rows it moves; the value counts as the
+        # 16-byte blob an unserializable value is, and the query runs.
+        db = Database(num_partitions=2)
+        db.create_type("T", [("id", "int"), ("n", "int")])
+        db.create_dataset("Big", "T", "id")
+        db.load("Big", [{"id": i, "n": 2 ** 70 + i} for i in range(6)])
+        result = db.execute("SELECT a.id, b.n FROM Big a, Big b "
+                            "WHERE a.id = b.id")
+        assert sorted((row["a.id"], row["b.n"]) for row in result.rows) == [
+            (i, 2 ** 70 + i) for i in range(6)]
+
+
 class TestCorruption:
     def test_missing_catalog(self, tmp_path):
         with pytest.raises(StorageError, match="catalog.json"):

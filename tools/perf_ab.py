@@ -3,7 +3,7 @@
 
     python tools/perf_ab.py BASE [--pairs 10] [--workloads A,B]
                                  [--seed 101] [--traced-pairs 1]
-    make perf-ab BASE=<ref> [PAIRS=10] [WORKLOADS=A,B]
+    make perf-ab BASE=<ref> [PAIRS=10] [WORKLOADS=A,B] [SEED=101] [TRACED=1]
 
 Checks ``BASE`` out into a temporary ``git worktree`` and compares it
 with the files of this checkout (committed or not), the way
