@@ -176,8 +176,8 @@ class TestSelfJoinAblation:
                     "WHERE similarity_jaccard(r1.review, r2.review) >= 0.9")
         two_sql = ("SELECT COUNT(1) AS c FROM AmazonReview r1, ReviewClone r2 "
                    "WHERE similarity_jaccard(r1.review, r2.review) >= 0.9")
-        self_run = db.execute(self_sql, mode="fudj", measure_bytes=False)
-        two_run = db.execute(two_sql, mode="fudj", measure_bytes=False)
+        self_run = db.execute(self_sql, mode="fudj")
+        two_run = db.execute(two_sql, mode="fudj")
         assert self_run.rows == two_run.rows
 
         def summarize_units(metrics):

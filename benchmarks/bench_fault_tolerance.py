@@ -174,7 +174,7 @@ class TestDegradedModePolicies:
         rows = []
         with pytest.raises(FudjCallbackError):
             db = make_db()
-            db.execute(SPATIAL_SQL, mode="fudj", measure_bytes=False)
+            db.execute(SPATIAL_SQL, mode="fudj")
         rows.append(["fail", "aborted", "-", "-"])
 
         for policy in ("skip", "quarantine"):

@@ -34,9 +34,9 @@ class TestFig12aAvoidanceVsElimination:
         for size in self.SIZES:
             db = text_database(size, partitions=8, seed=size)
             avoid = run_query(db, sql, "fudj", dedup="avoidance",
-                              cores=(CORES,), measure_bytes=True)
+                              cores=(CORES,))
             elim = run_query(db, sql, "fudj", dedup="elimination",
-                             cores=(CORES,), measure_bytes=True)
+                             cores=(CORES,))
             assert avoid["result"].rows == elim["result"].rows
             ratio = elim[f"sim_{CORES}c"] / avoid[f"sim_{CORES}c"]
             ratios.append(ratio)

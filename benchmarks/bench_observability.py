@@ -44,8 +44,7 @@ WORKLOADS = (
 
 
 def run(make_db, sql, trace):
-    return make_db().execute(sql, mode="fudj", measure_bytes=False,
-                             trace=trace)
+    return make_db().execute(sql, mode="fudj", trace=trace)
 
 
 class TestTracingOverhead:
@@ -155,8 +154,7 @@ def main(argv=None) -> int:
         # the whole run (sys.* tables keep pointing at each db's own
         # telemetry; only recording is redirected).
         db.telemetry = hub
-        result = db.execute(sql, mode="fudj", measure_bytes=False,
-                            trace=True)
+        result = db.execute(sql, mode="fudj", trace=True)
         print(f"{name}: {len(result.rows)} rows, "
               f"{result.metrics.total_cpu_units():.0f} units, "
               f"{result.metrics.simulated_seconds(CORES) * 1000:.2f} "

@@ -36,8 +36,7 @@ print("\nDuplicate handling at t=0.8 (paper Fig 12a):")
 sql = TEXT_SQL.format(threshold=0.8)
 strategy_rows = []
 for dedup in ("avoidance", "elimination"):
-    row = run_query(db, sql, "fudj", dedup=dedup, cores=(12,),
-                    measure_bytes=True)
+    row = run_query(db, sql, "fudj", dedup=dedup, cores=(12,))
     strategy_rows.append([
         dedup, row["sim_12c"], row["network_bytes"], row["result"].rows[0]["c"],
     ])

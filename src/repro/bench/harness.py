@@ -9,8 +9,7 @@ from repro.database import Database
 
 
 def run_query(db: Database, sql: str, mode: str, dedup=None,
-              cores=(12,), measure_bytes: bool = False,
-              timeout_seconds: float = None) -> dict:
+              cores=(12,), timeout_seconds: float = None) -> dict:
     """Execute one query and return a flat measurement row.
 
     Args:
@@ -19,8 +18,6 @@ def run_query(db: Database, sql: str, mode: str, dedup=None,
         mode: fudj / builtin / ontop.
         dedup: optional dedup override.
         cores: core counts at which to report simulated time.
-        measure_bytes: exact vs sampled shuffle byte accounting (sampled
-            is the default here — benches sweep many sizes).
         timeout_seconds: when set and the wall-clock exceeds it, the row
             is still returned but flagged ``timed_out`` (the paper stops
             queries at 4000 s and declares the setup non-scalable).
@@ -31,7 +28,7 @@ def run_query(db: Database, sql: str, mode: str, dedup=None,
         ``result_rows``, ``timed_out``.
     """
     started = time.perf_counter()
-    result = db.execute(sql, mode=mode, dedup=dedup, measure_bytes=measure_bytes)
+    result = db.execute(sql, mode=mode, dedup=dedup)
     wall = time.perf_counter() - started
     metrics = result.metrics
     row = {

@@ -244,7 +244,7 @@ class Shell:
                 self.write("faults = off")
             else:
                 try:
-                    self.db.fault_plan = FaultPlan.parse(args[0])
+                    self.db.fault_plan = args[0]
                 except ReproError as exc:
                     self.write(f"error: {exc}")
                 else:

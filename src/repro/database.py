@@ -93,17 +93,14 @@ _DEDUP_STRATEGIES = {
     "none": NoDedup,
 }
 
-#: Sentinel distinguishing "not passed" from an explicit None override.
-_UNSET = object()
-
 
 class Database:
     """A self-contained FUDJ-enabled database instance.
 
     ``fault_plan``, ``on_error``, and ``query_timeout`` set the
-    instance-wide fault-tolerance posture; ``trace`` turns structured
-    span tracing on for every query.  Each can be overridden per query
-    in :meth:`execute`.
+    fault-tolerance posture every statement runs under; assigning one
+    later is checked like the keyword.  ``trace`` turns structured span
+    tracing on for every query (:meth:`execute` can override it).
 
     Resource governance (all off by default):
 
@@ -202,8 +199,8 @@ class Database:
         self.functions = default_function_registry()
         self.joins = JoinRegistry()
         self.builtin_factories = {}
-        self.fault_plan = _to_fault_plan(fault_plan)
-        self.on_error = _check_policy(on_error)
+        self.fault_plan = fault_plan
+        self.on_error = on_error
         self.query_timeout = query_timeout
         self.trace = bool(trace)
         #: Metrics registry + bounded query history; ``history_limit``
@@ -234,14 +231,18 @@ class Database:
         self.telemetry.set_build_info(self.cluster.backend, self._execution)
         register_sys_tables(self)
 
+    def __setattr__(self, name: str, value) -> None:
+        """Assigning a checked setting runs the constructor's check, so a
+        ``SEED:RATE`` spec becomes a :class:`FaultPlan` and a bad value
+        raises :class:`~repro.errors.PlanError` before any statement."""
+        check = _SETTING_CHECKS.get(name)
+        super().__setattr__(name, value if check is None else check(value))
+
     # -- SQL entry points -----------------------------------------------------------
 
     def execute(self, sql: str, mode="fudj", dedup=None,
-                measure_bytes: bool = True,
-                summarize_sample: float = 1.0, fault_plan=_UNSET,
-                on_error: str = None,
-                query_timeout: float = _UNSET,
-                trace=_UNSET, optimizer: str = None,
+                summarize_sample: float = 1.0,
+                trace: bool = None, optimizer: str = None,
                 cancel=None, query_id: int = None) -> QueryResult:
         """Parse and run one SQL statement.
 
@@ -252,23 +253,13 @@ class Database:
             dedup: optional duplicate-handling override for FUDJ joins:
                 ``"avoidance"``, ``"elimination"``, ``"none"``, or a
                 :class:`DedupStrategy` instance.
-            measure_bytes: exact (True) vs sampled (False) shuffle byte
-                accounting.
             summarize_sample: run FUDJ SUMMARIZE phases over this fraction
                 of each partition (deterministic every-k-th sampling).
                 Results are unchanged for the shipped joins — summaries
                 steer partitioning quality, ``verify`` decides membership
                 — but summarize cost drops proportionally.
-            fault_plan: per-query override of the instance fault plan — a
-                :class:`~repro.engine.faults.FaultPlan`, a ``SEED:RATE``
-                spec string, or ``None`` to disable injection.
-            on_error: per-query override of the degraded-mode policy for
-                FUDJ callbacks (``fail`` / ``skip`` / ``quarantine``).
-            query_timeout: per-query override of the wall-clock budget in
-                seconds (``None`` disables it), counted from this call;
-                it becomes a deadline on ``cancel`` (or a fresh token).
-            trace: per-query override of the instance ``trace`` flag;
-                when True the result carries a structured span trace on
+            trace: per-query override of the instance ``trace`` flag
+                (None keeps it); when True the result carries a structured span trace on
                 :attr:`QueryResult.trace`.
             optimizer: per-query override of the instance optimizer
                 (``"rule"`` / ``"cost"``).
@@ -278,21 +269,19 @@ class Database:
                 :class:`~repro.errors.QueryCancelledError` at the next
                 engine checkpoint (status ``"cancelled"``; ``"timeout"``
                 past its deadline), leaving the database reusable.
+                ``CancellationToken(seconds)`` is a one-statement
+                deadline; with ``query_timeout`` the earlier one wins.
             query_id: a history id already reserved via
                 :meth:`Telemetry.next_query_id
                 <repro.engine.telemetry.Telemetry.next_query_id>`, for
                 callers (the session server) that must know the id
                 before execution; None reserves a fresh one.
         """
-        faults = (self.fault_plan if fault_plan is _UNSET
-                  else _to_fault_plan(fault_plan))
-        policy = self.on_error if on_error is None else _check_policy(on_error)
-        timeout = (self.query_timeout if query_timeout is _UNSET
-                   else query_timeout)
+        timeout = self.query_timeout
         if timeout is not None:
             cancel = (CancellationToken(timeout) if cancel is None
                       else cancel.expire_after(timeout))
-        tracing = self.trace if trace is _UNSET else bool(trace)
+        tracing = self.trace if trace is None else bool(trace)
         mode_text = mode.value if isinstance(mode, ExecutionMode) else str(mode)
         started = time.perf_counter()
         kind = "invalid"
@@ -316,15 +305,13 @@ class Database:
                 plan, plan_rows = self._plan_select(
                     statement, _to_mode(mode), _to_dedup(dedup),
                     summarize_sample, optimizer, events)
-                result = self._run_plan(plan, measure_bytes, faults, policy,
-                                        tracing, events, cancel)
+                result = self._run_plan(plan, tracing, events, cancel)
             elif isinstance(statement, ExplainStatement):
                 plan, plan_rows = self._plan_select(
                     statement.select, _to_mode(mode), _to_dedup(dedup),
                     optimizer=optimizer, events=events)
                 result = self._execute_explain(
-                    statement, plan, plan_rows, measure_bytes, faults,
-                    policy, events, cancel)
+                    statement, plan, plan_rows, events, cancel)
             else:
                 result = self._execute_ddl(statement, cancel)
             return result
@@ -554,8 +541,7 @@ class Database:
             pending.extend(node.children())
         return total
 
-    def _run_plan(self, plan, measure_bytes, faults, policy, tracing,
-                  events, cancel=None) -> QueryResult:
+    def _run_plan(self, plan, tracing, events, cancel=None) -> QueryResult:
         """Execute a physical plan under the governance posture: admission
         first (reservation estimated from catalog stats), then the run
         itself — serialized on the engine lock — with a budget-enforcing
@@ -580,8 +566,8 @@ class Database:
         try:
             with self._engine(cancel):
                 return execute_plan(plan, self.cluster,
-                                    measure_bytes=measure_bytes,
-                                    fault_plan=faults, on_error=policy,
+                                    fault_plan=self.fault_plan,
+                                    on_error=self.on_error,
                                     trace=tracing,
                                     resources=resources, breaker=self.breaker,
                                     pool=pool, execution=self._execution,
@@ -715,8 +701,7 @@ class Database:
         return logical
 
     def _execute_explain(self, statement: ExplainStatement, plan, plan_rows,
-                         measure_bytes, fault_plan, on_error: str, events,
-                         cancel=None) -> QueryResult:
+                         events, cancel=None) -> QueryResult:
         """EXPLAIN: plan text (one row per line); ANALYZE adds a
         per-stage profile, the span trace tree, and skew diagnostics
         from a real (traced) execution.  Under the cost optimizer,
@@ -726,8 +711,7 @@ class Database:
         lines = plan.explain().splitlines()
         metrics = QueryMetrics(self.cluster.cost_model)
         if statement.analyze:
-            executed = self._run_plan(plan, measure_bytes, fault_plan,
-                                      on_error, True, events, cancel)
+            executed = self._run_plan(plan, True, events, cancel)
             metrics = executed.metrics
             if plan_rows[0]["optimizer"] == "cost":
                 lines.append("")
@@ -740,7 +724,8 @@ class Database:
             if skew:
                 lines.append("")
                 lines.extend(skew.splitlines())
-            if fault_plan is not None and not metrics.fault_summary_line():
+            if (self.fault_plan is not None
+                    and not metrics.fault_summary_line()):
                 # A fault plan ran but nothing fired — still say so, with
                 # the zeroed counters, so operators can see the knob is on.
                 lines.append(
@@ -918,6 +903,17 @@ def _to_fault_plan(fault_plan) -> FaultPlan:
     )
 
 
+def _check_timeout(query_timeout):
+    if query_timeout is None or (
+            isinstance(query_timeout, (int, float))
+            and not isinstance(query_timeout, bool) and query_timeout > 0):
+        return query_timeout
+    raise PlanError(
+        f"query_timeout must be None or a number of seconds > 0; "
+        f"got {query_timeout!r}"
+    )
+
+
 def _check_backend(backend: str) -> str:
     if backend not in ("serial", "process"):
         raise PlanError(
@@ -999,3 +995,11 @@ def _check_policy(on_error: str) -> str:
             f"unknown error policy {on_error!r}; use fail/skip/quarantine"
         )
     return on_error
+
+
+#: The settings every statement reads, each checked on assignment.
+_SETTING_CHECKS = {
+    "fault_plan": _to_fault_plan,
+    "on_error": _check_policy,
+    "query_timeout": _check_timeout,
+}

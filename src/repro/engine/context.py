@@ -40,9 +40,6 @@ class ExecutionContext:
         metrics: cost accounting sink for this query.
         translator: the FUDJ boundary translator (shared so that the
             per-query conversion count is meaningful).
-        measure_bytes: when False, exchanges estimate record sizes from a
-            sample instead of serializing every record — a speed knob for
-            large benchmark sweeps; accuracy tests keep it True.
         fault_plan: optional :class:`~repro.engine.faults.FaultPlan`;
             when set, per-worker tasks and exchange sends suffer seeded
             crashes/stragglers/transient failures and exchanges
@@ -81,7 +78,7 @@ class ExecutionContext:
     """
 
     def __init__(self, cluster: Cluster, metrics: QueryMetrics = None,
-                 measure_bytes: bool = True, fault_plan: FaultPlan = None,
+                 fault_plan: FaultPlan = None,
                  on_error: str = "fail",
                  trace: bool = False,
                  resources=None,
@@ -106,7 +103,6 @@ class ExecutionContext:
         self.cluster = cluster
         self.metrics = metrics or QueryMetrics(cluster.cost_model)
         self.translator = Translator()
-        self.measure_bytes = measure_bytes
         self.fault_plan = fault_plan
         self.on_error = on_error
         if resources is None:

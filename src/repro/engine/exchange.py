@@ -18,8 +18,7 @@ replication, :func:`replicate_exchange`; an exchange is a choice of
 :func:`broadcast_exchange` are those choices for records; the FUDJ
 operator makes its own for PARTITION's entries.  Every item's size is
 counted from the wire format, equal to its serialized length, without
-serializing it (unless the context's ``measure_bytes`` speed knob is off,
-in which case sizes are extrapolated from a per-partition sample).
+serializing it.
 
 Exchanges are also the engine's recovery boundary: with a fault plan
 active, each worker's send is retried through injected transient link
@@ -46,8 +45,6 @@ from repro.engine.kernels import scatter_batch
 from repro.engine.record import serialized_values_size
 from repro.engine.resources import RecordSpillCodec, RowSpillCodec
 
-_SIZE_SAMPLE = 32
-
 
 #: Wire size of a record — or of anything that sizes itself, which is how
 #: the duplicate-elimination shuffle's tagged rows ride
@@ -61,14 +58,9 @@ def entry_size(entry) -> int:
     return 9 + entry[2].serialized_size()
 
 
-def wire_bytes(items, ctx: ExecutionContext, size_of=record_size) -> int:
-    """Wire size of a list of items, exact or sampled."""
-    if not items:
-        return 0
-    if ctx.measure_bytes or len(items) <= _SIZE_SAMPLE:
-        return sum(map(size_of, items))
-    sample = items[:: max(1, len(items) // _SIZE_SAMPLE)][:_SIZE_SAMPLE]
-    return int(sum(map(size_of, sample)) / len(sample) * len(items))
+def wire_bytes(items, size_of=record_size) -> int:
+    """Wire size of a list of items."""
+    return sum(map(size_of, items))
 
 
 @contextmanager
@@ -86,7 +78,7 @@ def _send(ctx: ExecutionContext, stage, worker: int, moved: list, size_of,
           sent: int) -> None:
     """Account one worker's finished send: the bytes that left it, their
     serialization, and any re-sends over a flaky link."""
-    moved_bytes = wire_bytes(moved, ctx, size_of)
+    moved_bytes = wire_bytes(moved, size_of)
     stage.network_bytes += moved_bytes
     stage.charge(worker, moved_bytes * ctx.cost_model.serde_byte)
     apply_exchange_faults(ctx, stage, worker, moved_bytes)
@@ -159,7 +151,7 @@ def replicate_exchange(inputs, ctx: ExecutionContext, stage_name: str,
     model = ctx.cost_model
     with _exchange_stage(ctx, stage_name) as stage:
         everything = [item for items in inputs for item in items]
-        total_bytes = wire_bytes(everything, ctx, size_of)
+        total_bytes = wire_bytes(everything, size_of)
         stage.fabric_bytes += total_bytes * max(0, num - 1)
         for worker in range(num):
             stage.charge(

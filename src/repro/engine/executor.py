@@ -62,7 +62,7 @@ class QueryResult:
 
 
 def execute_plan(plan: PhysicalOperator, cluster: Cluster,
-                 measure_bytes: bool = True, fault_plan: FaultPlan = None,
+                 fault_plan: FaultPlan = None,
                  on_error: str = "fail",
                  trace: bool = False,
                  resources=None,
@@ -77,7 +77,6 @@ def execute_plan(plan: PhysicalOperator, cluster: Cluster,
     Args:
         plan: the physical plan to run.
         cluster: the simulated cluster holding the datasets.
-        measure_bytes: exact (True) vs sampled shuffle byte accounting.
         fault_plan: optional seeded fault injection + recovery schedule.
         on_error: degraded-mode policy for per-record FUDJ callbacks
             (``fail`` / ``skip`` / ``quarantine``).
@@ -107,7 +106,7 @@ def execute_plan(plan: PhysicalOperator, cluster: Cluster,
             files dropped, pool leases abandoned).
     """
     ctx = ExecutionContext(
-        cluster, measure_bytes=measure_bytes, fault_plan=fault_plan,
+        cluster, fault_plan=fault_plan,
         on_error=on_error, trace=trace,
         resources=resources, breaker=breaker, pool=pool,
         execution=execution, batch_rows=batch_rows, events=events,

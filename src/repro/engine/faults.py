@@ -238,11 +238,11 @@ def charge_checkpoint(ctx, stage, worker: int, num_bytes: float) -> None:
 
 def checkpoint_outputs(ctx, stage, outputs, size_of) -> None:
     """Spool every worker's received partition of an exchange
-    (:func:`charge_checkpoint` each).  ``size_of(partition, ctx)`` is
+    (:func:`charge_checkpoint` each).  ``size_of(partition)`` is
     asked only while checkpointing is on: sizing a partition is the
     expensive part, and without a checkpointing plan the charge is
     dropped anyway."""
     if not ctx.checkpointing:
         return
     for worker, partition in enumerate(outputs):
-        charge_checkpoint(ctx, stage, worker, size_of(partition, ctx))
+        charge_checkpoint(ctx, stage, worker, size_of(partition))

@@ -75,8 +75,7 @@ def scatter_batch(batch: RecordBatch, key_fn, num_partitions: int,
     """Hash-partition one batch's rows into per-target row lists.
 
     ``key_fn`` takes the raw value tuple.  Rows leaving ``worker`` are
-    also appended to ``moved`` (the exchange's network accounting input,
-    in send order — the sampled-size estimator depends on that order).
+    also appended to ``moved`` (the exchange's network accounting input).
     """
     for row in batch.iter_rows():
         target = hash(key_fn(row)) % num_partitions

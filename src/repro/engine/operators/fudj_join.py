@@ -504,7 +504,7 @@ class FudjJoin(PhysicalOperator):
         computed when a fault plan could actually charge it."""
         if ctx.fault_plan is None or not ctx.fault_plan.any_faults():
             return 0.0
-        return float(sum(wire_bytes(entries, ctx, entry_size)
+        return float(sum(wire_bytes(entries, entry_size)
                          for entries in entry_lists))
 
     def _combine(self, kind: str, left_parts: list, right_parts: list,

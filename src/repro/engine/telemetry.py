@@ -112,7 +112,14 @@ class Gauge(Counter):
 
     kind = "gauge"
 
-    __slots__ = ()
+    #: A zero-argument callable an unlabelled gauge renders instead of a
+    #: stored value: a live count has no copy to drift.
+    source = None
+
+    def samples(self):
+        if self.source is not None:
+            return [((), float(self.source()))]
+        return super().samples()
 
     def set(self, value: float, **labels) -> None:
         self._values[_label_key(self.labelnames, labels)] = float(value)
@@ -842,12 +849,12 @@ class Telemetry:
         with self._lock:
             self._admission.inc(outcome=outcome)
 
-    def note_session(self, delta: int) -> None:
-        """Track one session opening (+1) or closing (-1)."""
+    def note_session(self, open_count) -> None:
+        """Count one session opening.  ``fudj_sessions_open`` renders
+        ``open_count()``, the server's live session count, from then on."""
         with self._lock:
-            if delta > 0:
-                self._sessions_total.inc(delta)
-            self._sessions_open.inc(delta)
+            self._sessions_total.inc()
+            self._sessions_open.source = open_count
 
     def note_request(self, op: str, outcome: str) -> None:
         """Count one finished session-server request."""

@@ -476,7 +476,7 @@ class SessionServer:
             telemetry.events.emit("session.shed", reason=reason)
             telemetry.note_request("connect", "shed")
             return
-        telemetry.note_session(+1)
+        telemetry.note_session(self.open_count)
         telemetry.events.emit("session.open", session=session.session_id)
         session.thread.start()
 
@@ -485,7 +485,6 @@ class SessionServer:
             alive = self._sessions.pop(session.session_id, None)
         if alive is not None:
             session.state = "closed"
-            self.db.telemetry.note_session(-1)
             self.db.telemetry.events.emit(
                 "session.close", session=session.session_id,
                 requests=session.requests)
@@ -560,13 +559,16 @@ class SessionServer:
                               key=lambda s: s.session_id)
         return [session.row() for session in sessions]
 
-    def snapshot(self) -> dict:
+    def open_count(self) -> int:
+        """Sessions currently connected."""
         with self._sessions_lock:
-            open_sessions = len(self._sessions)
+            return len(self._sessions)
+
+    def snapshot(self) -> dict:
         return {
             "host": self.host,
             "port": self.port,
-            "open_sessions": open_sessions,
+            "open_sessions": self.open_count(),
             "max_sessions": self.max_sessions,
             "draining": self.draining,
             "inflight": self._inflight_count(),

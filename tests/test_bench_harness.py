@@ -1,16 +1,37 @@
 """Tests for the benchmark harness and LOC counter."""
 
+import re
 from pathlib import Path
 
+import pytest
+
+from repro import FaultPlan
 from repro.bench import (
+    INTERVAL_SQL,
     SPATIAL_SQL,
+    TEXT_SQL,
     count_code_lines,
     format_table,
+    interval_database,
     run_query,
     spatial_database,
     table2_loc,
+    text_database,
 )
 from repro.bench.harness import speedup
+
+PARTITIONS = 2
+
+#: The paper queries on inputs that put well over 32 items per worker
+#: into each data exchange.
+PAPER_QUERIES = {
+    "spatial": (lambda: spatial_database(200, 600, partitions=PARTITIONS,
+                                         grid_n=8, seed=3), SPATIAL_SQL),
+    "interval": (lambda: interval_database(400, partitions=PARTITIONS,
+                                           seed=3), INTERVAL_SQL),
+    "text": (lambda: text_database(300, partitions=PARTITIONS, seed=3),
+             TEXT_SQL.format(threshold=0.8)),
+}
 
 
 class TestRunQuery:
@@ -27,6 +48,43 @@ class TestRunQuery:
         db = spatial_database(30, 120, partitions=2, grid_n=8, seed=1)
         row = run_query(db, SPATIAL_SQL, "ontop", timeout_seconds=0.0)
         assert row["timed_out"]
+
+
+class TestExactShuffleBytes:
+    """The harness reports the bytes a plain ``execute`` counts: every
+    exchange sizes every item, however many it moves."""
+
+    @staticmethod
+    def byte_counts(metrics) -> dict:
+        return {
+            "network_bytes": metrics.total_network_bytes(),
+            "stages": [(re.sub(r"#\d+", "", stage.name),
+                        stage.network_bytes, stage.fabric_bytes)
+                       for stage in metrics.stages],
+            "checkpoint_bytes": metrics.checkpoint_bytes,
+        }
+
+    def check(self, build, sql, fault_plan=None):
+        harnessed, plain = build(), build()
+        harnessed.fault_plan = plain.fault_plan = fault_plan
+        row = run_query(harnessed, sql, "fudj")
+        metrics = plain.execute(sql).metrics
+        # Large enough that a 32-item sample would have been an estimate.
+        assert max(stage.records_in for stage in metrics.stages
+                   if stage.network_bytes) > 32 * PARTITIONS
+        counts = self.byte_counts(row["result"].metrics)
+        assert row["network_bytes"] == counts["network_bytes"]
+        assert counts == self.byte_counts(metrics)
+        return metrics
+
+    @pytest.mark.parametrize("query", sorted(PAPER_QUERIES))
+    def test_paper_query(self, query):
+        self.check(*PAPER_QUERIES[query])
+
+    def test_under_a_checkpointing_fault_plan(self):
+        metrics = self.check(*PAPER_QUERIES["spatial"],
+                             fault_plan=FaultPlan(seed=3, crash_rate=0.3))
+        assert metrics.checkpoint_bytes > 0 and metrics.tasks_retried > 0
 
 
 class TestFormatTable:

@@ -114,9 +114,7 @@ class TestTextWorkload:
 
     def test_elimination_shuffles_more(self, db):
         sql = TEXT_SQL.format(threshold=0.8)
-        avoid = db.execute(sql, mode="fudj", dedup="avoidance",
-                           measure_bytes=True)
-        elim = db.execute(sql, mode="fudj", dedup="elimination",
-                          measure_bytes=True)
+        avoid = db.execute(sql, mode="fudj", dedup="avoidance")
+        elim = db.execute(sql, mode="fudj", dedup="elimination")
         assert elim.metrics.total_network_bytes() >= avoid.metrics.total_network_bytes()
         assert avoid.rows == elim.rows

@@ -62,7 +62,6 @@ class TestExecutionContext:
         ctx = ExecutionContext(cluster)
         assert ctx.num_partitions == 3
         assert ctx.cost_model is cluster.cost_model
-        assert ctx.measure_bytes
 
     def test_finish_folds_translator_counts(self):
         ctx = ExecutionContext(make_cluster())

@@ -72,8 +72,8 @@ class TestPartitionedIntervalJoin:
                                    seed=4)
             db.drop_join("overlapping_interval")
             db.create_join("overlapping_interval", join_class, defaults=(128,))
-            return db.execute(INTERVAL_SQL, mode="fudj",
-                              measure_bytes=False).metrics.simulated_seconds(cores)
+            return db.execute(INTERVAL_SQL, mode="fudj"
+                              ).metrics.simulated_seconds(cores)
 
         broadcast_speedup = time_at(IntervalJoin, 12) / time_at(IntervalJoin, 96)
         partitioned_speedup = (

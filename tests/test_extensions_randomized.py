@@ -64,7 +64,7 @@ def run_join(cluster, join, key_field="iv"):
         lambda rec: unbox(rec[f"l.{key_field}"]),
         lambda rec: unbox(rec[f"r.{key_field}"]),
     )
-    result = execute_plan(op, cluster, measure_bytes=False)
+    result = execute_plan(op, cluster)
     return sorted(
         (row["l.id"], row["r.id"]) for row in result.rows
     )

@@ -295,33 +295,32 @@ class TestDatabaseFacade:
         assert isinstance(db.fault_plan, FaultPlan)
         assert db.execute(self.SQL).metrics.tasks_retried > 0
 
-    def test_per_query_override_disables(self):
+    def test_assigning_none_disables(self):
         db = self._db(fault_plan=FaultPlan(seed=3, crash_rate=0.3))
-        result = db.execute(self.SQL, fault_plan=None)
-        assert result.metrics.tasks_retried == 0
+        db.fault_plan = None
+        assert db.execute(self.SQL).metrics.tasks_retried == 0
 
     def test_results_match_fault_free(self):
         db = self._db()
         clean = db.execute(self.SQL)
-        faulty = db.execute(self.SQL,
-                            fault_plan=FaultPlan(seed=5, crash_rate=0.25,
-                                                 straggler_rate=0.2,
-                                                 exchange_failure_rate=0.2))
+        db.fault_plan = FaultPlan(seed=5, crash_rate=0.25, straggler_rate=0.2,
+                                  exchange_failure_rate=0.2)
+        faulty = db.execute(self.SQL)
         assert row_set(clean) == row_set(faulty)
 
     def test_query_timeout_parameter(self):
         db = self._db(query_timeout=1e-9)
         with pytest.raises(QueryTimeoutError):
             db.execute(self.SQL)
-        # Per-query override lifts the instance default.
-        assert len(db.execute(self.SQL, query_timeout=None)) >= 0
+        db.query_timeout = None
+        assert len(db.execute(self.SQL)) >= 0
         # With a caller's token too, the earlier of the two budgets wins,
         # and a passed deadline does not flip the token's latch.
         for token_budget, query_timeout in ((60.0, 1e-9), (1e-9, 60.0)):
+            db.query_timeout = query_timeout
             token = CancellationToken(token_budget)
             with pytest.raises(QueryTimeoutError) as excinfo:
-                db.execute(self.SQL, query_timeout=query_timeout,
-                           cancel=token)
+                db.execute(self.SQL, cancel=token)
             assert excinfo.value.limit_seconds == 1e-9
             assert not token.cancelled
 
@@ -343,20 +342,41 @@ class TestDatabaseFacade:
         # Serial, so the calls are made (and counted) in this process.
         db = self._db(backend="serial")
         db.create_join("slow_verify", SlowVerify, defaults=(1.0, 4))
+        db.query_timeout = 0.05
         with pytest.raises(QueryTimeoutError):
-            db.execute(self.SQL.replace("band_join", "slow_verify"),
-                       query_timeout=0.05)
+            db.execute(self.SQL.replace("band_join", "slow_verify"))
         # Call n starts 3 (n - 1) ms or more after execute() began.
         assert 0 < len(calls) <= 0.05 / 0.003 + 1, len(calls)
 
     def test_bad_policy_rejected(self):
+        self._assignment_rejected_like_constructor("on_error", "explode")
+
+    def _assignment_rejected_like_constructor(self, name, value):
+        """Assigning ``value`` raises the constructor's PlanError, and
+        the setting keeps its previous value."""
         from repro.errors import PlanError
 
-        with pytest.raises(PlanError):
-            Database(on_error="explode")
+        with pytest.raises(PlanError) as built:
+            Database(**{name: value})
         db = self._db()
-        with pytest.raises(PlanError):
-            db.execute(self.SQL, on_error="explode")
+        before = getattr(db, name)
+        with pytest.raises(PlanError) as assigned:
+            setattr(db, name, value)
+        assert str(assigned.value) == str(built.value)
+        assert getattr(db, name) == before
+
+    def test_assigned_spec_string_becomes_a_fault_plan(self):
+        db = self._db()
+        db.fault_plan = "7:0.05"
+        assert db.fault_plan == FaultPlan.parse("7:0.05")
+        assert len(db.execute(self.SQL)) > 0
+
+    def test_bad_fault_plan_rejected(self):
+        self._assignment_rejected_like_constructor("fault_plan", 7)
+
+    @pytest.mark.parametrize("timeout", ["5", -1, 0, float("nan"), True])
+    def test_bad_query_timeout_rejected(self, timeout):
+        self._assignment_rejected_like_constructor("query_timeout", timeout)
 
     def test_explain_analyze_reports_fault_counters(self):
         db = self._db(fault_plan=FaultPlan(seed=3, crash_rate=0.3))

@@ -236,8 +236,8 @@ CROSS_SQL = ("SELECT a.region, COUNT(1) AS c FROM Parks p JOIN Wildfires w "
              "ON ST_Contains(p.boundary, w.location) CROSS JOIN Agencies a "
              "GROUP BY a.region")
 
-#: name -> (database builder, SQL, the baseline's mode and SQL, execute
-#: options).  The baseline of a join with a hand-written operator is that
+#: name -> (database builder, SQL, the baseline's mode and SQL, database
+#: settings).  The baseline of a join with a hand-written operator is that
 #: operator on the same SQL; of the others, the scalar predicate on top of
 #: a nested loop.
 SHAPES = {
@@ -388,7 +388,7 @@ def observe(case: dict) -> tuple:
     """One run of ``case``: its golden answer, and what the twin
     contract reads beyond it — the trace's total units and the event
     JSONL."""
-    build, sql, baseline, options = SHAPES[case["shape"]]
+    build, sql, baseline, settings = SHAPES[case["shape"]]
     mode = "fudj"
     if case["mode"] == "baseline":
         mode, sql = baseline
@@ -401,12 +401,13 @@ def observe(case: dict) -> tuple:
         db.set_execution("batch" if variant == "batch" else "row")
         if variant == "batch":
             db.batch_rows = BATCH_ROWS
+        db.fault_plan = FAULTS[case["faults"]]
+        for name, value in settings.items():
+            setattr(db, name, value)
         try:
             result = db.execute(
-                sql, mode=mode, dedup=case["dedup"],
-                fault_plan=FAULTS[case["faults"]], trace=case["trace"],
-                optimizer="cost" if variant == "cost" else "rule",
-                **options)
+                sql, mode=mode, dedup=case["dedup"], trace=case["trace"],
+                optimizer="cost" if variant == "cost" else "rule")
         except ReproError as exc:
             # A doomed fault schedule aborts the query; the golden answer
             # is then the error and what was logged up to it.

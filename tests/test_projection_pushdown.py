@@ -64,7 +64,7 @@ class TestPruningShrinksShuffles:
         # The spatial workload carries a `tags` string never referenced by
         # the bench query; pruning must drop it before the shuffle.
         db = spatial_database(100, 800, partitions=4, grid_n=12, seed=4)
-        pruned = db.execute(SPATIAL_SQL, mode="fudj", measure_bytes=True)
+        pruned = db.execute(SPATIAL_SQL, mode="fudj")
         plan = db.explain(SPATIAL_SQL)
         assert "p.tags" not in plan
         # Rough upper bound: shuffled bytes stay below the full dataset

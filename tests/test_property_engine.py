@@ -32,7 +32,7 @@ def distributed_join(left_keys, right_keys, join, partitions):
         Scan("L", "l"), Scan("R", "r"), join,
         lambda rec: unbox(rec["l.k"]), lambda rec: unbox(rec["r.k"]),
     )
-    result = execute_plan(op, cluster, measure_bytes=False)
+    result = execute_plan(op, cluster)
     return sorted((row["l.k"], row["r.k"]) for row in result.rows)
 
 

@@ -21,7 +21,8 @@ def rows_of(db, sql, budget, fault_seed):
     plan = (None if fault_seed is None else
             FaultPlan(seed=fault_seed, crash_rate=0.15, straggler_rate=0.1,
                       exchange_failure_rate=0.1))
-    result = db.execute(sql, fault_plan=plan)
+    db.fault_plan = plan
+    result = db.execute(sql)
     return [tuple(sorted(row.items())) for row in result.rows], result.metrics
 
 

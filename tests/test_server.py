@@ -733,6 +733,23 @@ class TestObservability:
         assert metric_value(db, "fudj_session_requests_total",
                             op="ping", outcome="ok") >= 1.0
 
+    def test_open_gauge_reads_the_live_count_after_a_reset(self, served):
+        db, server = served
+        with connect(server) as client:
+            client.ping()
+            db.telemetry.reset()  # the `.metrics reset` command
+            assert "\nfudj_sessions_open 1\n" in db.metrics_snapshot(
+                "prometheus")
+        wait_until(lambda: not server.sessions_rows(),
+                   message="session closed")
+        assert "\nfudj_sessions_open 0\n" in db.metrics_snapshot(
+            "prometheus")
+
+    def test_a_database_that_never_serves_has_no_open_gauge_sample(self):
+        db = make_db()
+        assert "\nfudj_sessions_open " not in db.metrics_snapshot(
+            "prometheus")
+
 
 # -- determinism: serving never perturbs the canonical stream ------------------
 

@@ -277,8 +277,9 @@ class TestRecording:
 
     def test_timeout_status(self):
         db = make_db()
+        db.query_timeout = 1e-9
         with pytest.raises(QueryTimeoutError):
-            db.execute(JOIN_SQL, query_timeout=1e-9)
+            db.execute(JOIN_SQL)
         entry = db.telemetry.history.entries()[-1]
         assert entry["status"] == "timeout"
         assert entry["error_type"] == "QueryTimeoutError"

@@ -181,10 +181,11 @@ def test_the_poison_bites():
 @pytest.mark.parametrize("plan", sorted(PLANS))
 class TestARaisingMatch:
     def test_fail_names_match(self, plan, partitions, backend):
-        db = database(poisoned(PLANS[plan]), partitions, backend)
+        db = database(poisoned(PLANS[plan]), partitions, backend,
+                      on_error="fail")
         try:
             with pytest.raises(FudjCallbackError) as caught:
-                db.execute(SQL, on_error="fail")
+                db.execute(SQL)
         finally:
             db.close()
         assert caught.value.phase == "match"
@@ -195,9 +196,10 @@ class TestARaisingMatch:
     def test_degraded_policies_drop_the_covered_record_pairs(
             self, plan, partitions, backend, policy):
         expected, covered = nested_loop(plan, partitions, POISON)
-        db = database(poisoned(PLANS[plan]), partitions, backend)
+        db = database(poisoned(PLANS[plan]), partitions, backend,
+                      on_error=policy)
         try:
-            result = db.execute(SQL, on_error=policy)
+            result = db.execute(SQL)
         finally:
             db.close()
         assert sorted(ids(result)) == sorted(expected)
@@ -231,9 +233,10 @@ def test_the_breaker_counts_failing_calls(plan):
     failing = len(covered)
     tripped = {}
     for threshold in (failing, failing + 1):
-        db = database(poisoned(PLANS[plan]), 1, breaker_threshold=threshold)
+        db = database(poisoned(PLANS[plan]), 1, breaker_threshold=threshold,
+                      on_error="skip")
         try:
-            db.execute(SQL, on_error="skip")
+            db.execute(SQL)
             tripped[threshold] = bool(db.breaker.open)
         finally:
             db.close()

@@ -63,12 +63,13 @@ def run_query(build, sql, backend, budget=None, fault_seed=None,
             db.set_memory_budget(budget)
         if backend == "process":
             db.set_backend("process")
-        plan = (None if fault_seed is None else
-                FaultPlan(seed=fault_seed, crash_rate=0.2,
-                          straggler_rate=0.05, real=True))
+        if fault_seed is not None:
+            db.fault_plan = FaultPlan(seed=fault_seed, crash_rate=0.2,
+                                      straggler_rate=0.05, real=True)
+        if on_error is not None:
+            db.on_error = on_error
         try:
-            result = db.execute(sql, fault_plan=plan, on_error=on_error,
-                                trace=trace, dedup=dedup)
+            result = db.execute(sql, trace=trace, dedup=dedup)
         except FudjCallbackError as exc:
             # ``on_error="fail"``: parity means the same message and the
             # same class of original error on either backend.
@@ -184,12 +185,13 @@ class TestRealCrashRecovery:
         plan = FaultPlan(seed=3, crash_rate=0.0, straggler_rate=1.0,
                          real=True)  # every task sleeps: a wide kill window
         serial_db = workloads.interval_database(120)
-        serial_result = serial_db.execute(
-            workloads.INTERVAL_SQL, fault_plan=plan)
+        serial_db.fault_plan = plan
+        serial_result = serial_db.execute(workloads.INTERVAL_SQL)
         serial_rows = [tuple(sorted(r.items())) for r in serial_result.rows]
 
         db = workloads.interval_database(120)
         db.set_backend("process")
+        db.fault_plan = plan
         restarts_before = db.telemetry.registry.counter(
             "fudj_worker_restarts_total").value()
         killed = []
@@ -197,7 +199,7 @@ class TestRealCrashRecovery:
             target=kill_one_busy_worker, args=(db, killed))
         killer.start()
         try:
-            result = db.execute(workloads.INTERVAL_SQL, fault_plan=plan)
+            result = db.execute(workloads.INTERVAL_SQL)
         finally:
             killer.join()
         try:
@@ -226,14 +228,15 @@ class TestRealCrashRecovery:
         plan = FaultPlan(seed=5, crash_rate=0.0, straggler_rate=1.0,
                          real=True)
         serial_db = workloads.interval_database(120)
+        serial_db.fault_plan = plan
         serial_rows = [
             tuple(sorted(r.items()))
-            for r in serial_db.execute(workloads.INTERVAL_SQL,
-                                       fault_plan=plan).rows
+            for r in serial_db.execute(workloads.INTERVAL_SQL).rows
         ]
 
         db = workloads.interval_database(120)
         db.set_backend("process")
+        db.fault_plan = plan
         db.worker_pool = WorkerPool(1, restart_budget=0)
         doomed = db.worker_pool
         killed = []
@@ -241,7 +244,7 @@ class TestRealCrashRecovery:
             target=kill_one_busy_worker, args=(db, killed))
         killer.start()
         try:
-            result = db.execute(workloads.INTERVAL_SQL, fault_plan=plan)
+            result = db.execute(workloads.INTERVAL_SQL)
         finally:
             killer.join()
         try:
@@ -351,10 +354,9 @@ class TestIntrospection:
     def test_worker_restart_columns_in_history(self):
         db = workloads.interval_database(120)
         db.set_backend("process")
+        db.fault_plan = FaultPlan(seed=42, crash_rate=0.2, real=True)
         try:
-            db.execute(workloads.INTERVAL_SQL,
-                       fault_plan=FaultPlan(seed=42, crash_rate=0.2,
-                                            real=True))
+            db.execute(workloads.INTERVAL_SQL)
             row = db.execute(
                 "SELECT q.worker_restarts, q.heartbeat_misses "
                 "FROM sys.queries q WHERE q.status = 'ok'"

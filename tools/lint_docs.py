@@ -10,8 +10,8 @@ Ten checks over ``README.md`` and ``docs/*.md``:
    shell accepts (parsed from ``repro.cli``'s help text) is mentioned
    somewhere in the docs.
 3. **Database kwargs are documented.** Every keyword of the public
-   ``Database(...)`` constructor (via ``inspect.signature``) is
-   mentioned somewhere in the docs.
+   ``Database(...)`` constructor and of ``Database.execute`` (via
+   ``inspect.signature``) is mentioned somewhere in the docs.
 4. **sys tables are documented.** Every virtual table registered in
    ``repro.engine.telemetry.SYS_TABLES`` is mentioned somewhere in the
    docs.
@@ -100,6 +100,13 @@ def database_kwargs() -> set:
 
     params = inspect.signature(Database.__init__).parameters
     return {name for name in params if name != "self"}
+
+
+def execute_options() -> set:
+    from repro.database import Database
+
+    params = inspect.signature(Database.execute).parameters
+    return set(params) - {"self", "sql"}
 
 
 def sys_tables() -> set:
@@ -228,6 +235,7 @@ def main() -> int:
     problems += check_links(files)
     problems += check_mentions(files, shell_dot_commands(), "dot-command")
     problems += check_mentions(files, database_kwargs(), "Database kwarg")
+    problems += check_mentions(files, execute_options(), "execute option")
     problems += check_mentions(files, sys_tables(), "sys table")
     problems += check_mentions(files, cli_flags(), "CLI flag")
     problems += check_execution_modes(files)
@@ -243,6 +251,7 @@ def main() -> int:
     print(f"lint-docs: {len(files)} files clean "
           f"({len(shell_dot_commands())} dot-commands, "
           f"{len(database_kwargs())} Database kwargs, "
+          f"{len(execute_options())} execute options, "
           f"{len(sys_tables())} sys tables, "
           f"{len(cli_flags())} CLI flags, "
           f"{len(execution_modes())} execution modes, "
