@@ -5,9 +5,12 @@ way a DBMS developer would: as dedicated physical operators wired straight
 into the engine, reading engine values natively (no FUDJ translation
 layer) and fusing the summarize/assign/combine phases.  They are the
 "Built-in" series of Figures 9/10/12 and the right-hand column of
-Table II — which is why they are deliberately *not* refactored to share
-code with the FUDJ framework: the paper's productivity claim is precisely
-that each of these takes ~10x more code than its FUDJ twin.
+Table II.  What they share with FUDJ is the engine, as every operator
+does: its exchanges, its task loop with fault recovery and its memory
+accountant, so the two are compared like with like.  What they do not
+share is the FUDJ framework — its callbacks, translator and generic plan
+— since the paper's productivity claim is precisely that each of these
+takes ~10x more code than its FUDJ twin.
 
 ``install_builtin_joins(db)`` registers the operator factories with a
 :class:`~repro.database.Database` so that ``mode="builtin"`` queries use

@@ -4,15 +4,25 @@ OIPJoin as a dedicated engine operator: timeline summary, granule
 bucketing with the smallest-fitting-bucket rule, the theta bucket-matching
 plan (spread one side, broadcast the other — AsterixDB has no partitioned
 theta join, paper §VII-C), and fused verification.  Single-assign, so no
-duplicate handling is needed.
+duplicate handling is needed.  Moving entries, task recovery and memory
+are the engine's, as for any operator.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.engine.context import ExecutionContext
+from repro.engine.exchange import (
+    entry_size,
+    replicate_exchange,
+    restore_bytes,
+    round_robin,
+    route_exchange,
+)
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.resources import EntrySpillCodec
 from repro.errors import ExecutionError
 
 _BITS = 16
@@ -48,20 +58,21 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
     def _side_range(self, result: OperatorResult, key_fn, ctx: ExecutionContext):
         stage = ctx.metrics.stage(f"{self.stage_name}/range")
         model = ctx.cost_model
-        min_start = math.inf
-        max_end = -math.inf
-        seen = False
-        for worker, partition in enumerate(result.partitions):
-            for record in partition:
-                interval = key_fn(record)
-                if interval.start < min_start:
-                    min_start = interval.start
-                if interval.end > max_end:
-                    max_end = interval.end
-                seen = True
+
+        def task(worker, partition):
             stage.charge(worker, len(partition) * model.record_touch)
+            intervals = [key_fn(record) for record in partition]
+            if not intervals:
+                return None
+            return (min(i.start for i in intervals),
+                    max(i.end for i in intervals))
+
+        ranges = [local for local in ctx.run_tasks(stage, task, result.partitions)
+                  if local is not None]
         stage.network_bytes += 32 * max(0, ctx.num_partitions - 1)
-        return (min_start, max_end) if seen else None
+        if not ranges:
+            return None
+        return min(low for low, _ in ranges), max(high for _, high in ranges)
 
     # -- phase 2: bucket assignment -----------------------------------------------
 
@@ -77,17 +88,19 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
                 ctx: ExecutionContext, tag: str) -> list:
         stage = ctx.metrics.stage(f"{self.stage_name}/assign-{tag}")
         model = ctx.cost_model
-        out = []
-        for worker, partition in enumerate(result.partitions):
+
+        def task(worker, partition):
             rows = []
             for record in partition:
                 interval = key_fn(record)
                 rows.append((self._bucket_of(interval, origin, granule),
                              interval, record))
             stage.charge(worker, len(partition) * (model.record_touch + model.hash_op))
-            stage.records_in += len(partition)
-            out.append(rows)
-        return out
+            return rows
+
+        assigned = ctx.run_tasks(stage, task, result.partitions)
+        stage.records_in += len(result)
+        return assigned
 
     # -- phase 3: theta bucket matching ---------------------------------------------
 
@@ -101,56 +114,42 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
         if left_range is None or right_range is None:
             return OperatorResult([[] for _ in range(ctx.num_partitions)], out_schema)
         origin = min(left_range[0], right_range[0])
-        span = max(left_range[1], right_range[1]) - origin
-        granule = span / self.num_buckets if span > 0 else 1.0
+        granule = (max(left_range[1], right_range[1]) - origin) / self.num_buckets
+        if granule <= 0.0:
+            # A degenerate timeline, or a tiny positive span whose granule
+            # underflows to zero, falls back to unit granules.
+            granule = 1.0
 
         left_assigned = self._assign(left, self.left_key, origin, granule, ctx, "left")
         right_assigned = self._assign(right, self.right_key, origin, granule, ctx,
                                       "right")
 
         # Theta plan: spread left round-robin, broadcast right.
-        spread_stage = ctx.metrics.stage(f"{self.stage_name}/spread")
         model = ctx.cost_model
-        left_parts = [[] for _ in range(ctx.num_partitions)]
-        cursor = 0
-        for worker, entries in enumerate(left_assigned):
-            moved_bytes = 0
-            for entry in entries:
-                target = cursor % ctx.num_partitions
-                cursor += 1
-                left_parts[target].append(entry)
-                if target != worker:
-                    moved_bytes += 9 + entry[2].serialized_size()
-                spread_stage.charge(worker, model.record_touch)
-            spread_stage.network_bytes += moved_bytes
-
-        bcast_stage = ctx.metrics.stage(f"{self.stage_name}/broadcast")
-        everything = [entry for entries in right_assigned for entry in entries]
-        total_bytes = sum(9 + e[2].serialized_size() for e in everything)
-        bcast_stage.fabric_bytes += total_bytes * max(0, ctx.num_partitions - 1)
-        for worker in range(ctx.num_partitions):
-            bcast_stage.charge(
-                worker,
-                len(everything) * model.record_touch + total_bytes * model.serde_byte,
-            )
+        left_parts = route_exchange(
+            left_assigned, ctx, f"{self.stage_name}/spread",
+            round_robin(ctx.num_partitions), model.record_touch, entry_size)
+        right_parts = replicate_exchange(
+            right_assigned, ctx, f"{self.stage_name}/broadcast", entry_size)
 
         stage = ctx.metrics.stage(f"{self.stage_name}/join")
-        out = []
-        for worker in range(ctx.num_partitions):
+
+        def task(worker, local, broadcast):
+            # The broadcast copy is resident: the accountant prices it and,
+            # under a memory budget, spills and replays what does not fit.
+            broadcast = ctx.admit(stage, worker, broadcast,
+                                  EntrySpillCodec(self.right_key))
             # No partitioned theta join exists, so bucket matching is a
             # plain NLJ over (bucket_id, record) tuples: each worker scans
             # the whole broadcast side once per local record (paper
             # SVII-C).  Tabling the broadcast is charged per node.
-            stage.charge(
-                worker,
-                (len(left_parts[worker]) + len(everything)) * model.hash_op,
-            )
+            stage.charge(worker, (len(local) + len(broadcast)) * model.hash_op)
             rows = []
             match_checks = 0
             verified = 0
-            for b1, i1, record1 in left_parts[worker]:
+            for b1, i1, record1 in local:
                 s1, e1 = b1 >> _BITS, b1 & _MASK
-                for b2, i2, record2 in everything:
+                for b2, i2, record2 in broadcast:
                     match_checks += 1
                     s2 = b2 >> _BITS
                     if not (s1 <= (b2 & _MASK) and e1 >= s2):
@@ -164,8 +163,11 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
                 match_checks * model.match_op + verified * model.comparison * 2,
             )
             ctx.metrics.comparisons += verified
-            stage.records_out += len(rows)
-            out.append(rows)
+            return rows
+
+        out = ctx.run_tasks(stage, task, left_parts, right_parts,
+                            input_bytes=partial(restore_bytes, ctx))
+        stage.records_out += sum(map(len, out))
         result = OperatorResult(out, out_schema)
         ctx.metrics.output_records = len(result)
         return result

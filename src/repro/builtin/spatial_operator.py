@@ -2,8 +2,9 @@
 
 This is the operator a DBMS developer would write to add PBSM to the
 engine: its own summary pass, grid construction, tile replication,
-bucket-id exchange, per-tile verification, and reference-point duplicate
-avoidance — all fused, no FUDJ framework, no translation layer.  The
+per-tile verification, and reference-point duplicate avoidance — all
+fused, no FUDJ framework, no translation layer.  Moving entries, task
+recovery and memory are the engine's, as for any operator.  The
 :class:`AdvancedSpatialJoinOperator` subclass adds the local plane-sweep
 optimization of paper §VII-F.
 """
@@ -11,9 +12,12 @@ optimization of paper §VII-F.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 
 from repro.engine.context import ExecutionContext
+from repro.engine.exchange import by_bucket, entry_size, restore_bytes, route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.resources import EntrySpillCodec, restore_tails
 from repro.errors import ExecutionError
 from repro.geometry import UniformGrid, contains, intersects, mbr_of, plane_sweep_pairs
 
@@ -57,14 +61,18 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
     def _side_mbr(self, result: OperatorResult, key_fn, ctx: ExecutionContext):
         stage = ctx.metrics.stage(f"{self.stage_name}/mbr")
         model = ctx.cost_model
-        side_mbr = None
-        for worker, partition in enumerate(result.partitions):
+
+        def task(worker, partition):
             local = None
             for record in partition:
                 geometry = key_fn(record)
                 local = (mbr_of(geometry) if local is None
                          else local.cover(geometry))
             stage.charge(worker, len(partition) * model.record_touch)
+            return local
+
+        side_mbr = None
+        for local in ctx.run_tasks(stage, task, result.partitions):
             if local is not None:
                 side_mbr = local if side_mbr is None else side_mbr.union(local)
         stage.network_bytes += 64 * max(0, ctx.num_partitions - 1)
@@ -74,48 +82,28 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
 
     def _replicate(self, result: OperatorResult, key_fn, grid,
                    ctx: ExecutionContext, tag: str) -> list:
-        """Per worker, emit (tile_id, mbr, geometry, record) entries and
+        """Per worker, emit (tile_id, geometry, record, box) entries and
         hash-exchange them on tile id."""
         stage = ctx.metrics.stage(f"{self.stage_name}/tiles-{tag}")
         model = ctx.cost_model
-        assigned = []
-        for worker, partition in enumerate(result.partitions):
+
+        def task(worker, partition):
             rows = []
-            replicas = 0
             for record in partition:
                 geometry = key_fn(record)
                 box = mbr_of(geometry)
-                tile_ids = grid.overlapping_tile_ids(box)
-                replicas += len(tile_ids)
-                for tile_id in tile_ids:
-                    rows.append((tile_id, box, geometry, record))
-            stage.charge(
-                worker,
-                len(partition) * model.record_touch + replicas * model.hash_op,
-            )
-            stage.records_in += len(partition)
-            stage.records_out += len(rows)
-            assigned.append(rows)
-        return self._exchange(assigned, ctx, f"{self.stage_name}/x-{tag}")
+                for tile_id in grid.overlapping_tile_ids(box):
+                    rows.append((tile_id, geometry, record, box))
+            stage.charge(worker, len(partition) * model.record_touch
+                         + len(rows) * model.hash_op)
+            return rows
 
-    @staticmethod
-    def _exchange(assigned: list, ctx: ExecutionContext, stage_name: str) -> list:
-        stage = ctx.metrics.stage(stage_name)
-        model = ctx.cost_model
-        out = [[] for _ in range(ctx.num_partitions)]
-        for worker, entries in enumerate(assigned):
-            moved_bytes = 0
-            for entry in entries:
-                target = hash(entry[0]) % ctx.num_partitions
-                out[target].append(entry)
-                if target != worker:
-                    moved_bytes += 9 + entry[3].serialized_size()
-                stage.charge(worker, model.hash_op)
-            stage.network_bytes += moved_bytes
-            stage.charge(worker, moved_bytes * model.serde_byte)
-            stage.records_in += len(entries)
-        stage.records_out = sum(len(p) for p in out)
-        return out
+        assigned = ctx.run_tasks(stage, task, result.partitions)
+        stage.records_in += len(result)
+        stage.records_out += sum(map(len, assigned))
+        return route_exchange(assigned, ctx, f"{self.stage_name}/x-{tag}",
+                              by_bucket(ctx.num_partitions), model.hash_op,
+                              entry_size)
 
     # -- phase 3: per-tile join -------------------------------------------------------
 
@@ -128,8 +116,8 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
                    out_schema, counter):
         """All-pairs verification within one tile, reference-point dedup."""
         rows = []
-        for _, mbr1, geom1, record1 in left_entries:
-            for _, mbr2, geom2, record2 in right_entries:
+        for _, geom1, record1, mbr1 in left_entries:
+            for _, geom2, record2, mbr2 in right_entries:
                 counter["pairs"] += 1
                 if not mbr1.intersects(mbr2):
                     continue
@@ -161,23 +149,25 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
 
         stage = ctx.metrics.stage(f"{self.stage_name}/join")
         model = ctx.cost_model
-        out = []
-        for worker in range(ctx.num_partitions):
+
+        def task(worker, left_entries, right_entries):
+            # The left side is resident: the accountant prices it and,
+            # under a memory budget, spills and replays what does not fit.
+            build = restore_tails(left_entries, ctx.admit(
+                stage, worker, left_entries, EntrySpillCodec(self.left_key)))
             tiles_left = defaultdict(list)
-            for entry in left_parts[worker]:
+            for entry in build:
                 tiles_left[entry[0]].append(entry)
             tiles_right = defaultdict(list)
-            for entry in right_parts[worker]:
+            for entry in right_entries:
                 tiles_right[entry[0]].append(entry)
             counter = {"pairs": 0, "verified": 0, "hits": 0}
             rows = []
-            for tile_id, left_entries in tiles_left.items():
-                right_entries = tiles_right.get(tile_id)
-                if right_entries:
-                    rows.extend(
-                        self._join_tile(tile_id, left_entries, right_entries,
-                                        grid, out_schema, counter)
-                    )
+            for tile_id, tile_left in tiles_left.items():
+                tile_right = tiles_right.get(tile_id)
+                if tile_right:
+                    rows.extend(self._join_tile(tile_id, tile_left, tile_right,
+                                                grid, out_schema, counter))
             misses = counter["verified"] - counter["hits"]
             stage.charge(
                 worker,
@@ -186,8 +176,11 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
                 + misses * model.predicate_units(model.expensive_predicate, False),
             )
             ctx.metrics.comparisons += counter["pairs"]
-            stage.records_out += len(rows)
-            out.append(rows)
+            return rows
+
+        out = ctx.run_tasks(stage, task, left_parts, right_parts,
+                            input_bytes=partial(restore_bytes, ctx))
+        stage.records_out += sum(map(len, out))
         result = OperatorResult(out, out_schema)
         ctx.metrics.output_records = len(result)
         return result
@@ -211,8 +204,8 @@ class AdvancedSpatialJoinOperator(BuiltinSpatialJoinOperator):
         def count():
             counter["pairs"] += 1
 
-        sweep_left = [(mbr, (mbr, geom, rec)) for _, mbr, geom, rec in left_entries]
-        sweep_right = [(mbr, (mbr, geom, rec)) for _, mbr, geom, rec in right_entries]
+        sweep_left = [(mbr, (mbr, geom, rec)) for _, geom, rec, mbr in left_entries]
+        sweep_right = [(mbr, (mbr, geom, rec)) for _, geom, rec, mbr in right_entries]
         rows = []
         for (mbr1, geom1, record1), (mbr2, geom2, record2) in plane_sweep_pairs(
             sweep_left, sweep_right, counter=count

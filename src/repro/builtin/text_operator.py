@@ -7,16 +7,20 @@ Jaccard verification, and first-common-prefix-token duplicate avoidance.
 It tokenizes each record once and carries the token set alongside it;
 the FUDJ version does the same through ``FlexibleJoin.prepare``, so what
 separates the two is the framework's callbacks and the translation
-layer, not repeated tokenization.
+layer, not repeated tokenization.  Moving entries, task recovery and
+memory are the engine's, as for any operator.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
+from functools import partial
 
 from repro.engine.context import ExecutionContext
+from repro.engine.exchange import by_bucket, entry_size, restore_bytes, route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.resources import EntrySpillCodec
 from repro.errors import ExecutionError
 from repro.text import tokenize
 
@@ -45,21 +49,22 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
 
     # -- phase 1: token frequency summary ------------------------------------------
 
-    def _count_tokens(self, result: OperatorResult, key_fn, counts: dict,
+    def _count_tokens(self, result: OperatorResult, key_fn, counts: Counter,
                       ctx: ExecutionContext, tag: str) -> list:
-        """Count tokens into ``counts`` and return per-partition token-set
-        caches so later phases never re-tokenize."""
+        """Add the side's token counts to ``counts`` and return the
+        per-partition token-set caches so later phases never re-tokenize.
+        A task returns its counts, so a replayed task counts once."""
         stage = ctx.metrics.stage(f"{self.stage_name}/count-{tag}")
         model = ctx.cost_model
-        cached = []
-        for worker, partition in enumerate(result.partitions):
-            rows = []
-            for record in partition:
-                tokens = tokenize(key_fn(record))
-                for token in tokens:
-                    counts[token] = counts.get(token, 0) + 1
-                rows.append((tokens, record))
+
+        def task(worker, partition):
+            rows = [(tokenize(key_fn(record)), record) for record in partition]
             stage.charge(worker, len(partition) * (model.record_touch + model.hash_op))
+            return rows, Counter(token for tokens, _ in rows for token in tokens)
+
+        cached = []
+        for rows, local in ctx.run_tasks(stage, task, result.partitions):
+            counts.update(local)
             cached.append(rows)
         stage.network_bytes += 128 * max(0, ctx.num_partitions - 1)
         return cached
@@ -77,41 +82,27 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
         stage = ctx.metrics.stage(f"{self.stage_name}/prefix-{tag}")
         model = ctx.cost_model
         unknown = len(ranks)
-        assigned = []
-        for worker, rows in enumerate(cached):
+
+        def task(worker, rows):
             out = []
-            replicas = 0
             for tokens, record in rows:
                 if not tokens:
                     out.append((-1, tokens, record))
-                    replicas += 1
                     continue
-                token_ranks = sorted(ranks.get(token, unknown) for token in tokens)
-                prefix = token_ranks[: self._prefix_length(len(token_ranks))]
-                replicas += len(prefix)
-                for rank in prefix:
+                token_ranks = sorted(ranks.get(t, unknown) for t in tokens)
+                for rank in token_ranks[: self._prefix_length(len(token_ranks))]:
                     out.append((rank, tokens, record))
-            stage.charge(
-                worker,
-                len(rows) * model.record_touch + replicas * model.hash_op,
-            )
-            stage.records_in += len(rows)
-            stage.records_out += len(out)
-            assigned.append(out)
+            stage.charge(worker, len(rows) * model.record_touch
+                         + len(out) * model.hash_op)
+            return out
+
+        assigned = ctx.run_tasks(stage, task, cached)
+        stage.records_in += sum(map(len, cached))
+        stage.records_out += sum(map(len, assigned))
         # Hash-exchange on prefix-token rank.
-        xstage = ctx.metrics.stage(f"{self.stage_name}/x-{tag}")
-        parts = [[] for _ in range(ctx.num_partitions)]
-        for worker, entries in enumerate(assigned):
-            moved_bytes = 0
-            for entry in entries:
-                target = hash(entry[0]) % ctx.num_partitions
-                parts[target].append(entry)
-                if target != worker:
-                    moved_bytes += 9 + entry[2].serialized_size()
-                xstage.charge(worker, model.hash_op)
-            xstage.network_bytes += moved_bytes
-            xstage.charge(worker, moved_bytes * model.serde_byte)
-        return parts
+        return route_exchange(assigned, ctx, f"{self.stage_name}/x-{tag}",
+                              by_bucket(ctx.num_partitions), model.hash_op,
+                              entry_size)
 
     # -- phase 3: verification with avoidance ---------------------------------------------
 
@@ -128,7 +119,7 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
         right = self.right.execute(ctx)
         out_schema = left.schema.concat(right.schema)
 
-        counts = {}
+        counts = Counter()
         left_cached = self._count_tokens(left, self.left_key, counts, ctx, "left")
         right_cached = self._count_tokens(right, self.right_key, counts, ctx, "right")
         ordered = sorted(counts.items(), key=lambda item: (item[1], item[0]))
@@ -140,15 +131,19 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
         stage = ctx.metrics.stage(f"{self.stage_name}/join")
         model = ctx.cost_model
         unknown = len(ranks)
-        out = []
-        for worker in range(ctx.num_partitions):
+
+        def task(worker, left_entries, right_entries):
+            # The left side is resident: the accountant prices it and,
+            # under a memory budget, spills and replays what does not fit.
+            build = ctx.admit(stage, worker, left_entries, EntrySpillCodec(
+                lambda record: tokenize(self.left_key(record))))
             buckets = defaultdict(list)
-            for rank, tokens, record in left_parts[worker]:
+            for rank, tokens, record in build:
                 buckets[rank].append((tokens, record))
             rows = []
             verified = 0
             verify_units = 0.0
-            for rank, tokens2, record2 in right_parts[worker]:
+            for rank, tokens2, record2 in right_entries:
                 for tokens1, record1 in buckets.get(rank, ()):
                     verified += 1
                     inter = len(tokens1 & tokens2)
@@ -168,8 +163,11 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
                     rows.append(record1.concat(record2, out_schema))
             stage.charge(worker, verify_units)
             ctx.metrics.comparisons += verified
-            stage.records_out += len(rows)
-            out.append(rows)
+            return rows
+
+        out = ctx.run_tasks(stage, task, left_parts, right_parts,
+                            input_bytes=partial(restore_bytes, ctx))
+        stage.records_out += sum(map(len, out))
         result = OperatorResult(out, out_schema)
         ctx.metrics.output_records = len(result)
         return result

@@ -28,7 +28,7 @@ from collections import defaultdict
 
 from repro.core.dedup import DuplicateAvoidance
 from repro.core.flexible_join import FlexibleJoin, JoinSide
-from repro.engine.resources import EntrySpillCodec
+from repro.engine.resources import EntrySpillCodec, restore_tails
 
 __all__ = ["KERNELS", "CombineSite", "LocalSite"]
 
@@ -76,11 +76,7 @@ class CombineSite:
         accountant.  A spilled entry comes back as the codec's
         ``(bucket_id, key, record)`` in its original's position and takes
         its original's carried assignment and raw key back."""
-        admitted = self._admit(items, side, price)
-        if admitted is items:
-            return items
-        return [new if new is old else new + old[3:]
-                for old, new in zip(items, admitted)]
+        return restore_tails(items, self._admit(items, side, price))
 
     def keeps(self, bucket1: int, assignment1, bucket2: int,
               assignment2) -> bool:

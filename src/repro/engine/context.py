@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from functools import partial
 
 from repro.engine.batch import DEFAULT_BATCH_ROWS, EXECUTION_MODES
 from repro.engine.cluster import Cluster
@@ -267,6 +268,17 @@ class ExecutionContext:
             self.events.emit("fault.straggler", stage=stage.name,
                              worker=worker, extra_units=round(extra, 6))
         return result
+
+    def run_tasks(self, stage, fn, *inputs, input_bytes=None) -> list:
+        """:meth:`run_task` ``fn(worker, *shares)`` on every worker in
+        turn, ``shares`` being the worker's list in each of ``inputs``;
+        a replay restores ``input_bytes(*shares)`` from the checkpoint.
+        Returns the results in worker order."""
+        return [
+            self.run_task(stage, worker, partial(fn, worker, *shares),
+                          0.0 if input_bytes is None else input_bytes(*shares))
+            for worker, shares in enumerate(zip(*inputs))
+        ]
 
     def guard_record(self, join_name: str, phase: str, fn, *args,
                      detail=None):

@@ -3,22 +3,25 @@
 Exchanges are the only operators that move items between workers, so
 this module is the only place that routes an item, charges a send,
 counts network bytes, applies link faults and spools the checkpoint
-copy.  There is one routing routine, :func:`route_exchange`, and one
-replication, :func:`replicate_exchange`; an exchange is a choice of
+copy — with one exception, ``Sort.run``'s gather of the sorted runs to
+worker 0, which counts its bytes by hand.  There is one routing
+routine, :func:`route_exchange`, and one replication,
+:func:`replicate_exchange`; an exchange is a choice of
 
-- *where an item goes* — ``targets_of(item)``: the hash of a key, a
-  round-robin cursor, or (the one multi-target route) the match
-  partitions of a FUDJ bucket;
+- *where an item goes* — ``targets_of(item)``: the hash of a key or of
+  a bucket id, a round-robin cursor, or (the one multi-target route)
+  the match partitions of a FUDJ bucket;
 - *what a delivery costs the sender* — ``hash_op + record_touch``,
   ``record_touch`` or ``hash_op``;
 - *how an item is sized* — a record (or anything with
-  ``serialized_size()``), a raw value row, or a FUDJ entry.
+  ``serialized_size()``), a raw value row, or an entry
+  (:func:`entry_size`).
 
 :func:`hash_exchange`, :func:`random_exchange` and
 :func:`broadcast_exchange` are those choices for records; the FUDJ
-operator makes its own for PARTITION's entries.  Every item's size is
-counted from the wire format, equal to its serialized length, without
-serializing it.
+operator and the built-in joins make their own for their entries.
+Every item's size is counted from the wire format, equal to its
+serialized length, without serializing it.
 
 Exchanges are also the engine's recovery boundary: with a fault plan
 active, each worker's send is retried through injected transient link
@@ -53,8 +56,9 @@ record_size = methodcaller("serialized_size")
 
 
 def entry_size(entry) -> int:
-    """Wire size of a FUDJ entry ``(bucket_id, key, record, ...)``: the
-    record plus 9 bytes for the bucket id (a boxed int64)."""
+    """Wire size of an entry ``(bucket_id, key, record, ...)`` — FUDJ's
+    or a built-in join's: the record plus 9 bytes for the bucket id (a
+    boxed int64)."""
     return 9 + entry[2].serialized_size()
 
 
@@ -168,6 +172,21 @@ def replicate_exchange(inputs, ctx: ExecutionContext, stage_name: str,
         stage.records_out = len(everything) * num
         replicas = [list(everything) for _ in range(num)]
         return _admit_received(ctx, stage, replicas, codec)
+
+
+def by_bucket(num: int):
+    """A ``targets_of`` that sends an entry to the worker its bucket id
+    hashes to."""
+    return lambda entry: (hash(entry[0]) % num,)
+
+
+def restore_bytes(ctx: ExecutionContext, *entry_lists) -> float:
+    """Checkpoint-restore size of a task's exchanged entry lists, only
+    computed when a fault plan could actually charge it."""
+    if ctx.fault_plan is None or not ctx.fault_plan.any_faults():
+        return 0.0
+    return float(sum(wire_bytes(entries, entry_size)
+                     for entries in entry_lists))
 
 
 # -- the record exchanges --------------------------------------------------------

@@ -52,12 +52,13 @@ from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.engine.combine import KERNELS, LocalSite
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import (
+    by_bucket,
     entry_size,
     hash_exchange,
     replicate_exchange,
+    restore_bytes,
     round_robin,
     route_exchange,
-    wire_bytes,
 )
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
 from repro.engine.record import row_function
@@ -270,41 +271,35 @@ class FudjJoin(PhysicalOperator):
         step = max(1, round(1.0 / self.summarize_sample))
         join = self.join
         poll = None if ctx.cancel is None else ctx.cancel.check
-        partials = []
-        for worker, partition in enumerate(result.partitions):
-            keys, _, clean = column[worker]
+
+        def task(worker, sampled, keyed):
+            keys, _, ok = keyed
             if step > 1:
-                partition = partition[::step]
-                keys = keys[::step]
-
-            def task(worker=worker, sampled=partition, keys=keys,
-                     clean=clean):
-                ok = clean
-                if ok:
-                    ok, summary = ctx.guard_batch(
-                        join.name, "local_aggregate", len(keys),
-                        _fold, join.local_aggregate, keys, side, poll,
-                    )
-                if not ok:
-                    # The batch's partial summary is dropped, not
-                    # resumed: a library may have mutated it in place.
-                    summary = None
-                    for key, record in zip(keys, sampled):
-                        ok, folded = ctx.guard_record(
-                            join.name, "local_aggregate", _on_key,
-                            join.local_aggregate, key, summary, side,
-                            detail=record,
-                        )
-                        if ok:
-                            summary = folded
-                stage.charge(
-                    worker, len(sampled) * (model.record_touch + key_cost)
+                sampled, keys = sampled[::step], keys[::step]
+            if ok:
+                ok, summary = ctx.guard_batch(
+                    join.name, "local_aggregate", len(keys),
+                    _fold, join.local_aggregate, keys, side, poll,
                 )
-                return summary
+            if not ok:
+                # The batch's partial summary is dropped, not resumed: a
+                # library may have mutated it in place.
+                summary = None
+                for key, record in zip(keys, sampled):
+                    ok, folded = ctx.guard_record(
+                        join.name, "local_aggregate", _on_key,
+                        join.local_aggregate, key, summary, side,
+                        detail=record,
+                    )
+                    if ok:
+                        summary = folded
+            stage.charge(
+                worker, len(sampled) * (model.record_touch + key_cost)
+            )
+            return summary
 
-            summary = ctx.run_task(stage, worker, task)
-            if summary is not None:
-                partials.append(summary)
+        partials = [summary for summary in ctx.run_tasks(
+            stage, task, result.partitions, column) if summary is not None]
         # Global merge at the coordinator; partial summaries are tiny, so
         # the network charge is one small constant per worker.
         stage.network_bytes += 64 * max(0, len(partials) - 1)
@@ -359,50 +354,46 @@ class FudjJoin(PhysicalOperator):
         key_cost = self._key_cost(ctx)
         join = self.join
         poll = None if ctx.cancel is None else ctx.cancel.check
-        out = []
-        for worker, partition in enumerate(result.partitions):
 
-            def task(worker=worker, partition=partition):
-                keys, raws, ok = column[worker]
-                if ok:
-                    ok, assigned = ctx.guard_batch(
-                        join.name, "assign", len(keys),
-                        _assign_all, join.assign_list, keys, pplan, side,
-                        poll,
-                    )
-                if not ok:
-                    # ``None`` for a record the policy dropped.
-                    assigned = [
-                        ctx.guard_record(
-                            join.name, "assign", _on_key, _checked_assign,
-                            key, join.assign_list, pplan, side,
-                            detail=record,
-                        )[1]
-                        for key, record in zip(keys, partition)
-                    ]
-                rows = []
-                assignments = 0
-                for bucket_ids, key, record, raw in zip(
-                        assigned, keys, partition, raws):
-                    if bucket_ids is None:
-                        continue
-                    assignments += len(bucket_ids)
-                    assignment = (tuple(sorted(bucket_ids))
-                                  if len(bucket_ids) > 1 else None)
-                    for bucket_id in bucket_ids:
-                        rows.append(
-                            (bucket_id, key, record, assignment, raw))
-                stage.charge(
-                    worker,
-                    len(partition) * (model.record_touch + key_cost)
-                    + assignments * model.hash_op,
+        def task(worker, partition, keyed):
+            keys, raws, ok = keyed
+            if ok:
+                ok, assigned = ctx.guard_batch(
+                    join.name, "assign", len(keys),
+                    _assign_all, join.assign_list, keys, pplan, side,
+                    poll,
                 )
-                return rows
+            if not ok:
+                # ``None`` for a record the policy dropped.
+                assigned = [
+                    ctx.guard_record(
+                        join.name, "assign", _on_key, _checked_assign,
+                        key, join.assign_list, pplan, side,
+                        detail=record,
+                    )[1]
+                    for key, record in zip(keys, partition)
+                ]
+            rows = []
+            assignments = 0
+            for bucket_ids, key, record, raw in zip(
+                    assigned, keys, partition, raws):
+                if bucket_ids is None:
+                    continue
+                assignments += len(bucket_ids)
+                assignment = (tuple(sorted(bucket_ids))
+                              if len(bucket_ids) > 1 else None)
+                for bucket_id in bucket_ids:
+                    rows.append((bucket_id, key, record, assignment, raw))
+            stage.charge(
+                worker,
+                len(partition) * (model.record_touch + key_cost)
+                + assignments * model.hash_op,
+            )
+            return rows
 
-            rows = ctx.run_task(stage, worker, task)
-            stage.records_in += len(partition)
-            stage.records_out += len(rows)
-            out.append(rows)
+        out = ctx.run_tasks(stage, task, result.partitions, column)
+        stage.records_in += len(result)
+        stage.records_out += sum(map(len, out))
         return out
 
     # -- phase 3: COMBINE ---------------------------------------------------------
@@ -465,12 +456,8 @@ class FudjJoin(PhysicalOperator):
             if join.uses_default_match():
                 # Hash-partition both sides on bucket id; join equal buckets.
                 kind = "single"
-
-                def by_bucket(entry):
-                    return (hash(entry[0]) % num,)
-
-                left_parts = send(left_assigned, "xleft", by_bucket)
-                right_parts = send(right_assigned, "xright", by_bucket)
+                left_parts = send(left_assigned, "xleft", by_bucket(num))
+                right_parts = send(right_assigned, "xright", by_bucket(num))
             elif join.supports_partitioned_matching():
                 # Co-partition on the match partitions of each bucket.
                 kind = "partitioned"
@@ -499,14 +486,6 @@ class FudjJoin(PhysicalOperator):
         ctx.metrics.output_records = len(result)
         return result
 
-    def _restore_bytes(self, ctx: ExecutionContext, *entry_lists) -> float:
-        """Checkpoint-restore size of a combine task's input, only
-        computed when a fault plan could actually charge it."""
-        if ctx.fault_plan is None or not ctx.fault_plan.any_faults():
-            return 0.0
-        return float(sum(wire_bytes(entries, entry_size)
-                         for entries in entry_lists))
-
     def _combine(self, kind: str, left_parts: list, right_parts: list,
                  pplan, out_schema, ctx: ExecutionContext) -> list:
         """Run the ``kind`` kernel over every partition pair.
@@ -533,18 +512,14 @@ class FudjJoin(PhysicalOperator):
                 if pooled is not None:
                     return pooled
             kernel = KERNELS[kind]
-            out = []
-            for worker in range(ctx.num_partitions):
-                left = left_parts[worker]
-                right = right_parts[worker]
-                site = LocalSite(self, ctx, stage, worker, pplan, out_schema,
-                                 v_cost)
-                rows = ctx.run_task(
-                    stage, worker, partial(kernel, site, left, right),
-                    self._restore_bytes(ctx, left, right),
-                )
-                stage.records_out += len(rows)
-                out.append(rows)
+
+            def task(worker, left, right):
+                return kernel(LocalSite(self, ctx, stage, worker, pplan,
+                                        out_schema, v_cost), left, right)
+
+            out = ctx.run_tasks(stage, task, left_parts, right_parts,
+                                input_bytes=partial(restore_bytes, ctx))
+            stage.records_out += sum(map(len, out))
         return out
 
     def _eliminate_duplicates(self, partitions: list, ctx: ExecutionContext) -> list:
@@ -561,23 +536,20 @@ class FudjJoin(PhysicalOperator):
         )
         stage = ctx.metrics.stage(f"{self.stage_name}/dedup")
         model = ctx.cost_model
-        out = []
+
+        def task(worker, partition):
+            seen = set()
+            rows = []
+            for entry in partition:
+                if entry.pair_id in seen:
+                    continue
+                seen.add(entry.pair_id)
+                rows.append(entry.record)
+            stage.charge(worker, len(partition) * model.hash_op)
+            return rows
+
         with ctx.tracer.span("dedup", kind="stage", stage=stage):
-            for worker, partition in enumerate(shuffled):
-
-                def task(worker=worker, partition=partition):
-                    seen = set()
-                    rows = []
-                    for entry in partition:
-                        if entry.pair_id in seen:
-                            continue
-                        seen.add(entry.pair_id)
-                        rows.append(entry.record)
-                    stage.charge(worker, len(partition) * model.hash_op)
-                    return rows
-
-                rows = ctx.run_task(stage, worker, task)
-                stage.records_in += len(partition)
-                stage.records_out += len(rows)
-                out.append(rows)
+            out = ctx.run_tasks(stage, task, shuffled)
+            stage.records_in += sum(map(len, shuffled))
+            stage.records_out += sum(map(len, out))
         return out

@@ -77,37 +77,33 @@ class HashJoin(PhysicalOperator):
         if residual is not None:
             pair_cost += (self.residual_cost if self.residual_cost is not None
                           else model.comparison)
-        out = []
-        for worker in range(ctx.num_partitions):
 
-            def task(worker=worker):
-                # The build side is resident state: the accountant prices
-                # its spill (and, under a memory budget, actually spills
-                # and replays the overflow) before the table is built.
-                build = ctx.admit(stage, worker, build_parts[worker],
-                                  RecordSpillCodec(build_schema))
-                table = defaultdict(list)
-                for record in build:
-                    table[build_key(record)].append(record)
-                stage.charge(worker, len(build) * model.hash_op)
-                rows = []
-                probes = 0
-                pairs = 0
-                for probe in probe_parts[worker]:
-                    probes += 1
-                    for built in table.get(probe_key(probe), ()):
-                        pairs += 1
-                        joined = (built.concat(probe, schema) if build_left
-                                  else probe.concat(built, schema))
-                        if residual is not None and not residual(joined):
-                            continue
-                        rows.append(joined)
-                stage.charge(worker,
-                             probes * model.hash_op + pairs * pair_cost)
-                ctx.metrics.comparisons += pairs
-                return rows
+        def task(worker, build, probes):
+            # The build side is resident state: the accountant prices
+            # its spill (and, under a memory budget, actually spills
+            # and replays the overflow) before the table is built.
+            build = ctx.admit(stage, worker, build,
+                              RecordSpillCodec(build_schema))
+            table = defaultdict(list)
+            for record in build:
+                table[build_key(record)].append(record)
+            stage.charge(worker, len(build) * model.hash_op)
+            rows = []
+            pairs = 0
+            for probe in probes:
+                for built in table.get(probe_key(probe), ()):
+                    pairs += 1
+                    joined = (built.concat(probe, schema) if build_left
+                              else probe.concat(built, schema))
+                    if residual is not None and not residual(joined):
+                        continue
+                    rows.append(joined)
+            stage.charge(worker,
+                         len(probes) * model.hash_op + pairs * pair_cost)
+            ctx.metrics.comparisons += pairs
+            return rows
 
-            out.append(ctx.run_task(stage, worker, task))
+        out = ctx.run_tasks(stage, task, build_parts, probe_parts)
         stage.records_in = len(left) + len(right)
         stage.records_out = sum(len(p) for p in out)
         return OperatorResult(out, schema)
@@ -194,27 +190,24 @@ class BlockNestedLoopJoin(PhysicalOperator):
             if self.predicate_cost is not None
             else model.expensive_predicate
         )
-        out = []
-        for worker in range(ctx.num_partitions):
 
-            def task(worker=worker):
-                rows = []
-                broadcast = right_parts[worker]
-                pairs = 0
-                units = 0.0
-                for l_record in left_parts[worker]:
-                    for r_record in broadcast:
-                        pairs += 1
-                        joined = l_record.concat(r_record, schema)
-                        matched = bool(self.predicate(joined))
-                        units += model.predicate_units(pair_cost, matched)
-                        if matched:
-                            rows.append(joined)
-                stage.charge(worker, units)
-                ctx.metrics.comparisons += pairs
-                return rows
+        def task(worker, local, broadcast):
+            rows = []
+            pairs = 0
+            units = 0.0
+            for l_record in local:
+                for r_record in broadcast:
+                    pairs += 1
+                    joined = l_record.concat(r_record, schema)
+                    matched = bool(self.predicate(joined))
+                    units += model.predicate_units(pair_cost, matched)
+                    if matched:
+                        rows.append(joined)
+            stage.charge(worker, units)
+            ctx.metrics.comparisons += pairs
+            return rows
 
-            out.append(ctx.run_task(stage, worker, task))
+        out = ctx.run_tasks(stage, task, left_parts, right_parts)
         stage.records_in = len(left) + len(right)
         stage.records_out = sum(len(p) for p in out)
         return OperatorResult(out, schema)

@@ -227,10 +227,10 @@ class RowSpillCodec:
 
 
 class EntrySpillCodec:
-    """(De)serializes FUDJ COMBINE entries ``(bucket_id, key, record,
-    ...)``; only the first three items are read, and a decoded entry is
-    those three (:meth:`CombineSite.admit
-    <repro.engine.combine.CombineSite.admit>` puts the rest back).
+    """(De)serializes join entries ``(bucket_id, key, record, ...)`` —
+    FUDJ COMBINE's and the built-in joins'; only the first three items
+    are read, and a decoded entry is those three (:func:`restore_tails`
+    puts the rest back).
 
     Keys are *not* serialized: boxing a key would change its Python type
     on replay (a ``set`` key round-trips as a list), which user callbacks
@@ -256,6 +256,16 @@ class EntrySpillCodec:
     def decode(self, payload: bytes):
         (bucket,), record = _framed_record(self, payload, 2)
         return bucket, self.rekey(record), record
+
+
+def restore_tails(entries: list, admitted: list) -> list:
+    """``admitted`` — what an admission of ``entries`` under an
+    :class:`EntrySpillCodec` returned — with each replayed entry given
+    back the items past its first three."""
+    if admitted is entries:
+        return entries
+    return [new if new is old else new + old[3:]
+            for old, new in zip(entries, admitted)]
 
 
 class KeyedEntrySpillCodec(EntrySpillCodec):

@@ -61,6 +61,7 @@ from itertools import count
 from multiprocessing import connection as mp_connection
 
 from repro.engine.combine import KERNELS, CombineSite
+from repro.engine.exchange import restore_bytes
 from repro.engine.faults import FaultPlan, stage_key
 from repro.engine.metrics import QueryMetrics
 from repro.engine.record import Record
@@ -1069,7 +1070,7 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
                 "kills": sched["kills"],
             })
             input_bytes_list.append(
-                op._restore_bytes(ctx, left_entries, right_entries)
+                restore_bytes(ctx, left_entries, right_entries)
             )
     except Exception:
         return None  # unshippable state — serial path handles it

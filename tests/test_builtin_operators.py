@@ -1,7 +1,11 @@
 """Tests for the hand-written built-in join operators."""
 
+import functools
+from contextlib import closing
+
 import pytest
 
+from repro import FaultPlan
 from repro.bench.workloads import (
     INTERVAL_SQL,
     SPATIAL_SQL,
@@ -10,7 +14,14 @@ from repro.bench.workloads import (
     spatial_database,
     text_database,
 )
+from repro.builtin import (
+    AdvancedSpatialJoinOperator,
+    BuiltinIntervalJoinOperator,
+    BuiltinSpatialJoinOperator,
+    BuiltinTextSimilarityJoinOperator,
+)
 from repro.errors import ExecutionError, PlanError
+from repro.interval import Interval
 
 
 def normalized(result):
@@ -89,6 +100,17 @@ class TestBuiltinInterval:
         names = [s.name for s in builtin.metrics.stages]
         assert any("broadcast" in n for n in names)
 
+    def test_a_subnormal_timeline_falls_back_to_unit_granules(self):
+        # The span 5e-324 divided by the bucket count underflows to a
+        # zero granule.
+        with closing(interval_database(0, partitions=2)) as db:
+            db.load("NYCTaxi", [
+                {"id": ride, "vendor": ride,
+                 "ride_interval": Interval(0.0, 5e-324)}
+                for ride in (1, 2)])
+            for mode in ("ontop", "fudj", "builtin"):
+                assert db.execute(INTERVAL_SQL, mode=mode).rows == [{"c": 1}]
+
 
 class TestBuiltinText:
     @pytest.fixture(scope="class")
@@ -139,3 +161,80 @@ class TestBuiltinModeErrors:
         with pytest.raises(ExecutionError):
             BuiltinTextSimilarityJoinOperator(Scan("a"), Scan("b"), None, None,
                                               threshold=0.0)
+
+
+# -- the baseline pays what FUDJ pays ---------------------------------------------
+#
+# A built-in operator moves its entries through the engine's exchanges,
+# runs each per-worker phase as a task and admits its resident side, so
+# an injected fault or a memory budget reaches it as it reaches FUDJ.
+
+BUILTINS = {
+    "spatial": (functools.partial(spatial_database, 80, 400, partitions=4,
+                                  grid_n=12, seed=7), SPATIAL_SQL),
+    "plane_sweep": (functools.partial(spatial_database, 80, 400,
+                                      partitions=4, grid_n=12, seed=7,
+                                      plane_sweep=True), SPATIAL_SQL),
+    "interval": (functools.partial(interval_database, 400, partitions=4,
+                                   num_buckets=50, seed=8), INTERVAL_SQL),
+    "text": (functools.partial(text_database, 300, partitions=4, seed=9),
+             TEXT_SQL.format(threshold=0.8)),
+}
+
+FAULTS = FaultPlan(seed=11, crash_rate=0.25, straggler_rate=0.15,
+                   exchange_failure_rate=0.25)
+
+RECOVERIES = ("tasks_retried", "stragglers_detected", "exchange_retries")
+
+LABELS = tuple(cls.label for cls in (
+    BuiltinSpatialJoinOperator, AdvancedSpatialJoinOperator,
+    BuiltinIntervalJoinOperator, BuiltinTextSimilarityJoinOperator))
+
+
+@functools.lru_cache(maxsize=None)
+def engine_runs(name: str) -> dict:
+    """The on-top rows of ``name``'s query, and the built-in run under
+    the fault plan (traced) and under a 2 KB memory budget."""
+    build, sql = BUILTINS[name]
+    with closing(build()) as db:
+        truth = normalized(db.execute(sql, mode="ontop"))
+        db.fault_plan = FAULTS
+        faulty = db.execute(sql, mode="builtin", trace=True)
+        db.fault_plan = None
+        db.set_memory_budget(2048)
+        budgeted = db.execute(sql, mode="builtin")
+        spills = [event.stage for event in db.telemetry.events.events()
+                  if event.kind == "resource.spill"]
+    return {"truth": truth, "faulty": faulty, "budgeted": budgeted,
+            "spills": spills}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+class TestBuiltinsRunOnTheEngine:
+    def test_rows_equal_ontop(self, name):
+        runs = engine_runs(name)
+        assert runs["truth"]
+        assert normalized(runs["faulty"]) == runs["truth"]
+        assert normalized(runs["budgeted"]) == runs["truth"]
+
+    def test_faults_reach_the_operator(self, name):
+        metrics = engine_runs(name)["faulty"].metrics
+        assert sum(getattr(metrics, counter) for counter in RECOVERIES) > 0
+
+    def test_a_traced_run_has_exchange_spans(self, name):
+        trace = engine_runs(name)["faulty"].trace
+        operator = next(span for span in trace.root.walk()
+                        if span.name.startswith(LABELS))
+        assert any(span.kind == "exchange" for span in operator.walk())
+
+    def test_the_join_spills_under_a_budget(self, name):
+        runs = engine_runs(name)
+        assert runs["budgeted"].metrics.spill_files > 0
+        assert any(stage.startswith(LABELS) and stage.endswith("/join")
+                   for stage in runs["spills"]), runs["spills"]
+
+
+@pytest.mark.parametrize("counter", RECOVERIES)
+def test_every_recovery_reaches_some_builtin(counter):
+    assert any(getattr(engine_runs(name)["faulty"].metrics, counter) > 0
+               for name in BUILTINS)

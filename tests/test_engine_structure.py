@@ -6,7 +6,10 @@ that mirrored ``ExecutionContext.run_task``, and the record frame was
 encoded by hand in five places.  Copies like that come back one
 convenient call at a time, so this test parses ``src/repro`` and fails
 on a call to an engine hook from anywhere but the module that owns the
-decision — or from a function listed below with its reason.
+decision — or from a function listed below with its reason.  The
+built-in joins held four more exchanges of their own; bytes that cross
+workers are counted in ``engine/exchange.py`` or in a function listed
+in :data:`BYTE_COUNTERS`.
 
 The same goes for a fact declared twice: a per-statement counter was
 hand-listed in seven places across ``metrics.py`` and ``telemetry.py``,
@@ -87,6 +90,24 @@ CALLERS = {
     "record_statement": {("database.py", "Database.execute")},
 }
 
+#: Functions outside engine/exchange.py that add to a stage's
+#: ``network_bytes`` or ``fabric_bytes``.
+BYTE_COUNTERS = {
+    # Re-sends over a flaky link; only exchanges call it.
+    ("engine/faults.py", "apply_exchange_faults"),
+    # Partial summaries to the coordinator and the PPlan back: small
+    # messages, charged as constants.
+    ("engine/operators/fudj_join.py", "FudjJoin._summarize_side_inner"),
+    ("engine/operators/fudj_join.py", "FudjJoin.run"),
+    ("builtin/spatial_operator.py", "BuiltinSpatialJoinOperator._side_mbr"),
+    ("builtin/interval_operator.py",
+     "BuiltinIntervalJoinOperator._side_range"),
+    ("builtin/text_operator.py",
+     "BuiltinTextSimilarityJoinOperator._count_tokens"),
+    # The ORDER BY gather of the sorted runs to worker 0.
+    ("engine/operators/sort.py", "Sort.run"),
+}
+
 #: ``QueryMetrics.to_dict()`` keys telemetry does not read, and why.
 NOT_STATEMENT_FACTS = {
     "wall_seconds": "recorded from Database.execute's own clock, which "
@@ -119,11 +140,13 @@ ENGINE_CALLERS = {
 
 class _Calls(ast.NodeVisitor):
     """Collects ``(callee name, qualified calling function)`` of every
-    call, and the name of every class."""
+    call, ``(attribute, qualified function)`` of every augmented
+    assignment to an attribute, and the name of every class."""
 
     def __init__(self) -> None:
         self.scope = []
         self.calls = []
+        self.augmented = []
         self.classes = []
 
     def visit_ClassDef(self, node) -> None:
@@ -138,6 +161,11 @@ class _Calls(ast.NodeVisitor):
         self.scope.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_AugAssign(self, node) -> None:
+        if isinstance(node.target, ast.Attribute):
+            self.augmented.append((node.target.attr, ".".join(self.scope)))
+        self.generic_visit(node)
 
     def visit_Call(self, node) -> None:
         callee = node.func
@@ -187,6 +215,29 @@ def test_every_listed_caller_still_calls():
                     name, entry)
 
 
+def byte_counters() -> set:
+    """``(path, function)`` of every augmented assignment to
+    ``network_bytes`` or ``fabric_bytes`` under src/repro."""
+    return {(path, function)
+            for path, visitor in scan()
+            for name, function in visitor.augmented
+            if name in ("network_bytes", "fabric_bytes")}
+
+
+def test_bytes_cross_workers_only_through_the_exchanges():
+    found = sorted(f"src/repro/{path}: {function}"
+                   for path, function in byte_counters() - BYTE_COUNTERS
+                   if path != "engine/exchange.py")
+    assert not found, (
+        "bytes counted outside engine/exchange.py (send them through "
+        "route_exchange / replicate_exchange, or list the function in "
+        "BYTE_COUNTERS with the reason):\n" + "\n".join(found))
+
+
+def test_every_listed_byte_counter_still_counts():
+    assert BYTE_COUNTERS <= byte_counters()
+
+
 def test_no_shim_classes_in_the_engine():
     shims = [f"src/repro/{path}: {name}"
              for path, visitor in scan("engine")
@@ -204,8 +255,10 @@ def test_the_visitor_names_the_calling_function():
         "        def inner():\n"
         "            return plan.crashes(1)\n"
         "        helper()\n"
+        "        self.stage.network_bytes += 1\n"
         "class BShim: pass\n"))
     assert visitor.calls == [("crashes", "A.m.inner"), ("helper", "A.m")]
+    assert visitor.augmented == [("network_bytes", "A.m")]
     assert visitor.classes == ["A", "BShim"]
 
 

@@ -31,9 +31,9 @@ not depend on ``PYTHONHASHSEED``.
 
 The file pins bytes, not truth, so two oracles ride on every case:
 
-* every FUDJ case that finishes returns the nested-loop answer of its
-  shape as a bag (:func:`truth`), whatever the budget, faults, dedup,
-  backend or optimizer;
+* every case that finishes, FUDJ or baseline, returns the nested-loop
+  answer of its shape as a bag (:func:`truth`), whatever the budget,
+  faults, dedup, backend or optimizer;
 * every ``batch``, ``process`` and ``cost`` case runs its *serial twin*
   — the same case on the serial backend, row execution and the rule
   optimizer — and must agree with it (:func:`twin_view`): ``batch`` in
@@ -415,17 +415,16 @@ def observe(case: dict) -> tuple:
             return ({"error": _INSTANCE_ID.sub("", f"{type(exc).__name__}: {exc}"),
                      "events": _digest(events)},
                     {"events": events, "trace_units": None})
-        if mode == "fudj":
-            rows, true = _bag(result.rows), truth(case["shape"])
-            # The poison library quarantines by design: it may drop a
-            # true row, never invent one.
-            assert (not rows - true if case["shape"] == "interval_poison"
-                    else rows == true), (
-                "FUDJ rows differ from the nested loop's")
-            if variant == "process":
-                # The stage really shipped: a join the pool cannot pickle
-                # would fall back to the serial loop and pass vacuously.
-                assert db.worker_pool.tasks_ok_total > 0
+        rows, true = _bag(result.rows), truth(case["shape"])
+        # The poison library quarantines by design: it may drop a true
+        # row, never invent one.
+        assert (not rows - true if case["shape"] == "interval_poison"
+                else rows == true), (
+            f"{mode} rows differ from the nested loop's")
+        if mode == "fudj" and variant == "process":
+            # The stage really shipped: a join the pool cannot pickle
+            # would fall back to the serial loop and pass vacuously.
+            assert db.worker_pool.tasks_ok_total > 0
         metrics = result.metrics.to_dict(db.cluster.cores)
         for key in WALL_CLOCK_KEYS:
             del metrics[key]
@@ -590,13 +589,83 @@ def test_every_batch_operator_and_kernel_has_a_case():
     assert set(KERNELS) <= kernels
 
 
+#: The hashes of an answer, in the order :func:`moves` reports them.
+HASHED = ("rows", "stages", "events", "trace", "error")
+
+
+def moves(before: list, after: list) -> dict:
+    """What changed between two lists of golden entries: ``{(mode,
+    shape): Counter}`` over the cases whose answer changed, counting the
+    cases, each hash and each ``to_dict()`` key that changed, and the
+    cases that are new."""
+    old = {case_id(entry["case"]): entry["answer"] for entry in before}
+    groups = {}
+    for entry in after:
+        case, answer = entry["case"], entry["answer"]
+        previous = old.get(case_id(case))
+        if previous == answer:
+            continue
+        moved = groups.setdefault((case["mode"], case["shape"]),
+                                  collections.Counter())
+        moved["cases"] += 1
+        if previous is None:
+            moved["new"] += 1
+            continue
+        for name in HASHED:
+            if previous.get(name) != answer.get(name):
+                moved[name] += 1
+        metrics = previous.get("metrics", {}), answer.get("metrics", {})
+        for key in sorted(set(metrics[0]) | set(metrics[1])):
+            if metrics[0].get(key) != metrics[1].get(key):
+                moved[f"metrics.{key}"] += 1
+    return groups
+
+
+def report(groups: dict, total: int) -> str:
+    """:func:`moves` as text: one block per (mode, shape)."""
+    changed = sum(moved["cases"] for moved in groups.values())
+    lines = [f"{changed} of {total} cases changed"]
+    for (mode, shape), moved in sorted(groups.items()):
+        lines.append(f"{mode} / {shape}: {moved['cases']} cases")
+        for label, names in (
+                ("hashes", [name for name in ("new",) + HASHED
+                            if name in moved]),
+                ("metrics", sorted(name for name in moved
+                                   if name.startswith("metrics.")))):
+            if names:
+                lines.append(f"  {label}: " + ", ".join(
+                    f"{name.removeprefix('metrics.')} {moved[name]}"
+                    for name in names))
+    return "\n".join(lines)
+
+
+def test_accept_reports_what_moved():
+    before = load_golden()[:3]
+    case = before[1]["case"]
+    answer = before[1]["answer"]
+    moved = dict(answer, rows="changed",
+                 metrics=dict(answer["metrics"], cpu_units=-1.0))
+    after = [before[0], {"case": case, "answer": moved}, before[2]]
+    groups = moves(before, after)
+    assert groups == {(case["mode"], case["shape"]): collections.Counter(
+        {"cases": 1, "rows": 1, "metrics.cpu_units": 1})}
+    assert report(groups, 3).splitlines() == [
+        "1 of 3 cases changed",
+        f"{case['mode']} / {case['shape']}: 1 cases",
+        "  hashes: rows 1",
+        "  metrics: cpu_units 1",
+    ]
+
+
 def accept() -> None:
+    before = load_golden()
     entries = [{"case": case, "answer": observe(case)[0]}
                for case in all_cases()]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"cases": entries}, indent=1,
                                  sort_keys=True) + "\n")
     print(f"wrote {len(entries)} cases to {GOLDEN}")
+    print(report(moves(before, entries), len(entries)))
 
 
 if __name__ == "__main__":
