@@ -26,11 +26,15 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 
-from repro.core.dedup import DuplicateAvoidance
+from repro.core.dedup import DuplicateAvoidance, DuplicateElimination, NoDedup
 from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.engine.resources import EntrySpillCodec, restore_tails
 
 __all__ = ["KERNELS", "CombineSite", "LocalSite"]
+
+#: Candidate pairs a task holds before it verifies them: the pending
+#: list is bounded whatever the two sides' sizes.
+_BLOCK = 1024
 
 
 class CombineSite:
@@ -46,6 +50,10 @@ class CombineSite:
     :meth:`ExecutionContext.guard_batch`).
     """
 
+    #: The query's cancellation check, polled between the calls of a
+    #: ``verify`` batch; None when nothing can cancel (a worker process).
+    poll = None
+
     def __init__(self, op, ctx, pplan, out_schema, v_cost: float,
                  worker: int) -> None:
         self.join = op.join
@@ -59,10 +67,16 @@ class CombineSite:
             is getattr(FlexibleJoin, name)
             for name in ("dedup", "first_matching_buckets", "assign_list")
         )
+        #: The strategy keeps every pair, so COMBINE makes no keep step.
+        self.keeps_all = type(op.dedup) in (NoDedup, DuplicateElimination)
+        #: ``match`` is equality, so :meth:`keeps` needs no ``match`` call.
+        self.default_match = op.join.uses_default_match()
         self.pplan = pplan
         self.out_schema = out_schema
-        #: Work units per ``verify`` call.
-        self.v_cost = v_cost
+        #: Work units of a ``verify`` call that matched, and of one that
+        #: did not.
+        self.verify_hit = ctx.cost_model.predicate_units(v_cost, True)
+        self.verify_miss = ctx.cost_model.predicate_units(v_cost, False)
         #: Emit ``(pair_id, row)`` for the duplicate-elimination shuffle.
         self.tag = op.dedup.requires_shuffle
         self.traced = ctx.tracer.enabled
@@ -84,9 +98,16 @@ class CombineSite:
         emit the pair only from the first ``(b1, b2)``, in sorted order,
         with ``match(b1, b2)`` — what
         :meth:`FlexibleJoin.first_matching_buckets` finds by calling
-        ``assign`` on both keys again."""
-        match = self.join.match
+        ``assign`` on both keys again.  With the default ``match`` that
+        pair is the first ``b1`` the other assignment holds, paired with
+        itself."""
         buckets2 = assignment2 or (bucket2,)
+        if self.default_match:
+            for b1 in assignment1 or (bucket1,):
+                if b1 in buckets2:
+                    return b1 == bucket1 and b1 == bucket2
+            return False
+        match = self.join.match
         for b1 in assignment1 or (bucket1,):
             for b2 in buckets2:
                 if match(b1, b2):
@@ -94,14 +115,10 @@ class CombineSite:
         return False
 
     def safe_verify(self, key1, key2, raw1, raw2) -> bool:
-        """``verify`` under the error policy: a raising pair is treated
-        as a non-match (and quarantined, by its raw keys) instead of
-        aborting."""
-        # Fetched, then called: on the local site ``guard_record`` is an
-        # instance attribute, which CPython's cached method-call path
-        # misses on every call — 2 % of a theta query, measured.
-        guard = self.guard_record
-        ok, matched = guard(
+        """``verify`` on one pair under the error policy: a raising pair
+        is treated as a non-match (and quarantined, by its raw keys)
+        instead of aborting."""
+        ok, matched = self.guard_record(
             self.join.name, "verify", self.join.verify, key1, key2,
             self.pplan, detail=(raw1, raw2),
         )
@@ -137,9 +154,9 @@ class LocalSite(CombineSite):
         self._op = op
         self._ctx = ctx
         self._stage = stage
-        # Bound methods, not wrappers: COMBINE makes one guarded
-        # ``verify`` call per candidate record pair, so an extra frame per
-        # call is a measurable slowdown of the whole query.
+        if ctx.cancel is not None:
+            self.poll = ctx.cancel.check
+        # Bound methods, not wrappers: one frame less per guarded call.
         self.guard_record = ctx.guard_record
         self.guard_batch = ctx.guard_batch
         self.attribute = ctx.tracer.attribute
@@ -166,9 +183,33 @@ class LocalSite(CombineSite):
         )
 
 
-def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
-    """Take one candidate pair of entries through dedup, ``verify`` and
-    emit; returns the verify units to charge for it.
+def _verify_all(verify, pairs: list, pplan, poll) -> list:
+    """One batch's ``verify`` answers, in order.  ``poll`` is the query's
+    cancellation check, or None."""
+    if poll is None:
+        return [verify(entry1[1], entry2[1], pplan)
+                for entry1, entry2 in pairs]
+    answers = []
+    for entry1, entry2 in pairs:
+        poll()
+        answers.append(verify(entry1[1], entry2[1], pplan))
+    return answers
+
+
+class _Verifier:
+    """A task's candidate record pairs, taken through dedup, ``verify``
+    and emit in the order the kernel found them.
+
+    A kernel adds ``(entry1, entry2)`` pairs to :attr:`pending` and calls
+    :meth:`flush` when it holds :data:`_BLOCK` of them, before a guarded
+    ``match`` call (the ``before_ask`` of :class:`_BucketPairs`) and at
+    the end of the task.  A flush keeps the pairs the dedup strategy
+    keeps, calls ``verify`` on all of them under one policy frame
+    (:meth:`ExecutionContext.guard_batch`), emits the matches and adds
+    each pair's verify units to :attr:`units`, in order — the sum a
+    pair-at-a-time loop makes.  Only a batch in which some ``verify``
+    raised is made again pair by pair through ``safe_verify``, so
+    ``on_error`` acts on exactly the pairs that raise.
 
     Both verify and dedup are pure predicates, so the cheap duplicate
     check runs first and the expensive verification is paid only for
@@ -182,23 +223,61 @@ def _verify_pair(site: CombineSite, rows: list, entry1, entry2) -> float:
     references, and spills and worker transport replay clones that keep
     their ``rid``.
     """
-    bucket1, key1, record1, assignment1, raw1 = entry1
-    bucket2, key2, record2, assignment2, raw2 = entry2
-    if site.carried:
-        keep = site.keeps(bucket1, assignment1, bucket2, assignment2)
-    else:
-        keep = site.dedup.keep_local(
-            site.join, bucket1, key1, bucket2, key2, site.pplan
+
+    def __init__(self, site: CombineSite, rows: list) -> None:
+        self.site = site
+        self.rows = rows
+        self.pending = []
+        self.units = 0.0
+
+    def flush(self) -> None:
+        site = self.site
+        pending = self.pending
+        pairs = pending[:] if site.keeps_all else _kept(site, pending)
+        del pending[:]
+        if not pairs:
+            return
+        join = site.join
+        ok, answers = site.guard_batch(
+            join.name, "verify", len(pairs),
+            _verify_all, join.verify, pairs, site.pplan, site.poll,
         )
-    if not keep:
-        return 0.0
-    matched = site.safe_verify(key1, key2, raw1, raw2)
-    if matched:
-        joined = record1.concat(record2, site.out_schema)
-        if site.tag:
-            joined = ((record1.rid, record2.rid), joined)
-        rows.append(joined)
-    return site.model.predicate_units(site.v_cost, matched)
+        if not ok:
+            safe_verify = site.safe_verify
+            answers = [safe_verify(entry1[1], entry2[1], entry1[4], entry2[4])
+                       for entry1, entry2 in pairs]
+        rows = self.rows
+        out_schema = site.out_schema
+        tag = site.tag
+        hit = site.verify_hit
+        miss = site.verify_miss
+        units = self.units
+        for (entry1, entry2), matched in zip(pairs, answers):
+            if matched:
+                record1 = entry1[2]
+                record2 = entry2[2]
+                joined = record1.concat(record2, out_schema)
+                if tag:
+                    joined = ((record1.rid, record2.rid), joined)
+                rows.append(joined)
+                units += hit
+            else:
+                units += miss
+        self.units = units
+
+
+def _kept(site: CombineSite, pairs: list) -> list:
+    """The candidate pairs the dedup strategy emits from here, in order."""
+    if site.carried:
+        keeps = site.keeps
+        return [pair for pair in pairs
+                if keeps(pair[0][0], pair[0][3], pair[1][0], pair[1][3])]
+    keep_local = site.dedup.keep_local
+    join = site.join
+    pplan = site.pplan
+    return [pair for pair in pairs
+            if keep_local(join, pair[0][0], pair[0][1], pair[1][0],
+                          pair[1][1], pplan)]
 
 
 def _close(site: CombineSite, probe_units: float, verify_units: float,
@@ -230,24 +309,30 @@ def single_task(site: CombineSite, left_entries: list,
         table[entry[0]].append(entry)
     site.charge(len(build) * model.hash_op)
     rows = []
-    verify_units = 0.0
-    dedup_checks = 0
+    verifier = _Verifier(site, rows)
     if site.join.has_local_join():
         dedup_checks, verify_units = _probe_with_local_join(
-            site, rows, table, right_entries
+            site, verifier, table, right_entries
         )
     else:
+        dedup_checks = 0
+        pending = verifier.pending
         for entry2 in right_entries:
-            for entry1 in table.get(entry2[0], ()):
-                dedup_checks += 1
-                verify_units += _verify_pair(site, rows, entry1, entry2)
+            bucket = table.get(entry2[0])
+            if bucket:
+                dedup_checks += len(bucket)
+                pending += [(entry1, entry2) for entry1 in bucket]
+                if len(pending) >= _BLOCK:
+                    verifier.flush()
+        verifier.flush()
+        verify_units = verifier.units
     _close(site, len(right_entries) * model.hash_op, verify_units,
            dedup_checks)
     return rows
 
 
-def _probe_with_local_join(site: CombineSite, rows: list, left_table,
-                           right_entries: list):
+def _probe_with_local_join(site: CombineSite, verifier: _Verifier,
+                           left_table, right_entries: list):
     """Single-join combine through the developer's ``local_join`` hook.
 
     Buckets are paired as usual (equal bucket ids); within each bucket
@@ -260,8 +345,8 @@ def _probe_with_local_join(site: CombineSite, rows: list, left_table,
     for entry in right_entries:
         right_table[entry[0]].append(entry)
     candidates = 0
-    verify_units = 0.0
     setup_keys = 0
+    pending = verifier.pending
     for bucket_id, right_bucket in right_table.items():
         left_bucket = left_table.get(bucket_id)
         if not left_bucket:
@@ -271,11 +356,11 @@ def _probe_with_local_join(site: CombineSite, rows: list, left_table,
         setup_keys += len(keys1) + len(keys2)
         for i, j in site.local_join_pairs(keys1, keys2):
             candidates += 1
-            verify_units += _verify_pair(
-                site, rows, left_bucket[i], right_bucket[j]
-            )
-    verify_units += setup_keys * model.comparison
-    return candidates, verify_units
+            pending.append((left_bucket[i], right_bucket[j]))
+            if len(pending) >= _BLOCK:
+                verifier.flush()
+    verifier.flush()
+    return candidates, verifier.units + setup_keys * model.comparison
 
 
 _UNASKED = object()
@@ -302,18 +387,24 @@ class _BucketPairs:
     covers.
 
     ``owns(b1, b2)``, when given, is asked first and ``match`` only of
-    the pairs this task owns.
+    the pairs this task owns.  ``before_ask()`` runs before a new bucket
+    pair is decided, so the task's pending ``verify`` calls are made (and
+    any of them reported) before it, in the order a pair-at-a-time loop
+    makes them.
     """
 
     def __init__(self, site: CombineSite, left_entries: list,
-                 right_entries: list, owns=None) -> None:
+                 right_entries: list, before_ask, owns=None) -> None:
         self.site = site
         self.left = left_entries
         self.right = right_entries
+        self.before_ask = before_ask
         self.owns = owns
-        #: Distinct right bucket ids, in order of first appearance.
-        self.buckets2 = list(dict.fromkeys(
-            [entry[0] for entry in right_entries]))
+        #: Right bucket id -> positions of its entries, buckets in order
+        #: of first appearance.
+        self.positions = defaultdict(list)
+        for position, entry in enumerate(right_entries):
+            self.positions[entry[0]].append(position)
         self._candidates = {}
         self._answers = {}
         #: Record pairs dropped with a raising bucket pair, beyond the
@@ -329,9 +420,11 @@ class _BucketPairs:
         return found
 
     def _row(self, bucket1) -> list:
+        self.before_ask()
         site = self.site
         owns = self.owns
-        buckets2 = self.buckets2
+        positions = self.positions
+        buckets2 = list(positions)
         if owns is not None:
             buckets2 = [b2 for b2 in buckets2 if owns(bucket1, b2)]
         ok, row = site.guard_batch(
@@ -346,9 +439,11 @@ class _BucketPairs:
             if raised:
                 covered = (
                     sum(1 for entry in self.left if entry[0] == bucket1)
-                    * sum(1 for entry in self.right if entry[0] in raised))
+                    * sum(len(positions[b2]) for b2 in raised))
                 self.dropped += covered - len(raised)
-        return [entry for entry in self.right if entry[0] in row]
+        right = self.right
+        return [right[position] for position in
+                sorted([p for b2 in row for p in positions[b2]])]
 
     def matches(self, bucket1, bucket2) -> bool:
         """One pair's answer, for a task whose candidates are sparse (a
@@ -356,6 +451,7 @@ class _BucketPairs:
         pair = (bucket1, bucket2)
         matched = self._answers.get(pair, _UNASKED)
         if matched is _UNASKED:
+            self.before_ask()
             owns = self.owns
             matched = self._answers[pair] = (
                 (owns is None or owns(bucket1, bucket2))
@@ -385,23 +481,29 @@ def theta_task(site: CombineSite, left_entries: list,
     broadcast = site.admit(broadcast, JoinSide.RIGHT)
     site.charge((len(left_entries) + len(broadcast)) * model.hash_op)
     rows = []
-    verify_units = 0.0
+    verifier = _Verifier(site, rows)
+    pairs = _BucketPairs(site, left_entries, broadcast, verifier.flush)
+    dedup_checks = _pair_up(verifier, left_entries, pairs.candidates)
+    match_checks = len(left_entries) * len(broadcast)
+    _close(site, match_checks * model.match_op, verifier.units,
+           dedup_checks, "match", pairs.dropped)
+    return rows
+
+
+def _pair_up(verifier: _Verifier, left_entries: list, candidates_of) -> int:
+    """Every left entry paired with the right entries its bucket
+    matches, through ``verifier``; returns the candidate count."""
+    pending = verifier.pending
     dedup_checks = 0
-    pairs = _BucketPairs(site, left_entries, broadcast)
-    candidates_of = pairs.candidates
-    # Kept as an explicit nested loop: with ``match`` out of it this is
-    # one ``_verify_pair`` per candidate, still the hottest loop in the
-    # engine, and feeding it from a candidate generator shared with
-    # ``partitioned_task`` measured 8-11 % slower end to end.
     for entry1 in left_entries:
         candidates = candidates_of(entry1[0])
-        dedup_checks += len(candidates)
-        for entry2 in candidates:
-            verify_units += _verify_pair(site, rows, entry1, entry2)
-    match_checks = len(left_entries) * len(broadcast)
-    _close(site, match_checks * model.match_op, verify_units, dedup_checks,
-           "match", pairs.dropped)
-    return rows
+        if candidates:
+            dedup_checks += len(candidates)
+            pending += [(entry1, entry2) for entry2 in candidates]
+            if len(pending) >= _BLOCK:
+                verifier.flush()
+    verifier.flush()
+    return dedup_checks
 
 
 def partitioned_task(site: CombineSite, local_left: list,
@@ -427,8 +529,7 @@ def partitioned_task(site: CombineSite, local_left: list,
         local_right = site.admit(local_right, JoinSide.RIGHT, price=False)
     site.charge((len(local_left) + len(local_right)) * model.hash_op)
     rows = []
-    verify_units = 0.0
-    dedup_checks = 0
+    verifier = _Verifier(site, rows)
     part_cache = {}
 
     def parts_of(bucket_id):
@@ -441,7 +542,7 @@ def partitioned_task(site: CombineSite, local_left: list,
     def owns(b1, b2):
         return min(parts_of(b1) & parts_of(b2)) == worker
 
-    pairs = _BucketPairs(site, local_left, local_right, owns)
+    pairs = _BucketPairs(site, local_left, local_right, verifier.flush, owns)
     if join.has_local_join():
         # A custom local algorithm (e.g. a sort-merge forward scan)
         # enumerates candidates instead of the NLJ; ownership, ``match``
@@ -450,23 +551,23 @@ def partitioned_task(site: CombineSite, local_left: list,
         keys2 = [entry[1] for entry in local_right]
         match_checks = len(keys1) + len(keys2)  # sort/setup charge
         matches = pairs.matches
+        pending = verifier.pending
+        dedup_checks = 0
         for i, j in site.local_join_pairs(keys1, keys2):
             entry1 = local_left[i]
             entry2 = local_right[j]
             if not matches(entry1[0], entry2[0]):
                 continue
             dedup_checks += 1
-            verify_units += _verify_pair(site, rows, entry1, entry2)
+            pending.append((entry1, entry2))
+            if len(pending) >= _BLOCK:
+                verifier.flush()
+        verifier.flush()
     else:
         match_checks = len(local_left) * len(local_right)
-        candidates_of = pairs.candidates
-        for entry1 in local_left:
-            candidates = candidates_of(entry1[0])
-            dedup_checks += len(candidates)
-            for entry2 in candidates:
-                verify_units += _verify_pair(site, rows, entry1, entry2)
-    _close(site, match_checks * model.match_op, verify_units, dedup_checks,
-           "match", pairs.dropped)
+        dedup_checks = _pair_up(verifier, local_left, pairs.candidates)
+    _close(site, match_checks * model.match_op, verifier.units,
+           dedup_checks, "match", pairs.dropped)
     return rows
 
 

@@ -292,13 +292,14 @@ class ExecutionContext:
         is the poison record (or key pair) — rendered into the quarantine
         report only when an error actually fires.
 
-        The signature is the hot path's: COMBINE calls this once per
-        candidate record pair (``verify``), and one more defaulted keyword
-        (``hard=False``) measured +4.2 % ``latency_p50_ms`` on
-        ``interval_theta`` when ``match`` also came through here per
-        record pair, worse in 9 of 10 pairs — which is why what fails
-        hard is decided from ``phase``, in the ``except`` branch, and not
-        by a flag.
+        Every phase makes its per-record calls under one
+        :meth:`guard_batch` frame and comes here one call at a time only
+        to redo a batch in which some call raised, or for a ``local_join``
+        task's sparse ``match`` calls.  What fails hard is decided from
+        ``phase``, in the ``except`` branch, and not by a flag: one more
+        defaulted keyword (``hard=False``) measured +4.2 %
+        ``latency_p50_ms`` on ``interval_theta`` when this was the
+        per-record-pair path.
 
         With tracing enabled, every invocation (including failed ones) is
         folded into the aggregated callback span named ``phase`` under

@@ -91,7 +91,10 @@ def _pruner(indexes: list):
     """``fn(values)``: the tuple of the values at ``indexes``."""
     if len(indexes) > 1:
         return itemgetter(*indexes)  # a tuple only from two indexes up
-    return lambda values: tuple([values[i] for i in indexes])
+    if indexes:
+        index = indexes[0]
+        return lambda values: (values[index],)
+    return lambda values: ()
 
 
 class Project(StreamingOperator):

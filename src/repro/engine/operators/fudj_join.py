@@ -35,9 +35,10 @@ checkpoints (lineage-style recovery).  Per-record callbacks
 honor the context's degraded-mode policy: under ``skip``/``quarantine``
 a poison record is dropped (and reported) instead of aborting the query.
 A SUMMARIZE or PARTITION task makes its calls under one policy frame
-(:meth:`ExecutionContext.guard_batch`) and only when some call raised
-makes them again record by record, so the policy acts on exactly the
-records that raise.
+(:meth:`ExecutionContext.guard_batch`), and so does a COMBINE task with
+its ``verify`` calls (in bounded blocks) and each bucket's row of
+``match`` calls; only when some call raised are they made again one by
+one, so the policy acts on exactly the records (or pairs) that raise.
 Phases with no single culprit record (``global_aggregate``, ``divide``,
 ``local_join``, ``dedup``) always fail hard.
 """

@@ -69,7 +69,13 @@ def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
     if length_sq == 0.0:
         return p.distance_to(a)
     t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / length_sq
-    t = max(0.0, min(1.0, t))
+    # An endpoint is measured to as given: ``a + 1 * (b - a)`` can lose
+    # ``b``'s bits when ``a`` is far larger (``1.0 + (2.4e-26 - 1.0)`` is
+    # ``0.0``).
+    if t <= 0.0:
+        return p.distance_to(a)
+    if t >= 1.0:
+        return p.distance_to(b)
     return p.distance_to(Point(a.x + t * dx, a.y + t * dy))
 
 

@@ -21,6 +21,7 @@ and :class:`TestTheCarryDropsDuplicates` anchors the spill here.
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.bench import workloads
 from repro.core.dedup import DuplicateAvoidance, DuplicateElimination
@@ -207,6 +208,73 @@ class TestWhenTheCarryAnswers:
         assert site.keeps(4, (4, 6), 3, (3, 5))
         assert not site.keeps(4, (4, 6), 5, (3, 5))
         assert not site.keeps(6, (4, 6), 5, (3, 5))
+
+
+class ListedJoin(FlexibleJoin):
+    """A key is its own bucket list."""
+
+    def assign(self, key, pplan, side):
+        return list(key)
+
+
+def _loop_keeps(match, bucket1, assignment1, bucket2, assignment2) -> bool:
+    """The ``match`` double loop of default avoidance, written out."""
+    for b1 in assignment1 or (bucket1,):
+        for b2 in assignment2 or (bucket2,):
+            if match(b1, b2):
+                return b1 == bucket1 and b2 == bucket2
+    return False
+
+
+#: A record's sorted bucket list, and one of its buckets, as an entry
+#: carries them: ``None`` stands for a single bucket.
+ASSIGNED = st.lists(st.integers(0, 12), min_size=1, max_size=5,
+                    unique=True).map(sorted).flatmap(
+    lambda buckets: st.tuples(st.sampled_from(buckets),
+                              st.just(tuple(buckets))))
+
+
+class TestTheDefaultMatchShortcut:
+    """With the default ``match``, :meth:`CombineSite.keeps` answers by
+    membership and calls no ``match``; what it answers is the double
+    loop's answer and ``first_matching_buckets``'s."""
+
+    @given(left=ASSIGNED, right=ASSIGNED)
+    def test_membership_is_the_match_loop(self, left, right):
+        (bucket1, buckets1), (bucket2, buckets2) = left, right
+        join = ListedJoin()
+        calls = []
+        # An instance attribute: the join still uses the default
+        # ``match``, so the shortcut must not reach this one.
+        join.match = lambda b1, b2: calls.append(1) or b1 == b2
+        site = _site(join)
+        assert site.carried and site.default_match
+        assignment1 = buckets1 if len(buckets1) > 1 else None
+        assignment2 = buckets2 if len(buckets2) > 1 else None
+        kept = site.keeps(bucket1, assignment1, bucket2, assignment2)
+        assert not calls
+        assert kept == _loop_keeps(
+            lambda b1, b2: FlexibleJoin.match(join, b1, b2),
+            bucket1, assignment1, bucket2, assignment2)
+        assert kept == (FlexibleJoin.first_matching_buckets(
+            join, buckets1, buckets2, None) == (bucket1, bucket2))
+
+    @given(left=ASSIGNED, right=ASSIGNED)
+    def test_an_overridden_match_takes_the_loop(self, left, right):
+        (bucket1, buckets1), (bucket2, buckets2) = left, right
+        calls = []
+
+        class Neighbours(ListedJoin):
+            def match(self, b1, b2):
+                calls.append((b1, b2))
+                return abs(b1 - b2) <= 1
+
+        site = _site(Neighbours())
+        assert site.carried and not site.default_match
+        kept = site.keeps(bucket1, buckets1, bucket2, buckets2)
+        assert calls
+        assert kept == _loop_keeps(Neighbours().match, bucket1, buckets1,
+                                   bucket2, buckets2)
 
 
 class CountingReferencePointJoin(ReferencePointSpatialJoin):

@@ -86,6 +86,9 @@ CALLERS = {
         # The sparse candidates of a ``local_join``, memoised per pair.
         ("engine/combine.py", "_BucketPairs.matches"),
     },
+    # A task's ``verify`` calls share one policy frame; one by one only
+    # to redo a block in which some call raised.
+    "safe_verify": {("engine/combine.py", "_Verifier.flush")},
     # A statement is recorded where it ends, whichever way it ends.
     "record_statement": {("database.py", "Database.execute")},
 }

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import JoinSide, StandaloneRunner
 from repro.database import Database
@@ -263,6 +263,11 @@ ROUTES = st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=8).map(
 class TestMinDistanceAgainstTheReference:
     @settings(max_examples=200, deadline=None)
     @given(a=ROUTES, b=ROUTES)
+    # A segment end far smaller than its start: rebuilt as
+    # ``a + 1 * (b - a)`` it rounded to 0.0, and the two searches
+    # disagreed.
+    @example(a=Trajectory([(0.0, 0.0)]),
+             b=Trajectory([(0.0, 1.04e-182), (0.0, 1.0), (0.0, 2.4e-26)]))
     def test_random_routes(self, a, b):
         assert min_distance(a, b) == reference_min_distance(a, b)
 
