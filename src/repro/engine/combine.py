@@ -18,7 +18,10 @@ through the site it is handed:
 
 Both sites run the same kernel text, so rows, charges and the
 float-summation order of every charge are identical on either backend by
-construction.
+construction.  On the theta and partitioned plans ``match`` is not a
+task's to ask: :func:`match_relation` decides every bucket pair of the
+query on the coordinator before the stage runs, and the site carries
+that relation to the task as a plain dict.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.core.dedup import DuplicateAvoidance, DuplicateElimination, NoDedup
 from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.engine.resources import EntrySpillCodec, restore_tails
 
-__all__ = ["KERNELS", "CombineSite", "LocalSite"]
+__all__ = ["KERNELS", "CombineSite", "LocalSite", "match_relation"]
 
 #: Candidate pairs a task holds before it verifies them: the pending
 #: list is bounded whatever the two sides' sizes.
@@ -55,7 +58,7 @@ class CombineSite:
     poll = None
 
     def __init__(self, op, ctx, pplan, out_schema, v_cost: float,
-                 worker: int) -> None:
+                 worker: int, relation: dict = None) -> None:
         self.join = op.join
         self.dedup = op.dedup
         #: Duplicate avoidance is the framework's own — the strategy is
@@ -84,6 +87,9 @@ class CombineSite:
         self.enforce = ctx.resources.enforce
         self.model = ctx.cost_model
         self.worker = worker
+        #: The query's ``match`` relation (:func:`match_relation`), or
+        #: None on a plan that asks no bucket pair up front.
+        self.relation = relation
 
     def admit(self, items: list, side: JoinSide, price: bool = True) -> list:
         """Route one side's resident entries through the memory
@@ -149,8 +155,9 @@ class LocalSite(CombineSite):
     """The in-process site: every effect lands on the real context."""
 
     def __init__(self, op, ctx, stage, worker: int, pplan, out_schema,
-                 v_cost: float) -> None:
-        super().__init__(op, ctx, pplan, out_schema, v_cost, worker)
+                 v_cost: float, relation) -> None:
+        super().__init__(op, ctx, pplan, out_schema, v_cost, worker,
+                         relation)
         self._op = op
         self._ctx = ctx
         self._stage = stage
@@ -201,10 +208,10 @@ class _Verifier:
     and emit in the order the kernel found them.
 
     A kernel adds ``(entry1, entry2)`` pairs to :attr:`pending` and calls
-    :meth:`flush` when it holds :data:`_BLOCK` of them, before a guarded
-    ``match`` call (the ``before_ask`` of :class:`_BucketPairs`) and at
-    the end of the task.  A flush keeps the pairs the dedup strategy
-    keeps, calls ``verify`` on all of them under one policy frame
+    :meth:`flush` when it holds :data:`_BLOCK` of them and at the end of
+    the task (a ``local_join`` task also before each ``match`` it asks,
+    :meth:`_BucketPairs.matches`).  A flush keeps the pairs the dedup
+    strategy keeps, calls ``verify`` on all of them under one policy frame
     (:meth:`ExecutionContext.guard_batch`), emits the matches and adds
     each pair's verify units to :attr:`units`, in order — the sum a
     pair-at-a-time loop makes.  Only a batch in which some ``verify``
@@ -371,44 +378,120 @@ def _matching(match, bucket1, buckets2: list) -> set:
     return {bucket2 for bucket2 in buckets2 if match(bucket1, bucket2)}
 
 
+def _distinct_buckets(parts) -> list:
+    """The bucket ids of per-worker entry lists, in (worker, position)
+    order of first appearance."""
+    return list(dict.fromkeys(entry[0] for entries in parts
+                              for entry in entries))
+
+
+def match_relation(ctx, join, kind: str, left_parts: list,
+                   right_parts: list, pplan):
+    """The query's ``match`` relation, decided on the coordinator before
+    any COMBINE task runs: ``{b1: (matched, raised)}`` for every distinct
+    left bucket id, ``matched`` the right buckets ``match(b1, ·)`` said
+    yes to and ``raised`` those whose call raised and the error policy
+    dropped.  None for a plan that asks nothing up front: the ``single``
+    kernel (default ``match``), and a ``local_join``, whose candidates
+    are sparse — it asks per task, pair by pair
+    (:meth:`_BucketPairs.matches`), only about what the hook yields.
+
+    A row holds every distinct right bucket on the theta plan (each task
+    holds the same broadcast) and, on the partitioned plan, the right
+    buckets that share a ``partition_buckets`` partition with ``b1`` —
+    the pairs some task owns.  A row is asked under one policy frame
+    (:meth:`ExecutionContext.guard_batch`, which checks the cancellation
+    token before it); only a row in which some call raised is asked again
+    pair by pair (:meth:`ExecutionContext.guard_record`), so ``on_error``
+    acts on exactly the raising pairs, each reported once per query.
+    The tasks that hold a raising pair's record pairs count every one of
+    them in ``records_quarantined`` (:class:`_BucketPairs`), so the one
+    count each raising call made here is taken back.
+
+    ``match`` is pure and one process hosts every simulated worker, so
+    it is executed once per bucket pair of the query; each task is still
+    *charged* its record pairs' ``match_op`` (:func:`_close`), as a real
+    worker derives its rows from the broadcast it already holds.
+    """
+    if kind == "single" or (kind == "partitioned" and join.has_local_join()):
+        return None
+    left_ids = _distinct_buckets(left_parts)
+    right_ids = _distinct_buckets(
+        right_parts[:1] if kind == "theta" else right_parts)
+    if kind == "partitioned":
+        num = ctx.num_partitions
+        parts = {bucket: join.partition_buckets(bucket, num, pplan)
+                 for bucket in dict.fromkeys(left_ids + right_ids)}
+        # Partition -> the right ids it holds, so a row costs its own
+        # length rather than a pass over every right id.
+        rank = {bucket2: i for i, bucket2 in enumerate(right_ids)}
+        members = defaultdict(list)
+        for bucket2 in right_ids:
+            for part in parts[bucket2]:
+                members[part].append(bucket2)
+    name = join.name
+    match = join.match
+    relation = {}
+    raising = 0
+    for bucket1 in left_ids:
+        if kind == "theta":
+            row = right_ids
+        else:
+            row = sorted({bucket2 for part in parts[bucket1]
+                          for bucket2 in members.get(part, ())},
+                         key=rank.__getitem__)
+        ok, matched = ctx.guard_batch(name, "match", len(row),
+                                      _matching, match, bucket1, row)
+        raised = ()
+        if not ok:
+            answers = [(bucket2, ctx.guard_record(
+                name, "match", match, bucket1, bucket2,
+                detail=(bucket1, bucket2))) for bucket2 in row]
+            matched = {bucket2 for bucket2, (asked, yes) in answers
+                       if asked and yes}
+            raised = frozenset(bucket2 for bucket2, (asked, _) in answers
+                               if not asked)
+            raising += len(raised)
+        relation[bucket1] = (matched, raised)
+    ctx.metrics.records_quarantined -= raising
+    return relation
+
+
 class _BucketPairs:
-    """``match`` — and, on the partitioned plan, who owns the pair —
-    decided once per distinct bucket pair of one task.
+    """One task's candidates: the right entries each left bucket pairs
+    with, looked up in the query's ``match`` relation
+    (:func:`match_relation`) — and, on the partitioned plan, filtered to
+    the pairs this task owns.
 
-    ``match`` is a pure function of two bucket ids, so a task asks it per
-    *bucket* pair and runs its record-pair loop only over the right
-    entries whose bucket matched; the stage is still *charged* the
-    record-pair nested loop the cost model prices.  One left bucket's
-    whole row of answers is taken under one policy frame
-    (:meth:`ExecutionContext.guard_batch`); only a row in which some
-    ``match`` raised is asked again pair by pair through ``safe_match``,
-    which applies ``on_error`` to exactly the pairs that raise.  A
-    raising bucket pair is reported once and drops every record pair it
-    covers.
+    A task runs its record-pair loop only over the right entries whose
+    bucket matched; the stage is still *charged* the record-pair nested
+    loop the cost model prices.  A bucket pair whose ``match`` raised
+    drops every record pair it covers, and the task that holds them
+    counts each (:attr:`dropped`).
 
-    ``owns(b1, b2)``, when given, is asked first and ``match`` only of
-    the pairs this task owns.  ``before_ask()`` runs before a new bucket
-    pair is decided, so the task's pending ``verify`` calls are made (and
-    any of them reported) before it, in the order a pair-at-a-time loop
-    makes them.
+    ``owns(b1, b2)``, when given, is asked first.  A ``local_join`` task
+    has no relation: :meth:`matches` asks ``match`` lazily, once per
+    bucket pair of the task, after ``flush()`` has made the task's
+    pending ``verify`` calls, so reports keep the order a pair-at-a-time
+    loop gives them.
     """
 
     def __init__(self, site: CombineSite, left_entries: list,
-                 right_entries: list, before_ask, owns=None) -> None:
+                 right_entries: list, owns=None, flush=None) -> None:
         self.site = site
         self.left = left_entries
         self.right = right_entries
-        self.before_ask = before_ask
         self.owns = owns
-        #: Right bucket id -> positions of its entries, buckets in order
-        #: of first appearance.
+        self.flush = flush
+        #: Right bucket id -> positions of its entries.
         self.positions = defaultdict(list)
         for position, entry in enumerate(right_entries):
             self.positions[entry[0]].append(position)
         self._candidates = {}
         self._answers = {}
-        #: Record pairs dropped with a raising bucket pair, beyond the
-        #: one that each raising call has counted itself.
+        #: Record pairs dropped with a raising bucket pair — all of them
+        #: here; :meth:`matches` counts beyond the one each raising call
+        #: has counted itself.
         self.dropped = 0
 
     def candidates(self, bucket1) -> list:
@@ -420,30 +503,21 @@ class _BucketPairs:
         return found
 
     def _row(self, bucket1) -> list:
-        self.before_ask()
-        site = self.site
-        owns = self.owns
+        matched, raised = self.site.relation[bucket1]
         positions = self.positions
-        buckets2 = list(positions)
+        owns = self.owns
         if owns is not None:
-            buckets2 = [b2 for b2 in buckets2 if owns(bucket1, b2)]
-        ok, row = site.guard_batch(
-            site.join.name, "match", len(buckets2),
-            _matching, site.join.match, bucket1, buckets2,
-        )
-        if not ok:
-            safe_match = site.safe_match
-            answers = [(b2, safe_match(bucket1, b2)) for b2 in buckets2]
-            row = {b2 for b2, matched in answers if matched}
-            raised = {b2 for b2, matched in answers if matched is None}
-            if raised:
-                covered = (
-                    sum(1 for entry in self.left if entry[0] == bucket1)
-                    * sum(len(positions[b2]) for b2 in raised))
-                self.dropped += covered - len(raised)
+            matched = [b2 for b2 in matched
+                       if b2 in positions and owns(bucket1, b2)]
+            raised = [b2 for b2 in raised
+                      if b2 in positions and owns(bucket1, b2)]
+        if raised:
+            self.dropped += (
+                sum(1 for entry in self.left if entry[0] == bucket1)
+                * sum(len(positions.get(b2, ())) for b2 in raised))
         right = self.right
         return [right[position] for position in
-                sorted([p for b2 in row for p in positions[b2]])]
+                sorted([p for b2 in matched for p in positions.get(b2, ())])]
 
     def matches(self, bucket1, bucket2) -> bool:
         """One pair's answer, for a task whose candidates are sparse (a
@@ -451,7 +525,7 @@ class _BucketPairs:
         pair = (bucket1, bucket2)
         matched = self._answers.get(pair, _UNASKED)
         if matched is _UNASKED:
-            self.before_ask()
+            self.flush()
             owns = self.owns
             matched = self._answers[pair] = (
                 (owns is None or owns(bucket1, bucket2))
@@ -475,14 +549,16 @@ def theta_task(site: CombineSite, left_entries: list,
     broadcast processing does not shrink as the cluster grows (and
     spills when it exceeds the worker's memory budget), which is exactly
     why Fig 10b's interval join scales poorly.  What is *executed* is
-    one ``match`` per distinct bucket pair (:class:`_BucketPairs`).
+    one ``match`` per distinct bucket pair of the query, before any task
+    runs (:func:`match_relation`); a task only looks its candidates up
+    (:class:`_BucketPairs`).
     """
     model = site.model
     broadcast = site.admit(broadcast, JoinSide.RIGHT)
     site.charge((len(left_entries) + len(broadcast)) * model.hash_op)
     rows = []
     verifier = _Verifier(site, rows)
-    pairs = _BucketPairs(site, left_entries, broadcast, verifier.flush)
+    pairs = _BucketPairs(site, left_entries, broadcast)
     dedup_checks = _pair_up(verifier, left_entries, pairs.candidates)
     match_checks = len(left_entries) * len(broadcast)
     _close(site, match_checks * model.match_op, verifier.units,
@@ -514,7 +590,10 @@ def partitioned_task(site: CombineSite, local_left: list,
     that matching buckets share one, so both sides co-partition and join
     locally — no broadcast, and the per-node work shrinks with the
     cluster.  A pair may meet in several partitions; only the smallest
-    shared one owns it — asks ``match`` of it and joins it.
+    shared one owns it and joins it.  ``match`` was asked once per
+    bucket pair that shares a partition, before any task ran
+    (:func:`match_relation`); a ``local_join`` task asks its owner's
+    pairs itself, lazily.
     """
     model = site.model
     join = site.join
@@ -542,7 +621,8 @@ def partitioned_task(site: CombineSite, local_left: list,
     def owns(b1, b2):
         return min(parts_of(b1) & parts_of(b2)) == worker
 
-    pairs = _BucketPairs(site, local_left, local_right, verifier.flush, owns)
+    pairs = _BucketPairs(site, local_left, local_right, owns,
+                         verifier.flush)
     if join.has_local_join():
         # A custom local algorithm (e.g. a sort-merge forward scan)
         # enumerates candidates instead of the NLJ; ownership, ``match``

@@ -3,14 +3,15 @@
 Exchanges are the only operators that move items between workers, so
 this module is the only place that routes an item, charges a send,
 counts network bytes, applies link faults and spools the checkpoint
-copy — with one exception, ``Sort.run``'s gather of the sorted runs to
-worker 0, which counts its bytes by hand.  There is one routing
+copy (``Sort.run``'s gather of the sorted runs to worker 0 included).
+There is one routing
 routine, :func:`route_exchange`, and one replication,
 :func:`replicate_exchange`; an exchange is a choice of
 
 - *where an item goes* — ``targets_of(item)``: the hash of a key or of
-  a bucket id, a round-robin cursor, or (the one multi-target route)
-  the match partitions of a FUDJ bucket;
+  a bucket id, a round-robin cursor, worker 0 (an ORDER BY's gather),
+  or (the one multi-target route) the match partitions of a FUDJ
+  bucket;
 - *what a delivery costs the sender* — ``hash_op + record_touch``,
   ``record_touch`` or ``hash_op``;
 - *how an item is sized* — a record (or anything with

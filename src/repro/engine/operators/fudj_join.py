@@ -11,7 +11,10 @@ on top of the engine primitives:
 2. PARTITION — ``assign`` unnests each record to ``(bucket_id, record)``.
 3. COMBINE — single-joins (default ``match``) hash-exchange both sides on
    bucket id and run a per-bucket hash join; multi-joins fall back to the
-   theta plan (spread left, broadcast right, ``match`` per bucket pair).
+   theta plan (spread left, broadcast right, ``match`` per bucket pair,
+   decided once per query on the coordinator before any task runs —
+   :func:`~repro.engine.combine.match_relation` — and looked up by the
+   tasks).
    ``verify`` then checks each candidate pair, and the dedup strategy
    suppresses duplicates (locally for avoidance, with one more exchange
    for elimination).  This operator picks the plan and runs the
@@ -36,9 +39,11 @@ honor the context's degraded-mode policy: under ``skip``/``quarantine``
 a poison record is dropped (and reported) instead of aborting the query.
 A SUMMARIZE or PARTITION task makes its calls under one policy frame
 (:meth:`ExecutionContext.guard_batch`), and so does a COMBINE task with
-its ``verify`` calls (in bounded blocks) and each bucket's row of
-``match`` calls; only when some call raised are they made again one by
-one, so the policy acts on exactly the records (or pairs) that raise.
+its ``verify`` calls (in bounded blocks), and the match relation with
+each left bucket's row of ``match`` calls; only when some call raised
+are they made again one by one, so the policy acts on exactly the
+records (or pairs) that raise, and a raising bucket pair is reported
+once per query.
 Phases with no single culprit record (``global_aggregate``, ``divide``,
 ``local_join``, ``dedup``) always fail hard.
 """
@@ -50,7 +55,7 @@ from itertools import count
 
 from repro.core.dedup import DedupStrategy, strategy_for
 from repro.core.flexible_join import FlexibleJoin, JoinSide
-from repro.engine.combine import KERNELS, LocalSite
+from repro.engine.combine import KERNELS, LocalSite, match_relation
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import (
     by_bucket,
@@ -491,6 +496,9 @@ class FudjJoin(PhysicalOperator):
                  pplan, out_schema, ctx: ExecutionContext) -> list:
         """Run the ``kind`` kernel over every partition pair.
 
+        The query's ``match`` relation is decided first, on the
+        coordinator (:func:`~repro.engine.combine.match_relation`), and
+        every task — on either backend — looks its candidates up in it.
         With a healthy process pool attached the stage ships to it;
         :func:`~repro.engine.workers.run_combine` returns None for a
         stage the pool cannot ship (unpicklable join state, an exhausted
@@ -503,12 +511,14 @@ class FudjJoin(PhysicalOperator):
             else ctx.cost_model.expensive_predicate
         )
         with ctx.tracer.span("combine", kind="stage", stage=stage):
+            relation = match_relation(ctx, self.join, kind, left_parts,
+                                      right_parts, pplan)
             pool = ctx.active_pool()
             if pool is not None:
                 from repro.engine import workers as _workers
                 pooled = _workers.run_combine(
                     pool, self, ctx, stage, kind, left_parts, right_parts,
-                    pplan, out_schema, v_cost,
+                    pplan, out_schema, v_cost, relation,
                 )
                 if pooled is not None:
                     return pooled
@@ -516,7 +526,8 @@ class FudjJoin(PhysicalOperator):
 
             def task(worker, left, right):
                 return kernel(LocalSite(self, ctx, stage, worker, pplan,
-                                        out_schema, v_cost), left, right)
+                                        out_schema, v_cost, relation),
+                              left, right)
 
             out = ctx.run_tasks(stage, task, left_parts, right_parts,
                                 input_bytes=partial(restore_bytes, ctx))

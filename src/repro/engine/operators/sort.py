@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 
 from repro.engine.context import ExecutionContext
+from repro.engine.exchange import route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
 from repro.serde.values import unbox
 
 
 class Sort(PhysicalOperator):
-    """Globally ordered output: local sorts plus a coordinator merge.
+    """Globally ordered output: local sorts, a gather of the sorted runs
+    to worker 0 (an exchange, so it is serialized, faulted, checkpointed
+    and traced like any other), and a merge there.
 
     ``keys`` is a list of ``(key_fn, descending)``.  Output lands on
     worker 0 in order (like a query result returned to the client).
@@ -40,17 +43,16 @@ class Sort(PhysicalOperator):
         source = self.child.execute(ctx)
         stage = ctx.metrics.stage(self.stage_name)
         model = ctx.cost_model
-        merged = []
-        total_bytes = 0
+        runs = []
         for worker, partition in enumerate(source.partitions):
             local = self._sort(partition)
             n = max(1, len(local))
             stage.charge(worker, len(local) * model.comparison * max(1.0, math.log2(n)))
-            merged.extend(local)
-            if worker != 0:
-                total_bytes += sum(r.serialized_size() for r in local) if partition else 0
-        stage.network_bytes += total_bytes
-        merged = self._sort(merged)
+            runs.append(local)
+        # The runs arrive on worker 0 in worker order, as the merge reads them.
+        gathered = route_exchange(runs, ctx, f"{self.stage_name}/gather",
+                                  lambda record: (0,), model.record_touch)
+        merged = self._sort(gathered[0])
         stage.charge(0, len(merged) * model.comparison)
         stage.records_in = stage.records_out = len(source)
         partitions = [[] for _ in range(ctx.num_partitions)]

@@ -20,6 +20,9 @@ And for a row's container: below a pipeline breaker the streaming
 operators hand on value tuples, and the Record tests count the Records a
 plan makes.
 
+And for ``match``: a row of its calls is made once per query, by the
+relation builder, and never by a COMBINE task.
+
 And for a query's stop condition: a timeout used to be a second clock in
 ``ExecutionContext`` beside the cancellation token, and a served
 deadline a third, a watchdog thread that flipped the token; one test
@@ -78,14 +81,10 @@ CALLERS = {
         ("engine/context.py", "ExecutionContext.run_task"),
         ("engine/workers.py", "_fault_schedule"),
     },
-    # ``match`` is decided per bucket pair: a kernel asks _BucketPairs,
-    # never the guarded callback from its own record-pair loop.
-    "safe_match": {
-        # The pair-by-pair pass over a row in which some ``match`` raised.
-        ("engine/combine.py", "_BucketPairs._row"),
-        # The sparse candidates of a ``local_join``, memoised per pair.
-        ("engine/combine.py", "_BucketPairs.matches"),
-    },
+    # ``match`` is decided once per query, in the relation the kernels
+    # look up (combine.match_relation); one by one only for the sparse
+    # candidates of a ``local_join``, memoised per pair of a task.
+    "safe_match": {("engine/combine.py", "_BucketPairs.matches")},
     # A task's ``verify`` calls share one policy frame; one by one only
     # to redo a block in which some call raised.
     "safe_verify": {("engine/combine.py", "_Verifier.flush")},
@@ -107,8 +106,6 @@ BYTE_COUNTERS = {
      "BuiltinIntervalJoinOperator._side_range"),
     ("builtin/text_operator.py",
      "BuiltinTextSimilarityJoinOperator._count_tokens"),
-    # The ORDER BY gather of the sorted runs to worker 0.
-    ("engine/operators/sort.py", "Sort.run"),
 }
 
 #: ``QueryMetrics.to_dict()`` keys telemetry does not read, and why.
@@ -294,6 +291,36 @@ def test_one_module_knows_the_instance_id_pattern():
     owners = [path for path, _ in scan()
               if r"#\d+" in string_constants(path)]
     assert owners == ["engine/metrics.py"], owners
+
+
+class _Batches(_Calls):
+    """:class:`_Calls` that also keeps the phase of every ``guard_batch``
+    call: ``(phase, qualified calling function)``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.batches = []
+
+    def visit_Call(self, node) -> None:
+        callee = node.func
+        name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+        if (name == "guard_batch" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            self.batches.append((node.args[1].value, ".".join(self.scope)))
+        super().visit_Call(node)
+
+
+def test_match_is_batched_only_by_the_relation_builder():
+    """A row of ``match`` calls is made in one place, once per query,
+    before any COMBINE task runs; the kernels only look candidates up."""
+    callers = []
+    for path in sorted(ROOT.rglob("*.py")):
+        visitor = _Batches()
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        callers += [(path.relative_to(ROOT).as_posix(), function)
+                    for phase, function in visitor.batches
+                    if phase == "match"]
+    assert callers == [("engine/combine.py", "match_relation")], callers
 
 
 def test_a_statement_is_recorded_from_one_call_site():

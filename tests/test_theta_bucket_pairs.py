@@ -1,30 +1,37 @@
-"""``match`` is asked once per bucket pair, and a raising ``match`` has a
-defined meaning.
+"""``match`` is asked once per bucket pair of the query, and a raising
+``match`` has a defined meaning.
 
-``match`` is a pure function of two bucket ids, so the theta and the
-partitioned COMBINE kernels decide it per *distinct bucket pair* of a
-task (:class:`repro.engine.combine._BucketPairs`) and pair records only
-where the answer was yes — while the stage is still charged the
-record-pair nested loop the cost model prices.  Pinned here:
+``match`` is a pure function of two bucket ids, so COMBINE decides it
+once per *distinct bucket pair* of the query, on the coordinator, before
+any task runs (:func:`repro.engine.combine.match_relation`); the theta
+and the partitioned kernels look their candidates up in that relation
+(:class:`repro.engine.combine._BucketPairs`) and pair records only where
+the answer was yes — while each task is still charged the record-pair
+nested loop the cost model prices.  A ``local_join`` task still asks
+lazily, per pair of the task.  Pinned here:
 
-- how often ``match`` is really called, the order rows come out in, and
+- how often ``match`` is really called — on any partition count, under
+  a task replay, on either backend — the order rows come out in, and
   what the traced ``match`` span says (``calls`` are real invocations,
   ``units`` the model's record pairs);
 - a ``match`` that raises: ``fail`` names it; under ``skip`` /
   ``quarantine`` every record pair the raising bucket pair covers is
-  dropped and counted, the pair itself reported once per task, and the
+  dropped and counted, the pair itself reported once per query, and the
   breaker sees one failure per failing call;
-- a cancelled token stops a task even when nothing matches.
+- a cancelled token stops the relation between two left buckets' rows,
+  even when nothing matches.
 
 Keys are plain ints and bucket ids their decade, so the record-pair
 nested loop written out below is the whole reference.
 """
 
+import json
 import random
 from collections import Counter
 
 import pytest
 
+from repro import FaultPlan
 from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.database import Database
 from repro.engine.cancel import CancellationToken
@@ -212,16 +219,9 @@ class TestARaisingMatch:
             return
         assert {entry["phase"] for entry in log} == {"match"}
         reported = [entry["record"] for entry in log]
-        assert set(reported) == {repr(pair) for pair in covered}
-        if plan == "theta":
-            # Every task holds the whole broadcast side: a bucket pair is
-            # reported by each task that met its left bucket, once.
-            assert all(reported.count(pair) <= partitions
-                       for pair in set(reported))
-            assert len(reported) < sum(covered.values())
-        else:
-            # One partition owns the pair, wherever else it meets.
-            assert len(reported) == len(covered)
+        # Once per query: however many tasks hold the pair's records
+        # (theta), or wherever else it meets (partitioned).
+        assert sorted(reported) == sorted(repr(pair) for pair in covered)
 
 
 @pytest.mark.parametrize("plan", sorted(PLANS))
@@ -257,20 +257,33 @@ def buckets(rows) -> set:
     return {row["k"] // 10 for row in rows}
 
 
-@pytest.mark.parametrize("partitions", [1, 4])
-def test_theta_asks_match_once_per_bucket_pair_of_a_task(calls, partitions):
+#: Crashes a COMBINE task on 1, 2 and 4 partitions; the replay asks
+#: nothing again.
+CRASHES = FaultPlan(seed=5, crash_rate=0.3)
+
+
+@pytest.mark.parametrize("faults", [None, CRASHES])
+@pytest.mark.parametrize("partitions", [1, 2, 4])
+def test_theta_asks_match_once_per_bucket_pair_of_the_query(
+        calls, partitions, faults):
     db = database(NearJoin, partitions)
+    db.fault_plan = faults
     try:
         result = db.execute(SQL)
+        events = [json.loads(line)
+                  for line in db.telemetry.events.to_jsonl().splitlines()]
     finally:
         db.close()
-    grid = len(buckets(LEFT)) * len(buckets(RIGHT))
-    assert len(calls) <= partitions * grid < len(LEFT) * len(RIGHT)
+    # Each pair exactly once, however the left side was spread and
+    # whichever task was replayed after a crash.
+    assert len(calls) == len(set(calls)) == (
+        len(buckets(LEFT)) * len(buckets(RIGHT)))
+    assert (faults is not None) == any(
+        event["kind"] == "fault.retry" and event["stage"].endswith("/combine")
+        for event in events)
     expected, _ = nested_loop()
     if partitions == 1:
-        # One task: each pair exactly once, and the rows in the order the
-        # record-pair loop emits them.
-        assert len(calls) == len(set(calls)) == grid
+        # One task: the rows in the order the record-pair loop emits them.
         assert ids(result) == expected
     else:
         assert sorted(ids(result)) == sorted(expected)
@@ -307,6 +320,27 @@ def test_the_match_span_counts_calls_and_charges_record_pairs(
         len(LEFT) * len(RIGHT) * match_op)
 
 
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_the_match_span_counts_the_same_calls_on_either_backend(plan):
+    """The relation is built on the coordinator before the stage ships,
+    so a worker process asks nothing the serial loop would not; a
+    ``local_join`` task asks its own pairs, on either backend."""
+    spans = {}
+    for backend in ("serial", "process"):
+        db = database(PLANS[plan], 4, backend)
+        try:
+            result = db.execute(SQL, trace=True)
+            if backend == "process":
+                assert db.worker_pool.tasks_ok_total > 0
+        finally:
+            db.close()
+        spans[backend] = [(span.calls, span.errors)
+                          for span in result.trace.walk()
+                          if span.kind == "callback" and span.name == "match"]
+    assert spans["serial"] == spans["process"]
+    assert sum(calls for calls, _ in spans["serial"]) > 0
+
+
 # -- cancellation --------------------------------------------------------------
 
 
@@ -323,7 +357,8 @@ class CancellingJoin(NearJoin):
 
 def test_a_cancelled_token_stops_a_task_with_no_candidates(calls):
     """No candidate means no guarded ``verify`` to notice the token: the
-    check that stops the task is the one before each left bucket's row."""
+    check that stops the query is the one the relation builder makes
+    before each left bucket's row of ``match`` calls."""
     CancellingJoin.token = CancellationToken()
     db = database(CancellingJoin, 1)
     try:
