@@ -22,6 +22,7 @@ from repro.engine.exchange import (
     route_exchange,
 )
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.record import row_function
 from repro.engine.resources import EntrySpillCodec
 from repro.errors import ExecutionError
 
@@ -61,7 +62,7 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
 
         def task(worker, partition):
             stage.charge(worker, len(partition) * model.record_touch)
-            intervals = [key_fn(record) for record in partition]
+            intervals = [key_fn(record.values) for record in partition]
             if not intervals:
                 return None
             return (min(i.start for i in intervals),
@@ -92,7 +93,7 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
         def task(worker, partition):
             rows = []
             for record in partition:
-                interval = key_fn(record)
+                interval = key_fn(record.values)
                 rows.append((self._bucket_of(interval, origin, granule),
                              interval, record))
             stage.charge(worker, len(partition) * (model.record_touch + model.hash_op))
@@ -109,8 +110,11 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
         right = self.right.execute(ctx)
         out_schema = left.schema.concat(right.schema)
 
-        left_range = self._side_range(left, self.left_key, ctx)
-        right_range = self._side_range(right, self.right_key, ctx)
+        # Keys are read off the value tuples, as FUDJ's key column is.
+        left_key = row_function(self.left_key, left.schema)
+        right_key = row_function(self.right_key, right.schema)
+        left_range = self._side_range(left, left_key, ctx)
+        right_range = self._side_range(right, right_key, ctx)
         if left_range is None or right_range is None:
             return OperatorResult([[] for _ in range(ctx.num_partitions)], out_schema)
         origin = min(left_range[0], right_range[0])
@@ -120,8 +124,8 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
             # underflows to zero, falls back to unit granules.
             granule = 1.0
 
-        left_assigned = self._assign(left, self.left_key, origin, granule, ctx, "left")
-        right_assigned = self._assign(right, self.right_key, origin, granule, ctx,
+        left_assigned = self._assign(left, left_key, origin, granule, ctx, "left")
+        right_assigned = self._assign(right, right_key, origin, granule, ctx,
                                       "right")
 
         # Theta plan: spread left round-robin, broadcast right.
@@ -137,8 +141,8 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
         def task(worker, local, broadcast):
             # The broadcast copy is resident: the accountant prices it and,
             # under a memory budget, spills and replays what does not fit.
-            broadcast = ctx.admit(stage, worker, broadcast,
-                                  EntrySpillCodec(self.right_key))
+            broadcast = ctx.admit(stage, worker, broadcast, EntrySpillCodec(
+                lambda record: right_key(record.values)))
             # No partitioned theta join exists, so bucket matching is a
             # plain NLJ over (bucket_id, record) tuples: each worker scans
             # the whole broadcast side once per local record (paper

@@ -17,6 +17,7 @@ from functools import partial
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import by_bucket, entry_size, restore_bytes, route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.record import row_function
 from repro.engine.resources import EntrySpillCodec, restore_tails
 from repro.errors import ExecutionError
 from repro.geometry import UniformGrid, contains, intersects, mbr_of, plane_sweep_pairs
@@ -27,7 +28,10 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
 
     Args:
         left, right: child operators.
-        left_key, right_key: Record -> geometry extractors.
+        left_key, right_key: the join key of a row, as
+            :class:`~repro.engine.operators.fudj_join.FudjJoin` takes it:
+            a bound expression or a plain ``callable(record)``
+            (:func:`~repro.engine.record.row_function`).
         n: grid size (n x n tiles over the joint MBR intersection).
         predicate: ``"intersects"`` or ``"contains"`` — the verification
             predicate applied to each candidate pair.
@@ -58,21 +62,21 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
 
     # -- phase 1: MBR summary ----------------------------------------------------
 
-    def _side_mbr(self, result: OperatorResult, key_fn, ctx: ExecutionContext):
+    def _side_mbr(self, result: OperatorResult, keys: list,
+                  ctx: ExecutionContext):
         stage = ctx.metrics.stage(f"{self.stage_name}/mbr")
         model = ctx.cost_model
 
-        def task(worker, partition):
+        def task(worker, partition, geometries):
             local = None
-            for record in partition:
-                geometry = key_fn(record)
+            for geometry in geometries:
                 local = (mbr_of(geometry) if local is None
                          else local.cover(geometry))
             stage.charge(worker, len(partition) * model.record_touch)
             return local
 
         side_mbr = None
-        for local in ctx.run_tasks(stage, task, result.partitions):
+        for local in ctx.run_tasks(stage, task, result.partitions, keys):
             if local is not None:
                 side_mbr = local if side_mbr is None else side_mbr.union(local)
         stage.network_bytes += 64 * max(0, ctx.num_partitions - 1)
@@ -80,25 +84,26 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
 
     # -- phase 2: tile replication + exchange --------------------------------------
 
-    def _replicate(self, result: OperatorResult, key_fn, grid,
+    def _replicate(self, result: OperatorResult, keys: list, grid,
                    ctx: ExecutionContext, tag: str) -> list:
         """Per worker, emit (tile_id, geometry, record, box) entries and
-        hash-exchange them on tile id."""
+        hash-exchange them on tile id.  Tiles come off the geometry's
+        coordinates (:meth:`UniformGrid.tile_ids_of`); the box is kept
+        for the per-tile MBR test."""
         stage = ctx.metrics.stage(f"{self.stage_name}/tiles-{tag}")
         model = ctx.cost_model
 
-        def task(worker, partition):
+        def task(worker, partition, geometries):
             rows = []
-            for record in partition:
-                geometry = key_fn(record)
+            for record, geometry in zip(partition, geometries):
                 box = mbr_of(geometry)
-                for tile_id in grid.overlapping_tile_ids(box):
+                for tile_id in grid.tile_ids_of(geometry):
                     rows.append((tile_id, geometry, record, box))
             stage.charge(worker, len(partition) * model.record_touch
                          + len(rows) * model.hash_op)
             return rows
 
-        assigned = ctx.run_tasks(stage, task, result.partitions)
+        assigned = ctx.run_tasks(stage, task, result.partitions, keys)
         stage.records_in += len(result)
         stage.records_out += sum(map(len, assigned))
         return route_exchange(assigned, ctx, f"{self.stage_name}/x-{tag}",
@@ -134,8 +139,12 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
         left = self.left.execute(ctx)
         right = self.right.execute(ctx)
 
-        left_mbr = self._side_mbr(left, self.left_key, ctx)
-        right_mbr = self._side_mbr(right, self.right_key, ctx)
+        left_key = row_function(self.left_key, left.schema)
+        left_keys = _geometries(left, left_key)
+        right_keys = _geometries(right, row_function(self.right_key,
+                                                     right.schema))
+        left_mbr = self._side_mbr(left, left_keys, ctx)
+        right_mbr = self._side_mbr(right, right_keys, ctx)
         out_schema = left.schema.concat(right.schema)
         if left_mbr is None or right_mbr is None:
             return OperatorResult([[] for _ in range(ctx.num_partitions)], out_schema)
@@ -144,8 +153,8 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
             return OperatorResult([[] for _ in range(ctx.num_partitions)], out_schema)
         grid = UniformGrid(overlap, self.n)
 
-        left_parts = self._replicate(left, self.left_key, grid, ctx, "left")
-        right_parts = self._replicate(right, self.right_key, grid, ctx, "right")
+        left_parts = self._replicate(left, left_keys, grid, ctx, "left")
+        right_parts = self._replicate(right, right_keys, grid, ctx, "right")
 
         stage = ctx.metrics.stage(f"{self.stage_name}/join")
         model = ctx.cost_model
@@ -154,7 +163,8 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
             # The left side is resident: the accountant prices it and,
             # under a memory budget, spills and replays what does not fit.
             build = restore_tails(left_entries, ctx.admit(
-                stage, worker, left_entries, EntrySpillCodec(self.left_key)))
+                stage, worker, left_entries,
+                EntrySpillCodec(lambda record: left_key(record.values))))
             tiles_left = defaultdict(list)
             for entry in build:
                 tiles_left[entry[0]].append(entry)
@@ -184,6 +194,13 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
         result = OperatorResult(out, out_schema)
         ctx.metrics.output_records = len(result)
         return result
+
+
+def _geometries(result: OperatorResult, key_fn) -> list:
+    """Each partition's geometries, read once off the value tuples; the
+    MBR and tile phases both use them."""
+    return [[key_fn(record.values) for record in partition]
+            for partition in result.partitions]
 
 
 class AdvancedSpatialJoinOperator(BuiltinSpatialJoinOperator):

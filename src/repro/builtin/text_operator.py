@@ -20,6 +20,7 @@ from functools import partial
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import by_bucket, entry_size, restore_bytes, route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.record import row_function
 from repro.engine.resources import EntrySpillCodec
 from repro.errors import ExecutionError
 from repro.text import tokenize
@@ -58,7 +59,8 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
         model = ctx.cost_model
 
         def task(worker, partition):
-            rows = [(tokenize(key_fn(record)), record) for record in partition]
+            rows = [(tokenize(key_fn(record.values)), record)
+                    for record in partition]
             stage.charge(worker, len(partition) * (model.record_touch + model.hash_op))
             return rows, Counter(token for tokens, _ in rows for token in tokens)
 
@@ -120,8 +122,11 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
         out_schema = left.schema.concat(right.schema)
 
         counts = Counter()
-        left_cached = self._count_tokens(left, self.left_key, counts, ctx, "left")
-        right_cached = self._count_tokens(right, self.right_key, counts, ctx, "right")
+        # Keys are read off the value tuples, as FUDJ's key column is.
+        left_key = row_function(self.left_key, left.schema)
+        right_key = row_function(self.right_key, right.schema)
+        left_cached = self._count_tokens(left, left_key, counts, ctx, "left")
+        right_cached = self._count_tokens(right, right_key, counts, ctx, "right")
         ordered = sorted(counts.items(), key=lambda item: (item[1], item[0]))
         ranks = {token: rank for rank, (token, _) in enumerate(ordered)}
 
@@ -136,7 +141,7 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
             # The left side is resident: the accountant prices it and,
             # under a memory budget, spills and replays what does not fit.
             build = ctx.admit(stage, worker, left_entries, EntrySpillCodec(
-                lambda record: tokenize(self.left_key(record))))
+                lambda record: tokenize(left_key(record.values))))
             buckets = defaultdict(list)
             for rank, tokens, record in build:
                 buckets[rank].append((tokens, record))

@@ -21,19 +21,23 @@ float-summation order of every charge are identical on either backend by
 construction.  On the theta and partitioned plans ``match`` is not a
 task's to ask: :func:`match_relation` decides every bucket pair of the
 query on the coordinator before the stage runs, and the site carries
-that relation to the task as a plain dict.
+that relation to the task as a plain dict — on the theta plan with the
+broadcast's bucket -> positions map (:func:`bucket_positions`), made
+once per query too.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
+from itertools import repeat
 
 from repro.core.dedup import DuplicateAvoidance, DuplicateElimination, NoDedup
 from repro.core.flexible_join import FlexibleJoin, JoinSide
 from repro.engine.resources import EntrySpillCodec, restore_tails
 
-__all__ = ["KERNELS", "CombineSite", "LocalSite", "match_relation"]
+__all__ = ["KERNELS", "CombineSite", "LocalSite", "bucket_positions",
+           "match_relation"]
 
 #: Candidate pairs a task holds before it verifies them: the pending
 #: list is bounded whatever the two sides' sizes.
@@ -58,7 +62,8 @@ class CombineSite:
     poll = None
 
     def __init__(self, op, ctx, pplan, out_schema, v_cost: float,
-                 worker: int, relation: dict = None) -> None:
+                 worker: int, relation: dict = None,
+                 positions: dict = None) -> None:
         self.join = op.join
         self.dedup = op.dedup
         #: Duplicate avoidance is the framework's own — the strategy is
@@ -90,6 +95,10 @@ class CombineSite:
         #: The query's ``match`` relation (:func:`match_relation`), or
         #: None on a plan that asks no bucket pair up front.
         self.relation = relation
+        #: The theta broadcast's bucket -> positions map
+        #: (:func:`bucket_positions`); None on the other plans, where
+        #: each task's right side is its own.
+        self.positions = positions
 
     def admit(self, items: list, side: JoinSide, price: bool = True) -> list:
         """Route one side's resident entries through the memory
@@ -155,9 +164,9 @@ class LocalSite(CombineSite):
     """The in-process site: every effect lands on the real context."""
 
     def __init__(self, op, ctx, stage, worker: int, pplan, out_schema,
-                 v_cost: float, relation) -> None:
+                 v_cost: float, relation, positions) -> None:
         super().__init__(op, ctx, pplan, out_schema, v_cost, worker,
-                         relation)
+                         relation, positions)
         self._op = op
         self._ctx = ctx
         self._stage = stage
@@ -324,11 +333,12 @@ def single_task(site: CombineSite, left_entries: list,
     else:
         dedup_checks = 0
         pending = verifier.pending
+        lookup = table.get
         for entry2 in right_entries:
-            bucket = table.get(entry2[0])
+            bucket = lookup(entry2[0])
             if bucket:
                 dedup_checks += len(bucket)
-                pending += [(entry1, entry2) for entry1 in bucket]
+                pending += zip(bucket, repeat(entry2))
                 if len(pending) >= _BLOCK:
                     verifier.flush()
         verifier.flush()
@@ -376,6 +386,21 @@ _UNASKED = object()
 def _matching(match, bucket1, buckets2: list) -> set:
     """One left bucket's row of ``match`` answers, unguarded."""
     return {bucket2 for bucket2 in buckets2 if match(bucket1, bucket2)}
+
+
+def bucket_positions(entries: list) -> dict:
+    """Bucket id -> the positions of its entries in ``entries``, in
+    order.
+
+    The theta plan's broadcast is one list, copied to every task, so the
+    map is made once per query from the first copy.  It holds under a
+    memory budget too: a task's ``admit`` replays spilled entries in
+    their own positions, with their bucket ids.
+    """
+    positions = defaultdict(list)
+    for position, entry in enumerate(entries):
+        positions[entry[0]].append(position)
+    return dict(positions)
 
 
 def _distinct_buckets(parts) -> list:
@@ -483,10 +508,10 @@ class _BucketPairs:
         self.right = right_entries
         self.owns = owns
         self.flush = flush
-        #: Right bucket id -> positions of its entries.
-        self.positions = defaultdict(list)
-        for position, entry in enumerate(right_entries):
-            self.positions[entry[0]].append(position)
+        #: Right bucket id -> positions of its entries: the query's map
+        #: on the theta plan, this task's own on the partitioned plan.
+        self.positions = (site.positions if site.positions is not None
+                          else bucket_positions(right_entries))
         self._candidates = {}
         self._answers = {}
         #: Record pairs dropped with a raising bucket pair — all of them

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.engine.record import Record, Schema
 from repro.errors import ExecutionError
+from repro.serde.values import box
 
 
 class PartitionedDataset:
@@ -22,6 +23,9 @@ class PartitionedDataset:
                  primary_key: str = None, type_name: str = None) -> None:
         if num_partitions < 1:
             raise ExecutionError(f"need >= 1 partition, got {num_partitions}")
+        if primary_key is not None and primary_key not in schema:
+            raise ExecutionError(
+                f"primary key {primary_key!r} is not a field of {schema}")
         self.name = name
         self.schema = schema
         self.partitions = [[] for _ in range(num_partitions)]
@@ -46,8 +50,7 @@ class PartitionedDataset:
 
     def insert(self, mapping) -> None:
         """Insert one row (a plain mapping); routed by primary-key hash."""
-        record = Record.from_dict(self.schema, mapping)
-        self._place(record)
+        self.bulk_load((mapping,))
 
     def insert_record(self, record: Record) -> None:
         """Insert an already-built record."""
@@ -56,9 +59,6 @@ class PartitionedDataset:
                 f"record schema {record.schema} does not match dataset "
                 f"schema {self.schema}"
             )
-        self._place(record)
-
-    def _place(self, record: Record) -> None:
         if self.primary_key is not None:
             key = record[self.primary_key]
             index = hash(key) % self.num_partitions
@@ -68,10 +68,33 @@ class PartitionedDataset:
         self._bytes_cache = None
 
     def bulk_load(self, rows) -> int:
-        """Insert an iterable of mappings; returns the number inserted."""
+        """Insert an iterable of plain mappings; returns the number
+        inserted.
+
+        Each row is built in one pass: one ``box`` per field, one
+        :class:`Record`.  It goes to the partition its primary key hashes
+        to (without a key, the partitions take rows in turn), as
+        :meth:`insert_record` places a record.  A row that fails — a
+        missing field raises ``KeyError``, a value that cannot be boxed
+        ``SerdeError`` — raises with the rows before it inserted.
+        """
+        schema = self.schema
+        fields = schema.fields
+        partitions = self.partitions
+        num = len(partitions)
+        key_at = (None if self.primary_key is None
+                  else schema.index_of(self.primary_key))
+        dealt = len(self)
         count = 0
+        self._bytes_cache = None
         for row in rows:
-            self.insert(row)
+            values = tuple([box(row[name]) for name in fields])
+            record = Record(schema, values)
+            if key_at is None:
+                index = (dealt + count) % num
+            else:
+                index = hash(values[key_at]) % num
+            partitions[index].append(record)
             count += 1
         return count
 

@@ -46,7 +46,7 @@ from repro.engine.faults import (
     checkpoint_outputs,
 )
 from repro.engine.kernels import scatter_batch
-from repro.engine.record import serialized_values_size
+from repro.engine.record import entry_size, serialized_values_size
 from repro.engine.resources import RecordSpillCodec, RowSpillCodec
 
 
@@ -54,13 +54,6 @@ from repro.engine.resources import RecordSpillCodec, RowSpillCodec
 #: the duplicate-elimination shuffle's tagged rows ride
 #: :func:`hash_exchange`.
 record_size = methodcaller("serialized_size")
-
-
-def entry_size(entry) -> int:
-    """Wire size of an entry ``(bucket_id, key, record, ...)`` — FUDJ's
-    or a built-in join's: the record plus 9 bytes for the bucket id (a
-    boxed int64)."""
-    return 9 + entry[2].serialized_size()
 
 
 def wire_bytes(items, size_of=record_size) -> int:
@@ -128,19 +121,27 @@ def route_exchange(inputs, ctx: ExecutionContext, stage_name: str,
     An item delivered to its own worker does not cross the network
     (locality is modelled: under a hash route roughly ``1/P`` of the
     items stay put).  One charge per delivery, in delivery order: the
-    float a worker's units add up to depends on it.
+    float a worker's units add up to depends on it.  The deliveries are
+    added in a local float that starts from the worker's entry, and the
+    sum is written back once — the float ``StageMetrics.charge`` would
+    make, addition by addition; a tracer's mirror still sees each one.
     """
     with _exchange_stage(ctx, stage_name) as stage:
-        charge = stage.charge
+        worker_units = stage.worker_units
+        mirror = stage.on_charge
         out = [[] for _ in range(ctx.num_partitions)]
         for worker, items in enumerate(inputs):
             moved = []
+            units = worker_units.get(worker, 0.0)
             for item in items:
                 for target in targets_of(item):
                     out[target].append(item)
                     if target != worker:
                         moved.append(item)
-                    charge(worker, delivery_units)
+                    units += delivery_units
+                    if mirror is not None:
+                        mirror(delivery_units)
+            worker_units[worker] = units
             _send(ctx, stage, worker, moved, size_of, len(items))
         return _receive(ctx, stage, out, size_of, codec)
 

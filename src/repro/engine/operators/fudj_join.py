@@ -52,10 +52,16 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import count
+from operator import attrgetter
 
 from repro.core.dedup import DedupStrategy, strategy_for
 from repro.core.flexible_join import FlexibleJoin, JoinSide
-from repro.engine.combine import KERNELS, LocalSite, match_relation
+from repro.engine.combine import (
+    KERNELS,
+    LocalSite,
+    bucket_positions,
+    match_relation,
+)
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import (
     by_bucket,
@@ -72,6 +78,8 @@ from repro.errors import ExecutionError, FudjCallbackError
 from repro.serde.values import unbox
 
 __all__ = ["FudjCallbackError", "FudjJoin"]
+
+_values_of = attrgetter("values")
 
 
 def _number_records(*sides) -> None:
@@ -140,27 +148,28 @@ def _fold(local_aggregate, keys: list, side: JoinSide, poll):
     return summary
 
 
-def _checked_assign(key, assign_list, pplan, side: JoinSide) -> list:
-    """``key``'s bucket list, each id checked to be an int."""
-    bucket_ids = assign_list(key, pplan, side)
-    for bucket_id in bucket_ids:
-        if not isinstance(bucket_id, int):
-            raise TypeError(
-                f"bucket ids must be ints, got "
-                f"{type(bucket_id).__name__}: {bucket_id!r}"
-            )
-    return bucket_ids
-
-
-def _assign_all(assign_list, keys: list, pplan, side: JoinSide, poll) -> list:
-    """One PARTITION task's calls: the checked bucket list of each of
-    ``keys``."""
+def _assign_all(assign_list, keys, pplan, side: JoinSide, poll) -> list:
+    """One PARTITION task's calls: the bucket list of each of ``keys``,
+    each id checked to be an int.  ``poll`` is the query's cancellation
+    check, or None."""
     assigned = []
     for key in keys:
         if poll is not None:
             poll()
-        assigned.append(_checked_assign(key, assign_list, pplan, side))
+        bucket_ids = assign_list(key, pplan, side)
+        for bucket_id in bucket_ids:
+            if not isinstance(bucket_id, int):
+                raise TypeError(
+                    f"bucket ids must be ints, got "
+                    f"{type(bucket_id).__name__}: {bucket_id!r}"
+                )
+        assigned.append(bucket_ids)
     return assigned
+
+
+def _assign_one(key, assign_list, pplan, side: JoinSide) -> list:
+    """The record-by-record form of :func:`_assign_all`."""
+    return _assign_all(assign_list, (key,), pplan, side, None)[0]
 
 
 class FudjJoin(PhysicalOperator):
@@ -240,12 +249,11 @@ class FudjJoin(PhysicalOperator):
         key_fn = row_function(
             self.left_key if side is JoinSide.LEFT else self.right_key,
             records[0].schema)
-        raws = [key_fn(record.values) for record in records]
+        boxed = map(key_fn, map(_values_of, records))
         if self.translate:
-            to_external = ctx.translator.to_external
-            raws = [to_external(boxed) for boxed in raws]
+            raws = ctx.translator.to_external_all(boxed)
         else:
-            raws = [unbox(boxed) for boxed in raws]
+            raws = list(map(unbox, boxed))
         if not self.join.prepares():
             return raws, raws, True
         prepare = self.join.prepare
@@ -373,23 +381,27 @@ class FudjJoin(PhysicalOperator):
                 # ``None`` for a record the policy dropped.
                 assigned = [
                     ctx.guard_record(
-                        join.name, "assign", _on_key, _checked_assign,
+                        join.name, "assign", _on_key, _assign_one,
                         key, join.assign_list, pplan, side,
                         detail=record,
                     )[1]
                     for key, record in zip(keys, partition)
                 ]
             rows = []
+            append = rows.append
             assignments = 0
             for bucket_ids, key, record, raw in zip(
                     assigned, keys, partition, raws):
                 if bucket_ids is None:
                     continue
-                assignments += len(bucket_ids)
-                assignment = (tuple(sorted(bucket_ids))
-                              if len(bucket_ids) > 1 else None)
+                width = len(bucket_ids)
+                assignments += width
+                if width == 1:
+                    append((bucket_ids[0], key, record, None, raw))
+                    continue
+                assignment = tuple(sorted(bucket_ids))
                 for bucket_id in bucket_ids:
-                    rows.append((bucket_id, key, record, assignment, raw))
+                    append((bucket_id, key, record, assignment, raw))
             stage.charge(
                 worker,
                 len(partition) * (model.record_touch + key_cost)
@@ -498,7 +510,9 @@ class FudjJoin(PhysicalOperator):
 
         The query's ``match`` relation is decided first, on the
         coordinator (:func:`~repro.engine.combine.match_relation`), and
-        every task — on either backend — looks its candidates up in it.
+        every task — on either backend — looks its candidates up in it;
+        on the theta plan the broadcast's bucket -> positions map is made
+        beside it, once (:func:`~repro.engine.combine.bucket_positions`).
         With a healthy process pool attached the stage ships to it;
         :func:`~repro.engine.workers.run_combine` returns None for a
         stage the pool cannot ship (unpicklable join state, an exhausted
@@ -513,12 +527,14 @@ class FudjJoin(PhysicalOperator):
         with ctx.tracer.span("combine", kind="stage", stage=stage):
             relation = match_relation(ctx, self.join, kind, left_parts,
                                       right_parts, pplan)
+            positions = (bucket_positions(right_parts[0])
+                         if kind == "theta" else None)
             pool = ctx.active_pool()
             if pool is not None:
                 from repro.engine import workers as _workers
                 pooled = _workers.run_combine(
                     pool, self, ctx, stage, kind, left_parts, right_parts,
-                    pplan, out_schema, v_cost, relation,
+                    pplan, out_schema, v_cost, relation, positions,
                 )
                 if pooled is not None:
                     return pooled
@@ -526,7 +542,8 @@ class FudjJoin(PhysicalOperator):
 
             def task(worker, left, right):
                 return kernel(LocalSite(self, ctx, stage, worker, pplan,
-                                        out_schema, v_cost, relation),
+                                        out_schema, v_cost, relation,
+                                        positions),
                               left, right)
 
             out = ctx.run_tasks(stage, task, left_parts, right_parts,

@@ -69,16 +69,19 @@ class Record:
         # need object identity (pair dedup) use ``rid`` when set, so a
         # record replayed from a spill file still counts as "the same row".
         self.rid = None
-        self.values = tuple(values)
-        if len(self.values) != len(schema):
+        if type(values) is not tuple:
+            values = tuple(values)
+        self.values = values
+        if len(values) != len(schema.fields):
             raise ExecutionError(
-                f"record arity {len(self.values)} != schema arity {len(schema)}"
+                f"record arity {len(values)} != schema arity {len(schema)}"
             )
 
     @staticmethod
     def from_dict(schema: Schema, mapping) -> "Record":
         """Build a record from a plain mapping, boxing each value."""
-        return Record(schema, (box(mapping[name]) for name in schema.fields))
+        return Record(schema, tuple([box(mapping[name])
+                                     for name in schema.fields]))
 
     def __getitem__(self, name: str) -> AValue:
         return self.values[self.schema.index_of(name)]
@@ -128,6 +131,17 @@ class Record:
         if size is None:
             size = self._size = serialized_values_size(self.values)
         return size
+
+
+def entry_size(entry) -> int:
+    """Wire size of an entry ``(bucket_id, key, record, ...)`` — FUDJ's
+    or a built-in join's: the record plus 9 bytes for the bucket id (a
+    boxed int64).  One frame: the record's cached size is read here."""
+    record = entry[2]
+    size = record._size
+    if size is None:
+        size = record._size = sum(map(encoded_size, record.values))
+    return 9 + size
 
 
 def row_function(fn, schema: Schema):

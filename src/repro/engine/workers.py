@@ -243,9 +243,9 @@ class _WorkerSite(CombineSite):
     """
 
     def __init__(self, op, ctx, pplan, out_schema, v_cost: float,
-                 worker: int, relation) -> None:
+                 worker: int, relation, positions) -> None:
         super().__init__(op, ctx, pplan, out_schema, v_cost, worker,
-                         relation)
+                         relation, positions)
         self.policy = ctx.on_error
         self.translate = op.translate
         self.charges = []
@@ -1004,7 +1004,7 @@ def _make_header_fn(sched: dict):
 
 def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
                 left_parts: list, right_parts: list, pplan, out_schema,
-                v_cost: float, relation):
+                v_cost: float, relation, positions):
     """Run one COMBINE stage's per-partition tasks on the pool.
 
     Returns the per-worker row lists (the serial loop's output), or None
@@ -1054,7 +1054,7 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
                 {
                     "kind": kind,
                     "site": _WorkerSite(op, ctx, pplan, out_schema, v_cost,
-                                        worker, relation),
+                                        worker, relation, positions),
                     "left": _pack_entries(left_entries),
                     "right": packed_right,
                 },

@@ -105,11 +105,22 @@ class UniformGrid:
 
     def tile_ids_of(self, geometry) -> list:
         """``overlapping_tile_ids(mbr_of(geometry))``; a :class:`Point`'s
-        one tile is read off its coordinates, with no MBR built."""
-        if type(geometry) is Point:
-            return [self.row_of(geometry.y) * self.n
-                    + self.column_of(geometry.x)]
-        return self.overlapping_tile_ids(mbr_of(geometry))
+        one tile is read off its coordinates, with no MBR built and no
+        helper called: :meth:`column_of` and :meth:`row_of`, inline."""
+        if type(geometry) is not Point:
+            return self.overlapping_tile_ids(mbr_of(geometry))
+        last = self.n - 1
+        col = row = 0
+        if self.tile_width != 0.0:
+            # ``_index_of``: NaN and -inf go to 0, +inf to the last tile.
+            quotient = (geometry.x - self.extent.x1) / self.tile_width
+            col = (last if quotient >= last
+                   else int(quotient) if quotient > 0.0 else 0)
+        if self.tile_height != 0.0:
+            quotient = (geometry.y - self.extent.y1) / self.tile_height
+            row = (last if quotient >= last
+                   else int(quotient) if quotient > 0.0 else 0)
+        return [row * self.n + col]
 
     def reference_tile_id(self, mbr1: Rectangle, mbr2: Rectangle) -> int:
         """Tile containing the *reference point* of an MBR pair.
@@ -117,9 +128,10 @@ class UniformGrid:
         The reference point method (Patel & DeWitt, used in paper §VII-E)
         reports a pair only from the tile that contains the top-left
         (min-x, min-y) corner of the intersection of the two MBRs, which
-        guarantees each pair is produced exactly once.
+        guarantees each pair is produced exactly once.  That corner is
+        ``(max x1, max y1)`` of the two boxes; no intersection is built.
         """
-        inter = mbr1.intersection(mbr2)
-        if inter is None:
+        if not mbr1.intersects(mbr2):
             raise ValueError("reference point of disjoint MBRs is undefined")
-        return self.tile_id(self.column_of(inter.x1), self.row_of(inter.y1))
+        return self.tile_id(self.column_of(max(mbr1.x1, mbr2.x1)),
+                            self.row_of(max(mbr1.y1, mbr2.y1)))

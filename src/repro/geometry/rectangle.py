@@ -2,30 +2,51 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 from repro.geometry.point import Point
 
 
-@dataclass(frozen=True)
 class Rectangle:
     """A closed, axis-aligned rectangle ``[x1, x2] x [y1, y2]``.
 
     Degenerate rectangles (zero width and/or height) are allowed; a point's
     MBR is one of those.  Construction validates that the bounds are
-    ordered.
+    ordered.  Equality, hash and ``repr`` are those of a frozen dataclass
+    over ``(x1, y1, x2, y2)``; the fields live in ``__slots__``.
     """
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
+    __slots__ = ("x1", "y1", "x2", "y2")
 
-    def __post_init__(self) -> None:
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(
-                f"invalid rectangle: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+    def __init__(self, x1: float, y1: float, x2: float, y2: float) -> None:
+        if x2 < x1 or y2 < y1:
+            raise ValueError(f"invalid rectangle: ({x1}, {y1}, {x2}, {y2})")
+        _set_x1(self, x1)
+        _set_y1(self, y1)
+        _set_x2(self, x2)
+        _set_y2(self, y2)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.x1, self.y1, self.x2, self.y2)
+                    == (other.x1, other.y1, other.x2, other.y2))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x1, self.y1, self.x2, self.y2))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(x1={self.x1!r}, "
+                f"y1={self.y1!r}, x2={self.x2!r}, y2={self.y2!r})")
+
+    def __reduce__(self):
+        return (self.__class__, (self.x1, self.y1, self.x2, self.y2))
 
     # -- basic measures ----------------------------------------------------
 
@@ -140,6 +161,12 @@ class Rectangle:
             x2 = max(x2, p.x)
             y2 = max(y2, p.y)
         return Rectangle(x1, y1, x2, y2)
+
+
+_set_x1 = Rectangle.x1.__set__
+_set_y1 = Rectangle.y1.__set__
+_set_x2 = Rectangle.x2.__set__
+_set_y2 = Rectangle.y2.__set__
 
 
 def mbr_of(geom) -> Rectangle:

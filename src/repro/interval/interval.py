@@ -9,23 +9,66 @@ NOT overlap, matching the paper's ``verify`` pseudocode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 
-@dataclass(frozen=True, order=True)
 class Interval:
     """An immutable time interval with ``start <= end``.
 
     Ordering is by ``(start, end)`` so lists of intervals can be sorted for
-    merge-style algorithms.
+    merge-style algorithms.  Equality, ordering, hash and ``repr`` are
+    those of a frozen, ordered dataclass over ``(start, end)``; the
+    fields live in ``__slots__``.
     """
 
-    start: float
-    end: float
+    __slots__ = ("start", "end")
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"interval end before start: ({self.start}, {self.end})")
+    def __init__(self, start: float, end: float) -> None:
+        if end < start:
+            raise ValueError(f"interval end before start: ({start}, {end})")
+        _set_start(self, start)
+        _set_end(self, end)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) == (other.start, other.end)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) < (other.start, other.end)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) <= (other.start, other.end)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) > (other.start, other.end)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end) >= (other.start, other.end)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.start, self.end))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(start={self.start!r}, "
+                f"end={self.end!r})")
+
+    def __reduce__(self):
+        return (self.__class__, (self.start, self.end))
 
     @property
     def length(self) -> float:
@@ -52,6 +95,10 @@ class Interval:
     def as_tuple(self) -> tuple:
         """Return ``(start, end)`` — the long-array form of paper §VI-B."""
         return (self.start, self.end)
+
+
+_set_start = Interval.start.__set__
+_set_end = Interval.end.__set__
 
 
 def intervals_overlap(a: Interval, b: Interval) -> bool:

@@ -196,9 +196,9 @@ class _Planner:
                     f"no built-in operator installed for join "
                     f"{node.join_name!r}; install one or use FUDJ mode"
                 )
-            # The hand-written operators read records, not rows.
-            join_op = factory(left, right, node.left_key.evaluate,
-                              node.right_key.evaluate,
+            # The hand-written operators take the bound keys, as
+            # FudjJoin does, and read them off the value tuples.
+            join_op = factory(left, right, node.left_key, node.right_key,
                               tuple(node.parameters))
         else:
             join = self.joins.instantiate(node.join_name, node.parameters)

@@ -31,6 +31,14 @@ class Translator:
         self.unbox_count += 1
         return unbox(value)
 
+    def to_external_all(self, values) -> list:
+        """:meth:`to_external` over a whole column (an iterable of engine
+        values), counted as one batch."""
+        column = [value.to_python() if isinstance(value, AValue) else value
+                  for value in values]
+        self.unbox_count += len(column)
+        return column
+
     def to_internal(self, value) -> AValue:
         """Plain Python value → engine value."""
         self.box_count += 1

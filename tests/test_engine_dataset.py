@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Cluster, PartitionedDataset, Schema
+from repro.engine import Cluster, PartitionedDataset, Record, Schema
 from repro.errors import ExecutionError
 
 
@@ -54,6 +54,10 @@ class TestPartitionedDataset:
         with pytest.raises(ExecutionError):
             ds.insert_record(bad)
 
+    def test_a_primary_key_outside_the_schema_is_rejected(self):
+        with pytest.raises(ExecutionError, match="not a field"):
+            PartitionedDataset("t", self.schema, 2, primary_key="nope")
+
     def test_zero_partitions_rejected(self):
         with pytest.raises(ExecutionError):
             PartitionedDataset("t", self.schema, 0)
@@ -98,3 +102,68 @@ class TestCluster:
             Cluster(num_partitions=0)
         with pytest.raises(ExecutionError):
             Cluster(cores=0)
+
+
+# -- bulk_load: one pass per row, the insert loop's placement and errors ----------
+
+
+def _insert_loop(dataset, rows):
+    """What ``bulk_load`` did before it built rows in one pass: build
+    each record from its mapping and place it, row by row."""
+    error = None
+    try:
+        for row in rows:
+            dataset.insert_record(Record.from_dict(dataset.schema, row))
+    except Exception as exc:  # noqa: BLE001 - the error is the answer
+        error = exc
+    return error
+
+
+def _bulk(dataset, rows):
+    error = None
+    try:
+        dataset.bulk_load(rows)
+    except Exception as exc:  # noqa: BLE001 - the error is the answer
+        error = exc
+    return error
+
+
+def _contents(dataset):
+    return [[record.values for record in partition]
+            for partition in dataset.partitions]
+
+
+GOOD = [{"id": i, "value": f"v{i}"} for i in range(7)]
+
+
+@pytest.mark.parametrize("primary_key", ["id", None])
+@pytest.mark.parametrize("bad_row", [
+    {"id": 3},                          # a field missing
+    {"id": 3, "value": object()},       # a value that cannot be boxed
+    {"id": 3, "value": [1, object()]},  # ... inside a list
+], ids=["missing-field", "unboxable", "unboxable-item"])
+def test_bulk_load_fails_where_the_insert_loop_failed(primary_key, bad_row):
+    rows = GOOD[:3] + [bad_row] + GOOD[3:]
+    schema = Schema(["id", "value"])
+    looped = PartitionedDataset("t", schema, 3, primary_key=primary_key)
+    bulk = PartitionedDataset("t", schema, 3, primary_key=primary_key)
+    expected = _insert_loop(looped, rows)
+    got = _bulk(bulk, rows)
+    assert type(got) is type(expected) and expected is not None
+    assert str(got) == str(expected)
+    assert _contents(bulk) == _contents(looped)
+    assert len(bulk) == 3
+
+
+@pytest.mark.parametrize("primary_key", ["id", None])
+def test_bulk_load_places_rows_as_the_insert_loop_did(primary_key):
+    schema = Schema(["id", "value"])
+    looped = PartitionedDataset("t", schema, 4, primary_key=primary_key)
+    bulk = PartitionedDataset("t", schema, 4, primary_key=primary_key)
+    for dataset in (looped, bulk):  # a dataset that is not empty
+        dataset.insert({"id": 100, "value": "first"})
+    rows = [{"id": i, "value": None if i % 3 else float(i)}
+            for i in range(30)]
+    assert _insert_loop(looped, rows) is None
+    assert bulk.bulk_load(iter(rows)) == 30
+    assert _contents(bulk) == _contents(looped)

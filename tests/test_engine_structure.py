@@ -128,7 +128,8 @@ ENGINE_CALLERS = {
     "deserialize_value": {("engine/resources.py", "decode_frame")},
     # A join key is made once per query, in one function: the key
     # expression, the translation layer, the library's ``prepare``.
-    "to_external": {("engine/operators/fudj_join.py", "FudjJoin._key_column")},
+    "to_external_all": {
+        ("engine/operators/fudj_join.py", "FudjJoin._key_column")},
     "_key_column": {
         # Each side's column, before SUMMARIZE; every phase reads it.
         ("engine/operators/fudj_join.py", "FudjJoin.run"),
