@@ -7,6 +7,7 @@ import math
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
+from repro.engine.resources import RecordSpillCodec
 from repro.serde.values import unbox
 
 
@@ -49,9 +50,11 @@ class Sort(PhysicalOperator):
             n = max(1, len(local))
             stage.charge(worker, len(local) * model.comparison * max(1.0, math.log2(n)))
             runs.append(local)
-        # The runs arrive on worker 0 in worker order, as the merge reads them.
+        # The runs arrive on worker 0 in worker order, as the merge reads
+        # them; under a memory budget worker 0 admits what it receives.
         gathered = route_exchange(runs, ctx, f"{self.stage_name}/gather",
-                                  lambda record: (0,), model.record_touch)
+                                  lambda record: (0,), model.record_touch,
+                                  codec=RecordSpillCodec)
         merged = self._sort(gathered[0])
         stage.charge(0, len(merged) * model.comparison)
         stage.records_in = stage.records_out = len(source)

@@ -70,3 +70,24 @@ def test_a_traced_order_by_shows_its_gather_under_the_sort():
     assert len(sorts) == 1
     children = [(child.kind, child.name) for child in sorts[0].children]
     assert ("exchange", "gather") in children
+
+
+def test_a_budgeted_gather_admits_what_it_brings_to_worker_0():
+    # 400 rows of two int64 fields: 18 wire bytes each, all of them on
+    # worker 0 after the gather, against a 2,048-byte worker budget.
+    def database(budget):
+        db = Database(num_partitions=4, memory_budget=budget)
+        db.execute("CREATE TYPE T { id: int, v: int }")
+        db.execute("CREATE DATASET R(T) PRIMARY KEY id")
+        db.load("R", [{"id": i, "v": (i * 37) % 11} for i in range(400)])
+        return db
+
+    with closing(database(None)) as db:
+        free = db.execute(SQL)
+    with closing(database(2048)) as db:
+        budgeted = db.execute(SQL)
+    assert budgeted.rows == free.rows
+    gathered = 400 * 18
+    assert budgeted.metrics.peak_reserved_bytes >= gathered
+    assert budgeted.metrics.spill_bytes > 0
+    assert free.metrics.spill_bytes == 0
