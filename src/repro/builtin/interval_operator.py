@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
+from repro.engine.combine import bucket_positions
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import (
     entry_size,
@@ -22,7 +23,7 @@ from repro.engine.exchange import (
     route_exchange,
 )
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
-from repro.engine.record import row_function
+from repro.engine.record import Record, entry_sizes, row_function, row_ids
 from repro.engine.resources import EntrySpillCodec
 from repro.errors import ExecutionError
 
@@ -56,19 +57,19 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
 
     # -- phase 1: timeline summary ----------------------------------------------
 
-    def _side_range(self, result: OperatorResult, key_fn, ctx: ExecutionContext):
+    def _side_range(self, partitions: list, key_fn, ctx: ExecutionContext):
         stage = ctx.metrics.stage(f"{self.stage_name}/range")
         model = ctx.cost_model
 
         def task(worker, partition):
             stage.charge(worker, len(partition) * model.record_touch)
-            intervals = [key_fn(record.values) for record in partition]
+            intervals = list(map(key_fn, partition))
             if not intervals:
                 return None
             return (min(i.start for i in intervals),
                     max(i.end for i in intervals))
 
-        ranges = [local for local in ctx.run_tasks(stage, task, result.partitions)
+        ranges = [local for local in ctx.run_tasks(stage, task, partitions)
                   if local is not None]
         stage.network_bytes += 32 * max(0, ctx.num_partitions - 1)
         if not ranges:
@@ -85,34 +86,37 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
         end = max(start, min(top, end))
         return (start << _BITS) | end
 
-    def _assign(self, result: OperatorResult, key_fn, origin, granule,
+    def _assign(self, partitions: list, ids: list, key_fn, origin, granule,
                 ctx: ExecutionContext, tag: str) -> list:
+        """Each row as the entry ``(bucket_id, interval, row, size, rid)``
+        (:func:`~repro.engine.record.entry_sizes`)."""
         stage = ctx.metrics.stage(f"{self.stage_name}/assign-{tag}")
         model = ctx.cost_model
 
-        def task(worker, partition):
+        def task(worker, partition, rids):
             rows = []
-            for record in partition:
-                interval = key_fn(record.values)
+            for row, size, rid in zip(partition, entry_sizes(partition),
+                                      rids):
+                interval = key_fn(row)
                 rows.append((self._bucket_of(interval, origin, granule),
-                             interval, record))
+                             interval, row, size, rid))
             stage.charge(worker, len(partition) * (model.record_touch + model.hash_op))
             return rows
 
-        assigned = ctx.run_tasks(stage, task, result.partitions)
-        stage.records_in += len(result)
+        assigned = ctx.run_tasks(stage, task, partitions, ids)
+        stage.records_in += sum(map(len, partitions))
         return assigned
 
     # -- phase 3: theta bucket matching ---------------------------------------------
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
-        left = self.left.execute(ctx)
-        right = self.right.execute(ctx)
-        out_schema = left.schema.concat(right.schema)
+        left_schema, left = self.left.rows(ctx)
+        right_schema, right = self.right.rows(ctx)
+        out_schema = left_schema.concat(right_schema)
 
         # Keys are read off the value tuples, as FUDJ's key column is.
-        left_key = row_function(self.left_key, left.schema)
-        right_key = row_function(self.right_key, right.schema)
+        left_key = row_function(self.left_key, left_schema)
+        right_key = row_function(self.right_key, right_schema)
         left_range = self._side_range(left, left_key, ctx)
         right_range = self._side_range(right, right_key, ctx)
         if left_range is None or right_range is None:
@@ -124,9 +128,11 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
             # underflows to zero, falls back to unit granules.
             granule = 1.0
 
-        left_assigned = self._assign(left, left_key, origin, granule, ctx, "left")
-        right_assigned = self._assign(right, right_key, origin, granule, ctx,
-                                      "right")
+        left_ids, right_ids = row_ids(left, right)
+        left_assigned = self._assign(left, left_ids, left_key, origin,
+                                     granule, ctx, "left")
+        right_assigned = self._assign(right, right_ids, right_key, origin,
+                                      granule, ctx, "right")
 
         # Theta plan: spread left round-robin, broadcast right.
         model = ctx.cost_model
@@ -141,30 +147,28 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
         def task(worker, local, broadcast):
             # The broadcast copy is resident: the accountant prices it and,
             # under a memory budget, spills and replays what does not fit.
-            broadcast = ctx.admit(stage, worker, broadcast, EntrySpillCodec(
-                lambda record: right_key(record.values)))
-            # No partitioned theta join exists, so bucket matching is a
-            # plain NLJ over (bucket_id, record) tuples: each worker scans
-            # the whole broadcast side once per local record (paper
-            # SVII-C).  Tabling the broadcast is charged per node.
+            broadcast = ctx.admit(stage, worker, broadcast,
+                                  EntrySpillCodec(right_key))
+            # No partitioned theta join exists, so bucket matching is
+            # charged as a plain NLJ over (bucket_id, row) entries: each
+            # worker scans the whole broadcast side once per local row
+            # (paper SVII-C).  Tabling the broadcast is charged per node.
             stage.charge(worker, (len(local) + len(broadcast)) * model.hash_op)
             rows = []
-            match_checks = 0
             verified = 0
-            for b1, i1, record1 in local:
-                s1, e1 = b1 >> _BITS, b1 & _MASK
-                for b2, i2, record2 in broadcast:
-                    match_checks += 1
-                    s2 = b2 >> _BITS
-                    if not (s1 <= (b2 & _MASK) and e1 >= s2):
-                        continue
-                    verified += 1
+            for entry1, candidates in _bucket_pairs(local, broadcast):
+                verified += len(candidates)
+                i1 = entry1[1]
+                row1 = entry1[2]
+                for entry2 in candidates:
+                    i2 = entry2[1]
                     if i1.start < i2.end and i1.end > i2.start:
-                        rows.append(record1.concat(record2, out_schema))
+                        rows.append(Record(out_schema, row1 + entry2[2]))
             # Interval overlap is cheap whether it matches or not.
             stage.charge(
                 worker,
-                match_checks * model.match_op + verified * model.comparison * 2,
+                len(local) * len(broadcast) * model.match_op
+                + verified * model.comparison * 2,
             )
             ctx.metrics.comparisons += verified
             return rows
@@ -175,3 +179,23 @@ class BuiltinIntervalJoinOperator(PhysicalOperator):
         result = OperatorResult(out, out_schema)
         ctx.metrics.output_records = len(result)
         return result
+
+
+def _bucket_pairs(local: list, broadcast: list):
+    """Each local entry with the broadcast entries whose granule range
+    overlaps its own, in broadcast order — what the nested loop over the
+    broadcast finds.  The broadcast is grouped by bucket id once, and
+    each distinct bucket pair is tested once."""
+    positions = bucket_positions(broadcast)
+    found = {}
+    for entry1 in local:
+        b1 = entry1[0]
+        candidates = found.get(b1)
+        if candidates is None:
+            s1, e1 = b1 >> _BITS, b1 & _MASK
+            candidates = found[b1] = [
+                broadcast[position] for position in sorted(
+                    position for b2, group in positions.items()
+                    if s1 <= (b2 & _MASK) and e1 >= (b2 >> _BITS)
+                    for position in group)]
+        yield entry1, candidates

@@ -17,7 +17,7 @@ from functools import partial
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import by_bucket, entry_size, restore_bytes, route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
-from repro.engine.record import row_function
+from repro.engine.record import Record, entry_sizes, row_function, row_ids
 from repro.engine.resources import EntrySpillCodec, restore_tails
 from repro.errors import ExecutionError
 from repro.geometry import UniformGrid, contains, intersects, mbr_of, plane_sweep_pairs
@@ -62,7 +62,7 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
 
     # -- phase 1: MBR summary ----------------------------------------------------
 
-    def _side_mbr(self, result: OperatorResult, keys: list,
+    def _side_mbr(self, partitions: list, keys: list,
                   ctx: ExecutionContext):
         stage = ctx.metrics.stage(f"{self.stage_name}/mbr")
         model = ctx.cost_model
@@ -76,7 +76,7 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
             return local
 
         side_mbr = None
-        for local in ctx.run_tasks(stage, task, result.partitions, keys):
+        for local in ctx.run_tasks(stage, task, partitions, keys):
             if local is not None:
                 side_mbr = local if side_mbr is None else side_mbr.union(local)
         stage.network_bytes += 64 * max(0, ctx.num_partitions - 1)
@@ -84,27 +84,28 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
 
     # -- phase 2: tile replication + exchange --------------------------------------
 
-    def _replicate(self, result: OperatorResult, keys: list, grid,
+    def _replicate(self, partitions: list, keys: list, ids: list, grid,
                    ctx: ExecutionContext, tag: str) -> list:
-        """Per worker, emit (tile_id, geometry, record, box) entries and
-        hash-exchange them on tile id.  Tiles come off the geometry's
-        coordinates (:meth:`UniformGrid.tile_ids_of`); the box is kept
-        for the per-tile MBR test."""
+        """Per worker, emit ``(tile_id, geometry, row, size, rid, box)``
+        entries and hash-exchange them on tile id.  Tiles come off the
+        geometry's coordinates (:meth:`UniformGrid.tile_ids_of`); the box
+        is kept for the per-tile MBR test."""
         stage = ctx.metrics.stage(f"{self.stage_name}/tiles-{tag}")
         model = ctx.cost_model
 
-        def task(worker, partition, geometries):
+        def task(worker, partition, geometries, rids):
             rows = []
-            for record, geometry in zip(partition, geometries):
+            for row, geometry, size, rid in zip(
+                    partition, geometries, entry_sizes(partition), rids):
                 box = mbr_of(geometry)
                 for tile_id in grid.tile_ids_of(geometry):
-                    rows.append((tile_id, geometry, record, box))
+                    rows.append((tile_id, geometry, row, size, rid, box))
             stage.charge(worker, len(partition) * model.record_touch
                          + len(rows) * model.hash_op)
             return rows
 
-        assigned = ctx.run_tasks(stage, task, result.partitions, keys)
-        stage.records_in += len(result)
+        assigned = ctx.run_tasks(stage, task, partitions, keys, ids)
+        stage.records_in += sum(map(len, partitions))
         stage.records_out += sum(map(len, assigned))
         return route_exchange(assigned, ctx, f"{self.stage_name}/x-{tag}",
                               by_bucket(ctx.num_partitions), model.hash_op,
@@ -121,8 +122,8 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
                    out_schema, counter):
         """All-pairs verification within one tile, reference-point dedup."""
         rows = []
-        for _, geom1, record1, mbr1 in left_entries:
-            for _, geom2, record2, mbr2 in right_entries:
+        for _, geom1, row1, _, _, mbr1 in left_entries:
+            for _, geom2, row2, _, _, mbr2 in right_entries:
                 counter["pairs"] += 1
                 if not mbr1.intersects(mbr2):
                     continue
@@ -132,20 +133,20 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
                 counter["verified"] += 1
                 counter["hits"] += 1 if matched else 0
                 if matched:
-                    rows.append(record1.concat(record2, out_schema))
+                    rows.append(Record(out_schema, row1 + row2))
         return rows
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
-        left = self.left.execute(ctx)
-        right = self.right.execute(ctx)
+        left_schema, left = self.left.rows(ctx)
+        right_schema, right = self.right.rows(ctx)
 
-        left_key = row_function(self.left_key, left.schema)
+        left_key = row_function(self.left_key, left_schema)
         left_keys = _geometries(left, left_key)
         right_keys = _geometries(right, row_function(self.right_key,
-                                                     right.schema))
+                                                     right_schema))
         left_mbr = self._side_mbr(left, left_keys, ctx)
         right_mbr = self._side_mbr(right, right_keys, ctx)
-        out_schema = left.schema.concat(right.schema)
+        out_schema = left_schema.concat(right_schema)
         if left_mbr is None or right_mbr is None:
             return OperatorResult([[] for _ in range(ctx.num_partitions)], out_schema)
         overlap = left_mbr.intersection(right_mbr)
@@ -153,8 +154,11 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
             return OperatorResult([[] for _ in range(ctx.num_partitions)], out_schema)
         grid = UniformGrid(overlap, self.n)
 
-        left_parts = self._replicate(left, left_keys, grid, ctx, "left")
-        right_parts = self._replicate(right, right_keys, grid, ctx, "right")
+        left_ids, right_ids = row_ids(left, right)
+        left_parts = self._replicate(left, left_keys, left_ids, grid, ctx,
+                                     "left")
+        right_parts = self._replicate(right, right_keys, right_ids, grid,
+                                      ctx, "right")
 
         stage = ctx.metrics.stage(f"{self.stage_name}/join")
         model = ctx.cost_model
@@ -164,7 +168,7 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
             # under a memory budget, spills and replays what does not fit.
             build = restore_tails(left_entries, ctx.admit(
                 stage, worker, left_entries,
-                EntrySpillCodec(lambda record: left_key(record.values))))
+                EntrySpillCodec(left_key)))
             tiles_left = defaultdict(list)
             for entry in build:
                 tiles_left[entry[0]].append(entry)
@@ -196,11 +200,10 @@ class BuiltinSpatialJoinOperator(PhysicalOperator):
         return result
 
 
-def _geometries(result: OperatorResult, key_fn) -> list:
+def _geometries(partitions: list, key_fn) -> list:
     """Each partition's geometries, read once off the value tuples; the
     MBR and tile phases both use them."""
-    return [[key_fn(record.values) for record in partition]
-            for partition in result.partitions]
+    return [list(map(key_fn, partition)) for partition in partitions]
 
 
 class AdvancedSpatialJoinOperator(BuiltinSpatialJoinOperator):
@@ -221,10 +224,12 @@ class AdvancedSpatialJoinOperator(BuiltinSpatialJoinOperator):
         def count():
             counter["pairs"] += 1
 
-        sweep_left = [(mbr, (mbr, geom, rec)) for _, geom, rec, mbr in left_entries]
-        sweep_right = [(mbr, (mbr, geom, rec)) for _, geom, rec, mbr in right_entries]
+        sweep_left = [(mbr, (mbr, geom, row))
+                      for _, geom, row, _, _, mbr in left_entries]
+        sweep_right = [(mbr, (mbr, geom, row))
+                       for _, geom, row, _, _, mbr in right_entries]
         rows = []
-        for (mbr1, geom1, record1), (mbr2, geom2, record2) in plane_sweep_pairs(
+        for (mbr1, geom1, row1), (mbr2, geom2, row2) in plane_sweep_pairs(
             sweep_left, sweep_right, counter=count
         ):
             if grid.reference_tile_id(mbr1, mbr2) != tile_id:
@@ -233,5 +238,5 @@ class AdvancedSpatialJoinOperator(BuiltinSpatialJoinOperator):
             counter["verified"] += 1
             counter["hits"] += 1 if matched else 0
             if matched:
-                rows.append(record1.concat(record2, out_schema))
+                rows.append(Record(out_schema, row1 + row2))
         return rows

@@ -20,7 +20,7 @@ from functools import partial
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import by_bucket, entry_size, restore_bytes, route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
-from repro.engine.record import row_function
+from repro.engine.record import Record, entry_sizes, row_function, row_ids
 from repro.engine.resources import EntrySpillCodec
 from repro.errors import ExecutionError
 from repro.text import tokenize
@@ -50,7 +50,7 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
 
     # -- phase 1: token frequency summary ------------------------------------------
 
-    def _count_tokens(self, result: OperatorResult, key_fn, counts: Counter,
+    def _count_tokens(self, partitions: list, key_fn, counts: Counter,
                       ctx: ExecutionContext, tag: str) -> list:
         """Add the side's token counts to ``counts`` and return the
         per-partition token-set caches so later phases never re-tokenize.
@@ -59,15 +59,15 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
         model = ctx.cost_model
 
         def task(worker, partition):
-            rows = [(tokenize(key_fn(record.values)), record)
-                    for record in partition]
+            token_sets = [tokenize(key_fn(row)) for row in partition]
             stage.charge(worker, len(partition) * (model.record_touch + model.hash_op))
-            return rows, Counter(token for tokens, _ in rows for token in tokens)
+            return token_sets, Counter(token for tokens in token_sets
+                                       for token in tokens)
 
         cached = []
-        for rows, local in ctx.run_tasks(stage, task, result.partitions):
+        for token_sets, local in ctx.run_tasks(stage, task, partitions):
             counts.update(local)
-            cached.append(rows)
+            cached.append(token_sets)
         stage.network_bytes += 128 * max(0, ctx.num_partitions - 1)
         return cached
 
@@ -79,27 +79,30 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
         p = size - math.ceil(self.threshold * size) + 1
         return max(0, min(size, p))
 
-    def _replicate(self, cached: list, ranks: dict, ctx: ExecutionContext,
-                   tag: str) -> list:
+    def _replicate(self, partitions: list, cached: list, ids: list,
+                   ranks: dict, ctx: ExecutionContext, tag: str) -> list:
+        """Per worker, emit a ``(rank, tokens, row, size, rid)`` entry per
+        prefix token of each row and hash-exchange them on rank."""
         stage = ctx.metrics.stage(f"{self.stage_name}/prefix-{tag}")
         model = ctx.cost_model
         unknown = len(ranks)
 
-        def task(worker, rows):
+        def task(worker, rows, token_sets, rids):
             out = []
-            for tokens, record in rows:
+            for row, tokens, size, rid in zip(rows, token_sets,
+                                              entry_sizes(rows), rids):
                 if not tokens:
-                    out.append((-1, tokens, record))
+                    out.append((-1, tokens, row, size, rid))
                     continue
                 token_ranks = sorted(ranks.get(t, unknown) for t in tokens)
                 for rank in token_ranks[: self._prefix_length(len(token_ranks))]:
-                    out.append((rank, tokens, record))
+                    out.append((rank, tokens, row, size, rid))
             stage.charge(worker, len(rows) * model.record_touch
                          + len(out) * model.hash_op)
             return out
 
-        assigned = ctx.run_tasks(stage, task, cached)
-        stage.records_in += sum(map(len, cached))
+        assigned = ctx.run_tasks(stage, task, partitions, cached, ids)
+        stage.records_in += sum(map(len, partitions))
         stage.records_out += sum(map(len, assigned))
         # Hash-exchange on prefix-token rank.
         return route_exchange(assigned, ctx, f"{self.stage_name}/x-{tag}",
@@ -117,21 +120,24 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
         return bool(shared) and rank == min(shared)
 
     def run(self, ctx: ExecutionContext) -> OperatorResult:
-        left = self.left.execute(ctx)
-        right = self.right.execute(ctx)
-        out_schema = left.schema.concat(right.schema)
+        left_schema, left = self.left.rows(ctx)
+        right_schema, right = self.right.rows(ctx)
+        out_schema = left_schema.concat(right_schema)
 
         counts = Counter()
         # Keys are read off the value tuples, as FUDJ's key column is.
-        left_key = row_function(self.left_key, left.schema)
-        right_key = row_function(self.right_key, right.schema)
+        left_key = row_function(self.left_key, left_schema)
+        right_key = row_function(self.right_key, right_schema)
         left_cached = self._count_tokens(left, left_key, counts, ctx, "left")
         right_cached = self._count_tokens(right, right_key, counts, ctx, "right")
         ordered = sorted(counts.items(), key=lambda item: (item[1], item[0]))
         ranks = {token: rank for rank, (token, _) in enumerate(ordered)}
 
-        left_parts = self._replicate(left_cached, ranks, ctx, "left")
-        right_parts = self._replicate(right_cached, ranks, ctx, "right")
+        left_ids, right_ids = row_ids(left, right)
+        left_parts = self._replicate(left, left_cached, left_ids, ranks, ctx,
+                                     "left")
+        right_parts = self._replicate(right, right_cached, right_ids, ranks,
+                                      ctx, "right")
 
         stage = ctx.metrics.stage(f"{self.stage_name}/join")
         model = ctx.cost_model
@@ -141,15 +147,16 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
             # The left side is resident: the accountant prices it and,
             # under a memory budget, spills and replays what does not fit.
             build = ctx.admit(stage, worker, left_entries, EntrySpillCodec(
-                lambda record: tokenize(left_key(record.values))))
+                lambda row: tokenize(left_key(row))))
             buckets = defaultdict(list)
-            for rank, tokens, record in build:
-                buckets[rank].append((tokens, record))
+            for entry in build:
+                buckets[entry[0]].append((entry[1], entry[2]))
             rows = []
             verified = 0
             verify_units = 0.0
-            for rank, tokens2, record2 in right_entries:
-                for tokens1, record1 in buckets.get(rank, ()):
+            for entry in right_entries:
+                rank, tokens2, row2 = entry[0], entry[1], entry[2]
+                for tokens1, row1 in buckets.get(rank, ()):
                     verified += 1
                     inter = len(tokens1 & tokens2)
                     union = len(tokens1) + len(tokens2) - inter
@@ -165,7 +172,7 @@ class BuiltinTextSimilarityJoinOperator(PhysicalOperator):
                         ranks2 = sorted(ranks.get(t, unknown) for t in tokens2)
                         if not self._keep_pair(rank, ranks1, ranks2):
                             continue
-                    rows.append(record1.concat(record2, out_schema))
+                    rows.append(Record(out_schema, row1 + row2))
             stage.charge(worker, verify_units)
             ctx.metrics.comparisons += verified
             return rows

@@ -2,10 +2,12 @@
 
 COMBINE is where the user's ``match`` / ``verify`` / ``dedup`` run.  A
 kernel is the body of one per-partition task: it takes the two routed
-entry lists (``(bucket_id, key, record, assignment, raw_key)`` tuples, as
-PARTITION made them — ``key`` is what the callbacks receive, ``raw_key``
-the key before the library's ``prepare``, which a quarantine report
-renders) and returns the joined rows.  Everything a task
+entry lists (``(bucket_id, key, row, size, rid, assignment, raw_key)``
+tuples, as PARTITION made them — ``key`` is what the callbacks receive,
+``row`` the input's value tuple, ``size`` the entry's wire size, ``rid``
+the row's id, ``raw_key`` the key before the library's ``prepare``,
+which a quarantine report renders) and returns the joined rows, one
+:class:`~repro.engine.record.Record` each.  Everything a task
 does to shared state — charging the stage, recording a callback,
 attributing trace units, quarantining a record, reserving memory — goes
 through the site it is handed:
@@ -34,6 +36,7 @@ from itertools import repeat
 
 from repro.core.dedup import DuplicateAvoidance, DuplicateElimination, NoDedup
 from repro.core.flexible_join import FlexibleJoin, JoinSide
+from repro.engine.record import Record
 from repro.engine.resources import EntrySpillCodec, restore_tails
 
 __all__ = ["KERNELS", "CombineSite", "LocalSite", "bucket_positions",
@@ -103,8 +106,9 @@ class CombineSite:
     def admit(self, items: list, side: JoinSide, price: bool = True) -> list:
         """Route one side's resident entries through the memory
         accountant.  A spilled entry comes back as the codec's
-        ``(bucket_id, key, record)`` in its original's position and takes
-        its original's carried assignment and raw key back."""
+        ``(bucket_id, key, row)`` in its original's position and takes
+        the rest of its original back (size, rid, carried assignment and
+        raw key)."""
         return restore_tails(items, self._admit(items, side, price))
 
     def keeps(self, bucket1: int, assignment1, bucket2: int,
@@ -163,12 +167,13 @@ class CombineSite:
 class LocalSite(CombineSite):
     """The in-process site: every effect lands on the real context."""
 
-    def __init__(self, op, ctx, stage, worker: int, pplan, out_schema,
-                 v_cost: float, relation, positions) -> None:
+    def __init__(self, op, ctx, stage, worker: int, pplan, schemas: tuple,
+                 out_schema, v_cost: float, relation, positions) -> None:
         super().__init__(op, ctx, pplan, out_schema, v_cost, worker,
                          relation, positions)
         self._op = op
         self._ctx = ctx
+        self._schemas = schemas
         self._stage = stage
         if ctx.cancel is not None:
             self.poll = ctx.cancel.check
@@ -192,9 +197,11 @@ class LocalSite(CombineSite):
         # the spill and, under a memory budget, spills/replays the
         # overflow for real — making each replayed entry's key again.
         op, ctx = self._op, self._ctx
+        schema = self._schemas[side is JoinSide.RIGHT]
         return ctx.admit(
             self._stage, self.worker, items,
-            EntrySpillCodec(lambda r: op._key_column([r], side, ctx)[0][0]),
+            EntrySpillCodec(
+                lambda row: op._key_column([row], schema, side, ctx)[0][0]),
             price=price,
         )
 
@@ -234,10 +241,10 @@ class _Verifier:
     distinguish *the same input pair emitted from two buckets* (a
     duplicate) from *two different pairs with equal field values* (two
     legitimate results) — the original set-similarity study dedups on
-    record ids for the same reason.  PARTITION numbered both sides'
-    records for this (``fudj_join._number_records``); exchanges move
-    references, and spills and worker transport replay clones that keep
-    their ``rid``.
+    record ids for the same reason.  The pair id is the two entries'
+    ``rid``s, which PARTITION numbered
+    (:func:`~repro.engine.record.row_ids`); spills and worker transport
+    give a replayed entry its original's ``rid`` back.
     """
 
     def __init__(self, site: CombineSite, rows: list) -> None:
@@ -260,7 +267,7 @@ class _Verifier:
         )
         if not ok:
             safe_verify = site.safe_verify
-            answers = [safe_verify(entry1[1], entry2[1], entry1[4], entry2[4])
+            answers = [safe_verify(entry1[1], entry2[1], entry1[6], entry2[6])
                        for entry1, entry2 in pairs]
         rows = self.rows
         out_schema = site.out_schema
@@ -270,11 +277,9 @@ class _Verifier:
         units = self.units
         for (entry1, entry2), matched in zip(pairs, answers):
             if matched:
-                record1 = entry1[2]
-                record2 = entry2[2]
-                joined = record1.concat(record2, out_schema)
+                joined = Record(out_schema, entry1[2] + entry2[2])
                 if tag:
-                    joined = ((record1.rid, record2.rid), joined)
+                    joined = ((entry1[4], entry2[4]), joined)
                 rows.append(joined)
                 units += hit
             else:
@@ -283,11 +288,20 @@ class _Verifier:
 
 
 def _kept(site: CombineSite, pairs: list) -> list:
-    """The candidate pairs the dedup strategy emits from here, in order."""
+    """The candidate pairs the dedup strategy emits from here, in order.
+
+    With the default ``match`` a pair with a single-assigned side is kept
+    without asking :meth:`CombineSite.keeps`: both entries are in one
+    bucket, so the first ``b1`` of the one assignment that the other
+    holds is that bucket."""
     if site.carried:
         keeps = site.keeps
+        if site.default_match:
+            return [pair for pair in pairs
+                    if pair[0][5] is None or pair[1][5] is None
+                    or keeps(pair[0][0], pair[0][5], pair[1][0], pair[1][5])]
         return [pair for pair in pairs
-                if keeps(pair[0][0], pair[0][3], pair[1][0], pair[1][3])]
+                if keeps(pair[0][0], pair[0][5], pair[1][0], pair[1][5])]
     keep_local = site.dedup.keep_local
     join = site.join
     pplan = site.pplan

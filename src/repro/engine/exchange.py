@@ -8,19 +8,20 @@ There is one routing
 routine, :func:`route_exchange`, and one replication,
 :func:`replicate_exchange`; an exchange is a choice of
 
-- *where an item goes* — ``targets_of(item)``: the hash of a key or of
-  a bucket id, a round-robin cursor, worker 0 (an ORDER BY's gather),
-  or (the one multi-target route) the match partitions of a FUDJ
-  bucket;
+- *where an item goes* — ``targets_of(item)``: one worker, as an
+  ``int`` (the hash of a key or of a bucket id, a round-robin cursor,
+  worker 0 for an ORDER BY's gather), or — the one multi-target route —
+  the list of a FUDJ bucket's match partitions;
 - *what a delivery costs the sender* — ``hash_op + record_touch``,
   ``record_touch`` or ``hash_op``;
 - *how an item is sized* — a record (or anything with
-  ``serialized_size()``), a raw value row, or an entry
-  (:func:`entry_size`).
+  ``serialized_size()``), a raw value row, or an entry, which carries
+  its size (:func:`entry_size`).
 
 :func:`hash_exchange`, :func:`random_exchange` and
 :func:`broadcast_exchange` are those choices for records; the FUDJ
-operator and the built-in joins make their own for their entries.
+operator and the built-in joins make their own for their entries, and
+GROUP BY for its ``(key, partial states)`` value tuples.
 Every item's size is counted from the wire format, equal to its
 serialized length, without serializing it.
 
@@ -114,9 +115,10 @@ def _admit_received(ctx: ExecutionContext, stage, out: list, codec) -> list:
 def route_exchange(inputs, ctx: ExecutionContext, stage_name: str,
                    targets_of, delivery_units: float, size_of=record_size,
                    codec=None) -> list:
-    """Send every item of every worker's input to the workers
-    ``targets_of(item)`` names, charging the sender ``delivery_units``
-    per delivery.
+    """Send every item of every worker's input to the worker
+    ``targets_of(item)`` names — an ``int`` — or to each of the workers
+    in the list it returns, charging the sender ``delivery_units`` per
+    delivery.
 
     An item delivered to its own worker does not cross the network
     (locality is modelled: under a hash route roughly ``1/P`` of the
@@ -134,9 +136,19 @@ def route_exchange(inputs, ctx: ExecutionContext, stage_name: str,
             moved = []
             units = worker_units.get(worker, 0.0)
             for item in items:
-                for target in targets_of(item):
+                target = targets_of(item)
+                if type(target) is int:
                     out[target].append(item)
                     if target != worker:
+                        moved.append(item)
+                    units += delivery_units
+                    if mirror is not None:
+                        mirror(delivery_units)
+                    continue
+                # The multi-target route: the same delivery, per target.
+                for each in target:
+                    out[each].append(item)
+                    if each != worker:
                         moved.append(item)
                     units += delivery_units
                     if mirror is not None:
@@ -179,7 +191,7 @@ def replicate_exchange(inputs, ctx: ExecutionContext, stage_name: str,
 def by_bucket(num: int):
     """A ``targets_of`` that sends an entry to the worker its bucket id
     hashes to."""
-    return lambda entry: (hash(entry[0]) % num,)
+    return lambda entry: hash(entry[0]) % num
 
 
 def restore_bytes(ctx: ExecutionContext, *entry_lists) -> float:
@@ -209,7 +221,7 @@ def hash_exchange(partitions, key_fn, ctx: ExecutionContext,
     model = ctx.cost_model
     return route_exchange(
         partitions, ctx, stage_name,
-        lambda record: (hash(key_fn(record)) % num,),
+        lambda record: hash(key_fn(record)) % num,
         model.hash_op + model.record_touch, codec=RecordSpillCodec,
     )
 
@@ -218,7 +230,7 @@ def round_robin(num: int):
     """A ``targets_of`` that deals items out in turn; the cursor runs on
     from one worker's input to the next."""
     cursor = count()
-    return lambda item: (next(cursor) % num,)
+    return lambda item: next(cursor) % num
 
 
 def random_exchange(partitions, ctx: ExecutionContext,

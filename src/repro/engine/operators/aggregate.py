@@ -12,9 +12,14 @@ from copy import copy
 from repro.engine import kernels
 from repro.engine.batch import BatchResult, as_worker_batches, batches_from_rows
 from repro.engine.context import ExecutionContext
-from repro.engine.exchange import hash_exchange, hash_exchange_batches
+from repro.engine.exchange import hash_exchange_batches, route_exchange
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
-from repro.engine.record import Record, Schema, row_function
+from repro.engine.record import (
+    Record,
+    Schema,
+    row_function,
+    serialized_values_size,
+)
 from repro.engine.resources import RowSpillCodec
 from repro.serde.values import box, unbox
 
@@ -242,16 +247,18 @@ class GroupBy(PhysicalOperator):
             )
             local_tables.append(table)
 
-        # Phase 2: shuffle partial states by group key.
-        partial_schema = Schema(["__key", "__states"])
-        partials = [
-            [Record(partial_schema, (box_key(key), RawState(states)))
-             for key, states in table.items()]
-            for table in local_tables
-        ]
-        shuffled = hash_exchange(
-            partials, lambda r: r.values[0], ctx,
-            stage_name=f"{self.stage_name}/shuffle",
+        # Phase 2: shuffle partial states by group key, as value tuples
+        # ``(key, RawState)`` — sized, and pinned under a budget, as the
+        # records of a hash exchange are.
+        partials = [[(key, RawState(states)) for key, states in table.items()]
+                    for table in local_tables]
+        ctx.metrics.operator_invocations += sum(map(len, partials))
+        num = ctx.num_partitions
+        shuffled = route_exchange(
+            partials, ctx, f"{self.stage_name}/shuffle",
+            lambda row: hash(row[0]) % num,
+            model.hash_op + model.record_touch, serialized_values_size,
+            RowSpillCodec,
         )
 
         # Phase 3: global merge per worker.
@@ -263,9 +270,8 @@ class GroupBy(PhysicalOperator):
         for worker, partition in enumerate(shuffled):
             ctx.metrics.operator_invocations += len(partition)
             table = {}
-            for record in partition:
-                key = record.values[0]
-                states = record.values[1].states
+            for key, raw in partition:
+                states = raw.states
                 current = table.get(key)
                 if current is None:
                     table[key] = list(states)
@@ -280,7 +286,8 @@ class GroupBy(PhysicalOperator):
                     box(agg.result(states[i]))
                     for i, agg in enumerate(self.aggregates)
                 ]
-                rows.append(Record(out_schema, list(key_values) + agg_values))
+                rows.append(Record(out_schema,
+                                   tuple(key_values) + tuple(agg_values)))
             out.append(rows)
         stage.records_in = sum(map(len, partitions))
         stage.records_out = sum(len(p) for p in out)
@@ -323,8 +330,7 @@ class GroupBy(PhysicalOperator):
         partials = [
             batches_from_rows(
                 ctx, partial_schema,
-                [(box_key(key), RawState(states))
-                 for key, states in table.items()],
+                [(key, RawState(states)) for key, states in table.items()],
             )
             for table in local_tables
         ]
@@ -467,12 +473,7 @@ class RawState:
         return self.states
 
 
-def box_key(key: tuple):
-    """Box a group key tuple into one hashable value."""
-    return tuple(v if not hasattr(v, "to_python") else v for v in key)
-
-
 def unbox_key(key: tuple, arity: int) -> list:
-    """Inverse of :func:`box_key`, re-boxing each element for the output."""
+    """A group key tuple as output values, each element re-boxed."""
     assert len(key) == arity
     return [box(unbox(v)) for v in key]

@@ -8,7 +8,8 @@ on top of the engine primitives:
 1. SUMMARIZE — per-worker ``local_aggregate`` over the join keys, a
    coordinator ``global_aggregate`` merge, then ``divide`` to produce the
    PPlan, which is broadcast.
-2. PARTITION — ``assign`` unnests each record to ``(bucket_id, record)``.
+2. PARTITION — ``assign`` unnests each input row to one entry per
+   bucket (:meth:`FudjJoin._assign_side`).
 3. COMBINE — single-joins (default ``match``) hash-exchange both sides on
    bucket id and run a per-bucket hash join; multi-joins fall back to the
    theta plan (spread left, broadcast right, ``match`` per bucket pair,
@@ -20,6 +21,11 @@ on top of the engine primitives:
    for elimination).  This operator picks the plan and runs the
    exchanges; the per-partition join is a kernel in
    :mod:`repro.engine.combine`.
+
+The operator reads its children's value tuples (``rows``), not
+records: no :class:`~repro.engine.record.Record` is made for an input
+row, each row is sized once per query, in PARTITION, and COMBINE makes
+one Record per joined row.
 
 Every join key goes through the translation layer (Figure 7), so the
 callbacks see plain Python values; built-in operator baselines bypass
@@ -51,8 +57,6 @@ Phases with no single culprit record (``global_aggregate``, ``divide``,
 from __future__ import annotations
 
 from functools import partial
-from itertools import count
-from operator import attrgetter
 
 from repro.core.dedup import DedupStrategy, strategy_for
 from repro.core.flexible_join import FlexibleJoin, JoinSide
@@ -73,33 +77,11 @@ from repro.engine.exchange import (
     route_exchange,
 )
 from repro.engine.operators.base import OperatorResult, PhysicalOperator
-from repro.engine.record import row_function
+from repro.engine.record import Record, entry_sizes, row_function, row_ids
 from repro.errors import ExecutionError, FudjCallbackError
 from repro.serde.values import unbox
 
 __all__ = ["FudjCallbackError", "FudjJoin"]
-
-_values_of = attrgetter("values")
-
-
-def _number_records(*sides) -> None:
-    """Give every input record of a duplicate-eliminating join its
-    ``rid``: minus its ordinal, counting through the sides in (worker,
-    position) order.
-
-    The elimination shuffle hash-routes a joined row on the pair of its
-    inputs' ``rid``s, so they have to be a function of the query's input
-    alone — a memory address or a process-wide counter sends the rows,
-    and with them every per-worker figure, somewhere else on every run.
-    One count through both sides keeps the numbers distinct even when a
-    ``Values`` source feeds the same record object to both.
-    """
-    ordinals = count(1)
-    for partitions in sides:
-        for partition in partitions:
-            for record in partition:
-                record.rid = -next(ordinals)
-
 
 class _DedupEntry:
     """The elimination shuffle's item, ``(pair_id, record)``; it sizes
@@ -233,23 +215,26 @@ class FudjJoin(PhysicalOperator):
 
     # -- the key column -----------------------------------------------------------
 
-    def _key_column(self, records: list, side: JoinSide,
+    def _key_column(self, rows: list, schema, side: JoinSide,
                     ctx: ExecutionContext) -> tuple:
         """The one place a join key is made: the key expression, the
         translation layer, then the library's ``prepare`` if it has one.
 
-        Returns ``(keys, raws, clean)``, the lists parallel to
-        ``records``: ``keys`` is what the callbacks receive, ``raws`` the
-        translated keys a quarantine report renders (the same list for a
-        library without ``prepare``), and ``clean`` is False when some
-        ``prepare`` raised and left an :class:`_Unprepared` in ``keys``.
+        Returns ``(keys, raws, clean)``, the lists parallel to ``rows``
+        (value tuples laid out as ``schema``): ``keys`` is what the
+        callbacks receive, ``raws`` the translated keys a quarantine
+        report renders (the same list for a library without ``prepare``),
+        and ``clean`` is False when some ``prepare`` raised and left an
+        :class:`_Unprepared` in ``keys``.  A plain column key is read
+        boxed (``Column.boxed``) and unboxed once, here.
         """
-        if not records:
+        if not rows:
             return [], [], True
-        key_fn = row_function(
-            self.left_key if side is JoinSide.LEFT else self.right_key,
-            records[0].schema)
-        boxed = map(key_fn, map(_values_of, records))
+        key = self.left_key if side is JoinSide.LEFT else self.right_key
+        boxed_reader = getattr(key, "boxed", None)
+        key_fn = (boxed_reader(schema) if boxed_reader is not None
+                  else row_function(key, schema))
+        boxed = map(key_fn, rows)
         if self.translate:
             raws = ctx.translator.to_external_all(boxed)
         else:
@@ -272,19 +257,21 @@ class FudjJoin(PhysicalOperator):
 
     # -- phase 1: SUMMARIZE ------------------------------------------------------
 
-    def _summarize_side(self, result: OperatorResult, column: list,
+    def _summarize_side(self, side_rows: tuple, column: list,
                         side: JoinSide, ctx: ExecutionContext):
         stage = ctx.metrics.stage(f"{self.stage_name}/summarize-{side.value}")
         with ctx.tracer.span(f"summarize-{side.value}", kind="stage",
                              stage=stage):
-            return self._summarize_side_inner(result, column, side, ctx, stage)
+            return self._summarize_side_inner(side_rows, column, side, ctx,
+                                              stage)
 
-    def _summarize_side_inner(self, result, column, side, ctx, stage):
+    def _summarize_side_inner(self, side_rows, column, side, ctx, stage):
         model = ctx.cost_model
         key_cost = self._key_cost(ctx)
         step = max(1, round(1.0 / self.summarize_sample))
         join = self.join
         poll = None if ctx.cancel is None else ctx.cancel.check
+        schema, partitions = side_rows
 
         def task(worker, sampled, keyed):
             keys, _, ok = keyed
@@ -299,11 +286,11 @@ class FudjJoin(PhysicalOperator):
                 # The batch's partial summary is dropped, not resumed: a
                 # library may have mutated it in place.
                 summary = None
-                for key, record in zip(keys, sampled):
+                for key, row in zip(keys, sampled):
                     ok, folded = ctx.guard_record(
                         join.name, "local_aggregate", _on_key,
                         join.local_aggregate, key, summary, side,
-                        detail=record,
+                        detail=Record(schema, row),
                     )
                     if ok:
                         summary = folded
@@ -313,7 +300,7 @@ class FudjJoin(PhysicalOperator):
             return summary
 
         partials = [summary for summary in ctx.run_tasks(
-            stage, task, result.partitions, column) if summary is not None]
+            stage, task, partitions, column) if summary is not None]
         # Global merge at the coordinator; partial summaries are tiny, so
         # the network charge is one small constant per worker.
         stage.network_bytes += 64 * max(0, len(partials) - 1)
@@ -326,20 +313,26 @@ class FudjJoin(PhysicalOperator):
                     join.name, "global_aggregate", join.global_aggregate,
                     merged, partial, side)[1]
             stage.charge(0, model.record_touch)
-        stage.records_in = len(result)
+        stage.records_in = sum(map(len, partitions))
         return merged
 
     # -- phase 2: PARTITION ------------------------------------------------------
 
-    def _assign_side(self, result: OperatorResult, column: list,
+    def _assign_side(self, side_rows: tuple, column: list, ids: list,
                      side: JoinSide, pplan, ctx: ExecutionContext) -> list:
-        """Unnest each record into ``(bucket_id, key, record, assignment,
-        raw_key)`` entries, one per bucket.
+        """Unnest each row into ``(bucket_id, key, row, size, rid,
+        assignment, raw_key)`` entries, one per bucket.
 
-        ``assignment`` is the record's whole bucket list, sorted, as one
-        tuple shared by its entries — ``None`` when the record has a
-        single bucket.  COMBINE answers default duplicate avoidance from
-        it (:meth:`~repro.engine.combine.CombineSite.keeps`) instead of
+        ``size`` is the entry's wire size, the row's bytes plus 9 for the
+        bucket id (:func:`~repro.engine.record.entry_sizes`): made here,
+        once per row per query, and read by every exchange, admission,
+        checkpoint and restore after.  ``rid`` is the row's id from
+        ``ids`` (:func:`~repro.engine.record.row_ids`), a
+        duplicate-eliminating join's half of a pair id.  ``assignment``
+        is the row's whole bucket list, sorted, as one tuple shared by its
+        entries — ``None`` when the row has a single bucket.  COMBINE
+        answers default duplicate avoidance from it
+        (:meth:`~repro.engine.combine.CombineSite.keeps`) instead of
         calling ``assign`` again for every candidate pair.
 
         With tracing on, the per-bucket record histogram is collected
@@ -349,8 +342,8 @@ class FudjJoin(PhysicalOperator):
         stage = ctx.metrics.stage(f"{self.stage_name}/assign-{side.value}")
         with ctx.tracer.span(f"assign-{side.value}", kind="stage",
                              stage=stage):
-            out = self._assign_side_inner(result, column, side, pplan, ctx,
-                                          stage)
+            out = self._assign_side_inner(side_rows, column, ids, side,
+                                          pplan, ctx, stage)
         if ctx.tracer.enabled:
             histogram = {}
             for rows in out:
@@ -362,14 +355,15 @@ class FudjJoin(PhysicalOperator):
             )
         return out
 
-    def _assign_side_inner(self, result, column, side, pplan, ctx,
+    def _assign_side_inner(self, side_rows, column, ids, side, pplan, ctx,
                            stage) -> list:
         model = ctx.cost_model
         key_cost = self._key_cost(ctx)
         join = self.join
         poll = None if ctx.cancel is None else ctx.cancel.check
+        schema, partitions = side_rows
 
-        def task(worker, partition, keyed):
+        def task(worker, partition, keyed, rids):
             keys, raws, ok = keyed
             if ok:
                 ok, assigned = ctx.guard_batch(
@@ -378,30 +372,31 @@ class FudjJoin(PhysicalOperator):
                     poll,
                 )
             if not ok:
-                # ``None`` for a record the policy dropped.
+                # ``None`` for a row the policy dropped.
                 assigned = [
                     ctx.guard_record(
                         join.name, "assign", _on_key, _assign_one,
                         key, join.assign_list, pplan, side,
-                        detail=record,
+                        detail=Record(schema, row),
                     )[1]
-                    for key, record in zip(keys, partition)
+                    for key, row in zip(keys, partition)
                 ]
             rows = []
             append = rows.append
             assignments = 0
-            for bucket_ids, key, record, raw in zip(
-                    assigned, keys, partition, raws):
+            for bucket_ids, key, row, size, rid, raw in zip(
+                    assigned, keys, partition, entry_sizes(partition), rids,
+                    raws):
                 if bucket_ids is None:
                     continue
                 width = len(bucket_ids)
                 assignments += width
                 if width == 1:
-                    append((bucket_ids[0], key, record, None, raw))
+                    append((bucket_ids[0], key, row, size, rid, None, raw))
                     continue
                 assignment = tuple(sorted(bucket_ids))
                 for bucket_id in bucket_ids:
-                    append((bucket_id, key, record, assignment, raw))
+                    append((bucket_id, key, row, size, rid, assignment, raw))
             stage.charge(
                 worker,
                 len(partition) * (model.record_touch + key_cost)
@@ -409,8 +404,8 @@ class FudjJoin(PhysicalOperator):
             )
             return rows
 
-        out = ctx.run_tasks(stage, task, result.partitions, column)
-        stage.records_in += len(result)
+        out = ctx.run_tasks(stage, task, partitions, column, ids)
+        stage.records_in += sum(map(len, partitions))
         stage.records_out += sum(map(len, out))
         return out
 
@@ -420,17 +415,18 @@ class FudjJoin(PhysicalOperator):
         if ctx.breaker is not None:
             # Fail fast before any phase runs when the library is tripped.
             ctx.breaker.check(self.join.name)
-        left = self.left.execute(ctx)
-        right = self.right.execute(ctx)
+        left = self.left.rows(ctx)
+        right = self.right.rows(ctx)
         join = self.join
         tracer = ctx.tracer
 
         # SUMMARIZE (+ the self-join summarize-once optimization).
         with tracer.span("SUMMARIZE", kind="phase"):
-            left_keys = [self._key_column(partition, JoinSide.LEFT, ctx)
-                         for partition in left.partitions]
-            right_keys = [self._key_column(partition, JoinSide.RIGHT, ctx)
-                          for partition in right.partitions]
+            left_keys = [self._key_column(rows, left[0], JoinSide.LEFT, ctx)
+                         for rows in left[1]]
+            right_keys = [self._key_column(rows, right[0], JoinSide.RIGHT,
+                                           ctx)
+                          for rows in right[1]]
             summary1 = self._summarize_side(
                 left, left_keys, JoinSide.LEFT, ctx
             )
@@ -449,16 +445,16 @@ class FudjJoin(PhysicalOperator):
 
         # PARTITION.
         with tracer.span("PARTITION", kind="phase"):
-            if self.dedup.requires_shuffle:
-                _number_records(left.partitions, right.partitions)
+            left_ids, right_ids = row_ids(left[1], right[1])
             left_assigned = self._assign_side(
-                left, left_keys, JoinSide.LEFT, pplan, ctx
+                left, left_keys, left_ids, JoinSide.LEFT, pplan, ctx
             )
             right_assigned = self._assign_side(
-                right, right_keys, JoinSide.RIGHT, pplan, ctx
+                right, right_keys, right_ids, JoinSide.RIGHT, pplan, ctx
             )
 
-        out_schema = left.schema.concat(right.schema)
+        schemas = (left[0], right[0])
+        out_schema = left[0].concat(right[0])
         name = self.stage_name
         num = ctx.num_partitions
         model = ctx.cost_model
@@ -495,8 +491,8 @@ class FudjJoin(PhysicalOperator):
                 right_parts = replicate_exchange(
                     right_assigned, ctx, f"{name}/broadcast", entry_size)
             partitions = self._combine(
-                kind, left_parts, right_parts, pplan, out_schema, ctx
-            )
+                kind, left_parts, right_parts, pplan, schemas, out_schema,
+                ctx)
             if self.dedup.requires_shuffle:
                 partitions = self._eliminate_duplicates(partitions, ctx)
 
@@ -505,7 +501,8 @@ class FudjJoin(PhysicalOperator):
         return result
 
     def _combine(self, kind: str, left_parts: list, right_parts: list,
-                 pplan, out_schema, ctx: ExecutionContext) -> list:
+                 pplan, schemas: tuple, out_schema,
+                 ctx: ExecutionContext) -> list:
         """Run the ``kind`` kernel over every partition pair.
 
         The query's ``match`` relation is decided first, on the
@@ -518,6 +515,8 @@ class FudjJoin(PhysicalOperator):
         stage the pool cannot ship (unpicklable join state, an exhausted
         restart budget, a non-callback worker failure), and the serial
         loop below then reproduces any genuine error deterministically.
+        ``schemas`` are the two sides' row layouts, which a spilled
+        entry's key is made again from.
         """
         stage = ctx.metrics.stage(f"{self.stage_name}/combine")
         v_cost = (
@@ -542,8 +541,8 @@ class FudjJoin(PhysicalOperator):
 
             def task(worker, left, right):
                 return kernel(LocalSite(self, ctx, stage, worker, pplan,
-                                        out_schema, v_cost, relation,
-                                        positions),
+                                        schemas, out_schema, v_cost,
+                                        relation, positions),
                               left, right)
 
             out = ctx.run_tasks(stage, task, left_parts, right_parts,

@@ -53,7 +53,7 @@ class Sort(PhysicalOperator):
         # The runs arrive on worker 0 in worker order, as the merge reads
         # them; under a memory budget worker 0 admits what it receives.
         gathered = route_exchange(runs, ctx, f"{self.stage_name}/gather",
-                                  lambda record: (0,), model.record_touch,
+                                  lambda record: 0, model.record_touch,
                                   codec=RecordSpillCodec)
         merged = self._sort(gathered[0])
         stage.charge(0, len(merged) * model.comparison)

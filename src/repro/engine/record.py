@@ -8,6 +8,8 @@ so expressions can reference either side unambiguously.
 
 from __future__ import annotations
 
+from operator import add, itemgetter
+
 from repro.errors import ExecutionError
 from repro.serde.serializer import encoded_size
 from repro.serde.values import AValue, box, unbox
@@ -60,15 +62,11 @@ class Schema:
 class Record:
     """An immutable row of boxed values conforming to a schema."""
 
-    __slots__ = ("schema", "values", "rid", "_size")
+    __slots__ = ("schema", "values", "_size")
 
     def __init__(self, schema: Schema, values) -> None:
         self.schema = schema
         self._size = None
-        # Stable identity carried across spill round-trips: operators that
-        # need object identity (pair dedup) use ``rid`` when set, so a
-        # record replayed from a spill file still counts as "the same row".
-        self.rid = None
         if type(values) is not tuple:
             values = tuple(values)
         self.values = values
@@ -133,15 +131,45 @@ class Record:
         return size
 
 
-def entry_size(entry) -> int:
-    """Wire size of an entry ``(bucket_id, key, record, ...)`` — FUDJ's
-    or a built-in join's: the record plus 9 bytes for the bucket id (a
-    boxed int64).  One frame: the record's cached size is read here."""
-    record = entry[2]
-    size = record._size
-    if size is None:
-        size = record._size = sum(map(encoded_size, record.values))
-    return 9 + size
+#: Wire size of a join entry — FUDJ's or a built-in join's, laid out as
+#: ``(bucket_id, key, row, size, rid, ...)``: ``size`` is the row's bytes
+#: plus 9 for the bucket id (a boxed int64), made once by
+#: :func:`entry_sizes` when the entry is, and read here by every exchange,
+#: admission, checkpoint and restore the entry passes.
+entry_size = itemgetter(3)
+
+
+def entry_sizes(rows: list) -> list:
+    """``9 + serialized_values_size(row)`` for each of ``rows``, the value
+    tuples of one schema: one :func:`encoded_size` pass per column, added
+    up column by column."""
+    sizes = [9] * len(rows)
+    for column in zip(*rows):
+        sizes = list(map(add, sizes, map(encoded_size, column)))
+    return sizes
+
+
+def row_ids(*sides) -> list:
+    """Per side, per worker: the ``range`` of the ids of the worker's
+    rows, given as ``rid`` in each entry made of them — minus their
+    ordinals, counting 1, 2, ... through the sides in (worker, position)
+    order.
+
+    A duplicate-eliminating join hash-routes a joined row on the pair of
+    its inputs' ids, so they have to be a function of the query's input
+    alone — a memory address or a process-wide counter sends the rows,
+    and with them every per-worker figure, somewhere else on every run.
+    One count through both sides keeps them distinct across the sides.
+    """
+    ids = []
+    first = -1
+    for partitions in sides:
+        ranges = []
+        for partition in partitions:
+            ranges.append(range(first, first - len(partition), -1))
+            first -= len(partition)
+        ids.append(ranges)
+    return ids
 
 
 def row_function(fn, schema: Schema):

@@ -45,7 +45,12 @@ import threading
 import time
 
 from repro.engine.costs import CostModel
-from repro.engine.record import Record, Schema, serialized_values_size
+from repro.engine.record import (
+    Record,
+    Schema,
+    entry_size,
+    serialized_values_size,
+)
 from repro.errors import AdmissionError, BreakerOpenError, SerdeError
 from repro.serde.serializer import (
     _I64,
@@ -54,20 +59,10 @@ from repro.serde.serializer import (
     serialize_value,
 )
 
-#: Process-global source of spill-stable record identities: what a
-#: spilled or shipped clone is matched to its original by.  (A join that
-#: eliminates duplicates numbers its inputs itself, by input order — see
-#: ``fudj_join._number_records`` — because these differ run to run.)
+#: The identity header of a record or row frame that carries no id of its
+#: own: an ``_I64`` every frame keeps, so a spill file's bytes are the
+#: same whichever codec wrote them.
 _RID_COUNTER = itertools.count(-1, -1)
-
-
-def _rid_of(record: Record) -> int:
-    """The record's spill-stable identity, assigning one on first use."""
-    rid = record.rid
-    if rid is None:
-        rid = next(_RID_COUNTER)
-        record.rid = rid
-    return rid
 
 
 def parse_bytes(text) -> float:
@@ -155,36 +150,14 @@ def read_frame(data: bytes, offset: int):
     return data[start:end], end
 
 
-def _frame_record(codec, record, *header_ints):
-    """``record`` as a frame behind ``_I64(rid)`` and ``header_ints`` —
-    or None, and the item is *pinned*, unless it is a :class:`Record` of
-    the codec's schema (the first one seen fixes it) whose values all
-    serialize."""
-    if not isinstance(record, Record):
-        return None
-    if codec.schema is None:
-        codec.schema = record.schema
-    elif record.schema != codec.schema:
-        return None
-    return encode_frame(record.values, _rid_of(record), *header_ints)
-
-
-def _framed_record(codec, payload: bytes, header_count: int = 1):
-    """``(rest of the header, record)`` of a :func:`_frame_record` frame."""
-    (rid, *header), values = decode_frame(payload, header_count)
-    record = Record(codec.schema, values)
-    record.rid = rid
-    return header, record
-
-
 class RecordSpillCodec:
     """(De)serializes plain :class:`Record` items for spill files.
 
-    Payload: ``_I64(rid)`` then each boxed value through the serde layer.
-    Items that are not records, carry a different schema than the first
-    record seen, or hold unserializable values (opaque partial-aggregate
-    states) are *pinned*: :meth:`encode` returns None and the accountant
-    keeps them resident.
+    Payload: an ``_I64`` identity header, then each boxed value through
+    the serde layer.  Items that are not records, carry a different
+    schema than the first record seen, or hold unserializable values
+    (opaque partial-aggregate states) are *pinned*: :meth:`encode` returns
+    None and the accountant keeps them resident.
     """
 
     def __init__(self, schema: Schema = None) -> None:
@@ -194,24 +167,29 @@ class RecordSpillCodec:
         return item.serialized_size()
 
     def encode(self, item):
-        return _frame_record(self, item)
+        if not isinstance(item, Record):
+            return None
+        if self.schema is None:
+            self.schema = item.schema
+        elif item.schema != self.schema:
+            return None
+        return encode_frame(item.values, next(_RID_COUNTER))
 
     def decode(self, payload: bytes):
-        return _framed_record(self, payload)[1]
+        return Record(self.schema, decode_frame(payload, 1)[1])
 
 
 class RowSpillCodec:
-    """(De)serializes raw value-tuple rows (the batched execution path).
+    """(De)serializes raw value-tuple rows (GROUP BY's partial states and
+    the batched execution path).
 
-    Batched operators and exchanges hold rows as plain value tuples, not
-    :class:`Record` objects.  Frames are byte-compatible with
-    :class:`RecordSpillCodec`'s — an ``_I64`` identity prefix (drawn
-    from the same spill-stable counter) followed by each value through
-    the serde layer — and :meth:`size` prices exactly what
+    Frames are byte-compatible with :class:`RecordSpillCodec`'s — an
+    ``_I64`` identity header followed by each value through the serde
+    layer — and :meth:`size` prices exactly what
     ``Record.serialized_size`` would, so spill files, spill bytes, and
-    peak reservations match row mode bit-for-bit.  Rows holding
+    peak reservations match a record's bit-for-bit.  Rows holding
     unserializable values (opaque partial-aggregate states) are pinned,
-    just as row mode pins the records carrying them.
+    just as the records carrying them are.
     """
 
     def size(self, item) -> int:
@@ -227,35 +205,38 @@ class RowSpillCodec:
 
 
 class EntrySpillCodec:
-    """(De)serializes join entries ``(bucket_id, key, record, ...)`` —
-    FUDJ COMBINE's and the built-in joins'; only the first three items
-    are read, and a decoded entry is those three (:func:`restore_tails`
-    puts the rest back).
+    """(De)serializes join entries ``(bucket_id, key, row, size, rid,
+    ...)`` — FUDJ COMBINE's and the built-in joins'.  A decoded entry is
+    its first three items (:func:`restore_tails` puts the rest back), and
+    :meth:`size` reads the size the entry carries.
 
     Keys are *not* serialized: boxing a key would change its Python type
     on replay (a ``set`` key round-trips as a list), which user callbacks
-    could observe.  Instead ``rekey(record)`` recomputes the key from the
-    replayed record — key extraction is deterministic, so the entry is
-    reconstructed exactly.  Payload: ``_I64(rid) _I64(bucket)`` + values.
+    could observe.  Instead ``rekey(row)`` recomputes the key from the
+    replayed value tuple — key extraction is deterministic, so the entry
+    is reconstructed exactly.  Payload: ``_I64(rid) _I64(bucket)`` +
+    values; an entry whose bucket id is not an int, or whose values do
+    not all serialize, is pinned.
     """
 
-    def __init__(self, rekey, schema: Schema = None) -> None:
+    def __init__(self, rekey) -> None:
         self.rekey = rekey
-        self.schema = schema
 
-    def size(self, item) -> int:
-        # Matches the COMBINE build-side pricing convention: 9 wire bytes
-        # for the bucket id (a boxed int64) plus the record.
-        return 9 + item[2].serialized_size()
+    size = staticmethod(entry_size)
 
     def encode(self, item):
         if not isinstance(item[0], int):
             return None
-        return _frame_record(self, item[2], item[0])
+        return encode_frame(item[2], item[4], item[0])
 
     def decode(self, payload: bytes):
-        (bucket,), record = _framed_record(self, payload, 2)
-        return bucket, self.rekey(record), record
+        (rid, bucket), values = decode_frame(payload, 2)
+        row = tuple(values)
+        return bucket, self.key_of(rid, row), row
+
+    def key_of(self, rid: int, row: tuple):
+        """The key of a replayed entry, from its row."""
+        return self.rekey(row)
 
 
 def restore_tails(entries: list, admitted: list) -> list:
@@ -271,16 +252,18 @@ def restore_tails(entries: list, admitted: list) -> list:
 class KeyedEntrySpillCodec(EntrySpillCodec):
     """:class:`EntrySpillCodec` for worker processes, which cannot re-run
     key extraction (the key function closes over coordinator state that
-    never ships).  Keys are instead cached up front by record identity;
-    :meth:`EntrySpillCodec.decode` restores ``record.rid`` *before*
-    calling ``rekey``, so the lookup always hits.  The wire frames are
-    identical to the parent codec's, keeping worker spill accounting
-    byte-compatible with the serial backend's.
+    never ships).  Keys are instead looked up by the ``rid`` a frame
+    carries, from the entries admitted.  The wire frames are identical to
+    the parent codec's, keeping worker spill accounting byte-compatible
+    with the serial backend's.
     """
 
-    def __init__(self, entries, schema: Schema = None) -> None:
-        keys = {entry[2].rid: entry[1] for entry in entries}
-        super().__init__(lambda record: keys[record.rid], schema)
+    def __init__(self, entries) -> None:
+        super().__init__(None)
+        self.keys = {entry[4]: entry[1] for entry in entries}
+
+    def key_of(self, rid: int, row: tuple):
+        return self.keys[rid]
 
 
 # -- the per-query memory accountant -------------------------------------------

@@ -69,7 +69,6 @@ from repro.engine.resources import (
     EntrySpillCodec,
     KeyedEntrySpillCodec,
     QueryResources,
-    _rid_of,
     decode_frame,
     encode_frame,
 )
@@ -107,19 +106,18 @@ def default_pool_size(cluster) -> int:
 
 # -- entry/row transport through the serde layer ------------------------------
 #
-# COMBINE inputs are (bucket_id, key, record, assignment, raw_key) tuples.
-# Records ship as the frames the spill codec writes
+# COMBINE inputs are (bucket_id, key, row, size, rid, assignment, raw_key)
+# tuples.  Rows ship as the frames the spill codec writes
 # (:class:`~repro.engine.resources.EntrySpillCodec`).  Keys ride alongside
 # through the body pickle — they are plain external Python values (or what
 # the library's ``prepare`` made of them) that callbacks must see
-# unchanged, so re-boxing them is not an option — and so do the carried
-# assignments (shared tuples of ints, or None) and the raw keys (the key
-# objects again, memoized by the pickler, for a library without
-# ``prepare``).
-# Anything the codec would pin (a non-int bucket, a non-record, a second
-# schema, an unserializable value) falls back to pickling the entries
-# wholesale, and if even that fails the caller degrades to the serial
-# path.
+# unchanged, so re-boxing them is not an option — and so does the rest of
+# each entry: its size and rid (ints), its carried assignment (a shared
+# tuple of ints, or None) and its raw key (the key object again, memoized
+# by the pickler, for a library without ``prepare``).
+# Anything the codec would pin (a non-int bucket, an unserializable value)
+# falls back to pickling the entries wholesale, and if even that fails
+# the caller degrades to the serial path.
 
 
 def _pack_entries(entries: list) -> dict:
@@ -127,7 +125,7 @@ def _pack_entries(entries: list) -> dict:
     frames = [codec.encode(entry) for entry in entries]
     if None in frames:
         return {"codec": "pickle", "entries": entries}
-    return {"codec": "serde", "schema": codec.schema, "frames": frames,
+    return {"codec": "serde", "frames": frames,
             "keys": [entry[1] for entry in entries],
             "rest": [entry[3:] for entry in entries]}
 
@@ -136,7 +134,7 @@ def _unpack_entries(packed: dict) -> list:
     if packed["codec"] == "pickle":
         return packed["entries"]
     keys = iter(packed["keys"])  # a decoded entry takes the next one
-    codec = EntrySpillCodec(lambda record: next(keys), packed["schema"])
+    codec = EntrySpillCodec(lambda row: next(keys))
     return [codec.decode(frame) + rest
             for frame, rest in zip(packed["frames"], packed["rest"])]
 
@@ -302,19 +300,19 @@ class _WorkerSite(CombineSite):
 
     def _admit(self, items: list, side, price: bool) -> list:
         # ``side`` picks the key function on the local site; a worker
-        # cannot re-run key extraction, so keys are cached by record id.
+        # cannot re-run key extraction, so keys are looked up by rid.
         codec = KeyedEntrySpillCodec(items)
         if self.translate:
             # The serial codec recomputes each restored entry's key
             # through the translation layer, which counts one conversion
             # per decode; the cached-key lookup must stay count-parity.
-            inner = codec.rekey
+            inner = codec.key_of
 
-            def rekey(record):
+            def key_of(rid, row):
                 self.key_conversions += 1
-                return inner(record)
+                return inner(rid, row)
 
-            codec.rekey = rekey
+            codec.key_of = key_of
         # What ``ExecutionContext.admit`` does with the accountant's
         # answer, logged: the spill, the charge, the trace attribution.
         items, units, spill = self.resources.admit(
@@ -1031,12 +1029,6 @@ def run_combine(pool: WorkerPool, op, ctx, stage, kind: str,
     join_name = op.join.name
 
     try:
-        # Every shipped record needs its spill-stable identity *before*
-        # packing: pair dedup and the worker spill codec both key on rid.
-        for parts in (left_parts, right_parts):
-            for entries in parts:
-                for entry in entries:
-                    _rid_of(entry[2])
         packed_broadcast = (
             _pack_entries(right_parts[0]) if kind == "theta" else None
         )

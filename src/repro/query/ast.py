@@ -67,6 +67,14 @@ class Column(Expr):
 
         return column
 
+    def boxed(self, schema):
+        """``fn(values)``: the field as stored, boxed — for a consumer
+        that unboxes a whole column itself (a FUDJ join key); a field
+        the schema lacks raises as :meth:`compile`'s does."""
+        if self.name not in schema:
+            return self.compile(schema)
+        return operator.itemgetter(schema.index_of(self.name))
+
     def referenced_fields(self) -> set:
         return {self.name}
 

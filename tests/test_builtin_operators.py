@@ -14,6 +14,7 @@ from repro.bench.workloads import (
     spatial_database,
     text_database,
 )
+from repro.builtin import interval_operator
 from repro.builtin import (
     AdvancedSpatialJoinOperator,
     BuiltinIntervalJoinOperator,
@@ -81,6 +82,23 @@ class TestAdvancedSpatial:
         assert "plane-sweep" in sweep.explain(SPATIAL_SQL, mode="builtin")
 
 
+INTERVAL_PAIRS_SQL = (
+    "SELECT n1.id, n2.id FROM NYCTaxi n1, NYCTaxi n2 "
+    "WHERE n1.vendor = 1 AND n2.vendor = 2 AND "
+    "overlapping_interval(n1.ride_interval, n2.ride_interval)"
+)
+
+
+def _every_broadcast_entry(local, broadcast):
+    """The nested loop the built-in interval join's bucket grouping
+    replaced: each local entry against every broadcast entry, in order."""
+    for entry1 in local:
+        s1, e1 = entry1[0] >> 16, entry1[0] & 0xFFFF
+        yield entry1, [entry2 for entry2 in broadcast
+                       if s1 <= (entry2[0] & 0xFFFF)
+                       and e1 >= (entry2[0] >> 16)]
+
+
 class TestBuiltinInterval:
     @pytest.fixture(scope="class")
     def db(self):
@@ -99,6 +117,21 @@ class TestBuiltinInterval:
         builtin = db.execute(INTERVAL_SQL, mode="builtin")
         names = [s.name for s in builtin.metrics.stages]
         assert any("broadcast" in n for n in names)
+
+    def test_pairs_buckets_in_the_nested_loops_order(self, db, monkeypatch):
+        # Grouping the broadcast by bucket emits, charges and counts what
+        # the loop over every broadcast entry of every local one does, in
+        # its (local, broadcast position) order.
+        grouped = db.execute(INTERVAL_PAIRS_SQL, mode="builtin")
+        monkeypatch.setattr(interval_operator, "_bucket_pairs",
+                            _every_broadcast_entry)
+        looped = db.execute(INTERVAL_PAIRS_SQL, mode="builtin")
+        assert len(grouped.rows) > 100
+        assert grouped.rows == looped.rows
+        facts = [result.metrics.to_dict() for result in (grouped, looped)]
+        for fact in facts:
+            fact.pop("wall_seconds")
+        assert facts[0] == facts[1]
 
     def test_a_subnormal_timeline_falls_back_to_unit_granules(self):
         # The span 5e-324 divided by the bucket count underflows to a

@@ -29,7 +29,7 @@ from repro.core.flexible_join import FlexibleJoin
 from repro.database import Database
 from repro.datagen import generate_trajectories
 from repro.engine import Cluster
-from repro.engine.combine import CombineSite
+from repro.engine.combine import CombineSite, _kept
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.fudj_join import FudjJoin
 from repro.joins import (
@@ -275,6 +275,46 @@ class TestTheDefaultMatchShortcut:
         assert calls
         assert kept == _loop_keeps(Neighbours().match, bucket1, buckets1,
                                    bucket2, buckets2)
+
+
+#: Two records' sorted bucket lists that share a bucket, and that bucket:
+#: a candidate pair of the single-join kernel, which meets in one bucket.
+SHARING = st.tuples(
+    st.integers(0, 12),
+    st.lists(st.integers(0, 12), max_size=4),
+    st.lists(st.integers(0, 12), max_size=4),
+).map(lambda drawn: (drawn[0], tuple(sorted({drawn[0], *drawn[1]})),
+                     tuple(sorted({drawn[0], *drawn[2]}))))
+
+
+def _entry(bucket, buckets):
+    """A PARTITION entry of ``bucket``; ``None`` carried when single."""
+    return (bucket, None, (), 9, -1, buckets if len(buckets) > 1 else None,
+            None)
+
+
+class TestTheSingleAssignedShortcut:
+    """``combine._kept`` keeps a pair with a single-assigned side without
+    asking :meth:`CombineSite.keeps`; it keeps exactly the pairs
+    ``keeps`` does."""
+
+    @given(drawn=st.lists(SHARING, max_size=16))
+    def test_the_shortcut_is_keeps(self, drawn):
+        site = _site(ListedJoin())
+        assert site.carried and site.default_match
+        pairs = [(_entry(bucket, buckets1), _entry(bucket, buckets2))
+                 for bucket, buckets1, buckets2 in drawn]
+        keeps = site.keeps
+        asked = []
+        site.keeps = lambda *args: asked.append(args) or keeps(*args)
+        kept = _kept(site, pairs)
+        assert kept == [pair for pair in pairs
+                        if keeps(pair[0][0], pair[0][5],
+                                 pair[1][0], pair[1][5])]
+        # Asked only about the pairs with both sides multi-assigned.
+        assert len(asked) == sum(1 for pair in pairs
+                                 if pair[0][5] and pair[1][5])
+        assert all(args[1] and args[3] for args in asked)
 
 
 class CountingReferencePointJoin(ReferencePointSpatialJoin):

@@ -1,5 +1,7 @@
 """Unit tests for the exchange (shuffle) primitives."""
 
+import json
+
 import pytest
 
 from repro import FaultPlan
@@ -7,12 +9,15 @@ from repro.engine import Cluster, Record, Schema
 from repro.engine.context import ExecutionContext
 from repro.engine.exchange import (
     broadcast_exchange,
+    by_bucket,
     entry_size,
     hash_exchange,
     random_exchange,
     record_size,
+    round_robin,
     route_exchange,
 )
+from repro.engine.record import entry_sizes, serialized_values_size
 from repro.serde.values import unbox
 
 
@@ -38,9 +43,13 @@ class Tagged:
 
 
 def make_entries(ctx, count):
-    """FUDJ entries ``(bucket_id, key, record, assignment)``."""
-    return [[(i, None, record, None) for i, record in enumerate(partition)]
-            for partition in make_partitions(ctx, count)]
+    """Join entries ``(bucket_id, key, row, size, rid)``."""
+    out = []
+    for partition in make_partitions(ctx, count):
+        rows = [record.values for record in partition]
+        out.append([(i, None, row, size, -1 - i) for i, (row, size)
+                    in enumerate(zip(rows, entry_sizes(rows)))])
+    return out
 
 
 def route_to_two(entries, ctx, stage_name):
@@ -74,8 +83,10 @@ class TestHashExchange:
         hash_exchange(partitions, lambda r: r["k"], self.ctx, "x")
         assert self.ctx.metrics.stage("x").network_bytes > 0
         # Two deliveries per entry: each is charged, and each that leaves
-        # its worker is sized — as an entry, 9 bytes over its record.
+        # its worker is sized — as an entry, 9 bytes over its row.
         entries = make_entries(self.ctx, 40)
+        assert all(entry_size(entry) == 9 + serialized_values_size(entry[2])
+                   for partition in entries for entry in partition)
         route_to_two(entries, self.ctx, "two")
         stage = self.ctx.metrics.stage("two")
         moved = sum(
@@ -96,6 +107,47 @@ class TestHashExchange:
         assert [[r.to_dict() for r in p] for p in a] == [
             [r.to_dict() for r in p] for p in b
         ]
+
+
+class TestRouteTargets:
+    """A single-target route answers an ``int``; the same worker as a
+    one-element tuple places, charges and sizes every item alike."""
+
+    def route(self, targets_of, traced=False):
+        ctx = ExecutionContext(Cluster(num_partitions=4), trace=traced)
+        entries = make_entries(ctx, 37)
+        with ctx.tracer.span("query", kind="operator"):
+            out = route_exchange(entries, ctx, "x", targets_of,
+                                 ctx.cost_model.hash_op, entry_size)
+        stage = ctx.metrics.stage("x")
+        placed = [[entry[4] for entry in partition] for partition in out]
+        trace = (ctx.tracer.root.total_units(),
+                 json.dumps(ctx.tracer.root.to_dict())) if traced else None
+        return (placed, dict(stage.worker_units), stage.network_bytes,
+                stage.records_in, stage.records_out, trace)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_an_int_and_a_one_tuple_route_alike(self, traced):
+        as_int = self.route(lambda entry: (entry[0] * 3 + 1) % 4, traced)
+        as_tuple = self.route(lambda entry: ((entry[0] * 3 + 1) % 4,),
+                              traced)
+        assert as_int == as_tuple
+        placed, units, moved_bytes = as_int[:3]
+        assert sorted(rid for part in placed for rid in part) == sorted(
+            entry[4] for part in make_entries(self.ctx(), 37)
+            for entry in part)
+        assert moved_bytes > 0 and all(units.values())
+        if traced:  # the exchange's span mirrors each charge
+            assert as_int[5][0] == pytest.approx(sum(units.values()))
+
+    def test_the_shipped_routes_answer_an_int(self):
+        entry = (7, None, (), 9, -1)
+        assert type(by_bucket(4)(entry)) is int
+        assert type(round_robin(4)(entry)) is int
+
+    @staticmethod
+    def ctx():
+        return ExecutionContext(Cluster(num_partitions=4))
 
 
 class TestBroadcastExchange:

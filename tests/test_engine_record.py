@@ -6,11 +6,23 @@ import pytest
 
 from repro.engine import Record, Schema
 from repro.engine.operators.aggregate import RawState
-from repro.engine.record import serialized_values_size
+from repro.engine.record import entry_sizes, serialized_values_size
 from repro.engine.resources import EntrySpillCodec, RecordSpillCodec
 from repro.errors import ExecutionError
-from repro.geometry import Point
-from repro.serde import box
+from repro.geometry import Point, Polygon, Rectangle
+from repro.interval import Interval
+from repro.serde import (
+    ABoolean,
+    ADouble,
+    AGeometry,
+    AInt64,
+    AInterval,
+    AList,
+    ANull,
+    AString,
+    box,
+)
+from repro.trajectory import Trajectory
 
 
 class TestSchema:
@@ -140,9 +152,10 @@ class TestSizedOnce:
         assert clone is not record
         self.check(clone)
         assert clone.serialized_size() == record.serialized_size()
-        entries = EntrySpillCodec(lambda r: "key")
-        _, _, replayed = entries.decode(entries.encode((4, "key", record)))
-        self.check(replayed)
+        entries = EntrySpillCodec(lambda row: "key")
+        _, _, replayed = entries.decode(entries.encode(
+            (4, "key", record.values, 9 + record.serialized_size(), -1)))
+        assert replayed == record.values
 
     def test_pickle_round_trip(self):
         for sized_first in (False, True):
@@ -152,3 +165,39 @@ class TestSizedOnce:
             clone = pickle.loads(pickle.dumps(record))
             assert clone == record
             self.check(clone)
+
+
+#: One value of every kind a row may hold: the fixed-size ones, an int
+#: past the int64 range (serialized to be measured), non-ASCII text,
+#: every geometry, a nested list and an opaque partial state.
+EVERY_KIND = (
+    ANull(), ABoolean(True), AInt64(2 ** 70), AInt64(-3), ADouble(1.5),
+    AString("héllo ✓"), AString(""), AGeometry(Point(1.0, 2.0)),
+    AGeometry(Rectangle(0.0, 0.0, 1.0, 1.0)),
+    AGeometry(Polygon([(0, 0), (4, 0), (2, 3.5)])),
+    AGeometry(Trajectory([(0, 0), (1, 1), (2, 0)])),
+    AInterval(Interval(1.0, 2.0)),
+    AList((AInt64(1), AString("x"), AList(()))), RawState([2]),
+)
+
+
+class TestEntrySizes:
+    """``entry_sizes`` sizes rows column by column; each row's entry size
+    is what sizing it whole gives, plus the 9 bytes of its bucket id."""
+
+    def test_every_value_kind_in_every_column(self):
+        width = len(EVERY_KIND)
+        rows = [EVERY_KIND[shift:] + EVERY_KIND[:shift]
+                for shift in range(width)]
+        rows.append(tuple(reversed(EVERY_KIND)))
+        assert entry_sizes(rows) == [9 + serialized_values_size(row)
+                                     for row in rows]
+
+    def test_one_column_and_a_mixed_column(self):
+        rows = [(value,) for value in EVERY_KIND]
+        assert entry_sizes(rows) == [9 + serialized_values_size(row)
+                                     for row in rows]
+
+    def test_an_empty_schema_and_no_rows(self):
+        assert entry_sizes([(), (), ()]) == [9, 9, 9]
+        assert entry_sizes([]) == []

@@ -32,6 +32,7 @@ from repro.engine import Cluster, Schema
 from repro.engine.cancel import CancellationToken
 from repro.engine.context import ExecutionContext
 from repro.engine.operators import FudjJoin, Scan
+from repro.engine.record import row_ids, serialized_values_size
 from repro.errors import FudjCallbackError, QueryCancelledError
 from repro.geometry import Point
 from repro.joins import SpatialJoin, TextSimilarityJoin
@@ -157,21 +158,29 @@ def test_a_poison_record_mid_partition_is_the_scalar_loops_answer(
 
     ctx = ExecutionContext(cluster, on_error=policy, trace=True)
     op = operator(make_join())
-    left = op.left.execute(ctx)
-    column = [op._key_column(partition, JoinSide.LEFT, ctx)
-              for partition in left.partitions]
+    left = op.left.rows(ctx)
+    schema, partitions = left
+    column = [op._key_column(rows, schema, JoinSide.LEFT, ctx)
+              for rows in partitions]
     summary = op._summarize_side(left, column, JoinSide.LEFT, ctx)
-    entries = op._assign_side(left, column, JoinSide.LEFT, pplan, ctx)[0]
+    ids, = row_ids(partitions)
+    entries = op._assign_side(left, column, ids, JoinSide.LEFT, pplan,
+                              ctx)[0]
 
     assert summary == want_summary
-    assert [(bucket_id, raw, record.values, assignment)
-            for bucket_id, _, record, assignment, raw in entries
+    assert [(bucket_id, raw, row, assignment)
+            for bucket_id, _, row, _, _, assignment, raw in entries
             ] == want_entries
     assert entries, "every record was dropped: nothing was compared"
+    # Each entry carries its row's wire size and its row's id.
+    position = {row: i for i, row in enumerate(partitions[0])}
+    assert all(size == 9 + serialized_values_size(row)
+               and rid == -1 - position[row]
+               for _, _, row, size, rid, _, _ in entries)
     if library == "text":
         # What the callbacks got is what ``prepare`` made of the raw key.
         assert all(key == op.join.prepare(raw, JoinSide.LEFT)
-                   for _, key, _, _, raw in entries)
+                   for _, key, _, _, _, _, raw in entries)
     assert (ctx.metrics.records_quarantined
             == want_ctx.metrics.records_quarantined == 2 * len(poison))
     assert (json.dumps(ctx.metrics.quarantine_log)

@@ -228,10 +228,10 @@ def _run(join_class, keys, on_error, monkeypatch):
     entries = defaultdict(list)
     assign_side = FudjJoin._assign_side
 
-    def capturing(self, result, column, side, pplan, ctx):
-        out = assign_side(self, result, column, side, pplan, ctx)
-        entries[side].append([(entry[0], entry[1], entry[3], entry[4],
-                               entry[2].values[0].value)
+    def capturing(self, side_rows, column, ids, side, pplan, ctx):
+        out = assign_side(self, side_rows, column, ids, side, pplan, ctx)
+        entries[side].append([(entry[0], entry[1], entry[3], entry[5],
+                               entry[6], entry[2][0].value)
                               for part in out for entry in part])
         return out
 

@@ -30,13 +30,19 @@ import pytest
 
 from repro.database import Database
 from repro.engine.costs import CostModel
-from repro.engine.record import Record, Schema
+from repro.engine.record import (
+    Record,
+    Schema,
+    entry_sizes,
+    serialized_values_size,
+)
 from repro.engine.resources import (
     AdmissionController,
     CircuitBreaker,
     EntrySpillCodec,
     QueryResources,
     RecordSpillCodec,
+    decode_frame,
     format_bytes,
     parse_bytes,
     simulate_admission,
@@ -103,12 +109,14 @@ class TestRecordSpillCodec:
         assert clone.schema == record.schema
         assert clone.to_dict() == record.to_dict()
 
-    def test_rid_survives_and_is_negative(self):
+    def test_frame_is_an_identity_header_then_the_values(self):
         codec = RecordSpillCodec(SCHEMA)
         record = make_record(1)
-        clone = codec.decode(codec.encode(record))
-        assert record.rid is not None and record.rid < 0
-        assert clone.rid == record.rid
+        frame = codec.encode(record)
+        (identity,), values = decode_frame(frame, 1)
+        assert identity < 0
+        assert tuple(values) == record.values
+        assert len(frame) == 8 + record.serialized_size()
 
     def test_size_matches_wire_size(self):
         record = make_record(3, "abc")
@@ -130,24 +138,40 @@ class TestRecordSpillCodec:
         assert codec.encode(partial) is None
 
 
+def make_entry(i, bucket=3, key="stale", rid=-7):
+    """A join entry ``(bucket_id, key, row, size, rid)``."""
+    row = make_record(i).values
+    return (bucket, key, row, entry_sizes([row])[0], rid)
+
+
 class TestEntrySpillCodec:
     def test_round_trip_recomputes_key(self):
-        codec = EntrySpillCodec(lambda r: ("rekeyed", r.to_dict()["id"]))
-        record = make_record(5)
-        bucket, key, clone = codec.decode(codec.encode((3, "stale", record)))
+        codec = EntrySpillCodec(lambda row: ("rekeyed", row[0].value))
+        entry = make_entry(5)
+        frame = codec.encode(entry)
+        bucket, key, clone = codec.decode(frame)
         assert bucket == 3
         assert key == ("rekeyed", 5)
-        assert clone.to_dict() == record.to_dict()
-        assert clone.rid == record.rid
+        assert clone == entry[2]
+        # The header: the entry's rid, then its bucket id.
+        assert decode_frame(frame, 2)[0] == [-7, 3]
 
     def test_size_matches_combine_pricing(self):
-        record = make_record(2)
-        codec = EntrySpillCodec(lambda r: None)
-        assert codec.size((0, None, record)) == 9 + record.serialized_size()
+        entry = make_entry(2)
+        codec = EntrySpillCodec(lambda row: None)
+        assert codec.size(entry) == 9 + serialized_values_size(entry[2])
+        assert len(codec.encode(entry)) == 16 + serialized_values_size(entry[2])
 
     def test_non_int_bucket_pinned(self):
-        codec = EntrySpillCodec(lambda r: None)
-        assert codec.encode(("b", None, make_record(1))) is None
+        codec = EntrySpillCodec(lambda row: None)
+        assert codec.encode(make_entry(1, bucket="b")) is None
+
+    def test_opaque_value_pinned(self):
+        from repro.engine.operators.aggregate import RawState
+
+        codec = EntrySpillCodec(lambda row: None)
+        row = (make_record(1).values[0], RawState([2]))
+        assert codec.encode((0, None, row, 0, -1)) is None
 
 
 # -- the accountant ------------------------------------------------------------
