@@ -9,7 +9,8 @@ are eps-sized so only neighbouring cells can match — a multi-join.
 Workflow, as §VI-D2 recommends:
 
 1. implement the FlexibleJoin,
-2. debug it against nested-loop ground truth with the StandaloneRunner,
+2. check it against the FUDJ contract (nested-loop ground truth, on the
+   StandaloneRunner and on the engine) and debug it standalone,
 3. register it and run SQL.
 
 Run:  python examples/custom_join.py
@@ -19,6 +20,7 @@ import math
 import random
 
 from repro import Database, FlexibleJoin, StandaloneRunner
+from repro.core.contract import check_library
 from repro.geometry import Point, Rectangle
 
 
@@ -75,16 +77,15 @@ class EpsilonDistanceJoin(FlexibleJoin):
     _columns = 1  # set by divide; see note there
 
 
-# -- 1. debug standalone (the paper's single-machine prototype) ------------------------
+# -- 1. check the contract, debug standalone (the paper's prototype) -------------------
 rng = random.Random(12)
 left = [Point(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(150)]
 right = [Point(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(150)]
 
+pairs = check_library(EpsilonDistanceJoin(2.0), left, right)  # raises if broken
 runner = StandaloneRunner(EpsilonDistanceJoin(2.0), trace=True)
-got = sorted(runner.run(left, right), key=repr)
-expected = sorted(runner.run_nested_loop(left, right), key=repr)
-assert got == expected, "epsilon join disagrees with nested loop!"
-print(f"Standalone check passed: {len(got)} pairs within eps=2.0 "
+runner.run(left, right)
+print(f"Contract check passed: {len(pairs)} pairs within eps=2.0 "
       f"({runner.stats['verify_calls']} of {150 * 150} pairs verified)")
 
 # -- 2. register and use from SQL -----------------------------------------------------
@@ -104,5 +105,5 @@ print(db.explain(sql))
 result = db.execute(sql)
 print(f"\nSQL result: {result.rows[0]['pairs']} station/sensor pairs "
       f"within 2.0 units")
-assert result.rows[0]["pairs"] == len(got)
+assert result.rows[0]["pairs"] == len(pairs)
 print("Distributed execution matches the standalone prototype.")

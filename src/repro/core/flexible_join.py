@@ -205,11 +205,21 @@ class FlexibleJoin:
     # -- helpers ----------------------------------------------------------------
 
     def assign_list(self, key, pplan, side: JoinSide) -> list:
-        """Normalized assignment: always a list of bucket ids."""
+        """Normalized assignment: always a list of bucket ids, each
+        checked to be an int (``TypeError`` otherwise).  The engine, the
+        standalone runner and :meth:`first_matching_buckets` all assign
+        through here."""
         bucket_ids = self.assign(key, pplan, side)
         if isinstance(bucket_ids, int):
             return [bucket_ids]
-        return list(bucket_ids)
+        bucket_ids = list(bucket_ids)
+        for bucket_id in bucket_ids:
+            if not isinstance(bucket_id, int):
+                raise TypeError(
+                    f"bucket ids must be ints, got "
+                    f"{type(bucket_id).__name__}: {bucket_id!r}"
+                )
+        return bucket_ids
 
     def first_matching_buckets(self, key1, key2, pplan):
         """The lexicographically first ``(b1, b2)`` with ``match(b1, b2)``.

@@ -38,40 +38,50 @@ class StandaloneRunner:
     # -- phases, exposed individually for debugging -----------------------------
     #
     # The public phases take and return the keys as given; inside, a key
-    # travels as ``(key, prepared)`` so the callbacks get what the
-    # library's ``prepare`` made of it, as on the engine.
+    # travels as ``(record, prepared)``: ``prepared`` is what the
+    # library's ``prepare`` made of it, which the callbacks get, as on
+    # the engine, and ``record`` tells the records apart — the key's
+    # position in :meth:`run`, the key itself in the per-phase methods.
 
-    def _prepared(self, keys, side: JoinSide) -> list:
+    def _prepared(self, keys, side: JoinSide, records=None) -> list:
+        keys = list(keys)
+        records = keys if records is None else records
         if not self.join.prepares():
-            keys = list(keys)
-            return list(zip(keys, keys))
-        return [(key, self.join.prepare(key, side)) for key in keys]
+            return list(zip(records, keys))
+        prepare = self.join.prepare
+        return [(record, prepare(key, side))
+                for record, key in zip(records, keys)]
 
     def summarize(self, keys, side: JoinSide):
         """Run SUMMARIZE over one side and return the global summary."""
         return self._summarize(self._prepared(keys, side), side)
 
-    def _summarize(self, pairs: list, side: JoinSide):
+    def _summarize(self, items: list, side: JoinSide):
         summary = None
-        for _, prepared in pairs:
+        for _, prepared in items:
             summary = self.join.local_aggregate(prepared, summary, side)
         return summary
 
     def partition(self, keys, pplan, side: JoinSide) -> dict:
         """Run PARTITION: bucket_id -> list of keys."""
         buckets = self._partition(self._prepared(keys, side), pplan, side)
-        return {bucket_id: [key for key, _ in pairs]
-                for bucket_id, pairs in buckets.items()}
+        return {bucket_id: [key for key, _ in items]
+                for bucket_id, items in buckets.items()}
 
-    def _partition(self, pairs: list, pplan, side: JoinSide) -> dict:
+    def _partition(self, items: list, pplan, side: JoinSide) -> dict:
         buckets = defaultdict(list)
-        for pair in pairs:
-            for bucket_id in self.join.assign_list(pair[1], pplan, side):
-                buckets[bucket_id].append(pair)
+        for item in items:
+            for bucket_id in self.join.assign_list(item[1], pplan, side):
+                buckets[bucket_id].append(item)
         return buckets
 
     def combine(self, buckets1: dict, buckets2: dict, pplan):
-        """Run COMBINE: match buckets, verify pairs, deduplicate."""
+        """Run COMBINE: match buckets, verify pairs, deduplicate.
+
+        Handed bare keys, it tells records apart by key: under duplicate
+        elimination one pair survives per distinct pair of keys.
+        :meth:`run` knows each key's position and keeps one pair per
+        pair of records."""
         return self._combine(
             {bucket_id: self._prepared(keys, JoinSide.LEFT)
              for bucket_id, keys in buckets1.items()},
@@ -95,17 +105,17 @@ class StandaloneRunner:
             )
         verified = 0
         for b1, b2 in pairs:
-            for key1, prepared1 in buckets1[b1]:
-                for key2, prepared2 in buckets2[b2]:
+            for record1, prepared1 in buckets1[b1]:
+                for record2, prepared2 in buckets2[b2]:
                     verified += 1
                     if not self.join.verify(prepared1, prepared2, pplan):
                         continue
                     if not self.dedup.keep_local(
                             self.join, b1, prepared1, b2, prepared2, pplan):
                         continue
-                    results.append((key1, key2))
+                    results.append((record1, record2))
         if self.dedup.requires_shuffle:
-            results = _distinct_pairs(results)
+            results = list(dict.fromkeys(results))
         if self.trace:
             self.stats["verify_calls"] = verified
         return results
@@ -119,8 +129,18 @@ class StandaloneRunner:
 
     def run(self, left_keys, right_keys) -> list:
         """Execute the full FUDJ pipeline and return result key pairs."""
-        left = self._prepared(left_keys, JoinSide.LEFT)
-        right = self._prepared(right_keys, JoinSide.RIGHT)
+        left_keys = list(left_keys)
+        right_keys = list(right_keys)
+        return [(left_keys[record1], right_keys[record2])
+                for record1, record2 in self._record_pairs(left_keys,
+                                                           right_keys)]
+
+    def _record_pairs(self, left_keys: list, right_keys: list) -> list:
+        """:meth:`run`'s answer as ``(left, right)`` positions."""
+        left = self._prepared(left_keys, JoinSide.LEFT,
+                              range(len(left_keys)))
+        right = self._prepared(right_keys, JoinSide.RIGHT,
+                               range(len(right_keys)))
         pplan = self._plan(left, right)
         buckets1 = self._partition(left, pplan, JoinSide.LEFT)
         buckets2 = self._partition(right, pplan, JoinSide.RIGHT)
@@ -167,35 +187,3 @@ class StandaloneRunner:
         if len(sizes) > bins:
             lines.append(f"  ... {len(sizes) - bins} smaller buckets")
         return "\n".join(lines)
-
-    def run_nested_loop(self, left_keys, right_keys) -> list:
-        """Ground-truth nested loop using only ``verify`` (with a PPlan
-        built the normal way).  Used by tests to check FUDJ correctness."""
-        left = self._prepared(left_keys, JoinSide.LEFT)
-        right = self._prepared(right_keys, JoinSide.RIGHT)
-        pplan = self._plan(left, right)
-        return [
-            (key1, key2)
-            for key1, prepared1 in left
-            for key2, prepared2 in right
-            if self.join.verify(prepared1, prepared2, pplan)
-        ]
-
-
-def _distinct_pairs(pairs: list) -> list:
-    """Order-preserving distinct over possibly-unhashable key pairs."""
-    seen = set()
-    out = []
-    for pair in pairs:
-        try:
-            token = pair
-            if token in seen:
-                continue
-            seen.add(token)
-        except TypeError:
-            token = repr(pair)
-            if token in seen:
-                continue
-            seen.add(token)
-        out.append(pair)
-    return out

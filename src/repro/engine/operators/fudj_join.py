@@ -131,21 +131,14 @@ def _fold(local_aggregate, keys: list, side: JoinSide, poll):
 
 
 def _assign_all(assign_list, keys, pplan, side: JoinSide, poll) -> list:
-    """One PARTITION task's calls: the bucket list of each of ``keys``,
-    each id checked to be an int.  ``poll`` is the query's cancellation
-    check, or None."""
+    """One PARTITION task's calls: the bucket list of each of ``keys``
+    (``FlexibleJoin.assign_list`` checks the ids are ints).  ``poll`` is
+    the query's cancellation check, or None."""
     assigned = []
     for key in keys:
         if poll is not None:
             poll()
-        bucket_ids = assign_list(key, pplan, side)
-        for bucket_id in bucket_ids:
-            if not isinstance(bucket_id, int):
-                raise TypeError(
-                    f"bucket ids must be ints, got "
-                    f"{type(bucket_id).__name__}: {bucket_id!r}"
-                )
-        assigned.append(bucket_ids)
+        assigned.append(assign_list(key, pplan, side))
     return assigned
 
 

@@ -3,12 +3,13 @@
 These tiny joins exercise the framework without domain complexity:
 
 - :class:`ModEquiJoin` — single-assign, default match (single-join):
-  keys join when equal mod nothing fancy; verify is |k1 - k2| <= band
-  within the same hash bucket... concretely, keys are assigned to
-  ``key % num_buckets`` and verified with exact equality.
+  a key is assigned to bucket ``key % num_buckets`` and verified with
+  exact equality.
 - :class:`BandJoin` — multi-assign band join: a key joins every key
   within ``band`` of it; each key is assigned to all buckets its band
   window overlaps, so duplicates can occur (exercises dedup).
+- :class:`ThetaBandJoin` — the band join with neighbouring buckets
+  matching too: a multi-join, so the engine takes the theta plan.
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ class BandJoin(FlexibleJoin):
         return abs(key1 - key2) <= self.band
 
 
-def nested_loop_band(left, right, band):
-    """Ground-truth band join."""
-    return sorted(
-        (a, b) for a in left for b in right if abs(a - b) <= band
-    )
+class ThetaBandJoin(BandJoin):
+    """:class:`BandJoin` whose neighbouring buckets also match."""
+
+    name = "theta-band"
+
+    def match(self, b1, b2):
+        return abs(b1 - b2) <= 1

@@ -3,7 +3,8 @@
 import random
 
 from repro.core import DuplicateElimination, StandaloneRunner
-from tests.helpers import BandJoin, ModEquiJoin, nested_loop_band
+from repro.core.contract import check_library
+from tests.helpers import BandJoin, ModEquiJoin, ThetaBandJoin
 
 
 class TestStandaloneRunner:
@@ -18,25 +19,24 @@ class TestStandaloneRunner:
         rng = random.Random(77)
         left = [rng.uniform(0, 50) for _ in range(60)]
         right = [rng.uniform(0, 50) for _ in range(60)]
-        join = BandJoin(1.5, 10)
-        runner = StandaloneRunner(join)
-        assert sorted(runner.run(left, right)) == nested_loop_band(left, right, 1.5)
+        check_library(BandJoin(1.5, 10), left, right)
 
     def test_no_duplicates_from_multi_assign(self):
         left = [5.0, 5.0]  # duplicates in data are fine; pair duplicates are not
         right = [5.2]
-        runner = StandaloneRunner(BandJoin(1.0, 4))
-        result = runner.run(left, right)
-        # Two left records each pair once with the right record.
-        assert len(result) == 2
+        # Two left records each pair once with the right record, under
+        # avoidance and under elimination, which keeps one pair per pair
+        # of records, not per pair of key values.
+        for dedup in (None, DuplicateElimination()):
+            result = StandaloneRunner(BandJoin(1.0, 4), dedup).run(left, right)
+            assert result == [(5.0, 5.2), (5.0, 5.2)]
 
     def test_elimination_strategy_same_result(self):
+        # check_library runs default avoidance and elimination both.
         rng = random.Random(5)
         left = [rng.uniform(0, 20) for _ in range(40)]
         right = [rng.uniform(0, 20) for _ in range(40)]
-        avoid = StandaloneRunner(BandJoin(1.0, 8))
-        elim = StandaloneRunner(BandJoin(1.0, 8), dedup=DuplicateElimination())
-        assert sorted(avoid.run(left, right)) == sorted(elim.run(left, right))
+        check_library(BandJoin(1.0, 8), left, right)
 
     def test_empty_sides(self):
         runner = StandaloneRunner(BandJoin(1.0, 4))
@@ -53,10 +53,9 @@ class TestStandaloneRunner:
         assert "verify_calls" in runner.stats
 
     def test_run_nested_loop_ground_truth(self):
-        runner = StandaloneRunner(BandJoin(2.0, 4))
-        left = [1.0, 5.0]
-        right = [2.0, 9.0]
-        assert sorted(runner.run_nested_loop(left, right)) == [(1.0, 2.0)]
+        # check_library answers the nested loop over ``verify``.
+        assert check_library(BandJoin(2.0, 4), [1.0, 5.0],
+                             [2.0, 9.0]) == [(1.0, 2.0)]
 
     def test_phases_exposed_individually(self):
         from repro.core import JoinSide
@@ -70,16 +69,10 @@ class TestStandaloneRunner:
         assert sum(len(v) for v in buckets.values()) >= 2
 
     def test_multi_join_combination(self):
-        class ThetaBand(BandJoin):
-            # Neighbouring buckets also match: multi-join path.
-            def match(self, b1, b2):
-                return abs(b1 - b2) <= 1
-
         rng = random.Random(13)
         left = [rng.uniform(0, 30) for _ in range(40)]
         right = [rng.uniform(0, 30) for _ in range(40)]
-        runner = StandaloneRunner(ThetaBand(1.0, 8))
-        assert sorted(runner.run(left, right)) == nested_loop_band(left, right, 1.0)
+        check_library(ThetaBandJoin(1.0, 8), left, right)
 
 
 class TestBucketHistogram:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import INTERVAL_SQL, SPATIAL_SQL, interval_database, spatial_database
-from repro.core import JoinSide
+from repro.core.contract import check_library
 from repro.joins import (
     AutoTuneSpatialJoin,
     IntervalJoin,
+    LengthFilteredTextJoin,
     PartitionedIntervalJoin,
     PlaneSweepSpatialJoin,
     SpatialContainsJoin,
@@ -160,7 +161,6 @@ class TestAutoTuneSpatialJoin:
 class TestLengthFilteredTextJoin:
     def test_same_results_fewer_candidates(self):
         from repro.bench import TEXT_SQL, text_database
-        from repro.joins import LengthFilteredTextJoin
 
         db = text_database(500, partitions=4, seed=8)
         sql = TEXT_SQL.format(threshold=0.7)
@@ -172,60 +172,14 @@ class TestLengthFilteredTextJoin:
         assert filtered.metrics.comparisons <= base.metrics.comparisons
 
     def test_standalone_equals_nested_loop(self):
-        import random
-
-        from repro.core import StandaloneRunner
-        from repro.joins import LengthFilteredTextJoin
-
+        # check_library runs the engine too, where local_join is used.
         rng = random.Random(6)
         vocab = ["a", "b", "c", "d", "e", "f", "g", "h"]
         texts = lambda: [" ".join(rng.sample(vocab, rng.randint(1, 6)))
                          for _ in range(40)]
         left, right = texts(), texts()
-        runner = StandaloneRunner(LengthFilteredTextJoin(0.6))
-        # The standalone runner ignores local_join (an engine hook), so
-        # check through the distributed operator instead.
-        from repro.engine import Cluster, Schema
-        from repro.engine.executor import execute_plan
-        from repro.engine.operators import FudjJoin, Scan
-        from repro.serde.values import unbox
-
-        cluster = Cluster(num_partitions=3)
-        l = cluster.create_dataset("L", Schema(["id", "t"]), "id")
-        l.bulk_load({"id": i, "t": t} for i, t in enumerate(left))
-        r = cluster.create_dataset("R", Schema(["id", "t"]), "id")
-        r.bulk_load({"id": i, "t": t} for i, t in enumerate(right))
-        op = FudjJoin(Scan("L", "l"), Scan("R", "r"),
-                      LengthFilteredTextJoin(0.6),
-                      lambda rec: unbox(rec["l.t"]),
-                      lambda rec: unbox(rec["r.t"]))
-        got = sorted((row["l.id"], row["r.id"])
-                     for row in execute_plan(op, cluster).rows)
-        expected = sorted(
-            (i, j)
-            for i, a in enumerate(left)
-            for j, b in enumerate(right)
-            if runner.join.verify(
-                runner.join.prepare(a, None), runner.join.prepare(b, None),
-                runner.join.divide(runner.summarize(left + right, None), {}))
-        )
-        assert got == expected
+        check_library(LengthFilteredTextJoin(0.6), left, right)
 
     def test_empty_texts_still_pair(self):
-        from repro.engine import Cluster, Schema
-        from repro.engine.executor import execute_plan
-        from repro.engine.operators import FudjJoin, Scan
-        from repro.joins import LengthFilteredTextJoin
-        from repro.serde.values import unbox
-
-        cluster = Cluster(num_partitions=2)
-        l = cluster.create_dataset("L", Schema(["id", "t"]), "id")
-        l.bulk_load([{"id": 1, "t": ""}])
-        r = cluster.create_dataset("R", Schema(["id", "t"]), "id")
-        r.bulk_load([{"id": 1, "t": ""}, {"id": 2, "t": "word"}])
-        op = FudjJoin(Scan("L", "l"), Scan("R", "r"),
-                      LengthFilteredTextJoin(0.9),
-                      lambda rec: unbox(rec["l.t"]),
-                      lambda rec: unbox(rec["r.t"]))
-        result = execute_plan(op, cluster)
-        assert [(row["l.id"], row["r.id"]) for row in result.rows] == [(1, 1)]
+        assert check_library(LengthFilteredTextJoin(0.9), [""],
+                             ["", "word"]) == [("", "")]

@@ -3,12 +3,13 @@
 import random
 
 from repro.core import DuplicateElimination
+from repro.core.contract import check_library
 from repro.engine import Cluster, Schema
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import execute_plan
 from repro.engine.operators import FudjJoin, Scan
 from repro.serde.values import unbox
-from tests.helpers import BandJoin, ModEquiJoin, nested_loop_band
+from tests.helpers import BandJoin, ThetaBandJoin
 
 
 def band_cluster(left_keys, right_keys, partitions=4):
@@ -28,36 +29,26 @@ def rkey(record):
     return unbox(record["r.k"])
 
 
-def run_band(left_keys, right_keys, join, **kwargs):
-    cluster = band_cluster(left_keys, right_keys)
-    op = FudjJoin(Scan("L", "l"), Scan("R", "r"), join, lkey, rkey, **kwargs)
-    result = execute_plan(op, cluster)
-    return sorted((row["l.k"], row["r.k"]) for row in result.rows)
-
-
 class TestSingleJoinPath:
+    """Through the operator: check_library runs ``FudjJoin`` on one
+    partition and on several, under avoidance and elimination."""
+
     def test_matches_ground_truth(self):
         rng = random.Random(42)
         left = [round(rng.uniform(0, 40), 3) for _ in range(80)]
         right = [round(rng.uniform(0, 40), 3) for _ in range(80)]
-        got = run_band(left, right, BandJoin(1.0, 8))
-        assert got == nested_loop_band(left, right, 1.0)
+        check_library(BandJoin(1.0, 8), left, right)
 
     def test_no_duplicates_despite_multi_assign(self):
-        left = [10.0]
-        right = [10.1]
         # Band window spans several buckets; pair must appear exactly once.
-        got = run_band(left * 1, right, BandJoin(5.0, 8))
-        assert got == [(10.0, 10.1)]
+        assert check_library(BandJoin(5.0, 8), [10.0],
+                             [10.1]) == [(10.0, 10.1)]
 
     def test_elimination_strategy_same_result(self):
         rng = random.Random(43)
         left = [round(rng.uniform(0, 20), 3) for _ in range(50)]
         right = [round(rng.uniform(0, 20), 3) for _ in range(50)]
-        avoid = run_band(left, right, BandJoin(1.0, 8))
-        elim = run_band(left, right, BandJoin(1.0, 8),
-                        dedup=DuplicateElimination())
-        assert avoid == elim
+        check_library(BandJoin(1.0, 8), left, right)
 
     def test_elimination_adds_a_shuffle_stage(self):
         cluster = band_cluster([1.0, 2.0], [1.5])
@@ -69,25 +60,20 @@ class TestSingleJoinPath:
         assert any("dedup-shuffle" in name for name in stage_names)
 
     def test_empty_sides(self):
-        assert run_band([], [1.0], BandJoin(1.0, 4)) == []
-        assert run_band([1.0], [], BandJoin(1.0, 4)) == []
+        assert check_library(BandJoin(1.0, 4), [], [1.0]) == []
+        assert check_library(BandJoin(1.0, 4), [1.0], []) == []
 
 
 class TestMultiJoinPath:
-    class ThetaBand(BandJoin):
-        def match(self, b1, b2):
-            return abs(b1 - b2) <= 1
-
     def test_matches_ground_truth(self):
         rng = random.Random(44)
         left = [round(rng.uniform(0, 30), 3) for _ in range(60)]
         right = [round(rng.uniform(0, 30), 3) for _ in range(60)]
-        got = run_band(left, right, self.ThetaBand(1.0, 8))
-        assert got == nested_loop_band(left, right, 1.0)
+        check_library(ThetaBandJoin(1.0, 8), left, right)
 
     def test_uses_broadcast_plan(self):
         cluster = band_cluster([1.0], [2.0])
-        op = FudjJoin(Scan("L", "l"), Scan("R", "r"), self.ThetaBand(1.0, 4),
+        op = FudjJoin(Scan("L", "l"), Scan("R", "r"), ThetaBandJoin(1.0, 4),
                       lkey, rkey)
         ctx = ExecutionContext(cluster)
         op.execute(ctx)

@@ -24,6 +24,9 @@ MODULES = ("client.py",)
 
 #: ``(path under src/repro, qualified function name) -> why it stays``.
 ALLOWED = {
+    ("core/contract.py", "_engine_pairs"):
+        "per library check, never on a query; the engine imports "
+        "repro.core",
     ("engine/operators/fudj_join.py", "FudjJoin._combine"):
         "per query; a serial query never imports multiprocessing",
     ("engine/telemetry.py", "Telemetry.set_build_info"):

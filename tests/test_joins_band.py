@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import StandaloneRunner
+from repro.core.contract import check_library
 from repro.database import Database
 from repro.joins.band import NumericBandJoin
 
@@ -16,14 +16,11 @@ class TestStandalone:
         rng = random.Random(int(band * 10) + buckets)
         left = [round(rng.uniform(0, 40), 2) for _ in range(60)]
         right = [round(rng.uniform(0, 40), 2) for _ in range(60)]
-        runner = StandaloneRunner(NumericBandJoin(band, buckets))
-        assert sorted(runner.run(left, right)) == sorted(
-            runner.run_nested_loop(left, right)
-        )
+        check_library(NumericBandJoin(band, buckets), left, right)
 
     def test_zero_band_is_equality(self):
-        runner = StandaloneRunner(NumericBandJoin(0.0, 8))
-        assert runner.run([1.0, 2.0], [2.0, 3.0]) == [(2.0, 2.0)]
+        assert check_library(NumericBandJoin(0.0, 8), [1.0, 2.0],
+                             [2.0, 3.0]) == [(2.0, 2.0)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,10 +36,7 @@ class TestStandalone:
         buckets=st.integers(1, 40),
     )
     def test_property_equals_nested_loop(self, left, right, band, buckets):
-        runner = StandaloneRunner(NumericBandJoin(band, buckets))
-        assert sorted(runner.run(left, right)) == sorted(
-            runner.run_nested_loop(left, right)
-        )
+        check_library(NumericBandJoin(band, buckets), left, right)
 
 
 class TestSql:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core import JoinSide, StandaloneRunner
+from repro.core import JoinSide
+from repro.core.contract import check_library
 from repro.interval import Interval
 from repro.joins import IntervalJoin
 
@@ -91,30 +92,25 @@ class TestValidation:
 
 
 class TestAgainstGroundTruth:
+    """Seeded cases of the library contract (tests/test_library_contract.py)."""
+
     @pytest.mark.parametrize("num_buckets", [1, 5, 50, 500])
     def test_matches_nested_loop(self, num_buckets):
         rng = random.Random(200 + num_buckets)
         left = random_intervals(rng, 60)
         right = random_intervals(rng, 60)
-        runner = StandaloneRunner(IntervalJoin(num_buckets))
-        got = sorted(runner.run(left, right))
-        expected = sorted(runner.run_nested_loop(left, right))
-        assert got == expected
+        check_library(IntervalJoin(num_buckets), left, right)
 
     def test_long_spanning_intervals(self):
         left = [Interval(0, 1000)]  # spans the whole timeline
         rng = random.Random(3)
         right = random_intervals(rng, 50)
-        runner = StandaloneRunner(IntervalJoin(20))
-        got = sorted(runner.run(left, right))
-        expected = sorted(runner.run_nested_loop(left, right))
-        assert got == expected
+        check_library(IntervalJoin(20), left, right)
 
     def test_touching_intervals_not_joined(self):
-        runner = StandaloneRunner(IntervalJoin(10))
-        assert runner.run([Interval(0, 5)], [Interval(5, 9)]) == []
+        assert check_library(IntervalJoin(10), [Interval(0, 5)],
+                             [Interval(5, 9)]) == []
 
     def test_identical_intervals(self):
-        runner = StandaloneRunner(IntervalJoin(10))
         i = Interval(3, 7)
-        assert runner.run([i], [i]) == [(i, i)]
+        assert check_library(IntervalJoin(10), [i], [i]) == [(i, i)]

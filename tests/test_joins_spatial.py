@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core import JoinSide, StandaloneRunner
+from repro.core import JoinSide
+from repro.core.contract import check_library
 from repro.geometry import Point, Polygon, Rectangle, contains, intersects
 from repro.joins import ReferencePointSpatialJoin, SpatialContainsJoin, SpatialJoin
 
@@ -64,15 +65,14 @@ class TestPhases:
 
 
 class TestAgainstGroundTruth:
+    """Seeded cases of the library contract (tests/test_library_contract.py)."""
+
     @pytest.mark.parametrize("n", [1, 2, 8, 32])
     def test_rect_rect_intersection(self, n):
         rng = random.Random(100 + n)
         left = [random_rect(rng) for _ in range(50)]
         right = [random_rect(rng) for _ in range(50)]
-        runner = StandaloneRunner(SpatialJoin(n))
-        got = sorted(runner.run(left, right), key=repr)
-        expected = sorted(runner.run_nested_loop(left, right), key=repr)
-        assert got == expected
+        check_library(SpatialJoin(n), left, right)
 
     def test_polygon_point_contains(self):
         rng = random.Random(7)
@@ -81,30 +81,25 @@ class TestAgainstGroundTruth:
             for _ in range(30)
         ]
         points = [random_point(rng) for _ in range(200)]
-        runner = StandaloneRunner(SpatialContainsJoin(8))
-        got = sorted(runner.run(polygons, points), key=repr)
-        expected = sorted(runner.run_nested_loop(polygons, points), key=repr)
-        assert got == expected
+        check_library(SpatialContainsJoin(8), polygons, points)
 
     def test_no_results_when_far_apart(self):
         left = [Rectangle(0, 0, 1, 1)]
         right = [Rectangle(100, 100, 101, 101)]
-        assert StandaloneRunner(SpatialJoin(4)).run(left, right) == []
+        assert check_library(SpatialJoin(4), left, right) == []
 
     def test_identical_rectangles(self):
         rect = Rectangle(5, 5, 6, 6)
-        result = StandaloneRunner(SpatialJoin(4)).run([rect], [rect])
-        assert result == [(rect, rect)]
+        assert check_library(SpatialJoin(4), [rect], [rect]) == [(rect, rect)]
 
 
 class TestReferencePointDedup:
     def test_same_result_as_default(self):
+        # Its own dedup against the nested loop and against elimination.
         rng = random.Random(55)
         left = [random_rect(rng, max_size=20) for _ in range(40)]
         right = [random_rect(rng, max_size=20) for _ in range(40)]
-        default = StandaloneRunner(SpatialJoin(8)).run(left, right)
-        refpoint = StandaloneRunner(ReferencePointSpatialJoin(8)).run(left, right)
-        assert sorted(default, key=repr) == sorted(refpoint, key=repr)
+        check_library(ReferencePointSpatialJoin(8), left, right)
 
     def test_emits_from_exactly_one_tile(self):
         join = ReferencePointSpatialJoin(8)

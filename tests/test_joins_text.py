@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core import DuplicateElimination, JoinSide, StandaloneRunner
+from repro.core import JoinSide, StandaloneRunner
+from repro.core.contract import check_library
 from repro.joins import TextSimilarityJoin
 from repro.text import jaccard_similarity, tokenize
 
@@ -80,34 +81,29 @@ class TestPhases:
 
 
 class TestAgainstGroundTruth:
+    """Seeded cases of the library contract (tests/test_library_contract.py)."""
+
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7, 0.9, 1.0])
     def test_matches_nested_loop(self, threshold):
         rng = random.Random(int(threshold * 100))
         left = random_texts(rng, 50)
         right = random_texts(rng, 50)
-        runner = StandaloneRunner(TextSimilarityJoin(threshold))
-        got = sorted(runner.run(left, right))
-        expected = sorted(runner.run_nested_loop(left, right))
-        assert got == expected
+        check_library(TextSimilarityJoin(threshold), left, right)
 
     def test_empty_texts_join_each_other(self):
-        runner = StandaloneRunner(TextSimilarityJoin(0.9))
-        assert runner.run([""], ["", "alpha"]) == [("", "")]
+        assert check_library(TextSimilarityJoin(0.9), [""],
+                             ["", "alpha"]) == [("", "")]
 
     def test_identical_texts_always_join(self):
-        runner = StandaloneRunner(TextSimilarityJoin(1.0))
-        assert runner.run(["alpha beta"], ["beta alpha"]) == [
-            ("alpha beta", "beta alpha")
-        ]
+        assert check_library(TextSimilarityJoin(1.0), ["alpha beta"],
+                             ["beta alpha"]) == [("alpha beta", "beta alpha")]
 
     def test_elimination_same_result(self):
+        # check_library runs default avoidance and elimination both.
         rng = random.Random(31)
         left = random_texts(rng, 40)
         right = random_texts(rng, 40)
-        avoid = StandaloneRunner(TextSimilarityJoin(0.5))
-        elim = StandaloneRunner(TextSimilarityJoin(0.5),
-                                dedup=DuplicateElimination())
-        assert sorted(avoid.run(left, right)) == sorted(elim.run(left, right))
+        check_library(TextSimilarityJoin(0.5), left, right)
 
     def test_prefix_filter_prunes(self):
         # At t=0.9 most pairs should be pruned before verification.

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import JoinSide, StandaloneRunner
+from repro.core.contract import check_library
 from repro.database import Database
 from repro.datagen import generate_trajectories
 from repro.geometry import Point, Rectangle
@@ -103,19 +103,15 @@ class TestProximityJoin:
         rng = random.Random(int(eps * 7) + n)
         left = [random_trajectory(rng) for _ in range(40)]
         right = [random_trajectory(rng) for _ in range(40)]
-        runner = StandaloneRunner(TrajectoryProximityJoin(eps, n))
-        got = sorted(runner.run(left, right), key=repr)
-        expected = sorted(runner.run_nested_loop(left, right), key=repr)
-        assert got == expected
+        check_library(TrajectoryProximityJoin(eps, n), left, right)
 
     def test_one_sided_expansion_covers_eps(self):
         # Two trajectories exactly eps apart, far from tile boundaries of
         # the unexpanded grid: the left-side expansion must co-locate them.
-        join = TrajectoryProximityJoin(2.0, 10)
         a = Trajectory([(10.0, 10.0)])
         b = Trajectory([(12.0, 10.0)])
-        runner = StandaloneRunner(join)
-        assert runner.run([a], [b]) == [(a, b)]
+        assert check_library(TrajectoryProximityJoin(2.0, 10), [a],
+                             [b]) == [(a, b)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,10 +124,7 @@ class TestProximityJoin:
         rng = random.Random(seed)
         left = [random_trajectory(rng) for _ in range(12)]
         right = [random_trajectory(rng) for _ in range(12)]
-        runner = StandaloneRunner(TrajectoryProximityJoin(eps, n))
-        assert sorted(runner.run(left, right), key=repr) == sorted(
-            runner.run_nested_loop(left, right), key=repr
-        )
+        check_library(TrajectoryProximityJoin(eps, n), left, right)
 
 
 class TestTrajectorySql:
@@ -225,8 +218,8 @@ class TestSegmentDistance:
     def test_crossing_trajectories_join(self):
         a = Trajectory([(0, 0), (10, 10)])
         b = Trajectory([(0, 10), (10, 0)])
-        runner = StandaloneRunner(TrajectoryProximityJoin(0.5, 8))
-        assert runner.run([a], [b]) == [(a, b)]
+        assert check_library(TrajectoryProximityJoin(0.5, 8), [a],
+                             [b]) == [(a, b)]
 
     def test_min_distance_never_exceeds_point_sample_minimum(self):
         rng = random.Random(9)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs linter: keep the documented surface honest.
 
-Ten checks over ``README.md`` and ``docs/*.md``:
+Eleven checks over ``README.md`` and ``docs/*.md``:
 
 1. **Links resolve.** Every relative markdown link (and image) points at
    a file or directory that exists; fragment-only links and absolute
@@ -37,6 +37,11 @@ Ten checks over ``README.md`` and ``docs/*.md``:
     and every registered ``sys.*`` table must be documented in a
     ``docs/*.md`` page (a mention only in the repo ``README.md`` does
     not count as documentation).
+11. **Test names resolve.** A backticked ``test_*`` name (a module,
+    ``module.Class``, ``module::function``, or a bare test function) or
+    a ``tests/test_*.py`` path names a module under ``tests/`` and
+    classes or functions defined in it; glob patterns such as
+    ``test_joins_*`` are skipped.
 
 Run with ``make lint-docs`` (CI runs it on every push).  Exits nonzero
 with one line per violation.
@@ -44,6 +49,7 @@ with one line per violation.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import pathlib
 import re
@@ -213,6 +219,69 @@ def check_serving_surface() -> list:
     return problems
 
 
+#: A backticked span, and a fenced code block (whose backticks are not
+#: spans).
+_SPAN = re.compile(r"`([^`]+)`")
+_FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+#: A test reference: ``test_x``, ``test_x.py``, ``tests/test_x.py``,
+#: then ``.Name`` / ``::name`` parts and an optional ``[param]``.
+_TEST_REF = re.compile(r"(?:tests/)?(test_\w+)(?:\.py)?((?:(?:\.|::)\w+)*)"
+                       r"(?:\[[^\]]*\])?")
+_TEST_PATH = re.compile(r"tests/(test_\w+)\.py")
+
+
+def test_names() -> dict:
+    """``{module name: names of the classes and functions it defines}``
+    for every ``tests/test_*.py``."""
+    names = {}
+    for path in sorted((REPO / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names[path.stem] = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+    return names
+
+
+def _unresolved(reference: str, modules: dict) -> bool:
+    match = _TEST_REF.fullmatch(reference)
+    if match is None:
+        return False  # prose that starts with test_, not a reference
+    head = match.group(1)
+    parts = [part for part in re.split(r"\.|::", match.group(2)) if part]
+    if head in modules:
+        defined = modules[head]
+    else:
+        # A bare name: a class or function of some test module.
+        owners = [names for names in modules.values() if head in names]
+        if not owners:
+            return True
+        defined = set().union(*owners)
+    return any(part not in defined for part in parts)
+
+
+def check_test_names(files: list) -> list:
+    """Check #11: every test module, class or function the docs name
+    by a backticked ``test_*`` reference or a ``tests/test_*.py`` path
+    exists."""
+    modules = test_names()
+    problems = []
+    for path in files:
+        text = _FENCE.sub("", path.read_text())
+        for span in _SPAN.findall(text):
+            span = re.sub(r"\s+", "", span)
+            if "*" in span:
+                continue
+            references = set(_TEST_PATH.findall(span))
+            if span.startswith(("test_", "tests/test_")):
+                references.add(span)
+            for reference in sorted(references):
+                if _unresolved(reference, modules):
+                    problems.append(f"{path.relative_to(REPO)}: "
+                                    f"`{reference}` names no test")
+    return problems
+
+
 def check_mentions(files: list, needles: set, what: str) -> list:
     corpus = "\n".join(path.read_text() for path in files)
     problems = []
@@ -243,6 +312,7 @@ def main() -> int:
     problems += check_mentions(files, env_vars(), "environment variable")
     problems += check_event_kinds()
     problems += check_serving_surface()
+    problems += check_test_names(files)
     for problem in problems:
         print(f"lint-docs: {problem}")
     if problems:
